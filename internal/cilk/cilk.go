@@ -236,10 +236,3 @@ func parForRange(t *machine.Thread, lo, hi, grain int, body func(*machine.Thread
 	})
 	parForRange(t, mid, hi, grain, body)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -6,11 +6,11 @@ import (
 	"emuchick/internal/machine"
 )
 
-// Continuation-form spawn trees: SpawnWorkers and SpawnGrouped restated as
-// resumable state machines over machine.CThread. Each machine performs the
-// IDENTICAL sequence of spawn/sync operations as its goroutine twin — same
-// tree shape, same spawn order, same explicit syncs — so a kernel ported to
-// the continuation engine produces a bit-identical event stream. The
+// Continuation-form spawn trees: SpawnWorkers, SpawnGrouped and ParallelFor
+// restated as resumable state machines over machine.CThread. Each machine
+// performs the IDENTICAL sequence of spawn/sync operations as its goroutine
+// twin — same tree shape, same spawn order, same explicit syncs — so a kernel
+// ported to the continuation engine produces a bit-identical event stream. The
 // recursive helpers (spawnRangeLocal and friends) become iterative drivers:
 // the caller-side half of each recursion is a loop that shrinks its range,
 // and the spawned-side half is a coordinator CBody carrying the subrange.
@@ -275,6 +275,78 @@ func (ws *Workers) Drive(t *machine.CThread) (parked bool) {
 			return false
 		}
 	}
+}
+
+// ParFor is ParallelFor for the continuation engine, with the same Drive
+// protocol as Workers. The caller's thread splits its range exactly as
+// parForRange does — each lower half goes to a spawned coordinator, the upper
+// half is split again in place — then runs the final range of at most grain
+// iterations inline through the leaf body, and syncs. A ParFor is also the
+// CBody of those spawned coordinators, which do the same over their half.
+type ParFor struct {
+	lo, hi, grain int
+	leaf          func(lo, hi int) machine.CBody
+	body          machine.CBody // the inline leaf, once the range is split down
+	phase         uint8         // 0 split, 1 leaf, 2 sync issued, 3 done
+}
+
+// NewParallelFor prepares a continuation-form ParallelFor over [0, n) with at
+// most grain iterations per leaf; leaf(lo, hi) builds the body that runs
+// iterations [lo, hi) on whichever thread reaches them.
+func NewParallelFor(n, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
+	if grain <= 0 {
+		grain = 1
+	}
+	f := &ParFor{hi: n, grain: grain, leaf: leaf}
+	if n <= 0 {
+		f.phase = 3 // ParallelFor returns at once, without a sync
+	}
+	return f
+}
+
+// Drive advances the loop; see Workers.Drive for the protocol.
+//
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (f *ParFor) Drive(t *machine.CThread) (parked bool) {
+	for {
+		switch f.phase {
+		case 0:
+			if n := f.hi - f.lo; n > f.grain {
+				mid := f.lo + n/2
+				lower := &ParFor{lo: f.lo, hi: mid, grain: f.grain, leaf: f.leaf}
+				f.lo = mid
+				if t.CSpawn(lower) {
+					return true
+				}
+				continue
+			}
+			//lint:allow nohandoff leaf is the caller's constructor for its leaf state machine; it only allocates
+			f.body = f.leaf(f.lo, f.hi)
+			f.phase = 1
+		case 1:
+			//lint:allow nohandoff body is the kernel's leaf CBody, annotated //emu:nohandoff at its own Step
+			if !f.body.Step(t) {
+				return true
+			}
+			f.body = nil
+			f.phase = 2
+			if t.CSync() {
+				return true
+			}
+		case 2:
+			f.phase = 3
+		case 3:
+			return false
+		}
+	}
+}
+
+// Step runs a spawned coordinator's half of the loop.
+//
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (f *ParFor) Step(t *machine.CThread) bool {
+	//lint:allow nohandoff Drive's one dynamic call is the leaf constructor, allowed at its site
+	return !f.Drive(t)
 }
 
 // Grouped is SpawnGrouped for the continuation engine, with the same Drive

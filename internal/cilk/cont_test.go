@@ -1,6 +1,7 @@
 package cilk
 
 import (
+	"fmt"
 	"testing"
 
 	"emuchick/internal/machine"
@@ -190,6 +191,102 @@ func TestContWorkersZeroAndNegative(t *testing.T) {
 		}
 		if s.Counters.ThreadsSpawned != 1 { // just the root
 			t.Fatalf("workers=%d spawned %d threads", workers, s.Counters.ThreadsSpawned)
+		}
+	}
+}
+
+// ctRangeLeaf is the continuation twin of a ParallelFor body: load each
+// iteration's word (migrating across the stripe), then a little compute.
+type ctRangeLeaf struct {
+	arr    memsys.Striped
+	i, hi  int
+	loaded bool
+}
+
+func (b *ctRangeLeaf) Step(t *machine.CThread) bool {
+	for b.i < b.hi {
+		if !b.loaded {
+			b.loaded = true
+			if t.CLoad(b.arr.At(b.i)) {
+				return false
+			}
+		}
+		b.loaded = false
+		b.i++
+		if t.CCompute(3) {
+			return false
+		}
+	}
+	return true
+}
+
+// ctParForRoot drives a ParFor as the run's root body, then stores one word
+// so the caller's continuation past the loop is on the trace too.
+type ctParForRoot struct {
+	f      *ParFor
+	out    memsys.Addr
+	looped bool
+	stored bool
+}
+
+func (b *ctParForRoot) Step(t *machine.CThread) bool {
+	if !b.looped {
+		if b.f.Drive(t) {
+			return false
+		}
+		b.looped = true
+	}
+	if !b.stored {
+		b.stored = true
+		if t.CStore(b.out, 1) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestContParallelForMatchesGoroutine(t *testing.T) {
+	for _, tc := range []struct{ n, grain int }{{37, 1}, {37, 4}, {37, 36}, {37, 37}, {37, 100}, {64, 0}, {1, 5}} {
+		tc := tc
+		label := fmt.Sprintf("n=%d/grain=%d", tc.n, tc.grain)
+		runEnginePair(t, label,
+			func(s *machine.System) func(*machine.Thread) {
+				arr := s.Mem.AllocStriped(tc.n)
+				out := s.Mem.AllocLocal(0, 1)
+				return func(th *machine.Thread) {
+					ParallelFor(th, tc.n, tc.grain, func(c *machine.Thread, lo, hi int) {
+						for i := lo; i < hi; i++ {
+							c.Load(arr.At(i))
+							c.Compute(3)
+						}
+					})
+					th.Store(out.At(0), 1)
+				}
+			},
+			func(s *machine.System) machine.CBody {
+				arr := s.Mem.AllocStriped(tc.n)
+				out := s.Mem.AllocLocal(0, 1)
+				f := NewParallelFor(tc.n, tc.grain, func(lo, hi int) machine.CBody {
+					return &ctRangeLeaf{arr: arr, i: lo, hi: hi}
+				})
+				return &ctParForRoot{f: f, out: out.At(0)}
+			})
+	}
+}
+
+func TestContParallelForEmptyRange(t *testing.T) {
+	for _, n := range []int{0, -2} {
+		s := machine.NewSystem(machine.HardwareChick())
+		out := s.Mem.AllocLocal(0, 1)
+		f := NewParallelFor(n, 4, func(int, int) machine.CBody {
+			t.Fatal("leaf built for an empty range")
+			return nil
+		})
+		if _, err := s.RunCont(&ctParForRoot{f: f, out: out.At(0)}); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if s.Counters.ThreadsSpawned != 1 {
+			t.Fatalf("n=%d spawned %d threads", n, s.Counters.ThreadsSpawned)
 		}
 	}
 }

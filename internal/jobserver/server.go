@@ -310,11 +310,12 @@ func New(cfg Config) (*Server, error) {
 			s.enqueueLocked(j)
 		}
 	}
+	requeued := s.stats.Queued // read before the workers start draining it
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued)", cfg.Workers, len(recs), s.stats.Queued)
+	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued)", cfg.Workers, len(recs), requeued)
 	return s, nil
 }
 
@@ -580,13 +581,13 @@ func (s *Server) Cancel(id string) (Job, error) {
 			cancel()
 		}
 	case StateQueued:
+		s.mu.Lock() // as in finish: publish the state with its accounting
 		rec := j.set(func(r *Job) {
 			r.State = StateCanceled
 			r.Error = "canceled before start"
 			now := time.Now().UTC()
 			r.FinishedAt = &now
 		})
-		s.mu.Lock()
 		s.stats.Canceled++
 		if s.active[rec.Key] == id {
 			delete(s.active, rec.Key)
@@ -744,14 +745,16 @@ func (s *Server) runJob(j *job) {
 }
 
 // finish moves a running job to a terminal state and updates accounting,
-// returning the job's admission charge to the in-flight budget.
+// returning the job's admission charge to the in-flight budget. The state is
+// published with s.mu held, so a waiter it wakes reads Stats only after the
+// accounting for that state has landed.
 func (s *Server) finish(j *job, bump func(*Stats), mut func(*Job)) {
+	s.mu.Lock()
 	rec := j.set(func(r *Job) {
 		mut(r)
 		now := time.Now().UTC()
 		r.FinishedAt = &now
 	})
-	s.mu.Lock()
 	s.stats.Running--
 	if rec.State == StateDone {
 		s.stats.Completed++

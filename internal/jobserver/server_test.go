@@ -429,3 +429,31 @@ func TestParseJobID(t *testing.T) {
 		t.Fatal("malformed id parsed")
 	}
 }
+
+// TestStatsSettledAtTerminalState: a job's terminal state and its Stats
+// accounting land together. Every job here is distinct, so once n jobs have
+// been seen done, at least n simulations must be counted — a waiter woken
+// by the state must never read the counters from before it.
+func TestStatsSettledAtTerminalState(t *testing.T) {
+	srv := newTestServer(t, Config{Workers: 2})
+	defer srv.Close()
+	const jobs = 24
+	ids := make([]string, jobs)
+	for i := range ids {
+		spec := quickKernel()
+		spec.Params.Seed = uint64(i + 1)
+		rec, err := srv.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[i] = rec.ID
+	}
+	for i, id := range ids {
+		if rec := waitTerminal(t, srv, id); rec.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", id, rec.State, rec.Error)
+		}
+		if st := srv.Stats(); st.Simulated < i+1 {
+			t.Fatalf("%d jobs seen done but Stats counts %d simulated: %+v", i+1, st.Simulated, st)
+		}
+	}
+}

@@ -7,19 +7,27 @@ import (
 	"emuchick/internal/sim"
 )
 
-// Continuation-form kernel bodies: the spawn-heavy kernels (STREAM,
-// pointer chase, ping-pong) restated as machine.CBody state machines with
-// operation sequences identical to their goroutine twins. A kernel run on
-// either engine produces the same simulated times, counters, traces, and
-// memory — the goroutine closures remain in the kernel files as the
-// reference the equivalence tests diff against.
+// Continuation-form kernel bodies shared by every kernel, and the bodies of
+// the kernels that still have two engines. STREAM, pointer chase and
+// ping-pong are restated here as machine.CBody state machines with operation
+// sequences identical to their goroutine closures, which remain in the
+// kernel files as the reference the equivalence tests diff against. SpMV,
+// SpMV-CSX and GUPS have no goroutine form: their bodies live in their own
+// files and are pinned by golden digests instead.
+
+// driver is a resumable spawn tree with the cilk Drive protocol: parked=true
+// means the enclosing Step must return; parked=false means the tree has been
+// spawned and joined.
+type driver interface {
+	Drive(t *machine.CThread) (parked bool)
+}
 
 // timedRoot wraps a resumable spawn tree as a run's root body and records
 // the elapsed time from body start to the tree's final join — the same
 // measured region as `t0 := root.Now(); ...; res = root.Now() - t0` in the
 // goroutine roots.
 type timedRoot struct {
-	drive   func(t *machine.CThread) (parked bool)
+	drive   driver
 	out     *sim.Time
 	started bool
 	done    bool
@@ -33,14 +41,49 @@ func (r *timedRoot) Step(t *machine.CThread) bool {
 		r.t0 = t.Now()
 	}
 	if !r.done {
-		//lint:allow nohandoff drive is bound at construction to cilk Workers.Drive or Grouped.Drive, both pure CThread state machines
-		if r.drive(t) {
+		//lint:allow nohandoff drive is a cilk Workers, Grouped or ParFor tree or a fanout, all pure CThread state machines
+		if r.drive.Drive(t) {
 			return false
 		}
 		r.done = true
 		*r.out = t.Now() - r.t0
 	}
 	return true
+}
+
+// fanout spawns each of its bodies on its nodelet, in order, then syncs —
+// the `for ... { root.SpawnAt(nl, body) }; root.Sync()` root of the
+// ping-pong, GUPS, SpMV-2D and CSX kernels.
+type fanout struct {
+	nls    []int
+	bodies []machine.CBody
+	k      int
+	synced bool
+}
+
+func (f *fanout) add(nl int, body machine.CBody) {
+	f.nls = append(f.nls, nl)
+	f.bodies = append(f.bodies, body)
+}
+
+// Drive advances the fan-out; see timedRoot.
+//
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (f *fanout) Drive(t *machine.CThread) (parked bool) {
+	for f.k < len(f.bodies) {
+		k := f.k
+		f.k++
+		body := f.bodies[k]
+		f.bodies[k] = nil // the child owns it now
+		if t.CSpawnAt(f.nls[k], body) {
+			return true
+		}
+	}
+	if !f.synced {
+		f.synced = true
+		return t.CSync()
+	}
+	return false
 }
 
 // streamShared is the per-run state every STREAM worker reads.
@@ -115,7 +158,7 @@ func streamContRoot(cfg StreamConfig, sh *streamShared, out *sim.Time) machine.C
 		lo, hi := share(cfg.ElemsPerNodelet, rank, ranks)
 		return &streamWorker{sh: sh, nl: nl, j: lo, hi: hi}
 	})
-	return &timedRoot{drive: ws.Drive, out: out}
+	return &timedRoot{drive: ws, out: out}
 }
 
 // chaseWorker walks one pointer chain: two dependent loads and the loop
@@ -166,7 +209,7 @@ func chaseContRoot(groups [][]int, starts []memsys.Addr, sums []uint64, out *sim
 	g := cilk.NewGrouped(groups, func(k int) machine.CBody {
 		return &chaseWorker{sums: sums, k: k, addr: starts[k]}
 	})
-	return &timedRoot{drive: g.Drive, out: out}
+	return &timedRoot{drive: g, out: out}
 }
 
 // pingWorker migrates back and forth between two nodelets.
@@ -196,52 +239,13 @@ func (w *pingWorker) Step(t *machine.CThread) bool {
 	return true
 }
 
-// pingSpawner fans the ping-pong workers out from the root, all on nodelet A.
-type pingSpawner struct {
-	cfg PingPongConfig
-	k   int
-}
-
-func (s *pingSpawner) drive(t *machine.CThread) bool {
-	for s.k < s.cfg.Threads {
-		s.k++
-		w := &pingWorker{a: s.cfg.NodeletA, b: s.cfg.NodeletB, iters: s.cfg.Iterations}
-		if t.CSpawnAt(s.cfg.NodeletA, w) {
-			return false
-		}
-	}
-	return true
-}
-
 // pingContRoot builds the continuation root body for one ping-pong run:
-// spawn every worker, explicit sync, record elapsed — the goroutine root's
-// exact sequence.
-type pingContRoot struct {
-	sp      pingSpawner
-	out     *sim.Time
-	started bool
-	synced  bool
-	t0      sim.Time
-}
-
-//emu:nohandoff CBody contract: park state, never the goroutine
-func (r *pingContRoot) Step(t *machine.CThread) bool {
-	if !r.started {
-		r.started = true
-		r.t0 = t.Now()
+// spawn every worker on nodelet A, sync, record elapsed — the goroutine
+// root's exact sequence.
+func pingContRoot(cfg PingPongConfig, out *sim.Time) machine.CBody {
+	fan := &fanout{}
+	for k := 0; k < cfg.Threads; k++ {
+		fan.add(cfg.NodeletA, &pingWorker{a: cfg.NodeletA, b: cfg.NodeletB, iters: cfg.Iterations})
 	}
-	if !r.sp.drive(t) {
-		return false
-	}
-	if !r.synced {
-		r.synced = true
-		if t.CSync() {
-			return false
-		}
-	}
-	if r.out != nil {
-		*r.out = t.Now() - r.t0
-		r.out = nil
-	}
-	return true
+	return &timedRoot{drive: fan, out: out}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
 	"emuchick/internal/workload"
 )
@@ -19,6 +20,10 @@ type GUPSConfig struct {
 	Threads    int
 	Seed       uint64
 }
+
+// gupsUpdateCycles is the per-update loop overhead: index fetch, address
+// arithmetic, branch.
+const gupsUpdateCycles = 4
 
 // GUPS performs random read-modify-write updates over a striped table
 // using posted memory-side atomics (no thread ever migrates), and reports
@@ -37,27 +42,17 @@ func GUPS(mcfg machine.Config, cfg GUPSConfig, opts ...RunOption) (metrics.Resul
 		want[idx]++
 	}
 
+	// Thread k takes the k-th contiguous share of the stream and starts on
+	// nodelet k mod N; threads left without updates are never spawned.
 	nodelets := sys.Nodelets()
-	var res metrics.Result
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for k := 0; k < cfg.Threads; k++ {
-			k := k
-			lo, hi := share(cfg.Updates, k, cfg.Threads)
-			if lo == hi {
-				continue
-			}
-			root.SpawnAt(k%nodelets, func(w *machine.Thread) {
-				for j := lo; j < hi; j++ {
-					w.RemoteAdd(table.At(stream[j]), 1)
-					w.Compute(4)
-				}
-			})
+	fan := &fanout{}
+	for k := 0; k < cfg.Threads; k++ {
+		if lo, hi := share(cfg.Updates, k, cfg.Threads); lo < hi {
+			fan.add(k%nodelets, &gupsWorker{table: table, idx: stream[lo:hi]})
 		}
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
-	if err != nil {
+	}
+	var res metrics.Result
+	if _, err := sys.RunCont(&timedRoot{drive: fan, out: &res.Elapsed}); err != nil {
 		return metrics.Result{}, err
 	}
 	for i, w := range want {
@@ -70,4 +65,30 @@ func GUPS(mcfg machine.Config, cfg GUPSConfig, opts ...RunOption) (metrics.Resul
 	}
 	res.Bytes = int64(cfg.Updates) * 8
 	return res, nil
+}
+
+// gupsWorker posts one remote add per table index, charging the loop
+// overhead after each.
+type gupsWorker struct {
+	table  memsys.Striped
+	idx    []int
+	posted bool
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *gupsWorker) Step(t *machine.CThread) bool {
+	for len(w.idx) > 0 {
+		if !w.posted {
+			w.posted = true
+			if t.CRemoteAdd(w.table.At(w.idx[0]), 1) {
+				return false
+			}
+		}
+		w.posted = false
+		w.idx = w.idx[1:]
+		if t.CCompute(gupsUpdateCycles) {
+			return false
+		}
+	}
+	return true
 }

@@ -59,7 +59,7 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 			out.Elapsed = root.Now() - t0
 		})
 	} else {
-		_, err = sys.RunCont(&pingContRoot{sp: pingSpawner{cfg: cfg}, out: &out.Elapsed})
+		_, err = sys.RunCont(pingContRoot(cfg, &out.Elapsed))
 	}
 	if err != nil {
 		return PingPongResult{}, err

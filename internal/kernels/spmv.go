@@ -6,6 +6,7 @@ import (
 
 	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
 	"emuchick/internal/sim"
 	"emuchick/internal/sparse"
@@ -92,36 +93,26 @@ func SpMV(mcfg machine.Config, cfg SpMVConfig, opts ...RunOption) (metrics.Resul
 			nodelets, sys.Nodelets())
 	}
 	m := sparse.Laplacian2D(cfg.GridN)
-	xv := make([]float64, m.Cols)
-	for i := range xv {
-		xv[i] = 1 + float64(i%7)*0.125 // dyadic values: exact FP arithmetic
-	}
+	xv := spmvInput(m.Cols)
 	want := m.MulVec(xv)
+	grainRows := spmvGrainRows(cfg.GrainNNZ)
 
-	// Average Laplacian row has ~5 nonzeros; convert the nnz grain to a
-	// row grain.
-	grainRows := cfg.GrainNNZ / 5
-	if grainRows < 1 {
-		grainRows = 1
-	}
-
-	var elapsed metricsTime
-	var err error
+	var loop driver
+	var ya memsys.Local
 	switch cfg.Layout {
-	case SpMVLocal:
-		elapsed, err = spmvLocal(sys, m, xv, grainRows)
-	case SpMV1D:
-		elapsed, err = spmv1D(sys, m, xv, grainRows, nodelets, cfg.StripeX)
+	case SpMVLocal, SpMV1D:
+		loop, ya = spmvCSR(sys, m, xv, grainRows, cfg.Layout, cfg.StripeX)
 	case SpMV2D:
-		elapsed, err = spmv2D(sys, m, xv, grainRows, nodelets, cfg.StripeX)
+		loop, ya = spmv2D(sys, m, xv, grainRows, nodelets, cfg.StripeX)
 	default:
 		return metrics.Result{}, fmt.Errorf("kernels: unknown layout %v", cfg.Layout)
 	}
-	if err != nil {
+	var elapsed sim.Time
+	if _, err := sys.RunCont(&timedRoot{drive: loop, out: &elapsed}); err != nil {
 		return metrics.Result{}, err
 	}
 	for r := 0; r < m.Rows; r++ {
-		if got := math.Float64frombits(sys.Mem.Read(elapsed.y.At(r))); got != want[r] {
+		if got := math.Float64frombits(sys.Mem.Read(ya.At(r))); got != want[r] {
 			return metrics.Result{}, fmt.Errorf("kernels: spmv y[%d] = %v, want %v", r, got, want[r])
 		}
 	}
@@ -130,45 +121,191 @@ func SpMV(mcfg machine.Config, cfg SpMVConfig, opts ...RunOption) (metrics.Resul
 			return metrics.Result{}, fmt.Errorf("kernels: 2d layout migrated %d times; rows must be migration-free", mig)
 		}
 	}
-	return metrics.Result{Bytes: m.UsefulBytes(), Elapsed: elapsed.t}, nil
+	return metrics.Result{Bytes: m.UsefulBytes(), Elapsed: elapsed}, nil
 }
 
-// metricsTime carries the timed duration plus the y vector handle for
-// verification.
-type metricsTime struct {
-	t sim.Time
-	y vector
+// spmvInput is the input vector every SpMV kernel multiplies by: dyadic
+// values, so the floating-point sums are exact in any order.
+func spmvInput(n int) []float64 {
+	xv := make([]float64, n)
+	for i := range xv {
+		xv[i] = 1 + float64(i%7)*0.125
+	}
+	return xv
 }
 
-// makeXLoader allocates the input vector under the requested placement and
-// returns the timed accessor kernels use for x[col]. Replication (the
-// default and the paper's recommendation) makes every x read local;
-// striping makes x[col] live on nodelet col mod N, so reading it migrates.
-func makeXLoader(sys *machine.System, xv []float64, stripeX bool) func(*machine.Thread, int) float64 {
-	if stripeX {
-		xs := sys.Mem.AllocStriped(len(xv))
+// spmvGrainRows converts the nnz grain to a row grain: an average Laplacian
+// row has ~5 nonzeros.
+func spmvGrainRows(grainNNZ int) int {
+	return max(grainNNZ/5, 1)
+}
+
+// xVector is the input vector under its placement: one copy (on nodelet 0
+// for the local layout, or striped so that x[col] lives on nodelet col mod N
+// and reading it migrates), or replicated per nodelet — the paper's
+// recommendation, which makes every x read local.
+type xVector struct {
+	one vector            // the single copy; nil when replicated
+	rep memsys.Replicated // the per-nodelet copies
+}
+
+// At is the address of x[c] as seen from nodelet nl.
+func (x xVector) At(nl, c int) memsys.Addr {
+	if x.one != nil {
+		return x.one.At(c)
+	}
+	return x.rep.At(nl, c)
+}
+
+// allocX allocates and fills x for the layout: local with the local layout,
+// else striped under the ablation or replicated.
+func allocX(sys *machine.System, xv []float64, layout SpMVLayout, stripeX bool) xVector {
+	var one vector
+	switch {
+	case layout == SpMVLocal:
+		one = sys.Mem.AllocLocal(0, len(xv))
+	case stripeX:
+		one = sys.Mem.AllocStriped(len(xv))
+	default:
+		xr := sys.Mem.AllocReplicated(len(xv))
 		for c := range xv {
-			sys.Mem.Write(xs.At(c), math.Float64bits(xv[c]))
+			xr.Broadcast(sys.Mem, c, math.Float64bits(xv[c]))
 		}
-		return func(w *machine.Thread, c int) float64 {
-			return math.Float64frombits(w.Load(xs.At(c)))
-		}
+		return xVector{rep: xr}
 	}
-	xr := sys.Mem.AllocReplicated(len(xv))
 	for c := range xv {
-		xr.Broadcast(sys.Mem, c, math.Float64bits(xv[c]))
+		sys.Mem.Write(one.At(c), math.Float64bits(xv[c]))
 	}
-	return func(w *machine.Thread, c int) float64 {
-		return math.Float64frombits(w.Load(xr.At(w.Nodelet(), c)))
+	return xVector{one: one}
+}
+
+// shard views one nodelet's chunk of a blocked allocation as a vector.
+type shard struct {
+	b  memsys.Blocked
+	nl int
+}
+
+func (s shard) At(i int) memsys.Addr { return s.b.At(s.nl, i) }
+
+// spmvRows is what a row walker reads, for one layout. The layouts differ
+// only in where a row's bounds live (bounds words stride*i and stride*i+1:
+// CSR row pointers, or a 2D shard's (offset, count) pair), in where its
+// elements live (ci and vv), and in where x lives.
+type spmvRows struct {
+	bounds  vector
+	stride  int
+	counted bool  // the second bound word is a count, not an end
+	rows    []int // slot -> row of y; nil when slots are rows
+	ci, vv  vector
+	x       xVector
+	y       memsys.Local
+}
+
+// rowWalker is the SpMV leaf: for each row slot in [i, hi), load its two
+// bound words, then per element the column index, the value and x[col],
+// accumulate and charge the inner-loop cycles, and finally store y[row]
+// (posted to nodelet 0 from anywhere else) and charge the row overhead.
+type rowWalker struct {
+	s      *spmvRows
+	i, hi  int
+	k, end uint64
+	col    int
+	v, sum float64
+	pc     uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *rowWalker) Step(t *machine.CThread) bool {
+	s := w.s
+	for {
+		switch w.pc {
+		case 0: // row head
+			if w.i >= w.hi {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(s.bounds.At(s.stride * w.i)) {
+				return false
+			}
+		case 1:
+			w.k = t.Value()
+			w.pc = 2
+			if t.CLoad(s.bounds.At(s.stride*w.i + 1)) {
+				return false
+			}
+		case 2:
+			w.end = t.Value()
+			if s.counted {
+				w.end += w.k
+			}
+			w.sum = 0
+			w.pc = 3
+		case 3: // element head
+			if w.k >= w.end {
+				row := w.i
+				if s.rows != nil {
+					row = s.rows[w.i]
+				}
+				w.pc = 7
+				if t.CStore(s.y.At(row), math.Float64bits(w.sum)) {
+					return false
+				}
+				continue
+			}
+			w.pc = 4
+			if t.CLoad(s.ci.At(int(w.k))) {
+				return false
+			}
+		case 4:
+			w.col = int(t.Value())
+			w.pc = 5
+			if t.CLoad(s.vv.At(int(w.k))) {
+				return false
+			}
+		case 5:
+			w.v = math.Float64frombits(t.Value())
+			w.pc = 6
+			if t.CLoad(s.x.At(t.Nodelet(), w.col)) {
+				return false
+			}
+		case 6:
+			w.sum += w.v * math.Float64frombits(t.Value())
+			w.k++
+			w.pc = 3
+			if t.CCompute(spmvNNZCycles) {
+				return false
+			}
+		case 7:
+			w.i++
+			w.pc = 0
+			if t.CCompute(spmvRowCycles) {
+				return false
+			}
+		}
 	}
 }
 
-// spmvLocal runs the all-on-nodelet-0 layout.
-func spmvLocal(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int) (metricsTime, error) {
-	rp := sys.Mem.AllocLocal(0, m.Rows+1)
-	ci := sys.Mem.AllocLocal(0, m.NNZ())
-	vv := sys.Mem.AllocLocal(0, m.NNZ())
-	xa := sys.Mem.AllocLocal(0, m.Cols)
+// rowLoop is the ParallelFor a layout runs over its row slots.
+func rowLoop(s *spmvRows, n, grainRows int) *cilk.ParFor {
+	return cilk.NewParallelFor(n, grainRows, func(lo, hi int) machine.CBody {
+		return &rowWalker{s: s, i: lo, hi: hi}
+	})
+}
+
+// spmvCSR builds the two plain CSR layouts. Local puts everything on
+// nodelet 0. 1D stripes the matrix arrays, so a row's two bound words are on
+// nodelets r and r+1 mod N and, since ColIdx and Val share stripe indices,
+// each element is one migration followed by a local load; x is replicated
+// (or striped under the ablation). y stays on nodelet 0 in both.
+func spmvCSR(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int, layout SpMVLayout, stripeX bool) (driver, memsys.Local) {
+	alloc := func(n int) vector { return sys.Mem.AllocStriped(n) }
+	if layout == SpMVLocal {
+		alloc = func(n int) vector { return sys.Mem.AllocLocal(0, n) }
+	}
+	rp := alloc(m.Rows + 1)
+	ci := alloc(m.NNZ())
+	vv := alloc(m.NNZ())
+	x := allocX(sys, xv, layout, stripeX)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
 	for r := 0; r <= m.Rows; r++ {
 		sys.Mem.Write(rp.At(r), uint64(m.RowPtr[r]))
@@ -177,79 +314,15 @@ func spmvLocal(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int) 
 		sys.Mem.Write(ci.At(k), uint64(m.ColIdx[k]))
 		sys.Mem.Write(vv.At(k), math.Float64bits(m.Val[k]))
 	}
-	for c := range xv {
-		sys.Mem.Write(xa.At(c), math.Float64bits(xv[c]))
-	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		cilk.ParallelFor(root, m.Rows, grainRows, func(w *machine.Thread, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				kLo := w.Load(rp.At(r))
-				kHi := w.Load(rp.At(r + 1))
-				var sum float64
-				for k := kLo; k < kHi; k++ {
-					c := w.Load(ci.At(int(k)))
-					v := math.Float64frombits(w.Load(vv.At(int(k))))
-					x := math.Float64frombits(w.Load(xa.At(int(c))))
-					sum += v * x
-					w.Compute(spmvNNZCycles)
-				}
-				w.Store(ya.At(r), math.Float64bits(sum))
-				w.Compute(spmvRowCycles)
-			}
-		})
-		out.t = root.Now() - t0
-	})
-	return out, err
+	s := &spmvRows{bounds: rp, stride: 1, ci: ci, vv: vv, x: x, y: ya}
+	return rowLoop(s, m.Rows, grainRows), ya
 }
 
-// spmv1D runs the word-striped layout: matrix arrays striped, x replicated
-// (or striped under the ablation), y on nodelet 0.
-func spmv1D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (metricsTime, error) {
-	rp := sys.Mem.AllocStriped(m.Rows + 1)
-	ci := sys.Mem.AllocStriped(m.NNZ())
-	vv := sys.Mem.AllocStriped(m.NNZ())
-	loadX := makeXLoader(sys, xv, stripeX)
-	ya := sys.Mem.AllocLocal(0, m.Rows)
-	for r := 0; r <= m.Rows; r++ {
-		sys.Mem.Write(rp.At(r), uint64(m.RowPtr[r]))
-	}
-	for k := 0; k < m.NNZ(); k++ {
-		sys.Mem.Write(ci.At(k), uint64(m.ColIdx[k]))
-		sys.Mem.Write(vv.At(k), math.Float64bits(m.Val[k]))
-	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		cilk.ParallelFor(root, m.Rows, grainRows, func(w *machine.Thread, lo, hi int) {
-			for r := lo; r < hi; r++ {
-				kLo := w.Load(rp.At(r))     // migrates to nodelet r mod N
-				kHi := w.Load(rp.At(r + 1)) // and again for r+1
-				var sum float64
-				for k := kLo; k < kHi; k++ {
-					// ColIdx and Val share stripe indices, so the pair
-					// is one migration followed by a local load.
-					c := w.Load(ci.At(int(k)))
-					v := math.Float64frombits(w.Load(vv.At(int(k))))
-					x := loadX(w, int(c))
-					sum += v * x
-					w.Compute(spmvNNZCycles)
-				}
-				w.Store(ya.At(r), math.Float64bits(sum)) // posted to nodelet 0
-				w.Compute(spmvRowCycles)
-			}
-		})
-		out.t = root.Now() - t0
-	})
-	return out, err
-}
-
-// spmv2D runs the two-stage blocked layout: rows dealt round-robin, each
-// nodelet's shard contiguous, per-row (offset, length) metadata local.
-func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (metricsTime, error) {
+// spmv2D builds the two-stage blocked layout: rows dealt round-robin, each
+// nodelet's shard contiguous, per-row (offset, length) metadata local. The
+// root spawns one coordinator per populated nodelet, each running the row
+// loop over its own shard.
+func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (driver, memsys.Local) {
 	part := sparse.PartitionRows(m, nodelets)
 	// Shards need padding to the system's nodelet count.
 	ciWords := make([]int, sys.Nodelets())
@@ -261,8 +334,9 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 	ci := sys.Mem.AllocBlocked(ciWords)
 	vv := sys.Mem.AllocBlocked(ciWords)
 	meta := sys.Mem.AllocBlocked(metaWords)
-	loadX := makeXLoader(sys, xv, stripeX)
+	x := allocX(sys, xv, SpMV2D, stripeX)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
+	fan := &fanout{}
 	for nl := 0; nl < nodelets; nl++ {
 		for slot, r := range part.RowsOf[nl] {
 			off := part.Offset[r]
@@ -274,39 +348,11 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 				sys.Mem.Write(vv.At(nl, off+j), math.Float64bits(m.Val[k]))
 			}
 		}
-	}
-	var out metricsTime
-	out.y = ya
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for nl := 0; nl < nodelets; nl++ {
-			nl := nl
-			rows := part.RowsOf[nl]
-			if len(rows) == 0 {
-				continue
-			}
-			root.SpawnAt(nl, func(coord *machine.Thread) {
-				cilk.ParallelFor(coord, len(rows), grainRows, func(w *machine.Thread, lo, hi int) {
-					for slot := lo; slot < hi; slot++ {
-						r := rows[slot]
-						off := w.Load(meta.At(nl, 2*slot))
-						cnt := w.Load(meta.At(nl, 2*slot+1))
-						var sum float64
-						for j := uint64(0); j < cnt; j++ {
-							c := w.Load(ci.At(nl, int(off+j)))
-							v := math.Float64frombits(w.Load(vv.At(nl, int(off+j))))
-							x := loadX(w, int(c))
-							sum += v * x
-							w.Compute(spmvNNZCycles)
-						}
-						w.Store(ya.At(r), math.Float64bits(sum)) // posted to nodelet 0
-						w.Compute(spmvRowCycles)
-					}
-				})
-			})
+		if rows := part.RowsOf[nl]; len(rows) > 0 {
+			s := &spmvRows{bounds: shard{meta, nl}, stride: 2, counted: true, rows: rows,
+				ci: shard{ci, nl}, vv: shard{vv, nl}, x: x, y: ya}
+			fan.add(nl, rowLoop(s, len(rows), grainRows))
 		}
-		root.Sync()
-		out.t = root.Now() - t0
-	})
-	return out, err
+	}
+	return fan, ya
 }

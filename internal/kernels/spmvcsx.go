@@ -6,6 +6,7 @@ import (
 
 	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
 	"emuchick/internal/sim"
 	"emuchick/internal/sparse"
@@ -43,10 +44,7 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	xv := make([]float64, m.Cols)
-	for i := range xv {
-		xv[i] = 1 + float64(i%7)*0.125
-	}
+	xv := spmvInput(m.Cols)
 	want := m.MulVec(xv)
 
 	sys := newSystem(mcfg, opts...)
@@ -68,7 +66,7 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 	dsh := sys.Mem.AllocBlocked(deltaWords)
 	vsh := sys.Mem.AllocBlocked(valWords)
 	meta := sys.Mem.AllocBlocked(metaWords)
-	loadX := makeXLoader(sys, xv, false)
+	xr := allocX(sys, xv, SpMV2D, false)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
 
 	dOff := make([]int, nodelets)
@@ -90,51 +88,18 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 		}
 	}
 
-	grainRows := cfg.GrainNNZ / 5
-	if grainRows < 1 {
-		grainRows = 1
+	grainRows := spmvGrainRows(cfg.GrainNNZ)
+	fan := &fanout{}
+	for nl := 0; nl < nodelets; nl++ {
+		if rows := part.RowsOf[nl]; len(rows) > 0 {
+			sh := &csxShard{meta: shard{meta, nl}, deltas: shard{dsh, nl}, vals: shard{vsh, nl}, rows: rows, x: xr, y: ya}
+			fan.add(nl, cilk.NewParallelFor(len(rows), grainRows, func(lo, hi int) machine.CBody {
+				return &csxWalker{s: sh, i: lo, hi: hi}
+			}))
+		}
 	}
 	var elapsed sim.Time
-	_, err = sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for nl := 0; nl < nodelets; nl++ {
-			nl := nl
-			rows := part.RowsOf[nl]
-			if len(rows) == 0 {
-				continue
-			}
-			root.SpawnAt(nl, func(coord *machine.Thread) {
-				cilk.ParallelFor(coord, len(rows), grainRows, func(w *machine.Thread, lo, hi int) {
-					for slot := lo; slot < hi; slot++ {
-						r := rows[slot]
-						dBase := w.Load(meta.At(nl, 4*slot))
-						vBase := w.Load(meta.At(nl, 4*slot+1))
-						cnt := int(w.Load(meta.At(nl, 4*slot+2)))
-						col := int64(w.Load(meta.At(nl, 4*slot+3)))
-						var sum float64
-						var dw uint64
-						for j := 0; j < cnt; j++ {
-							if j > 0 {
-								k := j - 1
-								if k%4 == 0 {
-									dw = w.Load(dsh.At(nl, int(dBase)+k/4))
-								}
-								col += int64(dw >> (uint(k) % 4 * 16) & 0xFFFF)
-								w.Compute(csxDecodeCycles)
-							}
-							v := math.Float64frombits(w.Load(vsh.At(nl, int(vBase)+j)))
-							sum += v * loadX(w, int(col))
-							w.Compute(spmvNNZCycles)
-						}
-						w.Store(ya.At(r), math.Float64bits(sum)) // posted to nodelet 0
-						w.Compute(spmvRowCycles)
-					}
-				})
-			})
-		}
-		root.Sync()
-		elapsed = root.Now() - t0
-	})
+	_, err = sys.RunCont(&timedRoot{drive: fan, out: &elapsed})
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -147,4 +112,121 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 		return metrics.Result{}, fmt.Errorf("kernels: csx layout migrated %d times", mig)
 	}
 	return metrics.Result{Bytes: m.UsefulBytes(), Elapsed: elapsed}, nil
+}
+
+// csxShard is what a CSX row walker reads on one nodelet: 4-word row
+// metadata (delta offset, value offset, nnz, first column), the packed delta
+// words, and the values.
+type csxShard struct {
+	meta, deltas, vals shard
+	rows               []int
+	x                  xVector
+	y                  memsys.Local
+}
+
+// csxWalker is the CSX leaf. Per row slot in [i, hi): load the four metadata
+// words; per element, every fourth delta after the first column loads the
+// next packed word, each delta is decoded into the running column, then the
+// value and x[col] are loaded and accumulated; finally y[row] is stored and
+// the row overhead charged.
+type csxWalker struct {
+	s            *csxShard
+	i, hi        int
+	dBase, vBase int
+	cnt, j       int
+	col          int64
+	dw           uint64
+	v, sum       float64
+	pc           uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *csxWalker) Step(t *machine.CThread) bool {
+	s := w.s
+	for {
+		switch w.pc {
+		case 0: // row head: the four metadata words
+			if w.i >= w.hi {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(s.meta.At(4 * w.i)) {
+				return false
+			}
+		case 1:
+			w.dBase = int(t.Value())
+			w.pc = 2
+			if t.CLoad(s.meta.At(4*w.i + 1)) {
+				return false
+			}
+		case 2:
+			w.vBase = int(t.Value())
+			w.pc = 3
+			if t.CLoad(s.meta.At(4*w.i + 2)) {
+				return false
+			}
+		case 3:
+			w.cnt = int(t.Value())
+			w.pc = 4
+			if t.CLoad(s.meta.At(4*w.i + 3)) {
+				return false
+			}
+		case 4:
+			w.col = int64(t.Value())
+			w.sum, w.dw, w.j = 0, 0, 0
+			w.pc = 5
+		case 5: // element head
+			k := w.j - 1 // the delta this element decodes; none for the first
+			switch {
+			case w.j >= w.cnt:
+				w.pc = 11
+				if t.CStore(s.y.At(s.rows[w.i]), math.Float64bits(w.sum)) {
+					return false
+				}
+			case k < 0:
+				w.pc = 8 // the first column comes from the metadata
+			case k%4 == 0:
+				w.pc = 6 // the next packed word of four deltas
+				if t.CLoad(s.deltas.At(w.dBase + k/4)) {
+					return false
+				}
+			default:
+				w.pc = 7
+			}
+		case 6:
+			w.dw = t.Value()
+			w.pc = 7
+		case 7: // decode the delta
+			k := w.j - 1
+			w.col += int64(w.dw >> (uint(k) % 4 * 16) & 0xFFFF)
+			w.pc = 8
+			if t.CCompute(csxDecodeCycles) {
+				return false
+			}
+		case 8:
+			w.pc = 9
+			if t.CLoad(s.vals.At(w.vBase + w.j)) {
+				return false
+			}
+		case 9:
+			w.v = math.Float64frombits(t.Value())
+			w.pc = 10
+			if t.CLoad(s.x.At(t.Nodelet(), int(w.col))) {
+				return false
+			}
+		case 10:
+			w.sum += w.v * math.Float64frombits(t.Value())
+			w.j++
+			w.pc = 5
+			if t.CCompute(spmvNNZCycles) {
+				return false
+			}
+		case 11: // row tail
+			w.i++
+			w.pc = 0
+			if t.CCompute(spmvRowCycles) {
+				return false
+			}
+		}
+	}
 }

@@ -66,12 +66,12 @@ func (e ProcEngine) String() string {
 	return "continuation"
 }
 
-// WithProcEngine selects the proc engine for kernels that have both
-// implementations (STREAM, pointer chase, ping-pong). The two engines are
-// byte-identical in simulated time, counters, and traces — this knob exists
-// for host-side performance comparison and for regression-testing the
-// equivalence, not to change results. Kernels without a continuation port
-// always use goroutine procs regardless of this option.
+// WithProcEngine selects the proc engine for the kernels that still have
+// both implementations: STREAM, pointer chase and ping-pong. The two engines
+// are byte-identical in simulated time, counters, and traces — this knob
+// exists for host-side performance comparison and for regression-testing the
+// equivalence, not to change results. SpMV (every layout), SpMV-CSX and GUPS
+// have one implementation, on continuation procs, and ignore this option.
 func WithProcEngine(e ProcEngine) RunOption {
 	return func(c *runConfig) { c.engine = e }
 }

@@ -423,6 +423,32 @@ func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 	return false
 }
 
+// CRemoteAdd posts an atomic add to the word at a without waiting for it —
+// Thread.RemoteAdd: the memory-side processor of a's home nodelet applies
+// it, so the threadlet never migrates; only the backpressure sleep can park.
+//
+//emu:nohandoff
+func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
+	s := t.sys
+	home := a.Nodelet()
+	nl := s.nodelets[t.nodelet]
+	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	arrive := issued
+	if home != t.nodelet {
+		arrive += s.flightLatency(t.nodelet, home)
+	}
+	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	s.Counters.atomics[home]++
+	s.emit(TraceAtomic, t.nodelet, home, a, issued, served)
+	s.Mem.Write(a, s.Mem.Read(a)+delta)
+	t.op = opDelay
+	if t.p.SleepUntil(s.postedAccept(issued, served)) {
+		return true
+	}
+	t.op = opNone
+	return false
+}
+
 // CMigrateTo moves the threadlet's context to the target nodelet —
 // Thread.MigrateTo. Migrating to the current nodelet is a no-op.
 //

@@ -325,6 +325,84 @@ func TestContThreadMatchesGoroutineUnderFaults(t *testing.T) {
 	runEngines(t, HardwareChick(), plan, pingScenario(0, 5, 60))
 }
 
+// ctAdder posts n remote adds into acc, alternating a far word and a word on
+// its own nodelet.
+type ctAdder struct {
+	acc  memsys.Striped
+	n, i int
+}
+
+func (b *ctAdder) Step(t *CThread) bool {
+	for b.i < b.n {
+		w := b.acc.At(0)
+		if b.i%2 == 1 {
+			w = b.acc.At(t.Nodelet())
+		}
+		b.i++
+		if t.CRemoteAdd(w, uint64(b.i)) {
+			return false
+		}
+	}
+	return true
+}
+
+// ctAdderRoot spawns one adder per nodelet, round-robin.
+type ctAdderRoot struct {
+	acc       memsys.Striped
+	fan, n, k int
+}
+
+func (b *ctAdderRoot) Step(t *CThread) bool {
+	for b.k < b.fan {
+		nl := b.k % t.System().Nodelets()
+		b.k++
+		if t.CSpawnAt(nl, &ctAdder{acc: b.acc, n: b.n}) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestContThreadMatchesGoroutineRemoteAdd covers CRemoteAdd: enough posted
+// adds converge on one word to back its queue up past the posted-operation
+// bound, across node cards, and the memory-side sums must agree too.
+func TestContThreadMatchesGoroutineRemoteAdd(t *testing.T) {
+	const fan, n = 48, 40
+	runEngines(t, HardwareChickNodes(2), nil, func(s *System) (func(*Thread), CBody) {
+		acc := s.Mem.AllocStriped(s.Nodelets())
+		g := func(th *Thread) {
+			for k := 0; k < fan; k++ {
+				th.SpawnAt(k%th.System().Nodelets(), func(c *Thread) {
+					for i := 1; i <= n; i++ {
+						w := acc.At(0)
+						if i%2 == 0 {
+							w = acc.At(c.Nodelet())
+						}
+						c.RemoteAdd(w, uint64(i))
+					}
+				})
+			}
+		}
+		return g, &ctAdderRoot{acc: acc, fan: fan, n: n}
+	})
+
+	s := NewSystem(HardwareChickNodes(2))
+	acc := s.Mem.AllocStriped(s.Nodelets())
+	if _, err := s.RunCont(&ctAdderRoot{acc: acc, fan: fan, n: n}); err != nil {
+		t.Fatal(err)
+	}
+	var sum uint64
+	for i := 0; i < acc.Len(); i++ {
+		sum += s.Mem.Read(acc.At(i))
+	}
+	if want := uint64(fan * n * (n + 1) / 2); sum != want {
+		t.Fatalf("remote adds summed to %d, want %d", sum, want)
+	}
+	if got := s.Counters.TotalMigrations(); got != 0 {
+		t.Fatalf("remote adds migrated %d times", got)
+	}
+}
+
 // TestContThreadPoolRecycles: a spawn-heavy continuation run must reuse
 // CThread contexts rather than allocating one per spawn — the pool high-water
 // mark is the peak live count, not the total spawn count.
