@@ -1,6 +1,8 @@
 package cilk
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -177,6 +179,38 @@ func TestContGroupedMatchesGoroutine(t *testing.T) {
 			})
 			return &ctGroupedRoot{g: g}
 		})
+}
+
+// groupedGoldenDigest is the SHA-256 of the uneven Grouped scenario's trace
+// event stream, elapsed time and per-nodelet counters, recorded from the
+// goroutine spawn tree the Grouped machine was written to replicate.
+const groupedGoldenDigest = "5ec78c51c8dbc9c76e3707fc7743e1d0731a2fc2ead2bd520fa901483c99a5a2"
+
+func TestContGroupedGolden(t *testing.T) {
+	// Uneven groups, some empty, out-of-order ids within a group.
+	groups := make([][]int, 8)
+	groups[1] = []int{3, 0, 5}
+	groups[4] = []int{1}
+	groups[6] = []int{2, 4, 7, 6}
+	s := machine.NewSystem(machine.HardwareChick())
+	rec := &streamRecorder{}
+	s.Attach(rec)
+	arr := s.Mem.AllocStriped(s.Nodelets())
+	g := NewGrouped(groups, func(w int) machine.CBody {
+		return &ctTouchWorker{arr: arr, w: w}
+	})
+	elapsed, err := s.RunCont(&ctGroupedRoot{g: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, e := range rec.events {
+		fmt.Fprintln(h, int64(e.Time), int64(e.End), int(e.Kind), e.Nodelet, e.Target, uint64(e.Addr))
+	}
+	fmt.Fprintf(h, "%d %+v\n", int64(elapsed), s.Counters.Snapshot())
+	if got := hex.EncodeToString(h.Sum(nil)); got != groupedGoldenDigest {
+		t.Errorf("grouped event stream drifted: digest %s", got)
+	}
 }
 
 func TestContWorkersZeroAndNegative(t *testing.T) {
