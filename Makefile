@@ -13,8 +13,12 @@ check: build vet lint test bench-gate serve-smoke chaos-smoke
 build:
 	$(GO) build ./...
 
+# go vet, then a gofmt gate: fail if any tracked .go file has drifted from
+# gofmt (make check runs this).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # The repo's own analyzer suite (cmd/emulint): determinism, park-site,
 # hot-path allocation, no-handoff, seed-flow, fingerprint, and

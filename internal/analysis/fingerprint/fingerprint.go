@@ -56,7 +56,6 @@ var Fields = map[string]Class{
 	"FaultSeed": In,
 	// Drive-side: results are identical across any change to these.
 	"Parallel":       Out,
-	"ProcEngine":     Out, // both proc engines produce byte-identical figures
 	"Observer":       Out,
 	"SampleInterval": Out,
 	"Checkpoint":     Out, // the log's own path; recorded nowhere inside it

@@ -168,46 +168,6 @@ func spawnIDsLocal(t *machine.Thread, ids []int, body func(*machine.Thread, int)
 	spawnIDsLocal(t, ids[mid:], body)
 }
 
-// SpawnGrouped creates one worker per id in groups, where groups[nl] lists
-// the worker ids that must start on nodelet nl, and blocks until all of
-// them finish. Placement uses a recursive remote-spawn tree over the
-// nodelets followed by local recursive trees — the paper's
-// recursive_remote_spawn shape — so launching W workers costs O(log W)
-// critical-path spawns instead of W. Kernels whose workers have
-// data-dependent home nodelets (pointer chasing chains) use this instead
-// of SpawnWorkers' round-robin placement.
-func SpawnGrouped(t *machine.Thread, groups [][]int, body func(*machine.Thread, int)) {
-	var nls []int
-	for nl, ids := range groups {
-		if len(ids) > 0 {
-			nls = append(nls, nl)
-		}
-	}
-	spawnGroupRange(t, groups, nls, body)
-	t.Sync()
-}
-
-func spawnGroupRange(t *machine.Thread, groups [][]int, nls []int, body func(*machine.Thread, int)) {
-	switch len(nls) {
-	case 0:
-		return
-	case 1:
-		nl := nls[0]
-		t.SpawnAt(nl, func(c *machine.Thread) {
-			spawnIDsLocal(c, groups[nl], body)
-			c.Sync()
-		})
-		return
-	}
-	mid := len(nls) / 2
-	right := nls[mid:]
-	t.SpawnAt(right[0], func(c *machine.Thread) {
-		spawnGroupRange(c, groups, right, body)
-		c.Sync()
-	})
-	spawnGroupRange(t, groups, nls[:mid], body)
-}
-
 // ParallelFor executes body(lo, hi) over subranges of [0, n) of at most
 // grain iterations each, using a recursive local spawn tree, and blocks
 // until the whole range is done. It is the cilk_spawn-built analogue of

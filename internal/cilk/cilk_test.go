@@ -158,8 +158,29 @@ func TestSpawnWorkersZeroAndBounds(t *testing.T) {
 	}
 }
 
-func TestSpawnGroupedPlacesWorkersAndRunsOnce(t *testing.T) {
+// startRecorder is a Grouped worker that reports the nodelet it starts on.
+type startRecorder struct {
+	id     int
+	record func(id, nodelet int)
+}
+
+func (b *startRecorder) Step(t *machine.CThread) bool {
+	b.record(b.id, t.Nodelet())
+	return true
+}
+
+// runGrouped drives a Grouped tree over groups as a run's root body, calling
+// record(id, nodelet) as each worker takes its first step.
+func runGrouped(groups [][]int, record func(id, nodelet int)) error {
 	s := machine.NewSystem(machine.HardwareChick())
+	g := NewGrouped(groups, func(id int) machine.CBody {
+		return &startRecorder{id: id, record: record}
+	})
+	_, err := s.RunCont(&ctGroupedRoot{g: g})
+	return err
+}
+
+func TestSpawnGroupedPlacesWorkersAndRunsOnce(t *testing.T) {
 	// Workers 0..9 spread unevenly: nodelet 1 gets {0,1,2}, nodelet 4
 	// gets {3}, nodelet 7 gets {4..9}; nodelets 0,2,3,5,6 get none.
 	groups := make([][]int, 8)
@@ -170,13 +191,11 @@ func TestSpawnGroupedPlacesWorkersAndRunsOnce(t *testing.T) {
 	for i := range startNodelet {
 		startNodelet[i] = -1
 	}
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnGrouped(th, groups, func(w *machine.Thread, id int) {
-			if startNodelet[id] != -1 {
-				t.Errorf("worker %d ran twice", id)
-			}
-			startNodelet[id] = w.Nodelet()
-		})
+	err := runGrouped(groups, func(id, nl int) {
+		if startNodelet[id] != -1 {
+			t.Errorf("worker %d ran twice", id)
+		}
+		startNodelet[id] = nl
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,25 +209,21 @@ func TestSpawnGroupedPlacesWorkersAndRunsOnce(t *testing.T) {
 }
 
 func TestSpawnGroupedEmpty(t *testing.T) {
-	s := machine.NewSystem(machine.HardwareChick())
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnGrouped(th, make([][]int, 8), func(*machine.Thread, int) {
-			t.Error("worker ran for empty groups")
-		})
+	err := runGrouped(make([][]int, 8), func(int, int) {
+		t.Error("worker ran for empty groups")
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: SpawnGrouped runs every id exactly once at its group's nodelet
-// for any random grouping.
+// Property: Grouped runs every id exactly once at its group's nodelet for
+// any random grouping.
 func TestSpawnGroupedCoverageProperty(t *testing.T) {
 	f := func(assign []uint8) bool {
 		if len(assign) > 40 {
 			assign = assign[:40]
 		}
-		s := machine.NewSystem(machine.HardwareChick())
 		groups := make([][]int, 8)
 		want := make([]int, len(assign))
 		for id, a := range assign {
@@ -220,14 +235,12 @@ func TestSpawnGroupedCoverageProperty(t *testing.T) {
 		for i := range got {
 			got[i] = -1
 		}
-		_, err := s.Run(func(th *machine.Thread) {
-			SpawnGrouped(th, groups, func(w *machine.Thread, id int) {
-				if got[id] != -1 {
-					got[id] = -2 // duplicate marker
-					return
-				}
-				got[id] = w.Nodelet()
-			})
+		err := runGrouped(groups, func(id, nl int) {
+			if got[id] != -1 {
+				got[id] = -2 // duplicate marker
+				return
+			}
+			got[id] = nl
 		})
 		if err != nil {
 			return false

@@ -6,14 +6,15 @@ import (
 	"emuchick/internal/machine"
 )
 
-// Continuation-form spawn trees: SpawnWorkers, SpawnGrouped and ParallelFor
-// restated as resumable state machines over machine.CThread. Each machine
-// performs the IDENTICAL sequence of spawn/sync operations as its goroutine
-// twin — same tree shape, same spawn order, same explicit syncs — so a kernel
-// ported to the continuation engine produces a bit-identical event stream. The
-// recursive helpers (spawnRangeLocal and friends) become iterative drivers:
-// the caller-side half of each recursion is a loop that shrinks its range,
-// and the spawned-side half is a coordinator CBody carrying the subrange.
+// Continuation-form spawn trees: SpawnWorkers and ParallelFor restated as
+// resumable state machines over machine.CThread, plus Grouped, which has no
+// goroutine form. Workers and ParFor perform the IDENTICAL sequence of
+// spawn/sync operations as their goroutine twins — same tree shape, same
+// spawn order, same explicit syncs — so a kernel ported to the continuation
+// engine produces a bit-identical event stream. The recursive helpers
+// (spawnRangeLocal and friends) become iterative drivers: the caller-side half
+// of each recursion is a loop that shrinks its range, and the spawned-side
+// half is a coordinator CBody carrying the subrange.
 
 // contSpawner is one resumable caller-side spawn loop. drive issues spawns
 // until it parks (parked=true: the enclosing Step must return) or until
@@ -187,8 +188,11 @@ func (s *contNodeletIDs) drive(t *machine.CThread, mk func(int) machine.CBody) b
 	return s.ids.drive(t, mk)
 }
 
-// contGroups mirrors spawnGroupRange's caller side over the populated
-// nodelet list.
+// contGroups is Grouped's caller side: a recursive remote-spawn tree over the
+// populated nodelet list. The upper half of the list goes to a coordinator
+// spawned at its first nodelet, the lower half is split again in place, and
+// each single nodelet gets a coordinator that spawns its ids with a local
+// binary tree.
 type contGroups struct {
 	groups [][]int
 	nls    []int
@@ -349,16 +353,21 @@ func (f *ParFor) Step(t *machine.CThread) bool {
 	return !f.Drive(t)
 }
 
-// Grouped is SpawnGrouped for the continuation engine, with the same Drive
-// protocol as Workers.
+// Grouped creates one worker per id in groups, where groups[nl] lists the
+// worker ids that must start on nodelet nl, with the same Drive protocol as
+// Workers. Placement uses a recursive remote-spawn tree over the nodelets
+// followed by local recursive trees — the paper's recursive_remote_spawn
+// shape — so launching W workers costs O(log W) critical-path spawns instead
+// of W. Kernels whose workers have data-dependent home nodelets (pointer
+// chasing chains) use this instead of Workers' round-robin placement.
 type Grouped struct {
 	spawner *contGroups
 	mk      func(int) machine.CBody
 	phase   uint8
 }
 
-// NewGrouped prepares a continuation-form SpawnGrouped over groups[nl] =
-// worker ids homed on nodelet nl.
+// NewGrouped prepares a Grouped spawn tree over groups[nl] = worker ids homed
+// on nodelet nl; mk(id) builds worker id's body.
 func NewGrouped(groups [][]int, mk func(int) machine.CBody) *Grouped {
 	var nls []int
 	for nl, ids := range groups {

@@ -12,9 +12,11 @@ import (
 	"emuchick/internal/trace"
 )
 
-// Cross-engine equivalence for the spawn trees: every strategy must produce
-// the identical trace event stream, elapsed time, and counters whether the
-// tree is spawned by goroutine threads or continuation threadlets.
+// Cross-engine equivalence for the spawn trees that have both forms: every
+// SpawnWorkers strategy and ParallelFor must produce the identical trace
+// event stream, elapsed time, and counters whether the tree is spawned by
+// goroutine threads or continuation threadlets. Grouped has only the
+// continuation form and is pinned by a golden digest instead.
 
 type streamRecorder struct {
 	events []trace.Event
@@ -151,39 +153,9 @@ func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
 	}
 }
 
-func TestContGroupedMatchesGoroutine(t *testing.T) {
-	// Uneven groups, some empty, out-of-order ids within a group.
-	mkGroups := func(nodelets int) [][]int {
-		groups := make([][]int, nodelets)
-		groups[1] = []int{3, 0, 5}
-		groups[4] = []int{1}
-		groups[6] = []int{2, 4, 7, 6}
-		return groups
-	}
-	runEnginePair(t, "grouped",
-		func(s *machine.System) func(*machine.Thread) {
-			arr := s.Mem.AllocStriped(s.Nodelets())
-			groups := mkGroups(s.Nodelets())
-			return func(th *machine.Thread) {
-				SpawnGrouped(th, groups, func(c *machine.Thread, w int) {
-					c.Load(arr.At(w % arr.Len()))
-					c.Compute(5)
-				})
-			}
-		},
-		func(s *machine.System) machine.CBody {
-			arr := s.Mem.AllocStriped(s.Nodelets())
-			groups := mkGroups(s.Nodelets())
-			g := NewGrouped(groups, func(w int) machine.CBody {
-				return &ctTouchWorker{arr: arr, w: w}
-			})
-			return &ctGroupedRoot{g: g}
-		})
-}
-
 // groupedGoldenDigest is the SHA-256 of the uneven Grouped scenario's trace
 // event stream, elapsed time and per-nodelet counters, recorded from the
-// goroutine spawn tree the Grouped machine was written to replicate.
+// goroutine spawn tree Grouped replaced (the two were checked equal first).
 const groupedGoldenDigest = "5ec78c51c8dbc9c76e3707fc7743e1d0731a2fc2ead2bd520fa901483c99a5a2"
 
 func TestContGroupedGolden(t *testing.T) {

@@ -58,12 +58,6 @@ type Options struct {
 	// interrupted run is resumed — completed cells are replayed instead of
 	// re-simulated, with figures byte-identical to an uninterrupted run.
 	Checkpoint string
-	// ProcEngine selects how simulated threadlets are hosted in kernels
-	// with both implementations: continuation state machines (the default)
-	// or goroutines (the compatibility engine). The two engines are
-	// byte-identical in every figure — this knob only changes host-side
-	// performance, so it is excluded from checkpoint fingerprints.
-	ProcEngine kernels.ProcEngine
 	// CellTimeout arms the per-cell watchdog: a cell's simulation is killed
 	// after this much wall-clock time (and, as a deterministic backstop, a
 	// scale-derived engine event budget). Killed cells are retried up to
@@ -171,12 +165,6 @@ func WithFaultSeed(seed uint64) Option {
 	return optionFunc(func(o *Options) { o.FaultSeed = seed })
 }
 
-// WithProcEngine selects the proc engine for every simulation the
-// experiment builds; figures are byte-identical on either engine.
-func WithProcEngine(e kernels.ProcEngine) Option {
-	return optionFunc(func(o *Options) { o.ProcEngine = e })
-}
-
 // WithCheckpoint writes a write-ahead log of completed sweep cells to path
 // and resumes from it if the file already holds compatible records; see
 // Options.Checkpoint.
@@ -227,14 +215,10 @@ func ApplyOptions(opts ...Option) Options {
 // allocating nothing — when no option needs forwarding, which is every
 // untraced, uncancelled run.
 func (o Options) KernelOptions() []kernels.RunOption {
-	if o.Observer == nil && o.ctx == nil && o.SampleInterval == 0 && o.Faults == nil && o.maxEvents == 0 &&
-		o.ProcEngine == kernels.ContinuationProcs {
+	if o.Observer == nil && o.ctx == nil && o.SampleInterval == 0 && o.Faults == nil && o.maxEvents == 0 {
 		return nil
 	}
-	ks := make([]kernels.RunOption, 0, 6)
-	if o.ProcEngine != kernels.ContinuationProcs {
-		ks = append(ks, kernels.WithProcEngine(o.ProcEngine))
-	}
+	ks := make([]kernels.RunOption, 0, 5)
 	if o.Observer != nil {
 		ks = append(ks, kernels.WithObserver(o.Observer))
 	}

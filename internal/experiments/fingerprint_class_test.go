@@ -12,7 +12,6 @@ import (
 
 	"emuchick/internal/analysis/fingerprint"
 	"emuchick/internal/fault"
-	"emuchick/internal/kernels"
 	"emuchick/internal/sim"
 	"emuchick/internal/storefs"
 	"emuchick/internal/trace"
@@ -46,7 +45,6 @@ func fieldMutations(t *testing.T) map[string]func(*Options) {
 		"Faults":         func(o *Options) { o.Faults = mustPlan(t) },
 		"FaultSeed":      func(o *Options) { o.FaultSeed = 9 },
 		"Parallel":       func(o *Options) { o.Parallel = 7 },
-		"ProcEngine":     func(o *Options) { o.ProcEngine = kernels.GoroutineProcs },
 		"Observer":       func(o *Options) { o.Observer = trace.FuncObserver{OnEvent: func(trace.Event) {}} },
 		"SampleInterval": func(o *Options) { o.SampleInterval = sim.Microsecond },
 		"Checkpoint":     func(o *Options) { o.Checkpoint = "elsewhere.ckpt" },
@@ -136,7 +134,6 @@ func TestCheckpointResumeHonorsFingerprintTable(t *testing.T) {
 		"Faults":         WithFaultPlan(mustPlan(t)),
 		"FaultSeed":      WithFaultSeed(9),
 		"Parallel":       WithParallel(2),
-		"ProcEngine":     WithProcEngine(kernels.GoroutineProcs),
 		"Observer":       WithObserver(trace.FuncObserver{OnEvent: func(trace.Event) {}}),
 		"SampleInterval": WithSampleInterval(sim.Microsecond),
 		"CellTimeout":    WithCellTimeout(time.Minute),

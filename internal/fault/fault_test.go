@@ -176,10 +176,10 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 	bad := []*Plan{
 		{Cores: []Slowdown{{Factor: 0.5}}},
 		{Channels: []Slowdown{{Factor: 0}}},
-		{Links: []LinkFault{{Factor: 0}}},                                                  // open-ended outage
-		{Links: []LinkFault{{Factor: 0.5, End: sim.Microsecond}}},                          // accelerating link
+		{Links: []LinkFault{{Factor: 0}}},                                                   // open-ended outage
+		{Links: []LinkFault{{Factor: 0.5, End: sim.Microsecond}}},                           // accelerating link
 		{Links: []LinkFault{{Factor: 2, Start: 2 * sim.Microsecond, End: sim.Microsecond}}}, // inverted window
-		{Stalls: []Stall{{Duration: sim.Microsecond, Period: sim.Microsecond}}},            // no service window
+		{Stalls: []Stall{{Duration: sim.Microsecond, Period: sim.Microsecond}}},             // no service window
 		{Stalls: []Stall{{Duration: 0, Period: sim.Microsecond}}},
 	}
 	for i, p := range bad {

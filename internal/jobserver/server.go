@@ -276,6 +276,9 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	if s.seq, err = st.maxCheckpointSeq(); err != nil {
+		return nil, err
+	}
 	for _, rec := range recs {
 		if n, ok := parseJobID(rec.ID); ok && n > s.seq {
 			s.seq = n

@@ -162,6 +162,28 @@ func (st *store) loadJobs() ([]Job, error) {
 	return out, nil
 }
 
+// maxCheckpointSeq returns the highest job sequence number that owns a WAL
+// in ckpt/ (0 if none). A WAL can outlive its job record — a noisy disk may
+// lose the record — so the boot scan raises the ID sequence past both, and a
+// new job never inherits a WAL written under another job's fingerprint.
+func (st *store) maxCheckpointSeq() (int, error) {
+	entries, err := st.fs.ReadDir(filepath.Join(st.dir, "ckpt"))
+	if err != nil {
+		return 0, fmt.Errorf("jobserver: %w", err)
+	}
+	top := 0
+	for _, ent := range entries {
+		name := ent.Name()
+		if ent.IsDir() || !strings.HasSuffix(name, ".ckpt") {
+			continue
+		}
+		if n, ok := parseJobID(strings.TrimSuffix(name, ".ckpt")); ok && n > top {
+			top = n
+		}
+	}
+	return top, nil
+}
+
 // refusedJob is the terminal record a corrupt on-disk job loads as.
 func refusedJob(id, reason string) Job {
 	return Job{ID: id, State: StateFailed, Error: "refused: corrupt job record: " + reason}

@@ -187,3 +187,40 @@ func TestStoreSweepsOrphanTempFiles(t *testing.T) {
 		t.Fatal("orphan temp file surfaced as a job")
 	}
 }
+
+// TestBootSkipsIDsOwningCheckpoints: a job record lost while its WAL
+// survives must not hand the job's ID to a new job, which would find a
+// foreign WAL under its name and refuse to run.
+func TestBootSkipsIDsOwningCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	first := newTestServer(t, Config{DataDir: dir})
+	rec, err := first.Submit(quickKernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, first, rec.ID); rec.ID != "j000001" || done.State != StateDone {
+		t.Fatalf("first job %s ended %s (%s)", rec.ID, done.State, done.Error)
+	}
+	first.Close()
+	if err := os.Remove(filepath.Join(dir, "jobs", "j000001.json")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ckpt", "j000001.ckpt")); err != nil {
+		t.Fatalf("the first job left no WAL: %v", err)
+	}
+
+	srv := newTestServer(t, Config{DataDir: dir})
+	defer srv.Close()
+	spec := quickKernel()
+	spec.Params.Threads++
+	rec, err = srv.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ID != "j000002" {
+		t.Fatalf("new job took ID %s, want j000002", rec.ID)
+	}
+	if done := waitTerminal(t, srv, rec.ID); done.State != StateDone {
+		t.Fatalf("new job ended %s (%s), want done", done.State, done.Error)
+	}
+}

@@ -128,4 +128,3 @@ func ReplayMeasurement(ck *experiments.Checkpoint, k kernels.Kernel) (kernels.Me
 	}
 	return kernels.Measurement{Kernel: k.Name, Labels: k.Labels, Values: vals}, true
 }
-

@@ -37,31 +37,12 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 	if cfg.NodeletA == cfg.NodeletB {
 		return PingPongResult{}, fmt.Errorf("kernels: ping-pong needs two distinct nodelets")
 	}
-	rc := resolveRunConfig(opts)
-	sys := newSystemRC(mcfg, &rc)
+	sys := newSystem(mcfg, opts...)
 	if cfg.NodeletA >= sys.Nodelets() || cfg.NodeletB >= sys.Nodelets() {
 		return PingPongResult{}, fmt.Errorf("kernels: ping-pong nodelets out of range")
 	}
 	var out PingPongResult
-	var err error
-	if rc.engine == GoroutineProcs {
-		_, err = sys.Run(func(root *machine.Thread) {
-			t0 := root.Now()
-			for k := 0; k < cfg.Threads; k++ {
-				root.SpawnAt(cfg.NodeletA, func(w *machine.Thread) {
-					for i := 0; i < cfg.Iterations; i++ {
-						w.MigrateTo(cfg.NodeletB)
-						w.MigrateTo(cfg.NodeletA)
-					}
-				})
-			}
-			root.Sync()
-			out.Elapsed = root.Now() - t0
-		})
-	} else {
-		_, err = sys.RunCont(pingContRoot(cfg, &out.Elapsed))
-	}
-	if err != nil {
+	if _, err := sys.RunCont(pingRoot(cfg, &out.Elapsed)); err != nil {
 		return PingPongResult{}, err
 	}
 	want := uint64(cfg.Threads) * uint64(cfg.Iterations) * 2
@@ -76,4 +57,41 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 	perThread := want / uint64(cfg.Threads)
 	out.MeanLatency = sim.Time(int64(out.Elapsed) / int64(perThread))
 	return out, nil
+}
+
+// pingWorker migrates back and forth between two nodelets.
+type pingWorker struct {
+	a, b     int
+	iters, i int
+	pc       int
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *pingWorker) Step(t *machine.CThread) bool {
+	for w.i < w.iters {
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.CMigrateTo(w.b) {
+				return false
+			}
+		case 1:
+			w.pc = 0
+			w.i++
+			if t.CMigrateTo(w.a) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pingRoot builds the root body of one ping-pong run: spawn every worker on
+// nodelet A, sync, and record the elapsed time.
+func pingRoot(cfg PingPongConfig, out *sim.Time) machine.CBody {
+	fan := &fanout{}
+	for k := 0; k < cfg.Threads; k++ {
+		fan.add(cfg.NodeletA, &pingWorker{a: cfg.NodeletA, b: cfg.NodeletB, iters: cfg.Iterations})
+	}
+	return &timedRoot{drive: fan, out: out}
 }

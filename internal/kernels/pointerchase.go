@@ -7,6 +7,7 @@ import (
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
+	"emuchick/internal/sim"
 	"emuchick/internal/workload"
 )
 
@@ -53,8 +54,7 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 	if cfg.Elements <= 0 || cfg.BlockSize <= 0 || cfg.Threads <= 0 || cfg.Nodelets <= 0 {
 		return metrics.Result{}, ChaseStats{}, fmt.Errorf("kernels: invalid chase config %+v", cfg)
 	}
-	rc := resolveRunConfig(opts)
-	sys := newSystemRC(mcfg, &rc)
+	sys := newSystem(mcfg, opts...)
 	if cfg.Nodelets > sys.Nodelets() {
 		return metrics.Result{}, ChaseStats{}, fmt.Errorf("kernels: chase wants %d nodelets, machine has %d",
 			cfg.Nodelets, sys.Nodelets())
@@ -125,30 +125,7 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 
 	sums := make([]uint64, cfg.Threads)
 	var res metrics.Result
-	var err error
-	if rc.engine == GoroutineProcs {
-		_, err = sys.Run(func(root *machine.Thread) {
-			t0 := root.Now()
-			cilk.SpawnGrouped(root, groups, func(w *machine.Thread, k int) {
-				addr := starts[k]
-				var sum uint64
-				for {
-					sum += w.Load(addr)
-					next := w.Load(addr.Plus(1))
-					w.Compute(chaseOverheadCycles)
-					if next == endOfList {
-						break
-					}
-					addr = memsys.Addr(next)
-				}
-				sums[k] = sum
-			})
-			res.Elapsed = root.Now() - t0
-		})
-	} else {
-		_, err = sys.RunCont(chaseContRoot(groups, starts, sums, &res.Elapsed))
-	}
-	if err != nil {
+	if _, err := sys.RunCont(chaseRoot(groups, starts, sums, &res.Elapsed)); err != nil {
 		return metrics.Result{}, ChaseStats{}, err
 	}
 	for k := range sums {
@@ -160,4 +137,57 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 	stats := ChaseStats{Migrations: sys.Counters.TotalMigrations()}
 	stats.MigrationBytes = int64(stats.Migrations) * mcfg.ContextBytes
 	return res, stats, nil
+}
+
+// chaseWorker walks one pointer chain: two dependent loads and the loop
+// overhead per element, until the end-of-list sentinel.
+type chaseWorker struct {
+	sums []uint64
+	k    int
+	addr memsys.Addr
+	sum  uint64
+	next uint64
+	pc   int
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *chaseWorker) Step(t *machine.CThread) bool {
+	for {
+		switch w.pc {
+		case 0: // payload load
+			w.pc = 1
+			if t.CLoad(w.addr) {
+				return false
+			}
+		case 1: // next-pointer load
+			w.sum += t.Value()
+			w.pc = 2
+			if t.CLoad(w.addr.Plus(1)) {
+				return false
+			}
+		case 2: // loop overhead
+			w.next = t.Value()
+			w.pc = 3
+			if t.CCompute(chaseOverheadCycles) {
+				return false
+			}
+		case 3:
+			if w.next == endOfList {
+				w.sums[w.k] = w.sum
+				return true
+			}
+			w.addr = memsys.Addr(w.next)
+			w.pc = 0
+		}
+	}
+}
+
+// chaseRoot builds the root body of one pointer-chase run: spawn one worker
+// per chain at its first element's nodelet, join them, and record the
+// elapsed time.
+func chaseRoot(groups [][]int, starts []memsys.Addr, sums []uint64, out *sim.Time) machine.CBody {
+	g := cilk.NewGrouped(groups, func(k int) machine.CBody {
+		return &chaseWorker{sums: sums, k: k, addr: starts[k]}
+	})
+	return &timedRoot{drive: g, out: out}
 }

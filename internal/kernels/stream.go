@@ -14,6 +14,7 @@ import (
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
+	"emuchick/internal/sim"
 )
 
 // streamOverheadCycles is the per-element loop overhead of the tuned STREAM
@@ -126,8 +127,7 @@ func Stream(mcfg machine.Config, cfg StreamConfig, opts ...RunOption) (metrics.R
 	if cfg.ElemsPerNodelet <= 0 || cfg.Threads <= 0 || cfg.Nodelets <= 0 {
 		return metrics.Result{}, fmt.Errorf("kernels: invalid stream config %+v", cfg)
 	}
-	rc := resolveRunConfig(opts)
-	sys := newSystemRC(mcfg, &rc)
+	sys := newSystem(mcfg, opts...)
 	if cfg.Nodelets > sys.Nodelets() {
 		return metrics.Result{}, fmt.Errorf("kernels: stream wants %d nodelets, machine has %d",
 			cfg.Nodelets, sys.Nodelets())
@@ -148,50 +148,15 @@ func Stream(mcfg machine.Config, cfg StreamConfig, opts ...RunOption) (metrics.R
 		b = sys.Mem.AllocStriped(n)
 		c = sys.Mem.AllocStriped(n)
 	}
-	// index maps (nodelet, slot) to the element a worker on that nodelet
-	// processes; with one nodelet elements are simply consecutive.
-	index := func(nl, j int) int {
-		if cfg.Nodelets == 1 {
-			return j
-		}
-		return nl + j*cfg.Nodelets
-	}
 	for i := 0; i < n; i++ {
 		sys.Mem.Write(a.At(i), uint64(i))
 		sys.Mem.Write(b.At(i), uint64(2*i))
 	}
 
 	loads, _ := cfg.Kernel.loadsStores()
+	sh := &streamShared{a: a, b: b, c: c, kernel: cfg.Kernel, loads: loads}
 	var res metrics.Result
-	var err error
-	if rc.engine == GoroutineProcs {
-		_, err = sys.Run(func(root *machine.Thread) {
-			t0 := root.Now()
-			cilk.SpawnWorkers(root, cfg.Nodelets, cfg.Threads, cfg.Strategy, func(w *machine.Thread, id int) {
-				// Worker id serves nodelet id mod Nodelets and takes its
-				// rank-th contiguous share of that nodelet's stripe.
-				nl := id % cfg.Nodelets
-				rank := id / cfg.Nodelets
-				ranks := (cfg.Threads - nl + cfg.Nodelets - 1) / cfg.Nodelets
-				lo, hi := share(cfg.ElemsPerNodelet, rank, ranks)
-				for j := lo; j < hi; j++ {
-					i := index(nl, j)
-					va := w.Load(a.At(i))
-					var vb uint64
-					if loads == 2 {
-						vb = w.Load(b.At(i))
-					}
-					w.Store(c.At(i), cfg.Kernel.apply(va, vb))
-					w.Compute(streamOverheadCycles)
-				}
-			})
-			res.Elapsed = root.Now() - t0
-		})
-	} else {
-		sh := &streamShared{a: a, b: b, c: c, kernel: cfg.Kernel, loads: loads, index: index}
-		_, err = sys.RunCont(streamContRoot(cfg, sh, &res.Elapsed))
-	}
-	if err != nil {
+	if _, err := sys.RunCont(streamRoot(cfg, sh, &res.Elapsed)); err != nil {
 		return metrics.Result{}, err
 	}
 	res.Bytes = int64(n) * cfg.Kernel.bytesPerElement()
@@ -204,6 +169,80 @@ func Stream(mcfg machine.Config, cfg StreamConfig, opts ...RunOption) (metrics.R
 		}
 	}
 	return res, nil
+}
+
+// streamShared is the per-run state every STREAM worker reads.
+type streamShared struct {
+	a, b, c vector
+	kernel  StreamKernel
+	loads   int
+}
+
+// streamWorker walks elements i, i+stride, ... below end — one worker's
+// share of its nodelet's stripe: load a[i] (+ b[i]), store c[i], charge the
+// loop overhead.
+type streamWorker struct {
+	sh             *streamShared
+	i, end, stride int
+	va, vb         uint64
+	pc             int
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *streamWorker) Step(t *machine.CThread) bool {
+	s := w.sh
+	for {
+		switch w.pc {
+		case 0: // loop head
+			if w.i >= w.end {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(s.a.At(w.i)) {
+				return false
+			}
+		case 1:
+			w.va = t.Value()
+			if s.loads == 2 {
+				w.pc = 2
+				if t.CLoad(s.b.At(w.i)) {
+					return false
+				}
+			} else {
+				w.vb = 0
+				w.pc = 3
+			}
+		case 2:
+			w.vb = t.Value()
+			w.pc = 3
+		case 3:
+			w.pc = 4
+			if t.CStore(s.c.At(w.i), s.kernel.apply(w.va, w.vb)) {
+				return false
+			}
+		case 4:
+			w.i += w.stride
+			w.pc = 0
+			if t.CCompute(streamOverheadCycles) {
+				return false
+			}
+		}
+	}
+}
+
+// streamRoot builds the root body of one STREAM run: spawn the workers with
+// the configured strategy, join them, and record the elapsed time. Worker id
+// serves nodelet nl = id mod N and takes its rank-th contiguous share of
+// that nodelet's stripe, whose slot j is element nl + j*N (with one nodelet,
+// simply element j).
+func streamRoot(cfg StreamConfig, sh *streamShared, out *sim.Time) machine.CBody {
+	ws := cilk.NewWorkers(cfg.Nodelets, cfg.Threads, cfg.Strategy, func(id int) machine.CBody {
+		n := cfg.Nodelets
+		nl, rank := id%n, id/n
+		lo, hi := share(cfg.ElemsPerNodelet, rank, (cfg.Threads-nl+n-1)/n)
+		return &streamWorker{sh: sh, i: nl + lo*n, end: nl + hi*n, stride: n}
+	})
+	return &timedRoot{drive: ws, out: out}
 }
 
 // share splits n items into parts pieces and returns the half-open range of

@@ -38,42 +38,6 @@ type runConfig struct {
 	ctx       context.Context
 	plan      *fault.Plan
 	maxEvents uint64
-	engine    ProcEngine
-}
-
-// ProcEngine selects how a kernel's simulated threadlets are hosted by the
-// event engine.
-type ProcEngine int
-
-const (
-	// ContinuationProcs (the default) hosts each threadlet as a resumable
-	// state machine the event loop steps in place — no goroutine, no
-	// channel handoff per context switch, and bounded bytes per threadlet,
-	// which is what makes rack-scale thread counts simulable.
-	ContinuationProcs ProcEngine = iota
-	// GoroutineProcs hosts each threadlet on its own goroutine, parking on
-	// a channel at every wait — the original engine, kept as a
-	// compatibility shim and as the independent reference implementation
-	// the equivalence tests diff the continuation engine against.
-	GoroutineProcs
-)
-
-// String names the engine for reports and jobspec fingerprints.
-func (e ProcEngine) String() string {
-	if e == GoroutineProcs {
-		return "goroutine"
-	}
-	return "continuation"
-}
-
-// WithProcEngine selects the proc engine for the kernels that still have
-// both implementations: STREAM, pointer chase and ping-pong. The two engines
-// are byte-identical in simulated time, counters, and traces — this knob
-// exists for host-side performance comparison and for regression-testing the
-// equivalence, not to change results. SpMV (every layout), SpMV-CSX and GUPS
-// have one implementation, on continuation procs, and ignore this option.
-func WithProcEngine(e ProcEngine) RunOption {
-	return func(c *runConfig) { c.engine = e }
 }
 
 // WithObserver streams the run's machine events and gauge samples to obs.
@@ -111,27 +75,15 @@ func WithMaxEvents(n uint64) RunOption {
 	return func(c *runConfig) { c.maxEvents = n }
 }
 
-// resolveRunConfig folds the option list into one runConfig, so kernels with
-// engine-dependent bodies can branch on it before building their system.
-func resolveRunConfig(opts []RunOption) runConfig {
+// newSystem builds a machine with the package tracing hook and the per-run
+// options applied.
+func newSystem(cfg machine.Config, opts ...RunOption) *machine.System {
 	var c runConfig
 	for _, opt := range opts {
 		if opt != nil {
 			opt(&c)
 		}
 	}
-	return c
-}
-
-// newSystem builds a machine with the package tracing hook and the per-run
-// options applied.
-func newSystem(cfg machine.Config, opts ...RunOption) *machine.System {
-	rc := resolveRunConfig(opts)
-	return newSystemRC(cfg, &rc)
-}
-
-// newSystemRC is newSystem over an already-resolved runConfig.
-func newSystemRC(cfg machine.Config, c *runConfig) *machine.System {
 	sys := machine.NewSystem(cfg)
 	if traceWriter != nil {
 		sys.TraceTo(traceWriter, traceLimit)

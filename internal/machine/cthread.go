@@ -22,7 +22,8 @@ import (
 // bumped before waits, trace events and functional memory effects on the
 // same side of each wait. The two engines therefore produce bit-identical
 // (at, seq) event streams for the same kernel — the byte-identical-figures
-// contract — which cont_equiv_test.go and the kernel golden tests enforce.
+// contract — which cthread_test.go and the kernel and figure golden tests
+// enforce.
 //
 // Bodies implement CBody. A body method that can block returns parked=true
 // after arranging its continuation, and the body's Step must immediately
@@ -177,7 +178,7 @@ func (t *CThread) runOp() (parked bool) {
 				}
 			case 2: // access complete: observe, then read
 				s := t.sys
-				s.emit(TraceLoad, t.nodelet, -1, t.opAddr, t.opIssued, t.p.Now())
+				s.emit(trace.KindLoad, t.nodelet, -1, t.opAddr, t.opIssued, t.p.Now())
 				t.val = s.Mem.Read(t.opAddr)
 				t.op = opNone
 				return false
@@ -194,7 +195,7 @@ func (t *CThread) runOp() (parked bool) {
 			case 1: // access complete: write, then observe
 				s := t.sys
 				s.Mem.Write(t.opAddr, t.val)
-				s.emit(TraceStore, t.nodelet, -1, t.opAddr, t.opIssued, t.p.Now())
+				s.emit(trace.KindStore, t.nodelet, -1, t.opAddr, t.opIssued, t.p.Now())
 				t.op = opNone
 				return false
 			}
@@ -312,7 +313,7 @@ func (t *CThread) migStep() (parked bool) {
 					flight += s.Cfg.InterChassisLatency
 				}
 			}
-			s.emit(TraceMigrate, t.nodelet, t.migTarget, t.migTrigger, t.migDepart, sent+flight)
+			s.emit(trace.KindMigrate, t.nodelet, t.migTarget, t.migTrigger, t.migDepart, sent+flight)
 			t.migStage = 2
 			if t.p.SleepUntil(sent + flight) {
 				return true
@@ -414,7 +415,7 @@ func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 	_, served := s.nodelets[home].channel.Acquire(arrive, s.Cfg.WordAccessTime)
 	s.Counters.remoteStores[home]++
 	s.Mem.Write(a, v)
-	s.emit(TraceRemoteStore, t.nodelet, home, a, issued, served)
+	s.emit(trace.KindRemoteStore, t.nodelet, home, a, issued, served)
 	t.op = opDelay
 	if t.p.SleepUntil(s.postedAccept(issued, served)) {
 		return true
@@ -439,7 +440,7 @@ func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
 	}
 	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
 	s.Counters.atomics[home]++
-	s.emit(TraceAtomic, t.nodelet, home, a, issued, served)
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
 	s.Mem.Write(a, s.Mem.Read(a)+delta)
 	t.op = opDelay
 	if t.p.SleepUntil(s.postedAccept(issued, served)) {
@@ -505,7 +506,7 @@ func (t *CThread) spawnOnCont(nl int, at sim.Time, body CBody) {
 	} else {
 		s.Counters.remoteSpawns[nl]++
 	}
-	s.emit(TraceSpawn, t.nodelet, nl, 0, t.p.Now(), at)
+	s.emit(trace.KindSpawn, t.nodelet, nl, 0, t.p.Now(), at)
 	child := s.acquireCThread()
 	child.nodelet = nl
 	child.body = body

@@ -108,7 +108,7 @@ func (t *Thread) Load(a memsys.Addr) uint64 {
 	t.sys.Counters.localReads[t.nodelet]++
 	issued := t.p.Now()
 	t.localWordAccess()
-	t.sys.emit(TraceLoad, t.nodelet, -1, a, issued, t.p.Now())
+	t.sys.emit(trace.KindLoad, t.nodelet, -1, a, issued, t.p.Now())
 	return t.sys.Mem.Read(a)
 }
 
@@ -130,7 +130,7 @@ func (t *Thread) Store(a memsys.Addr, v uint64) {
 		issued := t.p.Now()
 		t.localWordAccess()
 		s.Mem.Write(a, v)
-		s.emit(TraceStore, t.nodelet, -1, a, issued, t.p.Now())
+		s.emit(trace.KindStore, t.nodelet, -1, a, issued, t.p.Now())
 		return
 	}
 	// Posted remote store: issue locally, deliver after the network flight,
@@ -141,7 +141,7 @@ func (t *Thread) Store(a memsys.Addr, v uint64) {
 	_, served := s.nodelets[home].channel.Acquire(arrive, s.Cfg.WordAccessTime)
 	s.Counters.remoteStores[home]++
 	s.Mem.Write(a, v)
-	s.emit(TraceRemoteStore, t.nodelet, home, a, issued, served)
+	s.emit(trace.KindRemoteStore, t.nodelet, home, a, issued, served)
 	t.p.WaitUntil(t.postedAccept(issued, served))
 }
 
@@ -169,7 +169,7 @@ func (t *Thread) FetchAdd(a memsys.Addr, delta uint64) uint64 {
 	} else {
 		finish += s.Cfg.MemLatency
 	}
-	s.emit(TraceAtomic, t.nodelet, home, a, issued, finish)
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, finish)
 	t.p.WaitUntil(finish)
 	return old
 }
@@ -187,7 +187,7 @@ func (t *Thread) RemoteAdd(a memsys.Addr, delta uint64) {
 	}
 	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
 	s.Counters.atomics[home]++
-	s.emit(TraceAtomic, t.nodelet, home, a, issued, served)
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
 	s.Mem.Write(a, s.Mem.Read(a)+delta)
 	t.p.WaitUntil(t.postedAccept(issued, served))
 }
@@ -227,7 +227,7 @@ func (t *Thread) RemoteAddFloat(a memsys.Addr, delta float64) {
 	}
 	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
 	s.Counters.atomics[home]++
-	s.emit(TraceAtomic, t.nodelet, home, a, issued, served)
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
 	cur := math.Float64frombits(s.Mem.Read(a))
 	s.Mem.Write(a, math.Float64bits(cur+delta))
 	t.p.WaitUntil(t.postedAccept(issued, served))
@@ -313,7 +313,7 @@ func (t *Thread) migrate(target int, trigger memsys.Addr) {
 			flight += s.Cfg.InterChassisLatency
 		}
 	}
-	s.emit(TraceMigrate, t.nodelet, target, trigger, depart, sent+flight)
+	s.emit(trace.KindMigrate, t.nodelet, target, trigger, depart, sent+flight)
 	t.p.WaitUntil(sent + flight)
 	t.nodelet = target
 	to := s.nodelets[target]
@@ -382,7 +382,7 @@ func (t *Thread) spawnOn(nl int, at sim.Time, fn func(*Thread)) {
 	} else {
 		s.Counters.remoteSpawns[nl]++
 	}
-	s.emit(TraceSpawn, t.nodelet, nl, 0, t.p.Now(), at)
+	s.emit(trace.KindSpawn, t.nodelet, nl, 0, t.p.Now(), at)
 	child := s.acquireThread()
 	child.nodelet = nl
 	child.body = fn

@@ -21,27 +21,6 @@ import (
 // engine events of their own, which could outlive the last thread and move
 // the run's end time.
 
-// TraceKind classifies one traced machine operation.
-//
-// Deprecated: use trace.Kind; TraceKind is the same type.
-type TraceKind = trace.Kind
-
-// Legacy names for the original machine-layer kinds; new code should use
-// the trace package's richer vocabulary directly.
-const (
-	TraceLoad        = trace.KindLoad
-	TraceStore       = trace.KindStore
-	TraceRemoteStore = trace.KindRemoteStore
-	TraceAtomic      = trace.KindAtomic
-	TraceMigrate     = trace.KindMigrate
-	TraceSpawn       = trace.KindSpawn
-)
-
-// TraceEvent is one machine operation as observed by a tracer.
-//
-// Deprecated: use trace.Event; TraceEvent is the same type.
-type TraceEvent = trace.Event
-
 // defaultSampleEvery is the gauge sampling interval a system starts with;
 // SampleEvery overrides it, and sampling only occurs while an observer is
 // attached.
@@ -79,30 +58,17 @@ func (s *System) WatchContext(ctx context.Context) {
 	s.Eng.Interrupt = ctx.Err
 }
 
-// Trace installs fn as the system's operation tracer (nil uninstalls).
-// Tracing is for debugging and inspection; it does not affect timing.
-//
-// Deprecated: fn is adapted into a trace.Observer that ignores gauge
-// samples; new code should Attach an Observer.
-func (s *System) Trace(fn func(TraceEvent)) {
-	if fn == nil {
-		s.Attach(nil)
-		return
-	}
-	s.Attach(trace.FuncObserver{OnEvent: fn})
-}
-
-// TraceTo installs a tracer that writes one line per event to w and stops
-// after limit events (0 = unlimited).
+// TraceTo attaches an observer that writes one line per event to w and
+// stops after limit events (0 = unlimited); gauge samples are ignored.
 func (s *System) TraceTo(w io.Writer, limit int) {
 	count := 0
-	s.Trace(func(e TraceEvent) {
+	s.Attach(trace.FuncObserver{OnEvent: func(e trace.Event) {
 		if limit > 0 && count >= limit {
 			return
 		}
 		count++
 		io.WriteString(w, e.String()+"\n")
-	})
+	}})
 }
 
 // emit streams one event to the observer, then takes gauge samples if an

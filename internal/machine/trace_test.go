@@ -3,12 +3,14 @@ package machine
 import (
 	"strings"
 	"testing"
+
+	"emuchick/internal/trace"
 )
 
 func TestTraceCapturesOps(t *testing.T) {
 	s := NewSystem(HardwareChick())
-	var events []TraceEvent
-	s.Trace(func(e TraceEvent) { events = append(events, e) })
+	var events []trace.Event
+	s.Attach(trace.FuncObserver{OnEvent: func(e trace.Event) { events = append(events, e) }})
 	local := s.Mem.AllocLocal(0, 2)
 	remote := s.Mem.AllocLocal(3, 2)
 	_, err := s.Run(func(th *Thread) {
@@ -23,21 +25,21 @@ func TestTraceCapturesOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[TraceKind]int{}
+	kinds := map[trace.Kind]int{}
 	for _, e := range events {
 		kinds[e.Kind]++
 	}
-	for _, k := range []TraceKind{TraceLoad, TraceStore, TraceRemoteStore, TraceAtomic, TraceSpawn, TraceMigrate} {
+	for _, k := range []trace.Kind{trace.KindLoad, trace.KindStore, trace.KindRemoteStore, trace.KindAtomic, trace.KindSpawn, trace.KindMigrate} {
 		if kinds[k] == 0 {
 			t.Errorf("no %v events", k)
 		}
 	}
 	// Remote ops carry their destination.
 	for _, e := range events {
-		if e.Kind == TraceRemoteStore && e.Target != 3 {
+		if e.Kind == trace.KindRemoteStore && e.Target != 3 {
 			t.Errorf("remote store target = %d", e.Target)
 		}
-		if e.Kind == TraceMigrate && e.Target != 5 {
+		if e.Kind == trace.KindMigrate && e.Target != 5 {
 			t.Errorf("migrate target = %d", e.Target)
 		}
 	}
@@ -71,17 +73,17 @@ func TestTraceToLimits(t *testing.T) {
 }
 
 func TestTraceEventStrings(t *testing.T) {
-	if TraceLoad.String() != "load" || TraceMigrate.String() != "migrate" {
+	if trace.KindLoad.String() != "load" || trace.KindMigrate.String() != "migrate" {
 		t.Fatal("kind names wrong")
 	}
-	if TraceKind(42).String() == "" {
+	if trace.Kind(42).String() == "" {
 		t.Fatal("unknown kind empty")
 	}
-	e := TraceEvent{Kind: TraceMigrate, Nodelet: 1, Target: 2}
+	e := trace.Event{Kind: trace.KindMigrate, Nodelet: 1, Target: 2}
 	if !strings.Contains(e.String(), "nl1 -> nl2") {
 		t.Fatalf("event string %q", e.String())
 	}
-	e2 := TraceEvent{Kind: TraceLoad, Nodelet: 1, Target: -1}
+	e2 := trace.Event{Kind: trace.KindLoad, Nodelet: 1, Target: -1}
 	if strings.Contains(e2.String(), "->") {
 		t.Fatalf("local event string %q", e2.String())
 	}
@@ -90,8 +92,8 @@ func TestTraceEventStrings(t *testing.T) {
 func TestTraceUninstall(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	count := 0
-	s.Trace(func(TraceEvent) { count++ })
-	s.Trace(nil)
+	s.Attach(trace.FuncObserver{OnEvent: func(trace.Event) { count++ }})
+	s.Attach(nil)
 	arr := s.Mem.AllocLocal(0, 1)
 	if _, err := s.Run(func(th *Thread) { th.Load(arr.At(0)) }); err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func (OS) OpenFile(path string) (File, error) {
 	return os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 }
 
-func (OS) ReadFile(path string) ([]byte, error)      { return os.ReadFile(path) }
+func (OS) ReadFile(path string) ([]byte, error)       { return os.ReadFile(path) }
 func (OS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
 func (OS) Stat(path string) (fs.FileInfo, error)      { return os.Stat(path) }
 func (OS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }

@@ -79,6 +79,7 @@ func log2(v int64) uint {
 // interleave across channels (fine-grained interleave, as memory
 // controllers do to balance streams), and each channel's consecutive
 // lines share a row until the page boundary.
+//
 //emu:hotpath consulted by every fetch and writeback
 func (d *dram) locate(line int64) (ch, bank int, row int64) {
 	// Lines come from the bump allocator and are non-negative, so on
