@@ -25,7 +25,7 @@ func GUPS(ccfg xeon.Config, cfg GUPSConfig) (metrics.Result, error) {
 	if cfg.TableWords <= 0 || cfg.Updates <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, fmt.Errorf("cpukernels: invalid GUPS config %+v", cfg)
 	}
-	sys := xeon.NewSystem(ccfg)
+	sys := newSystem(ccfg)
 	base := sys.Alloc(int64(cfg.TableWords) * 8)
 	stream := workload.GUPSStream(cfg.Updates, cfg.TableWords, workload.NewRNG(cfg.Seed))
 	table := make([]uint64, cfg.TableWords)

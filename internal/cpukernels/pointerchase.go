@@ -42,7 +42,7 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 	if cfg.Elements <= 0 || cfg.BlockSize <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, ChaseStats{}, fmt.Errorf("cpukernels: invalid chase config %+v", cfg)
 	}
-	sys := xeon.NewSystem(ccfg)
+	sys := newSystem(ccfg)
 	n := cfg.Elements
 	base := sys.Alloc(int64(n) * 16)
 

@@ -73,7 +73,7 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 	}
 	want := m.MulVec(xv)
 
-	sys := xeon.NewSystem(ccfg)
+	sys := newSystem(ccfg)
 	// Model addresses. MKL uses 4-byte column indices; the Cilk kernels
 	// compile with 8-byte ones.
 	idxBytes := int64(8)

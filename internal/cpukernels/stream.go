@@ -12,6 +12,10 @@ import (
 	"emuchick/internal/xeon"
 )
 
+// newSystem builds each run's platform. The golden tests wrap it to read
+// the platform's end state after a run.
+var newSystem = xeon.NewSystem
+
 // StreamConfig parameterizes the CPU STREAM ADD run.
 type StreamConfig struct {
 	Elements int // array length
@@ -25,7 +29,7 @@ func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
 	if cfg.Elements <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, fmt.Errorf("cpukernels: invalid stream config %+v", cfg)
 	}
-	sys := xeon.NewSystem(ccfg)
+	sys := newSystem(ccfg)
 	n := int64(cfg.Elements)
 	a := sys.Alloc(n * 8)
 	b := sys.Alloc(n * 8)
