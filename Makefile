@@ -78,13 +78,14 @@ bench-gate:
 # Race-detector pass over every package that shares state across
 # goroutines: the event engine, the parallel experiment runner, the job
 # server (worker pool + admission control), the chaos harness, the
-# crash-faulting store, the trace pipeline, and the kernel, cilk and
-# machine state machines the runner's concurrent workers drive.
+# crash-faulting store, the trace pipeline, and the kernel, cilk, machine
+# and Xeon state machines the runner's concurrent workers drive.
 race:
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... \
 		./internal/jobserver/... ./internal/chaos/... \
 		./internal/storefs/... ./internal/trace/... \
-		./internal/kernels/... ./internal/cilk/... ./internal/machine/...
+		./internal/kernels/... ./internal/cilk/... ./internal/machine/... \
+		./internal/xeon/... ./internal/cpukernels/...
 
 # Regenerate every paper artifact at full size (~10-15 minutes).
 figures:

@@ -204,6 +204,7 @@ func TestCPUSpMVRejectsBadConfig(t *testing.T) {
 		{GridN: 0, Variant: SpMVMKL, Threads: 1},
 		{GridN: 4, Variant: SpMVMKL, Threads: 0},
 		{GridN: 4, Variant: SpMVCilkSpawn, Threads: 1, GrainNNZ: 0},
+		{GridN: 4, Variant: SpMVVariant(9), Threads: 1},
 	}
 	for _, cfg := range bad {
 		if _, err := SpMV(xeon.HaswellXeon(), cfg); err == nil {

@@ -35,23 +35,10 @@ func GUPS(ccfg xeon.Config, cfg GUPSConfig) (metrics.Result, error) {
 		want[idx]++
 	}
 
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, w int) {
-			lo, hi := share(cfg.Updates, w, cfg.Threads)
-			for j := lo; j < hi; j++ {
-				idx := stream[j]
-				addr := base + int64(idx)*8
-				th.Read(addr, 8)
-				table[idx]++ // single functional writer per run; timing below
-				th.Write(addr, 8)
-				th.Compute(2)
-			}
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(w int) xeon.CBody {
+		lo, hi := share(cfg.Updates, w, cfg.Threads)
+		return &gupsWorker{base: base, stream: stream[lo:hi], table: table}
+	}}})
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -60,6 +47,42 @@ func GUPS(ccfg xeon.Config, cfg GUPSConfig) (metrics.Result, error) {
 			return metrics.Result{}, fmt.Errorf("cpukernels: GUPS slot %d = %d, want %d", i, table[i], want[i])
 		}
 	}
-	res.Bytes = int64(cfg.Updates) * 8
-	return res, nil
+	return metrics.Result{Bytes: int64(cfg.Updates) * 8, Elapsed: elapsed}, nil
+}
+
+// gupsWorker applies its share of the update stream: read the slot, update
+// it functionally (one writer per run), write it back, two cycles.
+type gupsWorker struct {
+	base   int64 // model base address of the table
+	stream []int // remaining updates; stream[0] is in flight
+	table  []uint64
+	pc     uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *gupsWorker) Step(t *xeon.CThread) bool {
+	for len(w.stream) > 0 {
+		idx := w.stream[0]
+		addr := w.base + int64(idx)*8
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.Read(addr, 8) {
+				return false
+			}
+		case 1:
+			w.table[idx]++
+			w.pc = 2
+			if t.Write(addr, 8) {
+				return false
+			}
+		case 2:
+			w.pc = 0
+			w.stream = w.stream[1:]
+			if t.Compute(2) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -72,29 +72,9 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 	}
 
 	sums := make([]uint64, cfg.Threads)
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, k int) {
-			if counts[k] == 0 {
-				return
-			}
-			p := starts[k]
-			var sum uint64
-			for {
-				th.Read(base+int64(p)*16, 16)
-				sum += payload[p]
-				th.Compute(4)
-				if next[p] < 0 {
-					break
-				}
-				p = int(next[p])
-			}
-			sums[k] = sum
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(k int) xeon.CBody {
+		return &chaseWorker{base: base, payload: payload, next: next, sum: &sums[k], p: starts[k], empty: counts[k] == 0}
+	}}})
 	if err != nil {
 		return metrics.Result{}, ChaseStats{}, err
 	}
@@ -103,10 +83,50 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 			return metrics.Result{}, ChaseStats{}, fmt.Errorf("cpukernels: chase thread %d sum %d, want %d", k, sums[k], expect[k])
 		}
 	}
-	res.Bytes = int64(n) * 16
+	res := metrics.Result{Bytes: int64(n) * 16, Elapsed: elapsed}
 	stats := ChaseStats{
 		DRAMLineBytes:  int64(sys.DRAMLines) * int64(ccfg.LineBytes),
 		WritebackBytes: int64(sys.WritebackLines) * int64(ccfg.LineBytes),
 	}
 	return res, stats, nil
+}
+
+// chaseWorker walks one chain from element p: a 16-byte read (payload and
+// next pointer) and the loop's compute per element, until the terminator.
+type chaseWorker struct {
+	base    int64 // model base address of the list
+	payload []uint64
+	next    []int32
+	sum     *uint64
+	p       int
+	empty   bool // the thread's share of the list is empty
+	pc      uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *chaseWorker) Step(t *xeon.CThread) bool {
+	if w.empty {
+		return true
+	}
+	for {
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.Read(w.base+int64(w.p)*16, 16) {
+				return false
+			}
+		case 1:
+			*w.sum += w.payload[w.p]
+			w.pc = 2
+			if t.Compute(4) {
+				return false
+			}
+		case 2:
+			if w.next[w.p] < 0 {
+				return true
+			}
+			w.p = int(w.next[w.p])
+			w.pc = 0
+		}
+	}
 }

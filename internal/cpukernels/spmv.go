@@ -90,52 +90,30 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 	yA := sys.Alloc(int64(m.Rows) * 8)
 
 	yv := make([]float64, m.Rows)
-	rowRange := func(th *xeon.CPUThread, lo, hi int) {
-		for r := lo; r < hi; r++ {
-			th.Read(rpA+int64(r)*8, 16) // rowptr[r] and rowptr[r+1]
-			var sum float64
-			for k := m.RowPtr[r]; k < m.RowPtr[r+1]; k++ {
-				th.Read(ciA+k*idxBytes, idxBytes)
-				th.Read(vvA+k*8, 8)
-				c := m.ColIdx[k]
-				th.Read(xA+c*8, 8)
-				sum += m.Val[k] * xv[c]
-				th.Compute(nnzCycles)
-			}
-			th.Write(yA+int64(r)*8, 8)
-			yv[r] = sum
-			th.Compute(4)
-		}
+	rows := func(lo, hi int) xeon.CBody {
+		return &rowWalker{m: m, xv: xv, yv: yv, rpA: rpA, ciA: ciA, vvA: vvA, xA: xA, yA: yA,
+			idxBytes: idxBytes, nnzCycles: nnzCycles, r: lo, hi: hi}
 	}
 
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		switch cfg.Variant {
-		case SpMVMKL, SpMVCilkFor:
-			// Static partition of rows over the worker pool.
-			for w := 0; w < cfg.Threads; w++ {
-				lo, hi := share(m.Rows, w, cfg.Threads)
-				if lo == hi {
-					continue
-				}
-				root.Spawn(func(th *xeon.CPUThread) { rowRange(th, lo, hi) })
+	var root driver
+	switch cfg.Variant {
+	case SpMVMKL, SpMVCilkFor:
+		// Static partition of rows over the worker pool.
+		f := &fanout{}
+		for w := 0; w < cfg.Threads; w++ {
+			if lo, hi := share(m.Rows, w, cfg.Threads); lo < hi {
+				f.bodies = append(f.bodies, rows(lo, hi))
 			}
-			root.Sync()
-		case SpMVCilkSpawn:
-			// Grained recursive spawn over rows; every task pays the
-			// Cilk runtime's spawn cost.
-			grainRows := cfg.GrainNNZ / 5
-			if grainRows < 1 {
-				grainRows = 1
-			}
-			parFor(root, 0, m.Rows, grainRows, rowRange)
-			root.Sync()
-		default:
-			panic(fmt.Sprintf("cpukernels: unknown variant %v", cfg.Variant))
 		}
-		res.Elapsed = root.Now() - t0
-	})
+		root = f
+	case SpMVCilkSpawn:
+		// Grained recursive spawn over rows; every task pays the Cilk
+		// runtime's spawn cost.
+		root = &parFor{hi: m.Rows, grain: max(cfg.GrainNNZ/5, 1), leaf: rows}
+	default:
+		return metrics.Result{}, fmt.Errorf("cpukernels: unknown variant %v", cfg.Variant)
+	}
+	elapsed, err := sys.Run(&task{d: root})
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -144,22 +122,75 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 			return metrics.Result{}, fmt.Errorf("cpukernels: spmv y[%d] = %v, want %v", r, yv[r], want[r])
 		}
 	}
-	res.Bytes = m.UsefulBytes()
-	return res, nil
+	return metrics.Result{Bytes: m.UsefulBytes(), Elapsed: elapsed}, nil
 }
 
-// parFor recursively splits [lo, hi) into tasks of at most grain rows,
-// spawning the left half and recursing on the right, like a Cilk loop
-// skeleton built from cilk_spawn.
-func parFor(t *xeon.CPUThread, lo, hi, grain int, body func(*xeon.CPUThread, int, int)) {
-	if hi-lo <= grain {
-		body(t, lo, hi)
-		return
+// rowWalker computes rows [r, hi) of y = A·x: per row a 16-byte read of
+// its two row pointers, then per nonzero reads of the column index, the
+// value and x[col] and the per-nonzero compute, then the y write and four
+// cycles of loop overhead.
+type rowWalker struct {
+	m                     *sparse.CSR
+	xv, yv                []float64
+	rpA, ciA, vvA, xA, yA int64 // model base addresses
+	idxBytes, nnzCycles   int64
+	r, hi                 int
+	k                     int64 // next nonzero of row r
+	sum                   float64
+	pc                    uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *rowWalker) Step(t *xeon.CThread) bool {
+	m := w.m
+	for w.r < w.hi {
+		switch w.pc {
+		case 0: // rowptr[r] and rowptr[r+1]
+			w.k = m.RowPtr[w.r]
+			w.sum = 0
+			w.pc = 1
+			if t.Read(w.rpA+int64(w.r)*8, 16) {
+				return false
+			}
+		case 1:
+			if w.k == m.RowPtr[w.r+1] {
+				w.pc = 5
+				continue
+			}
+			w.pc = 2
+			if t.Read(w.ciA+w.k*w.idxBytes, w.idxBytes) {
+				return false
+			}
+		case 2:
+			w.pc = 3
+			if t.Read(w.vvA+w.k*8, 8) {
+				return false
+			}
+		case 3:
+			w.pc = 4
+			if t.Read(w.xA+m.ColIdx[w.k]*8, 8) {
+				return false
+			}
+		case 4:
+			w.sum += m.Val[w.k] * w.xv[m.ColIdx[w.k]]
+			w.k++
+			w.pc = 1
+			if t.Compute(w.nnzCycles) {
+				return false
+			}
+		case 5:
+			w.pc = 6
+			if t.Write(w.yA+int64(w.r)*8, 8) {
+				return false
+			}
+		case 6:
+			w.yv[w.r] = w.sum
+			w.r++
+			w.pc = 0
+			if t.Compute(4) {
+				return false
+			}
+		}
 	}
-	mid := lo + (hi-lo)/2
-	t.Spawn(func(c *xeon.CPUThread) {
-		parFor(c, lo, mid, grain, body)
-		c.Sync()
-	})
-	parFor(t, mid, hi, grain, body)
+	return true
 }

@@ -43,22 +43,10 @@ func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
 		bv[i] = uint64(2 * i)
 	}
 
-	var res metrics.Result
-	_, err := sys.Run(func(root *xeon.CPUThread) {
-		t0 := root.Now()
-		spawnTree(root, 0, cfg.Threads, func(th *xeon.CPUThread, w int) {
-			lo, hi := share(cfg.Elements, w, cfg.Threads)
-			for i := int64(lo); i < int64(hi); i++ {
-				th.Read(a+i*8, 8)
-				th.Read(b+i*8, 8)
-				th.WriteNT(c+i*8, 8) // tuned STREAM streams the destination
-				cv[i] = av[i] + bv[i]
-				th.Compute(1)
-			}
-		})
-		root.Sync()
-		res.Elapsed = root.Now() - t0
-	})
+	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(w int) xeon.CBody {
+		lo, hi := share(cfg.Elements, w, cfg.Threads)
+		return &streamWorker{a: a, b: b, c: c, av: av, bv: bv, cv: cv, i: int64(lo), hi: int64(hi)}
+	}}})
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -67,27 +55,43 @@ func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
 			return metrics.Result{}, fmt.Errorf("cpukernels: stream c[%d] = %d", i, cv[i])
 		}
 	}
-	res.Bytes = n * 24
-	return res, nil
+	return metrics.Result{Bytes: n * 24, Elapsed: elapsed}, nil
 }
 
-// spawnTree launches one worker per id in [lo, hi) with a recursive binary
-// spawn tree (the Cilk loop skeleton), so launching W workers costs
-// O(log W) critical-path spawns rather than W.
-func spawnTree(t *xeon.CPUThread, lo, hi int, body func(*xeon.CPUThread, int)) {
-	switch hi - lo {
-	case 0:
-		return
-	case 1:
-		t.Spawn(func(c *xeon.CPUThread) { body(c, lo) })
-		return
+// streamWorker adds elements [i, hi): two reads, a streaming store of the
+// destination (as tuned STREAM does) and one cycle per element.
+type streamWorker struct {
+	a, b, c    int64 // model base addresses
+	av, bv, cv []uint64
+	i, hi      int64
+	pc         uint8
+}
+
+//emu:nohandoff CBody contract: park state, never the goroutine
+func (w *streamWorker) Step(t *xeon.CThread) bool {
+	for w.i < w.hi {
+		switch w.pc {
+		case 0:
+			w.pc = 1
+			if t.Read(w.a+w.i*8, 8) {
+				return false
+			}
+		case 1:
+			w.pc = 2
+			if t.Read(w.b+w.i*8, 8) {
+				return false
+			}
+		case 2:
+			t.WriteNT(w.c+w.i*8, 8)
+			w.cv[w.i] = w.av[w.i] + w.bv[w.i]
+			w.pc = 0
+			w.i++
+			if t.Compute(1) {
+				return false
+			}
+		}
 	}
-	mid := lo + (hi-lo)/2
-	t.Spawn(func(c *xeon.CPUThread) {
-		spawnTree(c, lo, mid, body)
-		c.Sync()
-	})
-	spawnTree(t, mid, hi, body)
+	return true
 }
 
 // share splits n items into parts pieces, mirroring kernels.share.
@@ -97,17 +101,10 @@ func share(n, rank, parts int) (lo, hi int) {
 	}
 	base := n / parts
 	rem := n % parts
-	lo = rank*base + minInt(rank, rem)
+	lo = rank*base + min(rank, rem)
 	hi = lo + base
 	if rank < rem {
 		hi++
 	}
 	return lo, hi
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -200,6 +200,11 @@ func TestCheckpointMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
+// procFunc runs a plain function as a goroutine-hosted sim proc.
+type procFunc func(*sim.Proc)
+
+func (f procFunc) RunProc(p *sim.Proc) { f(p) }
+
 // deadlockExperiment builds an unregistered experiment whose sweep deadlocks
 // on exactly one cell, so the failure path can be exercised hermetically.
 func deadlockExperiment() *Experiment {
@@ -211,14 +216,14 @@ func deadlockExperiment() *Experiment {
 				if pi == 1 {
 					eng := sim.NewEngine()
 					sem := sim.NewSemaphore(eng, "slots", 1)
-					eng.Go("holder", func(p *sim.Proc) {
+					eng.SpawnAt(0, "holder", procFunc(func(p *sim.Proc) {
 						sem.Acquire(p)
 						p.ParkReason("hold-forever") // never unparked
-					})
-					eng.Go("blocked", func(p *sim.Proc) {
+					}))
+					eng.SpawnAt(0, "blocked", procFunc(func(p *sim.Proc) {
 						p.Delay(5)
 						sem.Acquire(p)
-					})
+					}))
 					if err := eng.Run(); err != nil {
 						return 0, err
 					}
@@ -298,11 +303,11 @@ func TestWatchdogKillsStuckCellAfterRetries(t *testing.T) {
 					// deadline (via Interrupt) ends this engine.
 					eng := sim.NewEngine()
 					eng.Interrupt = o.ctx.Err
-					eng.Go("spinner", func(p *sim.Proc) {
+					eng.SpawnAt(0, "spinner", procFunc(func(p *sim.Proc) {
 						for {
 							p.Delay(1)
 						}
-					})
+					}))
 					if err := eng.Run(); err != nil {
 						return 0, err
 					}

@@ -44,17 +44,10 @@ type Proc struct {
 }
 
 // Runner runs the body of a simulated process. Machine layers implement it
-// on their pooled thread types so a spawn allocates no per-spawn closure;
-// Go and GoAt adapt plain functions through funcRunner.
+// on their pooled thread types so a spawn allocates no per-spawn closure.
 type Runner interface {
 	RunProc(p *Proc)
 }
-
-// funcRunner adapts a plain function to Runner. Func values are
-// pointer-shaped, so storing one in the runner field does not allocate.
-type funcRunner func(*Proc)
-
-func (f funcRunner) RunProc(p *Proc) { f(p) }
 
 // Name reports the name the Proc was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -65,21 +58,8 @@ func (p *Proc) Engine() *Engine { return p.eng }
 // Now reports the current simulated time.
 func (p *Proc) Now() Time { return p.eng.now }
 
-// Go creates a process and schedules its first dispatch at the current time
-// (plus any queued same-time events ahead of it). fn runs to completion in
-// simulation order; when it returns, the process is finished.
-func (e *Engine) Go(name string, fn func(*Proc)) *Proc {
-	return e.GoAt(e.now, name, fn)
-}
-
-// GoAt is like Go but delays the first dispatch until absolute time t.
-func (e *Engine) GoAt(t Time, name string, fn func(*Proc)) *Proc {
-	return e.SpawnAt(t, name, funcRunner(fn))
-}
-
 // SpawnAt creates (or recycles) a process running r and schedules its first
-// dispatch at absolute time t. It is GoAt without the closure: the event
-// pattern — one dispatch event whose seq is claimed now — is identical.
+// dispatch at absolute time t: one dispatch event whose seq is claimed now.
 //
 //emu:hotpath the pooled spawn path, allocation-free on a pool hit
 func (e *Engine) SpawnAt(t Time, name string, r Runner) *Proc {

@@ -18,7 +18,7 @@ import (
 // DRAM channel's queueing statistics, the caches' hit, miss and insert
 // counts, and the DRAM row and line counters. The digests were recorded
 // from the goroutine-hosted thread the model used to have, so the
-// continuation thread is held to its event order bit for bit.
+// continuation CThread is held to its event order bit for bit.
 
 // gop is one operation of a scenario program: 'r' read, 'w' write, 'n'
 // non-temporal write (a and n are the address offset and byte count), 'c'
@@ -210,26 +210,50 @@ func TestThreadGoldenDigests(t *testing.T) {
 // runScenario runs prog as the root thread, recording the time and core of
 // every completed operation.
 func runScenario(s *System, base int64, prog []gop, d *goldenDigest) (sim.Time, error) {
-	var run func(th *CPUThread, prog []gop)
-	run = func(th *CPUThread, prog []gop) {
-		for _, o := range prog {
-			switch o.kind {
-			case 'r':
-				th.Read(base+o.a, o.n)
-			case 'w':
-				th.Write(base+o.a, o.n)
-			case 'n':
-				th.WriteNT(base+o.a, o.n)
-			case 'c':
-				th.Compute(o.n)
-			case 's':
-				child := o.child
-				th.Spawn(func(c *CPUThread) { run(c, child) })
-			case 'y':
-				th.Sync()
+	return s.Run(&progBody{base: base, prog: prog, d: d})
+}
+
+// progBody runs a scenario program on a CThread. After each operation
+// completes it records the operation, the time and the core in d, if set.
+type progBody struct {
+	base   int64
+	prog   []gop
+	d      *goldenDigest
+	pc     int
+	issued bool // prog[pc-1] was issued and has not been recorded
+}
+
+func (b *progBody) Step(t *CThread) bool {
+	for {
+		if b.issued {
+			b.issued = false
+			if b.d != nil {
+				b.d.put(int64(b.prog[b.pc-1].kind), int64(t.Now()), int64(t.Core()))
 			}
-			d.put(int64(o.kind), int64(th.Now()), int64(th.Core()))
+		}
+		if b.pc == len(b.prog) {
+			return true
+		}
+		o := b.prog[b.pc]
+		b.pc++
+		b.issued = true
+		var parked bool
+		switch o.kind {
+		case 'r':
+			parked = t.Read(b.base+o.a, o.n)
+		case 'w':
+			parked = t.Write(b.base+o.a, o.n)
+		case 'n':
+			t.WriteNT(b.base+o.a, o.n)
+		case 'c':
+			parked = t.Compute(o.n)
+		case 's':
+			parked = t.Spawn(&progBody{base: b.base, prog: o.child, d: b.d})
+		case 'y':
+			parked = t.Sync()
+		}
+		if parked {
+			return false
 		}
 	}
-	return s.Run(func(th *CPUThread) { run(th, prog) })
 }

@@ -83,31 +83,24 @@ func (s *System) PeakChannelUtilization(elapsed sim.Time) float64 {
 
 // Run executes root as the first software thread and drives the simulation
 // to completion, returning total simulated time.
-func (s *System) Run(root func(*CPUThread)) (sim.Time, error) {
+func (s *System) Run(root CBody) (sim.Time, error) {
 	start := s.Eng.Now()
-	s.startThread(s.Eng.Now(), root, nil)
+	s.startThread(start, root, nil)
 	if err := s.Eng.Run(); err != nil {
 		return 0, err
 	}
 	return s.Eng.Now() - start, nil
 }
 
-func (s *System) startThread(at sim.Time, body func(*CPUThread), parent *sim.Join) {
-	core := (s.nextHW) % s.Cfg.Cores
+// startThread places a new software thread on the next hardware-thread slot
+// and schedules its first dispatch at time at.
+func (s *System) startThread(at sim.Time, body CBody, parent *sim.Join) {
+	t := &CThread{sys: s, core: s.nextHW % s.Cfg.Cores, body: body, parent: parent, wcLine: -1}
+	for i := range t.streams {
+		t.streams[i] = -2 // no stream tracks line -2 or -1
+	}
 	s.nextHW = (s.nextHW + 1) % s.Cfg.HardwareThreads()
-	s.Eng.GoAt(at, "cpu", func(p *sim.Proc) {
-		t := &CPUThread{sys: s, p: p, core: core, wcLine: -1}
-		for i := range t.streams {
-			t.streams[i] = -2 // no stream tracks line -2 or -1
-		}
-		body(t)
-		if t.children != nil {
-			t.children.Wait(p)
-		}
-		if parent != nil {
-			parent.Done()
-		}
-	})
+	t.p = s.Eng.SpawnContAt(at, "cpu", t)
 }
 
 // streamTableSize is how many concurrent sequential streams the per-thread
@@ -115,12 +108,22 @@ func (s *System) startThread(at sim.Time, body func(*CPUThread), parent *sim.Joi
 // kernels like STREAM that interleave accesses to multiple arrays.
 const streamTableSize = 4
 
-// CPUThread is one software thread of the Cilk runtime, pinned to a core.
-type CPUThread struct {
-	sys      *System
-	p        *sim.Proc
-	core     int
-	children *sim.Join
+// CThread is one software thread of the Cilk runtime, pinned to a core. It
+// is a continuation: the event loop resumes it by calling its body's Step,
+// never by handing a goroutine the control token. An operation that must
+// wait — a memory access, compute, the spawn overhead, a sync — books its
+// resources, schedules the thread's next dispatch, and returns parked=true;
+// the body's Step must then return false and is called again once the
+// operation has completed.
+type CThread struct {
+	sys       *System
+	p         *sim.Proc
+	core      int
+	body      CBody
+	children  sim.Join  // children spawned and not yet joined
+	parent    *sim.Join // the spawner's children join; nil for the root
+	spawned   CBody     // a child whose launch waits on the spawn overhead
+	finishing bool      // the body returned; the implicit sync is in flight
 
 	// Stream-prefetcher state (per hardware context): last line and run
 	// length of each tracked stream, plus a round-robin victim cursor.
@@ -132,32 +135,71 @@ type CPUThread struct {
 	wcLine int64
 }
 
+// CBody is the body of a CThread as a resumable state machine. Step runs
+// the body until it completes (true) or until an operation reports
+// parked=true (false). A body advances its own cursor before issuing an
+// operation, so the next Step resumes past it.
+type CBody interface {
+	Step(t *CThread) bool
+}
+
+// StepProc is the sim.Stepper hook: it launches a child whose spawn
+// overhead has elapsed, resumes the body, and at the body's end joins its
+// children (the implicit cilk_sync) and tells the parent.
+//
+//emu:nohandoff
+func (t *CThread) StepProc(p *sim.Proc) {
+	if !t.finishing {
+		if t.spawned != nil {
+			t.launch()
+		}
+		//lint:allow nohandoff CBody implementations are the cpukernels state machines, each annotated //emu:nohandoff at its Step
+		if !t.body.Step(t) {
+			return
+		}
+		t.finishing = true
+		if t.children.WaitCont(p) {
+			return
+		}
+	}
+	if t.parent != nil {
+		t.parent.Done()
+	}
+	p.Exit()
+}
+
 // Core reports the core the thread is pinned to.
-func (t *CPUThread) Core() int { return t.core }
+func (t *CThread) Core() int { return t.core }
 
 // Now reports the current simulated time.
-func (t *CPUThread) Now() sim.Time { return t.p.Now() }
+func (t *CThread) Now() sim.Time { return t.p.Now() }
 
 // System returns the platform the thread runs on.
-func (t *CPUThread) System() *System { return t.sys }
+func (t *CThread) System() *System { return t.sys }
 
 // Compute charges cycles of execution on the thread's core.
-func (t *CPUThread) Compute(cycles int64) {
+//
+//emu:nohandoff
+func (t *CThread) Compute(cycles int64) (parked bool) {
 	if cycles <= 0 {
-		return
+		return false
 	}
 	_, done := t.sys.cores[t.core].Acquire(t.p.Now(), t.sys.clock.Cycles(cycles))
-	t.p.WaitUntil(done)
+	return t.p.SleepUntil(done)
 }
 
 // Read models a blocking load of bytes at addr, walking the cache
 // hierarchy per covered line.
-func (t *CPUThread) Read(addr, bytes int64) { t.access(addr, bytes, false) }
+//
+//emu:nohandoff
+func (t *CThread) Read(addr, bytes int64) (parked bool) { return t.access(addr, bytes, false) }
 
 // Write models a store of bytes at addr with write-allocate semantics: the
 // line is fetched like a read, marked dirty, and written back to memory
 // when eventually evicted (consuming channel bandwidth asynchronously).
-func (t *CPUThread) Write(addr, bytes int64) { t.access(addr, bytes, true) }
+//
+//emu:nohandoff
+func (t *CThread) Write(addr, bytes int64) (parked bool) { return t.access(addr, bytes, true) }
 
 // WriteNT models a non-temporal (streaming) store: it bypasses the caches
 // through a per-thread write-combining buffer, booking one full-line DRAM
@@ -170,7 +212,7 @@ func (t *CPUThread) Write(addr, bytes int64) { t.access(addr, bytes, true) }
 // rest of the span books as a single bulk run per DRAM channel.
 //
 //emu:hotpath streaming stores book whole line runs in one call
-func (t *CPUThread) WriteNT(addr, bytes int64) {
+func (t *CThread) WriteNT(addr, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
@@ -189,9 +231,10 @@ func (t *CPUThread) WriteNT(addr, bytes int64) {
 	s.NTWriteLines += uint64(last - first + 1)
 }
 
-func (t *CPUThread) access(addr, bytes int64, write bool) {
+//emu:nohandoff
+func (t *CThread) access(addr, bytes int64, write bool) (parked bool) {
 	if bytes <= 0 {
-		return
+		return false
 	}
 	s := t.sys
 	lb := int64(s.Cfg.LineBytes)
@@ -203,7 +246,7 @@ func (t *CPUThread) access(addr, bytes int64, write bool) {
 			finish = done
 		}
 	}
-	t.p.WaitUntil(finish)
+	return t.p.SleepUntil(finish)
 }
 
 // insertL3 fills a line into the shared L3, writing back the dirty victim.
@@ -231,7 +274,7 @@ func (s *System) insertL2(now sim.Time, core int, line int64) {
 
 // lineAccess resolves one line through L2 -> L3 -> DRAM and returns the
 // completion time. It also drives the stream prefetcher.
-func (t *CPUThread) lineAccess(line int64, write bool) sim.Time {
+func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 	s := t.sys
 	now := t.p.Now()
 
@@ -298,7 +341,7 @@ func (t *CPUThread) lineAccess(line int64, write bool) sim.Time {
 // whether an armed stream should prefetch ahead of it. Re-touching a
 // stream's current line is neutral; advancing it by one line extends the
 // run; anything else allocates a fresh table entry round-robin.
-func (t *CPUThread) prefetchArm(line int64) bool {
+func (t *CThread) prefetchArm(line int64) bool {
 	for i := range t.streams {
 		switch line {
 		case t.streams[i]:
@@ -318,23 +361,31 @@ func (t *CPUThread) prefetchArm(line int64) bool {
 // Spawn creates a child thread (cilk_spawn): the parent is charged the
 // runtime's spawn overhead and the child begins after the same overhead on
 // the next hardware thread slot.
-func (t *CPUThread) Spawn(fn func(*CPUThread)) {
+//
+//emu:nohandoff
+func (t *CThread) Spawn(body CBody) (parked bool) {
 	s := t.sys
+	t.spawned = body
 	if s.Cfg.SpawnOverhead > 0 {
 		_, done := s.cores[t.core].Acquire(t.p.Now(), s.Cfg.SpawnOverhead)
-		t.p.WaitUntil(done)
+		if t.p.SleepUntil(done) {
+			return true // StepProc launches the child on resumption
+		}
 	}
-	if t.children == nil {
-		t.children = sim.NewJoin(0)
-	}
+	t.launch()
+	return false
+}
+
+// launch starts the pending spawned child once the parent has paid the
+// spawn overhead.
+func (t *CThread) launch() {
+	body := t.spawned
+	t.spawned = nil
 	t.children.Add(1)
-	s.startThread(t.p.Now()+s.Cfg.SpawnOverhead, fn, t.children)
+	t.sys.startThread(t.p.Now()+t.sys.Cfg.SpawnOverhead, body, &t.children)
 }
 
 // Sync blocks until all children spawned so far have finished (cilk_sync).
-func (t *CPUThread) Sync() {
-	if t.children == nil || t.children.Pending() == 0 {
-		return
-	}
-	t.children.Wait(t.p)
-}
+//
+//emu:nohandoff
+func (t *CThread) Sync() (parked bool) { return t.children.WaitCont(t.p) }

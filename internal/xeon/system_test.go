@@ -52,23 +52,60 @@ func TestConfigValidation(t *testing.T) {
 	NewSystem(bad2)
 }
 
-func TestSystemAccessors(t *testing.T) {
-	s := NewSystem(SandyBridgeXeon())
-	base := s.Alloc(1 << 12)
-	elapsed, err := s.Run(func(th *CPUThread) {
-		if th.System() != s {
-			t.Error("System() wrong")
+// script is a test thread body: its functions run in order, each issuing
+// at most one operation and returning that operation's parked result.
+type script []func(t *CThread) bool
+
+func (s *script) Step(t *CThread) bool {
+	for len(*s) > 0 {
+		op := (*s)[0]
+		*s = (*s)[1:]
+		if op(t) {
+			return false
 		}
-		th.Compute(0) // free
-		for i := int64(0); i < 32; i++ {
-			th.Read(base+i*64, 8)
-		}
-		th.Sync() // no children: immediate
-		th.Read(base, 0)
-	})
+	}
+	return true
+}
+
+// readLines is a program of n 8-byte reads, the i-th at line(i).
+func readLines(n int64, line func(i int64) int64) []gop {
+	p := make([]gop, n)
+	for i := range p {
+		p[i] = gop{kind: 'r', a: line(int64(i)) * 64, n: 8}
+	}
+	return p
+}
+
+func sequential(i int64) int64 { return i }
+
+// runProg runs prog as the root thread with addresses relative to base.
+func runProg(t *testing.T, s *System, base int64, prog []gop) sim.Time {
+	t.Helper()
+	elapsed, err := runScenario(s, base, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return elapsed
+}
+
+func TestSystemAccessors(t *testing.T) {
+	s := NewSystem(SandyBridgeXeon())
+	base := s.Alloc(1 << 12)
+	body := script{
+		func(th *CThread) bool {
+			if th.System() != s {
+				t.Error("System() wrong")
+			}
+			return th.Compute(0) // free
+		},
+		func(th *CThread) bool { return th.Sync() }, // no children: immediate
+		func(th *CThread) bool { return th.Read(base, 0) },
+	}
+	if elapsed, err := s.Run(&body); err != nil || elapsed != 0 {
+		t.Fatalf("free operations: elapsed %v, err %v", elapsed, err)
+	}
+	s = NewSystem(SandyBridgeXeon())
+	elapsed := runProg(t, s, s.Alloc(1<<12), readLines(32, sequential))
 	if u := s.PeakChannelUtilization(elapsed); u <= 0 {
 		t.Fatalf("PeakChannelUtilization = %v", u)
 	}
@@ -104,16 +141,13 @@ func TestAllocAligned(t *testing.T) {
 func TestCachedReadFasterThanCold(t *testing.T) {
 	s := NewSystem(SandyBridgeXeon())
 	base := s.Alloc(64)
-	var cold, warm sim.Time
-	_, err := s.Run(func(th *CPUThread) {
-		t0 := th.Now()
-		th.Read(base, 8)
-		cold = th.Now() - t0
-		t0 = th.Now()
-		th.Read(base, 8)
-		warm = th.Now() - t0
-	})
-	if err != nil {
+	var t0, cold, warm sim.Time
+	body := script{
+		func(th *CThread) bool { t0 = th.Now(); return th.Read(base, 8) },
+		func(th *CThread) bool { cold = th.Now() - t0; t0 = th.Now(); return th.Read(base, 8) },
+		func(th *CThread) bool { warm = th.Now() - t0; return false },
+	}
+	if _, err := s.Run(&body); err != nil {
 		t.Fatal(err)
 	}
 	if warm >= cold {
@@ -128,18 +162,9 @@ func TestSequentialBeatsRandomViaPrefetch(t *testing.T) {
 	const n = 1 << 14 // 16384 lines = 1 MiB
 	timeFor := func(pattern func(i int64) int64) sim.Time {
 		s := NewSystem(SandyBridgeXeon())
-		base := s.Alloc(n * 64)
-		elapsed, err := s.Run(func(th *CPUThread) {
-			for i := int64(0); i < n; i++ {
-				th.Read(base+pattern(i)*64, 8)
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return elapsed
+		return runProg(t, s, s.Alloc(n*64), readLines(n, pattern))
 	}
-	seq := timeFor(func(i int64) int64 { return i })
+	seq := timeFor(sequential)
 	// Stride the accesses so lines never repeat and never run
 	// sequentially (multiplicative shuffle by an odd constant mod n).
 	rnd := timeFor(func(i int64) int64 { return (i * 2654435761) & (n - 1) })
@@ -152,15 +177,7 @@ func TestPrefetchDisabled(t *testing.T) {
 	cfg := SandyBridgeXeon()
 	cfg.PrefetchDegree = 0
 	s := NewSystem(cfg)
-	base := s.Alloc(1 << 20)
-	_, err := s.Run(func(th *CPUThread) {
-		for i := int64(0); i < 64; i++ {
-			th.Read(base+i*64, 8)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runProg(t, s, s.Alloc(1<<20), readLines(64, sequential))
 	// Exactly the 64 demand lines, no prefetches.
 	if s.DRAMLines != 64 {
 		t.Fatalf("DRAMLines = %d, want 64", s.DRAMLines)
@@ -171,13 +188,7 @@ func TestAccessSpanningTwoLines(t *testing.T) {
 	cfg := SandyBridgeXeon()
 	cfg.PrefetchDegree = 0
 	s := NewSystem(cfg)
-	base := s.Alloc(128)
-	_, err := s.Run(func(th *CPUThread) {
-		th.Read(base+60, 8) // crosses the line boundary
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runProg(t, s, s.Alloc(128), []gop{{kind: 'r', a: 60, n: 8}}) // crosses the line boundary
 	if s.DRAMLines != 2 {
 		t.Fatalf("DRAMLines = %d, want 2", s.DRAMLines)
 	}
@@ -186,16 +197,17 @@ func TestAccessSpanningTwoLines(t *testing.T) {
 func TestSpawnSyncAndCorePlacement(t *testing.T) {
 	s := NewSystem(SandyBridgeXeon())
 	cores := map[int]bool{}
-	_, err := s.Run(func(th *CPUThread) {
-		for i := 0; i < 16; i++ {
-			th.Spawn(func(c *CPUThread) {
+	var root script
+	for i := 0; i < 16; i++ {
+		root = append(root, func(th *CThread) bool {
+			return th.Spawn(&script{func(c *CThread) bool {
 				cores[c.Core()] = true
-				c.Compute(1000)
-			})
-		}
-		th.Sync()
-	})
-	if err != nil {
+				return c.Compute(1000)
+			}})
+		})
+	}
+	root = append(root, func(th *CThread) bool { return th.Sync() })
+	if _, err := s.Run(&root); err != nil {
 		t.Fatal(err)
 	}
 	// Root takes core 0; 16 children must cover many distinct cores.
@@ -206,17 +218,11 @@ func TestSpawnSyncAndCorePlacement(t *testing.T) {
 
 func TestComputeParallelSpeedup(t *testing.T) {
 	elapsedFor := func(workers int) sim.Time {
-		s := NewSystem(SandyBridgeXeon())
-		elapsed, err := s.Run(func(th *CPUThread) {
-			for w := 0; w < workers; w++ {
-				th.Spawn(func(c *CPUThread) { c.Compute(2_600_000) }) // 1 ms each
-			}
-			th.Sync()
-		})
-		if err != nil {
-			t.Fatal(err)
+		var prog []gop
+		for w := 0; w < workers; w++ {
+			prog = append(prog, gop{kind: 's', child: []gop{{kind: 'c', n: 2_600_000}}}) // 1 ms each
 		}
-		return elapsed
+		return runProg(t, NewSystem(SandyBridgeXeon()), 0, append(prog, gop{kind: 'y'}))
 	}
 	one := elapsedFor(1)
 	eight := elapsedFor(8)
@@ -230,39 +236,43 @@ func TestWriteWalksHierarchy(t *testing.T) {
 	cfg.PrefetchDegree = 0
 	s := NewSystem(cfg)
 	base := s.Alloc(64)
-	_, err := s.Run(func(th *CPUThread) {
-		th.Write(base, 8)
-		t0 := th.Now()
-		th.Read(base, 8) // allocated by the write
-		if th.Now()-t0 != s.Cfg.L2Latency {
-			t.Errorf("read after write not an L2 hit")
-		}
-	})
-	if err != nil {
+	var t0 sim.Time
+	body := script{
+		func(th *CThread) bool { return th.Write(base, 8) },
+		func(th *CThread) bool { t0 = th.Now(); return th.Read(base, 8) }, // allocated by the write
+		func(th *CThread) bool {
+			if th.Now()-t0 != s.Cfg.L2Latency {
+				t.Errorf("read after write not an L2 hit")
+			}
+			return false
+		},
+	}
+	if _, err := s.Run(&body); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestDirtyEvictionWritesBack(t *testing.T) {
+// tinyCaches is a prefetch-free Sandy Bridge with a 2-line L2 and a 4-line
+// L3, so evictions happen quickly.
+func tinyCaches() Config {
 	cfg := SandyBridgeXeon()
 	cfg.PrefetchDegree = 0
-	// Tiny caches so evictions happen quickly.
 	cfg.L2Bytes = 2 * 64
 	cfg.L2Assoc = 1
 	cfg.L3Bytes = 4 * 64
 	cfg.L3Assoc = 1
-	s := NewSystem(cfg)
-	base := s.Alloc(1 << 16)
-	_, err := s.Run(func(th *CPUThread) {
-		// Dirty many distinct lines; they must eventually wash out of
-		// the 4-line L3 as writebacks.
-		for i := int64(0); i < 64; i++ {
-			th.Write(base+i*64, 8)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
+	return cfg
+}
+
+func TestDirtyEvictionWritesBack(t *testing.T) {
+	s := NewSystem(tinyCaches())
+	// Dirty many distinct lines; they must eventually wash out of the
+	// 4-line L3 as writebacks.
+	prog := readLines(64, sequential)
+	for i := range prog {
+		prog[i].kind = 'w'
 	}
+	runProg(t, s, s.Alloc(1<<16), prog)
 	if s.WritebackLines == 0 {
 		t.Fatal("no writebacks recorded")
 	}
@@ -272,22 +282,8 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func TestCleanEvictionNoWriteback(t *testing.T) {
-	cfg := SandyBridgeXeon()
-	cfg.PrefetchDegree = 0
-	cfg.L2Bytes = 2 * 64
-	cfg.L2Assoc = 1
-	cfg.L3Bytes = 4 * 64
-	cfg.L3Assoc = 1
-	s := NewSystem(cfg)
-	base := s.Alloc(1 << 16)
-	_, err := s.Run(func(th *CPUThread) {
-		for i := int64(0); i < 64; i++ {
-			th.Read(base+i*64, 8)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewSystem(tinyCaches())
+	runProg(t, s, s.Alloc(1<<16), readLines(64, sequential))
 	if s.WritebackLines != 0 {
 		t.Fatalf("clean lines wrote back %d times", s.WritebackLines)
 	}
@@ -297,20 +293,15 @@ func TestXeonDeterminism(t *testing.T) {
 	trial := func() (sim.Time, uint64) {
 		s := NewSystem(SandyBridgeXeon())
 		base := s.Alloc(1 << 16)
-		elapsed, err := s.Run(func(th *CPUThread) {
-			for w := 0; w < 4; w++ {
-				w := w
-				th.Spawn(func(c *CPUThread) {
-					for i := int64(0); i < 256; i++ {
-						c.Read(base+(i*4+int64(w))*64, 16)
-					}
-				})
+		var prog []gop
+		for w := int64(0); w < 4; w++ {
+			var child []gop
+			for i := int64(0); i < 256; i++ {
+				child = append(child, gop{kind: 'r', a: (i*4 + w) * 64, n: 16})
 			}
-			th.Sync()
-		})
-		if err != nil {
-			t.Fatal(err)
+			prog = append(prog, gop{kind: 's', child: child})
 		}
+		elapsed := runProg(t, s, base, append(prog, gop{kind: 'y'}))
 		return elapsed, s.DRAMLines
 	}
 	e1, d1 := trial()
@@ -324,15 +315,7 @@ func TestRowHitRatioTracksLocality(t *testing.T) {
 	cfg := SandyBridgeXeon()
 	cfg.PrefetchDegree = 0
 	s := NewSystem(cfg)
-	base := s.Alloc(8 << 10) // one DRAM row
-	_, err := s.Run(func(th *CPUThread) {
-		for i := int64(0); i < 128; i++ {
-			th.Read(base+i*64, 8)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	runProg(t, s, s.Alloc(8<<10), readLines(128, sequential)) // one DRAM row
 	if r := s.RowHitRatio(); r < 0.9 {
 		t.Fatalf("sequential row-hit ratio = %v", r)
 	}
