@@ -34,8 +34,10 @@ test:
 # regular suite (kept separate in case slow tests are ever gated).
 test-quick: test
 
+# The per-figure suite plus the per-layer sim and Xeon benchmarks, in one
+# run.
 bench:
-	$(GO) test -bench . -benchmem .
+	$(GO) test -bench . -benchmem . ./internal/sim ./internal/xeon
 
 # Benchmark iterations for archives and the gate; the archived baselines in
 # the repo were recorded with 5 (see DESIGN.md §13).

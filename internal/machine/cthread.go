@@ -21,9 +21,9 @@ import (
 // resource acquisitions in the same order at the same times, counters
 // bumped before waits, trace events and functional memory effects on the
 // same side of each wait. The two engines therefore produce bit-identical
-// (at, seq) event streams for the same kernel — the byte-identical-figures
-// contract — which cthread_test.go and the kernel and figure golden tests
-// enforce.
+// (at, scheduling order) event streams for the same kernel — the
+// byte-identical-figures contract — which cthread_test.go and the kernel and
+// figure golden tests enforce.
 //
 // Bodies implement CBody. A body method that can block returns parked=true
 // after arranging its continuation, and the body's Step must immediately
@@ -492,7 +492,7 @@ func (t *CThread) CSpawnAt(nl int, body CBody) (parked bool) {
 
 // spawnOnCont is Thread.spawnOn for a continuation child: same counters,
 // same trace event, same launch-event pattern — the child's first dispatch
-// claims its seq when the launch fires at its arrival time.
+// is queued when the launch fires at its arrival time.
 //
 //emu:hotpath the continuation spawn path: pooled child, launch event, no closure
 func (t *CThread) spawnOnCont(nl int, at sim.Time, body CBody) {

@@ -11,8 +11,9 @@ package sim
 //
 // Both kinds of proc share every scheduling path (scheduleProc, launch
 // events, fastForward), so a continuation port of a kernel that performs the
-// identical sequence of waits and wakes produces a bit-identical (at, seq)
-// event stream — the byte-identical-figures contract holds across engines.
+// identical sequence of waits and wakes produces a bit-identical
+// (at, scheduling order) event stream — the byte-identical-figures contract
+// holds across engines.
 
 // Stepper is the continuation-form analogue of Runner: the body of a
 // simulated process expressed as a resumable state machine. StepProc is
@@ -27,8 +28,8 @@ type Stepper interface {
 
 // SpawnContAt creates (or recycles) a continuation process driven by s and
 // schedules its first dispatch at absolute time t. It is SpawnAt without the
-// goroutine: the event pattern — one dispatch event whose seq is claimed
-// now — is identical.
+// goroutine: the event pattern — one dispatch event, queued now — is
+// identical.
 //
 //emu:hotpath the continuation spawn path, allocation-free on a pool hit
 func (e *Engine) SpawnContAt(t Time, name string, s Stepper) *Proc {
@@ -44,8 +45,8 @@ func (e *Engine) SpawnContAt(t Time, name string, s Stepper) *Proc {
 }
 
 // LaunchContAt is LaunchAt for continuation processes: the first dispatch is
-// scheduled when the launch event fires at absolute time t, claiming a fresh
-// seq at fire time exactly like the goroutine deferred spawn.
+// scheduled when the launch event fires at absolute time t, queued at fire
+// time exactly like the goroutine deferred spawn.
 //
 //emu:hotpath the continuation deferred spawn path, allocation-free on a pool hit
 func (e *Engine) LaunchContAt(t Time, name string, s Stepper) *Proc {

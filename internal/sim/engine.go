@@ -8,79 +8,27 @@ import "fmt"
 // dispatch at the fire time). Dispatch and launch targets are kept in
 // dedicated fields rather than closures so the context-switch and spawn hot
 // paths (WaitUntil, Unpark, SpawnAt, LaunchAt) allocate nothing per event.
-// Events fire in (at, seq) order so that ties resolve in scheduling order
-// and runs are deterministic.
+// Events fire in time order, ties in scheduling order, so runs are
+// deterministic.
 type event struct {
 	at   Time
-	seq  uint64
 	fn   func()
 	proc *Proc
 }
-
-// before reports whether a fires ahead of b in the engine's (at, seq)
-// total order.
-func (a event) before(b event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-// numLanes bounds how many distinct timestamps can be lane-buffered at
-// once. Machine models rarely have more than a few deadline classes in
-// flight (current tick, plus a handful of operation latencies), so a small
-// lane count absorbs almost all traffic while keeping the push/pop scans
-// tiny. An interleaved four-vs-eight A/B across the bandwidth and chase
-// figures measured no difference beyond run-to-run noise, so the count
-// stays at four; it is a pure perf knob — the k-way merge keeps dispatch
-// order bit-identical at any lane count.
-const numLanes = 4
-
-// lane is a FIFO of events that all share the timestamp at. head indexes
-// the next entry to fire; the lane is empty (and reusable for another
-// timestamp) when head catches up with the slice.
-type lane struct {
-	at   Time
-	evs  []event
-	head int
-}
-
-func (ln *lane) empty() bool { return ln.head == len(ln.evs) }
 
 // Engine is a sequential discrete-event simulator. It is not safe for
 // concurrent use; all interaction must happen from the goroutine that calls
 // Run, or from a Proc while that Proc holds the control token.
 //
-// The pending-event queue has two parts:
-//
-//   - heap: a typed 4-ary min-heap ordered by (at, seq). A 4-ary layout
-//     halves the tree depth of a binary heap and keeps each sibling scan
-//     inside one or two cache lines, and holding event values directly
-//     (instead of container/heap's interface{} boxing) makes push/pop
-//     allocation-free.
-//   - lanes: a small set of FIFOs, each holding events for one exact
-//     timestamp. Simulated machines schedule in bursts of identical
-//     deadlines — every Go/Unpark/dispatch lands at now, and symmetric
-//     nodelets finish same-cost operations at the same future tick — so
-//     most pushes join a lane in O(1) and never touch the heap. A lane
-//     whose events have all fired is re-keyed to the next new timestamp
-//     that needs one; only pushes that find all lanes busy with other
-//     times fall through to the heap.
-//
-// Each lane is appended in scheduling order and holds a single timestamp,
-// so its FIFO order is exactly the (at, seq) order among its entries; the
-// heap is (at, seq)-ordered by construction. next() takes the smallest
-// (at, seq) front across the heap and every lane — a k-way merge of sorted
-// sequences over a strict total order (seq is unique) — so the dispatch
-// order is bit-identical to a single heap's regardless of which queue an
-// event landed in.
+// Pending events live in one monotone radix queue keyed on time (see
+// queue): appends are O(1), a pop either takes the head of the bucket due
+// now or splits the lowest non-empty bucket, and the earliest pending time
+// is one bitmask scan away, which is what the WaitUntil fast-forward reads.
+// Equal times share a bucket in scheduling order, so events fire in
+// (at, scheduling order) without a sequence number.
 type Engine struct {
 	now Time
-	seq uint64
-
-	heap    []event
-	lanes   [numLanes]lane
-	pending int // events scheduled but not yet fired, across heap and lanes
+	q   queue
 
 	// done carries the run's outcome from whichever goroutine drains the
 	// queue (or trips a valve) back to the Run caller. Buffered so the
@@ -120,16 +68,14 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// NewEngineSized is NewEngine with the event queues pre-sized for roughly
-// hint concurrently pending events (machine models pass their hardware
-// thread-context capacity), avoiding growth reallocations during the run.
+// NewEngineSized is NewEngine with the event queue's node slab pre-sized for
+// roughly hint concurrently pending events (machine models pass their
+// hardware thread-context capacity), so the run neither regrows the slab nor
+// makes the GC rescan its growing copies.
 func NewEngineSized(hint int) *Engine {
 	e := NewEngine()
 	if hint > 0 {
-		e.heap = make([]event, 0, hint)
-		for i := range e.lanes {
-			e.lanes[i].evs = make([]event, 0, hint)
-		}
+		e.q.slab = make([]node, 0, hint)
 	}
 	return e
 }
@@ -144,7 +90,7 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) LiveProcs() int { return e.procs }
 
 // Pending reports the number of scheduled events that have not yet fired.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return e.q.len() }
 
 // Schedule registers fn to run at absolute time t. Scheduling in the past is
 // a bug in the caller and panics.
@@ -164,39 +110,13 @@ func (e *Engine) scheduleProc(t Time, p *Proc) {
 	e.schedule(t, event{proc: p})
 }
 
-//emu:hotpath lane-or-heap insert, allocation-free in steady state
+//emu:hotpath queue insert, allocation-free in steady state
 func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	e.seq++
-	e.pending++
 	ev.at = t
-	ev.seq = e.seq
-	// Join the lane already buffering this timestamp, or claim a drained
-	// one for it; only a miss on both falls through to the heap.
-	free := -1
-	for i := range e.lanes {
-		ln := &e.lanes[i]
-		if ln.empty() {
-			if free < 0 {
-				free = i
-			}
-			continue
-		}
-		if ln.at == t {
-			ln.evs = append(ln.evs, ev)
-			return
-		}
-	}
-	if free >= 0 {
-		ln := &e.lanes[free]
-		ln.at = t
-		ln.evs = append(ln.evs[:0], ev)
-		ln.head = 0
-		return
-	}
-	e.pushHeap(ev)
+	e.q.push(ev)
 }
 
 // After registers fn to run d after the current time.
@@ -207,123 +127,18 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// pushHeap inserts ev into the 4-ary min-heap.
-//
-//emu:hotpath
-func (e *Engine) pushHeap(ev event) {
-	e.heap = append(e.heap, ev)
-	h := e.heap
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) >> 2
-		if !ev.before(h[p]) {
-			break
-		}
-		h[i] = h[p]
-		i = p
-	}
-	h[i] = ev
-	e.heap = h
-}
-
-// popHeap removes and returns the minimum event of the 4-ary min-heap.
-//
-//emu:hotpath
-func (e *Engine) popHeap() event {
-	// Vacated slots are not cleared: everything an event references (fn
-	// closures, Procs) is reachable for the whole run anyway, and the
-	// engine is dropped as a unit when the run ends.
-	h := e.heap
-	top := h[0]
-	n := len(h) - 1
-	last := h[n]
-	h = h[:n]
-	e.heap = h
-	if n > 0 {
-		// Bottom-up sift (Wegener): walk the hole from the root to a leaf
-		// along the min-child path, then drop the detached last element in
-		// and bubble it up. The displaced leaf usually belongs near the
-		// bottom, so this saves the per-level comparison against it that a
-		// classic top-down sift would spend on the way.
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			m := c
-			for j := c + 1; j < end; j++ {
-				if h[j].before(h[m]) {
-					m = j
-				}
-			}
-			h[i] = h[m]
-			i = m
-		}
-		for i > 0 {
-			p := (i - 1) >> 2
-			if !last.before(h[p]) {
-				break
-			}
-			h[i] = h[p]
-			i = p
-		}
-		h[i] = last
-	}
-	return top
-}
-
-// next removes and returns the globally earliest pending event: the
-// smallest (at, seq) front across the heap and every lane.
-//
-//emu:hotpath k-way merge front, one pass over four lanes
-func (e *Engine) next() event {
-	e.pending--
-	best := -1 // lane index holding the current minimum; -1 means the heap
-	var bestEv event
-	have := len(e.heap) > 0
-	if have {
-		bestEv = e.heap[0]
-	}
-	for i := range e.lanes {
-		ln := &e.lanes[i]
-		if ln.empty() {
-			continue
-		}
-		if front := ln.evs[ln.head]; !have || front.before(bestEv) {
-			bestEv = front
-			have = true
-			best = i
-		}
-	}
-	if best < 0 {
-		return e.popHeap()
-	}
-	ln := &e.lanes[best]
-	ln.head++
-	if ln.empty() {
-		ln.evs = ln.evs[:0]
-		ln.head = 0
-	}
-	return bestEv
-}
-
 // fastForward is the uncontended-wait fast path behind Proc.WaitUntil: the
 // calling Proc holds the control token and wants to sleep until t. If every
 // pending event fires strictly after t, the dispatch event WaitUntil would
-// schedule — claiming the next seq, at time t — would by construction be
-// the very next event advance pops (any pending event at exactly t holds a
-// smaller seq and would fire first, hence the strict comparison). In that
-// case the schedule/pop round trip and the token hand-back are pure
-// overhead: the engine instead claims the seq and the firing directly and
-// hops the clock to t, leaving (now, seq, fired) — and therefore every
-// subsequent event ordering — bit-identical to the slow path. Runs with a
-// safety valve or interrupt hook in a state the event loop would act on
-// decline the fast path so failure behaviour is byte-for-byte unchanged.
+// schedule at t would by construction be the very next event advance pops
+// (a pending event at exactly t was scheduled earlier and would fire first,
+// hence the strict comparison). In that case the schedule/pop round trip and
+// the token hand-back are pure overhead: the engine instead counts the
+// firing directly and hops the clock to t, leaving (now, fired) — and
+// therefore every subsequent event ordering — bit-identical to the slow
+// path. Runs with a safety valve or interrupt hook in a state the event loop
+// would act on decline the fast path so failure behaviour is byte-for-byte
+// unchanged.
 //
 //emu:hotpath the no-contention wait: a clock hop instead of a queue round trip
 func (e *Engine) fastForward(t Time) bool {
@@ -336,16 +151,9 @@ func (e *Engine) fastForward(t Time) bool {
 	if e.Interrupt != nil && e.fired&1023 == 0 {
 		return false
 	}
-	if len(e.heap) > 0 && e.heap[0].at <= t {
+	if first, ok := e.q.peek(); ok && first <= t {
 		return false
 	}
-	for i := range e.lanes {
-		ln := &e.lanes[i]
-		if ln.head < len(ln.evs) && ln.at <= t {
-			return false
-		}
-	}
-	e.seq++
 	e.fired++
 	e.now = t
 	return true
@@ -362,8 +170,8 @@ func (e *Engine) fastForward(t Time) bool {
 // without any handoff at all.
 // Run may be called again on the same engine after it returns: teardown
 // leaves the engine in a clean reusable state whether the run succeeded or
-// failed (the clock, seq counter, and fired count stay monotonic across
-// runs — simulated time never rewinds).
+// failed (the clock and fired count stay monotonic across runs — simulated
+// time never rewinds).
 func (e *Engine) Run() error {
 	e.done = make(chan error, 1)
 	e.advance(nil)
@@ -377,19 +185,14 @@ func (e *Engine) Run() error {
 // stayed blocked on their resume channels forever, a leak that accumulated
 // in long-lived job servers as watchdog-killed, cancelled, and deadlocked
 // runs piled up — and then clears the scheduling state (un-fired events,
-// live-proc count, failure registry) the failure left behind, so reusing
-// the engine cannot silently misbehave. Closing stop lets the freelisted
-// goroutines, all parked in procLoop's select, exit.
+// live-proc count, failure registry) the failure left behind and re-anchors
+// the queue at the clock, so reusing the engine cannot silently misbehave.
+// Closing stop lets the freelisted goroutines, all parked in procLoop's
+// select, exit.
 func (e *Engine) teardown(failed bool) {
 	if failed {
 		e.abortParked()
-		e.heap = e.heap[:0]
-		for i := range e.lanes {
-			ln := &e.lanes[i]
-			ln.evs = ln.evs[:0]
-			ln.head = 0
-		}
-		e.pending = 0
+		e.q.reset(e.now)
 		e.procs = 0
 	}
 	if e.stop != nil {
@@ -449,7 +252,7 @@ func (e *Engine) abortParked() {
 //emu:hotpath the event loop itself; failure exits allocate via e.failure, which is fine — they end the run
 func (e *Engine) advance(self *Proc) bool {
 	for {
-		if e.Pending() == 0 {
+		if e.q.empty() {
 			if e.procs > 0 {
 				e.done <- e.failure(FailDeadlock, nil)
 			} else {
@@ -467,7 +270,7 @@ func (e *Engine) advance(self *Proc) bool {
 				return false
 			}
 		}
-		ev := e.next()
+		ev := e.q.pop()
 		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
@@ -482,9 +285,9 @@ func (e *Engine) advance(self *Proc) bool {
 			continue
 		}
 		if ev.fn != nil {
-			// Launch: schedule the new proc's first dispatch now, claiming
-			// a fresh seq exactly as the closure-based deferred spawn did
-			// when its Schedule closure fired.
+			// Launch: schedule the new proc's first dispatch now, behind
+			// every event already due now, exactly as the closure-based
+			// deferred spawn did when its Schedule closure fired.
 			e.scheduleProc(e.now, ev.proc)
 			continue
 		}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -109,17 +110,17 @@ func TestEngineEmptyRun(t *testing.T) {
 	}
 }
 
-// Same-time scheduling from inside an event lands in the FIFO lane while
-// earlier entries for the same timestamp sit in the heap; the pop rule must
-// still deliver everything in global seq order.
+// Same-time events scheduled from inside an event join the queue after the
+// earlier same-time entries a split has already moved into the bucket due
+// now; the FIFO append must still deliver everything in scheduling order.
 func TestEngineTieBreakAcrossHeapAndLane(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	// Seeded ahead of time: these go through the heap.
+	// Seeded ahead of time, before the first split.
 	e.Schedule(100, func() {
 		order = append(order, 0)
-		// Scheduled at now: these take the lane, but the heap still holds
-		// two entries for t=100 with smaller seq. They must fire first.
+		// Scheduled at now: these queue behind two entries for t=100 that
+		// were scheduled earlier. They must fire after them.
 		e.Schedule(100, func() { order = append(order, 3) })
 		e.Schedule(100, func() {
 			order = append(order, 4)
@@ -133,13 +134,13 @@ func TestEngineTieBreakAcrossHeapAndLane(t *testing.T) {
 	}
 	for i := 0; i < 6; i++ {
 		if i >= len(order) || order[i] != i {
-			t.Fatalf("heap/lane tie order = %v, want 0..5", order)
+			t.Fatalf("same-time tie order = %v, want 0..5", order)
 		}
 	}
 }
 
-// The lane must fully drain before time advances past a tick even when a
-// strictly earlier heap event exists for a later time.
+// Events scheduled at now from inside an event must all fire before time
+// advances, even with a later event already pending.
 func TestEngineLaneDrainsBeforeTimeAdvances(t *testing.T) {
 	e := NewEngine()
 	var order []string
@@ -162,41 +163,33 @@ func TestEngineLaneDrainsBeforeTimeAdvances(t *testing.T) {
 	}
 }
 
-// A large interleaved stress mix: random-ish timestamps seeded up front plus
-// same-time chains spawned inside events. Two runs must produce identical
-// traces, and each run must be sorted by (time, seq).
+// A large interleaved stress mix: scattered timestamps seeded up front plus
+// same-time chains scheduled inside events. Two runs must fire identical
+// (time, index) traces, and each must pass the FuzzEngineOrder checker:
+// time order, ties in scheduling order.
 func TestEngineHeapLaneStressDeterminism(t *testing.T) {
-	run := func() []Time {
-		e := NewEngine()
-		var trace []Time
+	run := func() []stamp {
+		l := &orderLog{e: NewEngine()}
 		var chain func(depth int)
 		chain = func(depth int) {
-			trace = append(trace, e.Now())
 			if depth > 0 {
-				e.Schedule(e.Now(), func() { chain(depth - 1) })
+				l.schedule(l.e.Now(), func() { chain(depth - 1) })
 			}
 		}
 		for i := 0; i < 200; i++ {
 			d := Time((i * 2654435761) % 37)
 			depth := i % 4
-			e.Schedule(d, func() { chain(depth) })
+			l.schedule(d, func() { chain(depth) })
 		}
-		if err := e.Run(); err != nil {
+		if err := l.e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return trace
+		checkOrder(t, l)
+		return l.fired
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("traces diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-		if i > 0 && a[i] < a[i-1] {
-			t.Fatalf("time went backwards at %d: %v after %v", i, a[i], a[i-1])
-		}
+	if !slices.Equal(a, b) {
+		t.Fatal("two identical runs fired different traces")
 	}
 }
 

@@ -59,7 +59,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // SpawnAt creates (or recycles) a process running r and schedules its first
-// dispatch at absolute time t: one dispatch event whose seq is claimed now.
+// dispatch at absolute time t: one dispatch event, queued now.
 //
 //emu:hotpath the pooled spawn path, allocation-free on a pool hit
 func (e *Engine) SpawnAt(t Time, name string, r Runner) *Proc {
@@ -77,10 +77,10 @@ func (e *Engine) SpawnAt(t Time, name string, r Runner) *Proc {
 // LaunchAt creates (or recycles) a process running r whose first dispatch is
 // scheduled when the launch event fires at absolute time t. This reproduces
 // the event pattern of the closure-based deferred spawn it replaces —
-// Schedule(t, func(){ Go(name, fn) }) — exactly: one event claims a seq now
-// and fires at t; the dispatch event claims a fresh seq at fire time, queuing
-// behind events already scheduled for t. Byte-for-byte the same dispatch
-// order, without the per-spawn closure.
+// Schedule(t, func(){ Go(name, fn) }) — exactly: one event is queued now
+// and fires at t; the dispatch event is queued at fire time, behind events
+// already scheduled for t. Byte-for-byte the same dispatch order, without
+// the per-spawn closure.
 //
 //emu:hotpath the deferred spawn path (machine spawnOn), allocation-free on a pool hit
 func (e *Engine) LaunchAt(t Time, name string, r Runner) *Proc {

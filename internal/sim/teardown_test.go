@@ -169,6 +169,34 @@ func TestEngineReuseAfterSuccess(t *testing.T) {
 	}
 }
 
+// TestEngineReuseAfterMaxTime: a MaxTime trip pops the event past the limit
+// without advancing the clock, so teardown must re-anchor the queue at the
+// clock; events the reused engine schedules between the old clock and the
+// popped event must still fire, in time order.
+func TestEngineReuseAfterMaxTime(t *testing.T) {
+	e := NewEngine()
+	e.MaxTime = 50
+	e.Schedule(10, func() {})
+	e.Schedule(100, func() {})
+	if err := e.Run(); err == nil {
+		t.Fatal("expected the MaxTime valve to trip")
+	}
+	if e.Now() != 10 || e.Pending() != 0 {
+		t.Fatalf("after the trip: now=%v pending=%d, want now=10 pending=0", e.Now(), e.Pending())
+	}
+
+	e.MaxTime = 0
+	var got []Time
+	e.Schedule(99, func() { got = append(got, e.Now()) })
+	e.Schedule(20, func() { got = append(got, e.Now()) })
+	if err := e.Run(); err != nil {
+		t.Fatalf("reused engine failed a clean run: %v", err)
+	}
+	if len(got) != 2 || got[0] != 20 || got[1] != 99 {
+		t.Fatalf("reused run fired at %v, want [20 99]", got)
+	}
+}
+
 // TestFailedRunReleasesContinuationProcs: continuation procs have no
 // goroutine to leak, but a failed run must still reset the live count they
 // contribute to.
