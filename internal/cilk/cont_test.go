@@ -86,8 +86,10 @@ func (b *ctGroupedRoot) Step(t *machine.CThread) bool {
 }
 
 // runEnginePair runs the goroutine and continuation variants of one scenario
-// on fresh systems and fails on any trace/time/counter divergence.
-func runEnginePair(t *testing.T, label string,
+// on fresh systems and fails on any trace/time/counter divergence, and on
+// any drift of the goroutine run from its recorded digest (see
+// golden_test.go).
+func runEnginePair(t *testing.T, label, want string,
 	mkGo func(s *machine.System) func(*machine.Thread),
 	mkCont func(s *machine.System) machine.CBody) {
 	t.Helper()
@@ -104,6 +106,9 @@ func runEnginePair(t *testing.T, label string,
 		}
 		if err != nil {
 			t.Fatalf("%s (cont=%v): %v", label, cont, err)
+		}
+		if !cont {
+			checkDigest(t, label, runDigest(elapsed, rec.events, s, nil), want)
 		}
 		return elapsed, rec.events, s.Counters.Snapshot()
 	}
@@ -132,7 +137,7 @@ func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
-			runEnginePair(t, strat.String(),
+			runEnginePair(t, strat.String(), workersDigests[strat],
 				func(s *machine.System) func(*machine.Thread) {
 					arr := s.Mem.AllocStriped(s.Nodelets())
 					return func(th *machine.Thread) {
@@ -255,7 +260,7 @@ func TestContParallelForMatchesGoroutine(t *testing.T) {
 	for _, tc := range []struct{ n, grain int }{{37, 1}, {37, 4}, {37, 36}, {37, 37}, {37, 100}, {64, 0}, {1, 5}} {
 		tc := tc
 		label := fmt.Sprintf("n=%d/grain=%d", tc.n, tc.grain)
-		runEnginePair(t, label,
+		runEnginePair(t, label, parForDigests[label],
 			func(s *machine.System) func(*machine.Thread) {
 				arr := s.Mem.AllocStriped(tc.n)
 				out := s.Mem.AllocLocal(0, 1)

@@ -38,9 +38,11 @@ func (c *eqCollector) Event(e trace.Event)   { c.events = append(c.events, e) }
 func (c *eqCollector) Sample(s trace.Sample) { c.samples = append(c.samples, s) }
 
 // runEngines runs the scenario on both proc engines and fails the test on
-// the first divergence. mk builds the scenario against a fresh system (so
-// allocations land identically) and returns the two equivalent bodies.
-func runEngines(t *testing.T, cfg Config, plan *fault.Plan, mk func(s *System) (func(*Thread), CBody)) {
+// the first divergence, and on any drift of the goroutine run from its
+// recorded golden digest (see golden_test.go). mk builds the scenario
+// against a fresh system (so allocations land identically) and returns the
+// two equivalent bodies.
+func runEngines(t *testing.T, cfg Config, plan *fault.Plan, want string, mk func(s *System) (func(*Thread), CBody)) {
 	t.Helper()
 	run := func(cont bool) (sim.Time, *eqCollector, []NodeletCounters) {
 		s := NewSystem(cfg)
@@ -59,6 +61,9 @@ func runEngines(t *testing.T, cfg Config, plan *fault.Plan, mk func(s *System) (
 		}
 		if err != nil {
 			t.Fatalf("run (cont=%v) failed: %v", cont, err)
+		}
+		if !cont {
+			checkDigest(t, "goroutine run", scenarioDigest(elapsed, col, s, nil), want)
 		}
 		return elapsed, col, s.Counters.Snapshot()
 	}
@@ -166,7 +171,7 @@ func (b *ctMixed) Step(t *CThread) bool {
 }
 
 func TestContThreadMatchesGoroutineMixedOps(t *testing.T) {
-	runEngines(t, HardwareChick(), nil, func(s *System) (func(*Thread), CBody) {
+	runEngines(t, HardwareChick(), nil, mixedOpsDigest, func(s *System) (func(*Thread), CBody) {
 		local := s.Mem.AllocLocal(0, 2)
 		remote := s.Mem.AllocLocal(3, 1)
 		g := func(th *Thread) {
@@ -235,7 +240,7 @@ func TestContThreadMatchesGoroutineSpawnTree(t *testing.T) {
 	cfg := HardwareChick()
 	cfg.ThreadsPerGC = 2 // squeeze: ContextsPerNodelet() == 2
 	const fan = 32
-	runEngines(t, cfg, nil, func(s *System) (func(*Thread), CBody) {
+	runEngines(t, cfg, nil, spawnTreeDigest, func(s *System) (func(*Thread), CBody) {
 		arr := s.Mem.AllocStriped(s.Nodelets())
 		g := func(th *Thread) {
 			for i := 0; i < fan; i++ {
@@ -304,7 +309,7 @@ func pingScenario(a, b, rounds int) func(s *System) (func(*Thread), CBody) {
 // cards, exercising the migration engine, fabric link, and inter-node tier
 // on both engines.
 func TestContThreadMatchesGoroutineCrossNode(t *testing.T) {
-	runEngines(t, HardwareChickNodes(2), nil, pingScenario(0, 12, 40))
+	runEngines(t, HardwareChickNodes(2), nil, crossNodeDigest, pingScenario(0, 12, 40))
 }
 
 // TestContThreadMatchesGoroutineCrossChassis drives migrations across the
@@ -312,7 +317,7 @@ func TestContThreadMatchesGoroutineCrossNode(t *testing.T) {
 // engines' flight paths.
 func TestContThreadMatchesGoroutineCrossChassis(t *testing.T) {
 	// Nodelet 70 is on node 8, chassis 1; nodelet 0 is chassis 0.
-	runEngines(t, FullSpeedRack(2), nil, pingScenario(0, 70, 25))
+	runEngines(t, FullSpeedRack(2), nil, crossChassisDigest, pingScenario(0, 70, 25))
 }
 
 // TestContThreadMatchesGoroutineUnderFaults covers the migration backoff
@@ -322,7 +327,7 @@ func TestContThreadMatchesGoroutineUnderFaults(t *testing.T) {
 	plan := &fault.Plan{
 		Stalls: []fault.Stall{{Duration: 40 * sim.Microsecond, Period: 100 * sim.Microsecond}},
 	}
-	runEngines(t, HardwareChick(), plan, pingScenario(0, 5, 60))
+	runEngines(t, HardwareChick(), plan, underFaultsDigest, pingScenario(0, 5, 60))
 }
 
 // ctAdder posts n remote adds into acc, alternating a far word and a word on
@@ -368,7 +373,7 @@ func (b *ctAdderRoot) Step(t *CThread) bool {
 // bound, across node cards, and the memory-side sums must agree too.
 func TestContThreadMatchesGoroutineRemoteAdd(t *testing.T) {
 	const fan, n = 48, 40
-	runEngines(t, HardwareChickNodes(2), nil, func(s *System) (func(*Thread), CBody) {
+	runEngines(t, HardwareChickNodes(2), nil, remoteAddDigest, func(s *System) (func(*Thread), CBody) {
 		acc := s.Mem.AllocStriped(s.Nodelets())
 		g := func(th *Thread) {
 			for k := 0; k < fan; k++ {

@@ -69,7 +69,7 @@ func TTVEmu(mcfg machine.Config, cfg TTVConfig) (metrics.Result, error) {
 	}
 	want := t.TTV(v)
 
-	sys := machine.NewSystem(mcfg)
+	sys := newSystem(mcfg)
 	cells := cfg.Dims[0] * cfg.Dims[1]
 
 	// The vector is replicated (the paper's recommendation for common
@@ -103,6 +103,10 @@ func TTVEmu(mcfg machine.Config, cfg TTVConfig) (metrics.Result, error) {
 	}
 	return metrics.Result{Bytes: int64(cfg.NNZ) * 32, Elapsed: elapsed}, nil
 }
+
+// newSystem builds the machine each kernel runs on; the golden tests wrap it
+// to observe the run.
+var newSystem = machine.NewSystem
 
 // packCoord packs (i, j, k) into one word, as an Emu port would to keep
 // the per-entry footprint small (21 bits per mode).

@@ -72,7 +72,7 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	}
 	want := MTTKRPRef(t, b, c, rank)
 
-	sys := machine.NewSystem(mcfg)
+	sys := newSystem(mcfg)
 	nodelets := sys.Nodelets()
 
 	bRep := sys.Mem.AllocReplicated(len(b))
