@@ -37,14 +37,14 @@ const (
 // it before System.Run.
 func NewGraph(sys *System, cfg GraphConfig) (*Graph, error) { return stinger.New(sys, cfg) }
 
-// BFS runs the level-synchronous parallel breadth-first search over g from
-// src with the given worker count; it must be called inside System.Run.
-func BFS(t *Thread, g *Graph, src, workers int) []int64 { return stinger.BFS(t, g, src, workers) }
+// BFS prepares the level-synchronous parallel breadth-first search over g
+// from src with the given worker count; drive it from a running Body.
+func BFS(g *Graph, src, workers int) (*stinger.BFSRun, error) { return stinger.BFS(g, src, workers) }
 
-// Components computes weakly-connected component labels by parallel
-// min-label propagation; it must be called inside System.Run.
-func Components(t *Thread, g *Graph, workers int) []uint64 {
-	return stinger.Components(t, g, workers)
+// Components prepares weakly-connected component labelling by parallel
+// min-label propagation; drive it from a running Body.
+func Components(g *Graph, workers int) (*stinger.ComponentsRun, error) {
+	return stinger.Components(g, workers)
 }
 
 // Sparse-tensor types (see internal/tensor).

@@ -15,14 +15,18 @@ func TestFacadeGraph(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var dist []int64
-	var labels []uint64
-	if _, err := sys.Run(func(root *Thread) {
-		dist = BFS(root, g, 0, 8)
-		labels = Components(root, g, 8)
-	}); err != nil {
+	bfs, err := BFS(g, 0, 8)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cc, err := Components(g, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunCont(&drives{bfs, cc}); err != nil {
+		t.Fatal(err)
+	}
+	dist, labels := bfs.Dist(), cc.Labels()
 	if dist[15] != 15 {
 		t.Fatalf("chain BFS dist[15] = %d", dist[15])
 	}
@@ -61,15 +65,14 @@ func TestFacadeMTTKRP(t *testing.T) {
 func TestFacadeReducer(t *testing.T) {
 	sys := NewSystem(HardwareChick())
 	red := NewSumReducer(sys)
-	var total uint64
-	if _, err := sys.Run(func(root *Thread) {
-		SpawnWorkers(root, 8, 16, SerialRemoteSpawn, func(w *Thread, id int) {
-			red.Add(w, uint64(id))
-		})
-		total = red.Reduce(root)
-	}); err != nil {
+	workers := NewWorkers(8, 16, SerialRemoteSpawn, func(id int) Body {
+		return &script{func(w *Thread) bool { return red.Add(w, uint64(id)) }}
+	})
+	gather := red.Reduce()
+	if _, err := sys.RunCont(&drives{workers, gather}); err != nil {
 		t.Fatal(err)
 	}
+	total := gather.Total()
 	if total != 120 {
 		t.Fatalf("reduced %d, want 120", total)
 	}

@@ -281,13 +281,14 @@ func benchGraphTraversal(b *testing.B, placement Placement) {
 				edges++
 			}
 		}
-		elapsed, err := sys.Run(func(root *Thread) {
-			SpawnWorkers(root, 8, 128, RecursiveRemoteSpawn, func(th *Thread, id int) {
-				for v := id; v < 1024; v += 128 {
-					g.WalkTimed(th, v, func(int, uint64) {})
-				}
-			})
+		walkers := NewWorkers(8, 128, RecursiveRemoteSpawn, func(id int) Body {
+			var walks drives
+			for v := id; v < 1024; v += 128 {
+				walks = append(walks, g.WalkTimed(v, func(*Thread, int, uint64) bool { return true }))
+			}
+			return &walks
 		})
+		elapsed, err := sys.RunCont(&drives{walkers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,12 +320,14 @@ func BenchmarkGraphBFS(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		var dist []int64
-		if _, err := sys.Run(func(root *Thread) {
-			dist = BFS(root, g, 0, 64)
-		}); err != nil {
+		bfs, err := BFS(g, 0, 64)
+		if err != nil {
 			b.Fatal(err)
 		}
+		if _, err := sys.RunCont(&drives{bfs}); err != nil {
+			b.Fatal(err)
+		}
+		dist := bfs.Dist()
 		reached = 0
 		for _, d := range dist {
 			if d >= 0 {

@@ -9,21 +9,41 @@
 // The package is a facade over the internal packages:
 //
 //   - Machine configurations (HardwareChick, SimMatched, FullSpeed) and the
-//     Thread API for writing migratory-thread kernels.
+//     Thread and Body API for writing migratory-thread kernels.
 //   - The four paper benchmarks: STREAM, PointerChase, SpMV, PingPong (plus
 //     GUPS), each on both the Emu model and the Xeon models.
 //   - The experiment registry (Experiments, ExperimentByID) that regenerates
 //     Figs. 4-11 and the scalar anchor tables.
 //
-// A minimal program:
+// Kernels are resumable bodies. A Body's Step issues Thread operations;
+// an operation that must wait reports parked=true, and Step then returns
+// false and is called again once the operation has completed. A minimal
+// program sums a striped array from the main threadlet:
+//
+//	type sum struct {
+//	    at     func(i int) emuchick.Addr
+//	    n, i   int
+//	    loaded bool
+//	    total  uint64
+//	}
+//
+//	func (b *sum) Step(t *emuchick.Thread) bool {
+//	    for ; b.i < b.n; b.i++ {
+//	        if !b.loaded {
+//	            b.loaded = true
+//	            if t.CLoad(b.at(b.i)) { // remote elements migrate the thread
+//	                return false
+//	            }
+//	        }
+//	        b.total += t.Value()
+//	        b.loaded = false
+//	    }
+//	    return true
+//	}
 //
 //	sys := emuchick.NewSystem(emuchick.HardwareChick())
 //	arr := sys.Mem.AllocStriped(1 << 10)
-//	elapsed, err := sys.Run(func(t *emuchick.Thread) {
-//	    for i := 0; i < arr.Len(); i++ {
-//	        t.Load(arr.At(i)) // remote elements migrate the thread
-//	    }
-//	})
+//	elapsed, err := sys.RunCont(&sum{at: arr.At, n: arr.Len()})
 //
 // See DESIGN.md for the model's calibration against the paper's published
 // rates and EXPERIMENTS.md for the paper-vs-measured comparison of every
@@ -50,7 +70,10 @@ type (
 	// System is a single-use simulated Emu machine.
 	System = machine.System
 	// Thread is a Gossamer threadlet; kernels are written against it.
-	Thread = machine.Thread
+	Thread = machine.CThread
+	// Body is a threadlet's resumable program: Step returns true when it
+	// has run to completion, false after an operation parked.
+	Body = machine.CBody
 	// Counters are the per-nodelet event counts the vendor simulator
 	// reports (spawns, migrations, memory operations).
 	Counters = machine.Counters
@@ -100,17 +123,17 @@ const (
 	FullBlockShuffle  = workload.FullBlockShuffle
 )
 
-// SpawnWorkers launches workers across nodelets with the given strategy
-// and joins them; see the cilk package for the four tree shapes.
-func SpawnWorkers(t *Thread, nodelets, workers int, s Strategy, body func(*Thread, int)) {
-	cilk.SpawnWorkers(t, nodelets, workers, s, body)
-}
-
-// ParallelFor is a grain-size parallel loop built from recursive spawning,
-// the stand-in for cilk_for the paper's toolchain lacked.
-func ParallelFor(t *Thread, n, grain int, body func(*Thread, int, int)) {
-	cilk.ParallelFor(t, n, grain, body)
-}
+// Spawn trees (see the cilk package), driven from a running Body's Step:
+// Drive reports parked=true while the tree is still spawning or joining.
+var (
+	// NewWorkers prepares workers bodies spread across nodelets with one
+	// of the four spawn strategies, joined when Drive finishes.
+	NewWorkers = cilk.NewWorkers
+	// NewParallelFor prepares a grain-size parallel loop built from
+	// recursive spawning, the stand-in for cilk_for the paper's toolchain
+	// lacked.
+	NewParallelFor = cilk.NewParallelFor
+)
 
 // Benchmark configurations and entry points (Emu side).
 type (

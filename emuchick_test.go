@@ -2,6 +2,38 @@ package emuchick
 
 import "testing"
 
+// script is a test thread body: its functions run in order, each issuing
+// at most one operation and returning that operation's parked result. A
+// function reads the previous operation's result through Value.
+type script []func(t *Thread) bool
+
+func (s *script) Step(t *Thread) bool {
+	for len(*s) > 0 {
+		op := (*s)[0]
+		*s = (*s)[1:]
+		if op(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// drives is a test thread body that runs each spawn tree or analytics
+// kernel to completion, in order.
+type drives []interface {
+	Drive(t *Thread) (parked bool)
+}
+
+func (d *drives) Step(t *Thread) bool {
+	for len(*d) > 0 {
+		if (*d)[0].Drive(t) {
+			return false
+		}
+		*d = (*d)[1:]
+	}
+	return true
+}
+
 func TestFacadeQuickstart(t *testing.T) {
 	sys := NewSystem(HardwareChick())
 	arr := sys.Mem.AllocStriped(64)
@@ -9,11 +41,15 @@ func TestFacadeQuickstart(t *testing.T) {
 		sys.Mem.Write(arr.At(i), uint64(i))
 	}
 	var sum uint64
-	elapsed, err := sys.Run(func(th *Thread) {
-		for i := 0; i < 64; i++ {
-			sum += th.Load(arr.At(i))
-		}
-	})
+	body := make(script, 0, 65)
+	for i := 0; i < 64; i++ {
+		body = append(body, func(th *Thread) bool {
+			sum += th.Value() // the previous load's word; zero before the first
+			return th.CLoad(arr.At(i))
+		})
+	}
+	body = append(body, func(th *Thread) bool { sum += th.Value(); return false })
+	elapsed, err := sys.RunCont(&body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,16 +94,18 @@ func TestFacadeBenchmarks(t *testing.T) {
 func TestFacadeHelpers(t *testing.T) {
 	sys := NewSystem(HardwareChick())
 	hits := make([]int, 20)
-	if _, err := sys.Run(func(th *Thread) {
-		ParallelFor(th, 20, 4, func(w *Thread, lo, hi int) {
+	loop := NewParallelFor(20, 4, func(lo, hi int) Body {
+		return &script{func(*Thread) bool {
 			for i := lo; i < hi; i++ {
 				hits[i]++
 			}
-		})
-		SpawnWorkers(th, 8, 8, RecursiveRemoteSpawn, func(w *Thread, id int) {
-			w.Compute(10)
-		})
-	}); err != nil {
+			return false
+		}}
+	})
+	workers := NewWorkers(8, 8, RecursiveRemoteSpawn, func(int) Body {
+		return &script{func(w *Thread) bool { return w.CCompute(10) }}
+	})
+	if _, err := sys.RunCont(&drives{loop, workers}); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hits {

@@ -9,22 +9,41 @@ import (
 
 // The simulation is deterministic, so these examples assert exact output.
 
+// sumBody loads words 0..n-1 in order and sums them. A Body issues one
+// operation at a time; when the operation parks, Step returns false and is
+// called again once the operation has completed.
+type sumBody struct {
+	at     func(i int) emuchick.Addr
+	n, i   int
+	loaded bool
+	sum    uint64
+}
+
+func (b *sumBody) Step(t *emuchick.Thread) bool {
+	for ; b.i < b.n; b.i++ {
+		if !b.loaded {
+			b.loaded = true
+			if t.CLoad(b.at(b.i)) { // every remote word migrates the thread
+				return false
+			}
+		}
+		b.sum += t.Value()
+		b.loaded = false
+	}
+	return true
+}
+
 func ExampleNewSystem() {
 	sys := emuchick.NewSystem(emuchick.HardwareChick())
 	arr := sys.Mem.AllocStriped(16) // word i lives on nodelet i mod 8
 	for i := 0; i < 16; i++ {
 		sys.Mem.Write(arr.At(i), uint64(i))
 	}
-	var sum uint64
-	_, err := sys.Run(func(t *emuchick.Thread) {
-		for i := 0; i < 16; i++ {
-			sum += t.Load(arr.At(i)) // every remote word migrates the thread
-		}
-	})
-	if err != nil {
+	body := &sumBody{at: arr.At, n: 16}
+	if _, err := sys.RunCont(body); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("sum:", sum)
+	fmt.Println("sum:", body.sum)
 	fmt.Println("migrations:", sys.Counters.TotalMigrations())
 	// Output:
 	// sum: 120
@@ -43,16 +62,31 @@ func ExampleRunPingPong() {
 	// hardware migration engine: 9.0 M migrations/s
 }
 
-func ExampleSpawnWorkers() {
+// homeBody records the nodelet its worker starts on.
+type homeBody struct {
+	nodelets []int
+	id       int
+}
+
+func (b homeBody) Step(t *emuchick.Thread) bool {
+	b.nodelets[b.id] = t.Nodelet()
+	return true
+}
+
+// tree is a root body that drives a spawn tree until it has joined.
+type tree struct {
+	drive func(t *emuchick.Thread) (parked bool)
+}
+
+func (r tree) Step(t *emuchick.Thread) bool { return !r.drive(t) }
+
+func ExampleNewWorkers() {
 	sys := emuchick.NewSystem(emuchick.HardwareChick())
 	nodelets := make([]int, 8)
-	_, err := sys.Run(func(t *emuchick.Thread) {
-		emuchick.SpawnWorkers(t, 8, 8, emuchick.SerialRemoteSpawn,
-			func(w *emuchick.Thread, id int) {
-				nodelets[id] = w.Nodelet()
-			})
+	workers := emuchick.NewWorkers(8, 8, emuchick.SerialRemoteSpawn, func(id int) emuchick.Body {
+		return homeBody{nodelets, id}
 	})
-	if err != nil {
+	if _, err := sys.RunCont(tree{workers.Drive}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("worker home nodelets:", nodelets)

@@ -55,6 +55,107 @@ type phaseResult struct {
 	migrations uint64
 }
 
+// phases is the main threadlet: it spawns the inserters round-robin over
+// the nodelets and joins them, then drives the walk tree, timing each phase.
+type phases struct {
+	inserters []emuchick.Body
+	walkers   interface {
+		Drive(t *emuchick.Thread) (parked bool)
+	}
+	out                     *phaseResult
+	k                       int
+	started, synced, walked bool
+	t0                      emuchick.Time
+}
+
+func (r *phases) Step(t *emuchick.Thread) bool {
+	if !r.started {
+		r.started = true
+		r.t0 = t.Now()
+	}
+	for r.k < len(r.inserters) {
+		w := r.k
+		r.k++
+		if t.CSpawnAt(w%8, r.inserters[w]) {
+			return false
+		}
+	}
+	if !r.synced {
+		r.synced = true
+		if t.CSync() {
+			return false
+		}
+	}
+	if !r.walked {
+		r.walked = true
+		r.out.insert = t.Now() - r.t0
+		r.t0 = t.Now()
+	}
+	if r.walkers.Drive(t) {
+		return false
+	}
+	r.out.traverse = t.Now() - r.t0
+	return true
+}
+
+// inserter appends the edges whose source is w mod 64, in stream order.
+type inserter struct {
+	g     *stinger.Graph
+	edges []stinger.Edge
+	w, i  int
+	in    *stinger.Insert
+}
+
+func (b *inserter) Step(t *emuchick.Thread) bool {
+	for {
+		if b.in != nil {
+			if b.in.Drive(t) {
+				return false
+			}
+			if err := b.in.Err(); err != nil {
+				log.Fatal(err)
+			}
+			b.in = nil
+		}
+		for b.i < len(b.edges) && b.edges[b.i].Src%64 != b.w {
+			b.i++
+		}
+		if b.i == len(b.edges) {
+			return true
+		}
+		b.in = b.g.InsertTimed(b.edges[b.i])
+		b.i++
+	}
+}
+
+// walker sums the edge weights of vertices v, v+workers, ...
+type walker struct {
+	g    *stinger.Graph
+	v    int
+	sums []uint64
+	walk *stinger.WalkRun
+}
+
+func (b *walker) Step(t *emuchick.Thread) bool {
+	for {
+		if b.walk != nil {
+			if b.walk.Drive(t) {
+				return false
+			}
+			b.walk = nil
+			b.v += workers
+		}
+		if b.v >= vertices {
+			return true
+		}
+		v := b.v
+		b.walk = b.g.WalkTimed(v, func(_ *emuchick.Thread, _ int, w uint64) bool {
+			b.sums[v] += w
+			return true
+		})
+	}
+}
+
 func runPhases(placement stinger.Placement, edges []stinger.Edge) phaseResult {
 	sys := emuchick.NewSystem(emuchick.HardwareChick())
 	g, err := stinger.New(sys, stinger.Config{
@@ -73,38 +174,17 @@ func runPhases(placement stinger.Placement, edges []stinger.Edge) phaseResult {
 
 	var out phaseResult
 	sums := make([]uint64, vertices)
-	_, err = sys.Run(func(root *emuchick.Thread) {
-		// Phase 1: streaming insertion, partitioned by source vertex so
-		// no two threads append to the same chain.
-		t0 := root.Now()
-		for w := 0; w < 64; w++ {
-			w := w
-			root.SpawnAt(w%8, func(th *emuchick.Thread) {
-				for _, e := range edges {
-					if e.Src%64 == w {
-						if err := g.InsertTimed(th, e); err != nil {
-							log.Fatal(err)
-						}
-					}
-				}
-			})
-		}
-		root.Sync()
-		out.insert = root.Now() - t0
-
-		// Phase 2: full traversal.
-		t1 := root.Now()
-		emuchick.SpawnWorkers(root, 8, workers, emuchick.RecursiveRemoteSpawn,
-			func(th *emuchick.Thread, id int) {
-				for v := id; v < vertices; v += workers {
-					var sum uint64
-					g.WalkTimed(th, v, func(dst int, w uint64) { sum += w })
-					sums[v] = sum
-				}
-			})
-		out.traverse = root.Now() - t1
+	// Phase 1: streaming insertion, partitioned by source vertex so no two
+	// threads append to the same chain.
+	inserters := make([]emuchick.Body, 64)
+	for w := range inserters {
+		inserters[w] = &inserter{g: g, edges: edges, w: w}
+	}
+	// Phase 2: full traversal.
+	walkers := emuchick.NewWorkers(8, workers, emuchick.RecursiveRemoteSpawn, func(id int) emuchick.Body {
+		return &walker{g: g, v: id, sums: sums}
 	})
-	if err != nil {
+	if _, err := sys.RunCont(&phases{inserters: inserters, walkers: walkers, out: &out}); err != nil {
 		log.Fatal(err)
 	}
 	for v := 0; v < vertices; v++ {

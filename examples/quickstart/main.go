@@ -12,6 +12,46 @@ import (
 	"emuchick"
 )
 
+// summer is one worker: it loads words i, i+step, ... below n, then posts
+// their sum into the accumulator with a memory-side atomic. Each Thread
+// operation reports parked=true when the threadlet must wait; Step then
+// returns false and is called again once the operation has completed.
+type summer struct {
+	at           func(i int) emuchick.Addr
+	i, n, step   int
+	acc          emuchick.Addr
+	sum          uint64
+	loaded, done bool
+}
+
+func (w *summer) Step(t *emuchick.Thread) bool {
+	for ; w.i < w.n; w.i += w.step {
+		if !w.loaded {
+			w.loaded = true
+			if t.CLoad(w.at(w.i)) {
+				return false
+			}
+		}
+		w.sum += t.Value()
+		w.loaded = false
+	}
+	if !w.done {
+		w.done = true
+		return !t.CRemoteAdd(w.acc, w.sum)
+	}
+	return true
+}
+
+// root is the main threadlet: it spawns the workers and returns once the
+// tree has joined.
+type root struct {
+	workers interface {
+		Drive(t *emuchick.Thread) (parked bool)
+	}
+}
+
+func (r *root) Step(t *emuchick.Thread) bool { return !r.workers.Drive(t) }
+
 func main() {
 	cfg := emuchick.HardwareChick()
 	sys := emuchick.NewSystem(cfg)
@@ -30,19 +70,13 @@ func main() {
 	acc := sys.Mem.AllocLocal(0, 1)
 
 	const workers = 64 // 8 per nodelet
-	elapsed, err := sys.Run(func(root *emuchick.Thread) {
-		emuchick.SpawnWorkers(root, 8, workers, emuchick.RecursiveRemoteSpawn,
-			func(w *emuchick.Thread, id int) {
-				// Worker id serves stripe id mod 8, so every Load is
-				// local; the 8 workers of a nodelet interleave over it.
-				nl, rank := id%8, id/8
-				var sum uint64
-				for i := nl + 8*rank; i < n; i += 8 * (workers / 8) {
-					sum += w.Load(arr.At(i))
-				}
-				w.RemoteAdd(acc.At(0), sum)
-			})
-	})
+	elapsed, err := sys.RunCont(&root{emuchick.NewWorkers(8, workers, emuchick.RecursiveRemoteSpawn,
+		func(id int) emuchick.Body {
+			// Worker id serves stripe id mod 8, so every Load is local; the
+			// 8 workers of a nodelet interleave over it.
+			nl, rank := id%8, id/8
+			return &summer{at: arr.At, i: nl + 8*rank, n: n, step: 8 * (workers / 8), acc: acc.At(0)}
+		})})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,17 +106,11 @@ func main() {
 		sys2.Mem.Write(arr2.At(i), uint64(i))
 	}
 	acc2 := sys2.Mem.AllocLocal(0, 1)
-	elapsed2, err := sys2.Run(func(root *emuchick.Thread) {
-		emuchick.SpawnWorkers(root, 8, workers, emuchick.SerialSpawn,
-			func(w *emuchick.Thread, id int) {
-				nl, rank := id%8, id/8
-				var sum uint64
-				for i := nl + 8*rank; i < n; i += 8 * (workers / 8) {
-					sum += w.Load(arr2.At(i))
-				}
-				w.RemoteAdd(acc2.At(0), sum)
-			})
-	})
+	elapsed2, err := sys2.RunCont(&root{emuchick.NewWorkers(8, workers, emuchick.SerialSpawn,
+		func(id int) emuchick.Body {
+			nl, rank := id%8, id/8
+			return &summer{at: arr2.At, i: nl + 8*rank, n: n, step: 8 * (workers / 8), acc: acc2.At(0)}
+		})})
 	if err != nil {
 		log.Fatal(err)
 	}

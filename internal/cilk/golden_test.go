@@ -60,6 +60,49 @@ var parForDigests = map[string]string{
 // reducerGoldenDigest pins the reducer scenario below.
 const reducerGoldenDigest = "6e80af3393361848c0be3778e9779e421fbf76d6f56f026ed9cf72480ae04cc1"
 
+// script is a test thread body: its functions run in order, each issuing
+// at most one operation and returning that operation's parked result.
+type script []func(t *machine.CThread) bool
+
+func (s *script) Step(t *machine.CThread) bool {
+	for len(*s) > 0 {
+		op := (*s)[0]
+		*s = (*s)[1:]
+		if op(t) {
+			return false
+		}
+	}
+	return true
+}
+
+// driver is anything with the Drive protocol: Workers, ParFor, Grouped,
+// Reduction.
+type driver interface {
+	Drive(t *machine.CThread) (parked bool)
+}
+
+// drives is a test thread body that runs each driver to completion in order.
+type drives []driver
+
+func (d *drives) Step(t *machine.CThread) bool {
+	for len(*d) > 0 {
+		if (*d)[0].Drive(t) {
+			return false
+		}
+		*d = (*d)[1:]
+	}
+	return true
+}
+
+// adds is a worker body posting each value into the reducer in order.
+func adds(red *SumReducer, vs ...uint64) *script {
+	sc := make(script, len(vs))
+	for i, v := range vs {
+		sc[i] = func(w *machine.CThread) bool { return red.Add(w, v) }
+	}
+	return &sc
+}
+
 // TestSumReducerGolden: 24 workers over a recursive remote-spawn tree add
 // uneven counts into the reducer, then the root gathers the partials.
 func TestSumReducerGolden(t *testing.T) {
@@ -67,18 +110,19 @@ func TestSumReducerGolden(t *testing.T) {
 	rec := &streamRecorder{}
 	s.Attach(rec)
 	red := NewSumReducer(s)
-	var total uint64
-	elapsed, err := s.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 24, RecursiveRemoteSpawn, func(w *machine.Thread, id int) {
-			for k := 0; k <= id%5; k++ {
-				red.Add(w, uint64(id+k))
-			}
-		})
-		total = red.Reduce(th)
+	ws := NewWorkers(8, 24, RecursiveRemoteSpawn, func(id int) machine.CBody {
+		var vs []uint64
+		for k := 0; k <= id%5; k++ {
+			vs = append(vs, uint64(id+k))
+		}
+		return adds(red, vs...)
 	})
+	gather := red.Reduce()
+	elapsed, err := s.RunCont(&drives{ws, gather})
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := gather.Total()
 	if v := red.Value(s); v != total {
 		t.Fatalf("Reduce = %d, Value = %d", total, v)
 	}

@@ -7,23 +7,27 @@ import (
 	"emuchick/internal/sim"
 )
 
+// ones is n reducer adds of 1.
+func ones(n int) []uint64 {
+	vs := make([]uint64, n)
+	for i := range vs {
+		vs[i] = 1
+	}
+	return vs
+}
+
 func TestSumReducerCorrectness(t *testing.T) {
 	sys := machine.NewSystem(machine.HardwareChick())
 	red := NewSumReducer(sys)
-	var got uint64
-	_, err := sys.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 32, SerialRemoteSpawn, func(w *machine.Thread, id int) {
-			for k := 0; k <= id; k++ {
-				red.Add(w, 1)
-			}
-		})
-		got = red.Reduce(th)
+	ws := NewWorkers(8, 32, SerialRemoteSpawn, func(id int) machine.CBody {
+		return adds(red, ones(id+1)...)
 	})
-	if err != nil {
+	gather := red.Reduce()
+	if _, err := sys.RunCont(&drives{ws, gather}); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(32 * 33 / 2) // sum of 1..32
-	if got != want {
+	if got := gather.Total(); got != want {
 		t.Fatalf("Reduce = %d, want %d", got, want)
 	}
 	if v := red.Value(sys); v != want {
@@ -34,15 +38,10 @@ func TestSumReducerCorrectness(t *testing.T) {
 func TestSumReducerNeverMigrates(t *testing.T) {
 	sys := machine.NewSystem(machine.HardwareChick())
 	red := NewSumReducer(sys)
-	_, err := sys.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 16, SerialRemoteSpawn, func(w *machine.Thread, id int) {
-			for k := 0; k < 10; k++ {
-				red.Add(w, uint64(k))
-			}
-		})
-		red.Reduce(th)
+	ws := NewWorkers(8, 16, SerialRemoteSpawn, func(int) machine.CBody {
+		return adds(red, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	})
-	if err != nil {
+	if _, err := sys.RunCont(&drives{ws, red.Reduce()}); err != nil {
 		t.Fatal(err)
 	}
 	if m := sys.Counters.TotalMigrations(); m != 0 {
@@ -54,18 +53,14 @@ func TestSumReducerBeatsSharedCell(t *testing.T) {
 	// Accumulating through per-nodelet cells spreads the atomic traffic
 	// over all channels; a single shared cell serializes on one. The
 	// reducer must be measurably faster under load.
-	const workers, adds = 64, 64
+	const workers, nadds = 64, 64
 	elapsedReducer := func() sim.Time {
 		sys := machine.NewSystem(machine.HardwareChick())
 		red := NewSumReducer(sys)
-		elapsed, err := sys.Run(func(th *machine.Thread) {
-			SpawnWorkers(th, 8, workers, SerialRemoteSpawn, func(w *machine.Thread, id int) {
-				for k := 0; k < adds; k++ {
-					red.Add(w, 1)
-				}
-			})
-			red.Reduce(th)
+		ws := NewWorkers(8, workers, SerialRemoteSpawn, func(int) machine.CBody {
+			return adds(red, ones(nadds)...)
 		})
+		elapsed, err := sys.RunCont(&drives{ws, red.Reduce()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,17 +69,18 @@ func TestSumReducerBeatsSharedCell(t *testing.T) {
 	elapsedShared := func() sim.Time {
 		sys := machine.NewSystem(machine.HardwareChick())
 		cell := sys.Mem.AllocLocal(0, 1)
-		elapsed, err := sys.Run(func(th *machine.Thread) {
-			SpawnWorkers(th, 8, workers, SerialRemoteSpawn, func(w *machine.Thread, id int) {
-				for k := 0; k < adds; k++ {
-					w.RemoteAdd(cell.At(0), 1)
-				}
-			})
+		ws := NewWorkers(8, workers, SerialRemoteSpawn, func(int) machine.CBody {
+			sc := make(script, nadds)
+			for k := range sc {
+				sc[k] = func(w *machine.CThread) bool { return w.CRemoteAdd(cell.At(0), 1) }
+			}
+			return &sc
 		})
+		elapsed, err := sys.RunCont(&drives{ws})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := sys.Mem.Read(cell.At(0)); got != workers*adds {
+		if got := sys.Mem.Read(cell.At(0)); got != workers*nadds {
 			t.Fatalf("shared cell = %d", got)
 		}
 		return elapsed

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"emuchick/internal/fault"
 	"emuchick/internal/memsys"
@@ -358,7 +359,8 @@ func (t *CThread) Nodelet() int { return t.nodelet }
 // Now reports the current simulated time.
 func (t *CThread) Now() sim.Time { return t.p.Now() }
 
-// Value returns the word the last completed CLoad read.
+// Value returns the word the last completed CLoad read, or the previous
+// value of the word the last completed CFetchAdd updated.
 func (t *CThread) Value() uint64 { return t.val }
 
 // CCompute charges cycles of non-memory work — Thread.Compute. parked=true
@@ -442,6 +444,63 @@ func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
 	s.Counters.atomics[home]++
 	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
 	s.Mem.Write(a, s.Mem.Read(a)+delta)
+	t.op = opDelay
+	if t.p.SleepUntil(s.postedAccept(issued, served)) {
+		return true
+	}
+	t.op = opNone
+	return false
+}
+
+// CFetchAdd atomically adds delta to the word at a — Thread.FetchAdd: the
+// memory-side processor of a's home nodelet executes it, so the threadlet
+// never migrates but blocks for the round trip. The previous value is
+// available from Value() once the op completes.
+func (t *CThread) CFetchAdd(a memsys.Addr, delta uint64) (parked bool) {
+	s := t.sys
+	home := a.Nodelet()
+	nl := s.nodelets[t.nodelet]
+	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	arrive := issued
+	if home != t.nodelet {
+		arrive += s.flightLatency(t.nodelet, home)
+	}
+	// Read-modify-write occupies the home channel for two word times.
+	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	s.Counters.atomics[home]++
+	t.val = s.Mem.Read(a)
+	s.Mem.Write(a, t.val+delta)
+	finish := served
+	if home != t.nodelet {
+		finish += s.flightLatency(t.nodelet, home) // response flight
+	} else {
+		finish += s.Cfg.MemLatency
+	}
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, finish)
+	t.op = opDelay
+	if t.p.SleepUntil(finish) {
+		return true
+	}
+	t.op = opNone
+	return false
+}
+
+// CRemoteAddFloat posts an atomic float64 accumulation into the word at a —
+// Thread.RemoteAddFloat, with CRemoteAdd's timing.
+func (t *CThread) CRemoteAddFloat(a memsys.Addr, delta float64) (parked bool) {
+	s := t.sys
+	home := a.Nodelet()
+	nl := s.nodelets[t.nodelet]
+	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	arrive := issued
+	if home != t.nodelet {
+		arrive += s.flightLatency(t.nodelet, home)
+	}
+	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	s.Counters.atomics[home]++
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
+	cur := math.Float64frombits(s.Mem.Read(a))
+	s.Mem.Write(a, math.Float64bits(cur+delta))
 	t.op = opDelay
 	if t.p.SleepUntil(s.postedAccept(issued, served)) {
 		return true

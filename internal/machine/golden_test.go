@@ -44,6 +44,22 @@ func checkDigest(t *testing.T, label, got, want string) {
 // and ServiceCall round trips contending for each node's stationary core.
 const atomicsGoldenDigest = "c435c50b310812ffd8747dc8cb05dd681b964d2a72467b5744618ed46542cff5"
 
+// script is a test thread body: its functions run in order, each issuing
+// at most one operation and returning that operation's parked result. A
+// function can read the previous operation's result through Value.
+type script []func(t *CThread) bool
+
+func (s *script) Step(t *CThread) bool {
+	for len(*s) > 0 {
+		op := (*s)[0]
+		*s = (*s)[1:]
+		if op(t) {
+			return false
+		}
+	}
+	return true
+}
+
 // TestAtomicsAndServiceGolden runs fan children spread over two node cards;
 // each performs every atomic kind against a shared word on nodelet 0 and a
 // word on its own nodelet, then an OS request, and the root gathers the
@@ -57,24 +73,38 @@ func TestAtomicsAndServiceGolden(t *testing.T) {
 	acc := s.Mem.AllocStriped(s.Nodelets())
 	facc := s.Mem.AllocStriped(s.Nodelets())
 	results := make([]int64, 3*fan+s.Nodelets()+1)
-	elapsed, err := s.Run(func(root *Thread) {
-		for k := 0; k < fan; k++ {
-			k := k
-			root.SpawnAt(k%root.System().Nodelets(), func(c *Thread) {
-				results[3*k] = int64(c.FetchAdd(acc.At(0), uint64(k+1)))
-				results[3*k+1] = int64(c.FetchAdd(acc.At(c.Nodelet()), 2))
-				c.RemoteAddFloat(facc.At(0), 0.5*float64(k))
-				c.RemoteAddFloat(facc.At(c.Nodelet()), 0.25)
-				results[3*k+2] = int64(c.ServiceCall(int64(100 + 7*k)))
-				c.Compute(5)
-			})
+	child := func(k int) *script {
+		var start sim.Time
+		return &script{
+			func(c *CThread) bool { return c.CFetchAdd(acc.At(0), uint64(k+1)) },
+			func(c *CThread) bool {
+				results[3*k] = int64(c.Value())
+				return c.CFetchAdd(acc.At(c.Nodelet()), 2)
+			},
+			func(c *CThread) bool {
+				results[3*k+1] = int64(c.Value())
+				return c.CRemoteAddFloat(facc.At(0), 0.5*float64(k))
+			},
+			func(c *CThread) bool { return c.CRemoteAddFloat(facc.At(c.Nodelet()), 0.25) },
+			func(c *CThread) bool { start = c.Now(); return c.CServiceCall(int64(100 + 7*k)) },
+			func(c *CThread) bool { results[3*k+2] = int64(c.Now() - start); return c.CCompute(5) },
 		}
-		root.Sync()
-		for nl := 0; nl < root.System().Nodelets(); nl++ {
-			results[3*fan+nl] = int64(root.FetchAdd(acc.At(nl), 0))
-		}
-		results[len(results)-1] = int64(root.ServiceCall(50))
-	})
+	}
+	var root script
+	for k := 0; k < fan; k++ {
+		root = append(root, func(r *CThread) bool { return r.CSpawnAt(k%r.System().Nodelets(), child(k)) })
+	}
+	root = append(root, (*CThread).CSync)
+	for nl := 0; nl < s.Nodelets(); nl++ {
+		root = append(root,
+			func(r *CThread) bool { return r.CFetchAdd(acc.At(nl), 0) },
+			func(r *CThread) bool { results[3*fan+nl] = int64(r.Value()); return false })
+	}
+	var start sim.Time
+	root = append(root,
+		func(r *CThread) bool { start = r.Now(); return r.CServiceCall(50) },
+		func(r *CThread) bool { results[len(results)-1] = int64(r.Now() - start); return false })
+	elapsed, err := s.RunCont(&root)
 	if err != nil {
 		t.Fatal(err)
 	}

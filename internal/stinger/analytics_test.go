@@ -77,17 +77,24 @@ func randomGraph(t *testing.T, sys *machine.System, vertices, edges int, seed ui
 	return g
 }
 
+// runBFS runs a BFS from src as the root threadlet's only work.
+func runBFS(t *testing.T, sys *machine.System, g *Graph, src, workers int) []int64 {
+	t.Helper()
+	bfs, err := BFS(g, src, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunCont(&phases{then: []driver{bfs}}); err != nil {
+		t.Fatal(err)
+	}
+	return bfs.Dist()
+}
+
 func TestBFSMatchesReference(t *testing.T) {
 	sys := machine.NewSystem(machine.HardwareChick())
 	g := randomGraph(t, sys, 48, 120, 3)
 	want := refBFS(g, 0)
-	var got []int64
-	_, err := sys.Run(func(root *machine.Thread) {
-		got = BFS(root, g, 0, 16)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := runBFS(t, sys, g, 0, 16)
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, got[v], want[v])
@@ -106,12 +113,7 @@ func TestBFSLinearChain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var got []int64
-	if _, err := sys.Run(func(root *machine.Thread) {
-		got = BFS(root, g, 0, 8)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := runBFS(t, sys, g, 0, 8)
 	for v := 0; v < 20; v++ {
 		if got[v] != int64(v) {
 			t.Fatalf("chain dist[%d] = %d", v, got[v])
@@ -128,12 +130,7 @@ func TestBFSUnreachable(t *testing.T) {
 	if err := g.BuildInsert(Edge{0, 1, 1}); err != nil {
 		t.Fatal(err)
 	}
-	var got []int64
-	if _, err := sys.Run(func(root *machine.Thread) {
-		got = BFS(root, g, 0, 4)
-	}); err != nil {
-		t.Fatal(err)
-	}
+	got := runBFS(t, sys, g, 0, 4)
 	if got[0] != 0 || got[1] != 1 || got[7] != -1 {
 		t.Fatalf("dist = %v", got)
 	}
@@ -143,12 +140,14 @@ func TestComponentsMatchReference(t *testing.T) {
 	sys := machine.NewSystem(machine.HardwareChick())
 	g := randomGraph(t, sys, 40, 50, 9)
 	wantRoots := refComponents(g)
-	var got []uint64
-	if _, err := sys.Run(func(root *machine.Thread) {
-		got = Components(root, g, 16)
-	}); err != nil {
+	cc, err := Components(g, 16)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sys.RunCont(&phases{then: []driver{cc}}); err != nil {
+		t.Fatal(err)
+	}
+	got := cc.Labels()
 	// Labels must induce the same partition as union-find roots.
 	for a := 0; a < 40; a++ {
 		for b := a + 1; b < 40; b++ {
@@ -180,12 +179,14 @@ func TestBFSProperty(t *testing.T) {
 		}
 		src := int(srcRaw) % 24
 		want := refBFS(g, src)
-		var got []int64
-		if _, err := sys.Run(func(root *machine.Thread) {
-			got = BFS(root, g, src, 8)
-		}); err != nil {
+		bfs, err := BFS(g, src, 8)
+		if err != nil {
 			return false
 		}
+		if _, err := sys.RunCont(&phases{then: []driver{bfs}}); err != nil {
+			return false
+		}
+		got := bfs.Dist()
 		for v := range want {
 			if got[v] != want[v] {
 				return false
@@ -195,5 +196,40 @@ func TestBFSProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAnalyticsRejectBadArguments: a BFS or components pass without
+// workers would return an unexplored result, and an out-of-range BFS
+// source has no distance cell, so the constructors refuse both.
+func TestAnalyticsRejectBadArguments(t *testing.T) {
+	sys := machine.NewSystem(machine.HardwareChick())
+	g, err := New(sys, Config{Vertices: 16, EdgesPerBlock: 2, Placement: PlaceAtVertex, PoolBlocksPerNodelet: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 15; v++ {
+		if err := g.BuildInsert(Edge{v, v + 1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, workers := range []int{0, -1} {
+		if _, err := BFS(g, 0, workers); err == nil {
+			t.Errorf("BFS with %d workers accepted", workers)
+		}
+		if _, err := Components(g, workers); err == nil {
+			t.Errorf("Components with %d workers accepted", workers)
+		}
+	}
+	for _, src := range []int{-1, 16} {
+		if _, err := BFS(g, src, 4); err == nil {
+			t.Errorf("BFS from source %d accepted", src)
+		}
+	}
+	// One worker still explores the whole chain.
+	for v, d := range runBFS(t, sys, g, 0, 1) {
+		if d != int64(v) {
+			t.Fatalf("one-worker chain dist[%d] = %d", v, d)
+		}
 	}
 }

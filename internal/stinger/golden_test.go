@@ -68,37 +68,38 @@ func TestGraphKernelsGolden(t *testing.T) {
 			}
 			edges := goldenEdges()
 			sums := make([]uint64, g.Vertices())
-			var dist []int64
-			var labels []uint64
-			elapsed, err := sys.Run(func(root *machine.Thread) {
-				for w := 0; w < 8; w++ {
-					w := w
-					root.SpawnAt(w, func(th *machine.Thread) {
-						for _, e := range edges {
-							if e.Src%8 == w {
-								if err := g.InsertTimed(th, e); err != nil {
-									t.Error(err)
-								}
-							}
-						}
-					})
-				}
-				root.Sync()
-				for w := 0; w < 6; w++ {
-					w := w
-					root.SpawnAt((3*w)%8, func(th *machine.Thread) {
-						for v := w; v < g.Vertices(); v += 6 {
-							g.WalkTimed(th, v, func(_ int, wt uint64) { sums[v] += wt })
-						}
-					})
-				}
-				root.Sync()
-				dist = BFS(root, g, 5, 6)
-				labels = Components(root, g, 5)
-			})
+			bfs, err := BFS(g, 5, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
+			cc, err := Components(g, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inserters := make([]machine.CBody, 8)
+			for w := range inserters {
+				var mine []Edge
+				for _, e := range edges {
+					if e.Src%8 == w {
+						mine = append(mine, e)
+					}
+				}
+				inserters[w] = &inserter{t: t, g: g, edges: mine}
+			}
+			walkers := make([]machine.CBody, 6)
+			for w := range walkers {
+				walkers[w] = &summer{g: g, v: w, step: 6, sums: sums}
+			}
+			root := &phases{
+				spawn: [][]machine.CBody{inserters, walkers},
+				at:    [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 3, 6, 1, 4, 7}},
+				then:  []driver{bfs, cc},
+			}
+			elapsed, err := sys.RunCont(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dist, labels := bfs.Dist(), cc.Labels()
 			for v, d := range refBFS(g, 5) {
 				if dist[v] != d {
 					t.Fatalf("dist[%d] = %d, want %d", v, dist[v], d)
@@ -108,6 +109,103 @@ func TestGraphKernelsGolden(t *testing.T) {
 			if want := graphGoldenDigests[placement]; got != want {
 				t.Errorf("digest drifted:\n  got  %s\n  want %s", got, want)
 			}
+		})
+	}
+}
+
+// driver is anything with the cilk Drive protocol.
+type driver interface {
+	Drive(t *machine.CThread) (parked bool)
+}
+
+// phases is a root body: for each phase it spawns every body at its nodelet
+// and joins them, then drives each of then to completion in order.
+type phases struct {
+	spawn  [][]machine.CBody
+	at     [][]int
+	then   []driver
+	ph, k  int
+	synced bool
+}
+
+func (r *phases) Step(t *machine.CThread) bool {
+	for r.ph < len(r.spawn) {
+		if r.k < len(r.spawn[r.ph]) {
+			k := r.k
+			r.k++
+			if t.CSpawnAt(r.at[r.ph][k], r.spawn[r.ph][k]) {
+				return false
+			}
+			continue
+		}
+		if !r.synced {
+			r.synced = true
+			if t.CSync() {
+				return false
+			}
+		}
+		r.ph, r.k, r.synced = r.ph+1, 0, false
+	}
+	for len(r.then) > 0 {
+		if r.then[0].Drive(t) {
+			return false
+		}
+		r.then = r.then[1:]
+	}
+	return true
+}
+
+// inserter appends its edges in order with timed inserts.
+type inserter struct {
+	t     *testing.T
+	g     *Graph
+	edges []Edge
+	in    *Insert
+}
+
+func (b *inserter) Step(th *machine.CThread) bool {
+	for {
+		if b.in != nil {
+			if b.in.Drive(th) {
+				return false
+			}
+			if err := b.in.Err(); err != nil {
+				b.t.Error(err)
+			}
+			b.in = nil
+		}
+		if len(b.edges) == 0 {
+			return true
+		}
+		b.in = b.g.InsertTimed(b.edges[0])
+		b.edges = b.edges[1:]
+	}
+}
+
+// summer walks vertices v, v+step, ... summing each one's edge weights.
+type summer struct {
+	g       *Graph
+	v, step int
+	sums    []uint64
+	walk    *WalkRun
+}
+
+func (b *summer) Step(th *machine.CThread) bool {
+	for {
+		if b.walk != nil {
+			if b.walk.Drive(th) {
+				return false
+			}
+			b.walk = nil
+			b.v += b.step
+		}
+		if b.v >= b.g.Vertices() {
+			return true
+		}
+		v := b.v
+		b.walk = b.g.WalkTimed(v, func(_ *machine.CThread, _ int, w uint64) bool {
+			b.sums[v] += w
+			return true
 		})
 	}
 }

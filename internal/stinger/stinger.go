@@ -138,49 +138,134 @@ func (g *Graph) placementNodelet(v int) int {
 	}
 }
 
-// InsertTimed appends one edge at simulated time, called from a kernel
-// thread. Concurrent inserts to the SAME source vertex must be serialized
-// by the caller (partition batches by source), exactly as lock-free
-// STINGER updates partition work.
-func (g *Graph) InsertTimed(t *machine.Thread, e Edge) error {
-	if e.Src < 0 || e.Src >= g.cfg.Vertices || e.Dst < 0 || e.Dst >= g.cfg.Vertices {
-		return fmt.Errorf("stinger: edge %v out of range", e)
-	}
-	// Reading the vertex record migrates the thread to v's home nodelet.
-	tail := t.Load(g.tail.At(e.Src))
-	var tailAddr memsys.Addr
-	needBlock := tail == nilRef
-	if !needBlock {
-		tailAddr = memsys.Addr(tail)
-		cnt := t.Load(tailAddr.Plus(blockCount))
-		needBlock = int(cnt) >= g.cfg.EdgesPerBlock
-	}
-	if needBlock {
-		nl := g.placementNodelet(e.Src)
-		// Claim a pool slot with a memory-side atomic; no migration.
-		slot := t.FetchAdd(g.cursors.At(nl), 1)
-		if int(slot) >= g.cfg.PoolBlocksPerNodelet {
-			return fmt.Errorf("stinger: nodelet %d block pool exhausted", nl)
+// InsertTimed prepares one edge append at simulated time, to be driven from
+// a kernel threadlet. Concurrent inserts to the SAME source vertex must be
+// serialized by the caller (partition batches by source), exactly as
+// lock-free STINGER updates partition work.
+func (g *Graph) InsertTimed(e Edge) *Insert { return &Insert{g: g, e: e} }
+
+// Insert is a timed edge append in progress, with the cilk Drive protocol:
+// Drive reports parked=true when the enclosing Step must return, and once it
+// reports parked=false the append has finished and Err holds its outcome.
+type Insert struct {
+	g        *Graph
+	e        Edge
+	err      error
+	pc       uint8
+	nl       int // the new block's nodelet
+	tail     uint64
+	tailAddr memsys.Addr
+	blk      memsys.Addr
+	cnt      uint64
+}
+
+// Err reports why the insert failed (an out-of-range edge or an exhausted
+// block pool), or nil.
+func (in *Insert) Err() error { return in.err }
+
+// Drive advances the insert.
+func (in *Insert) Drive(t *machine.CThread) (parked bool) {
+	g, e := in.g, in.e
+	for {
+		switch in.pc {
+		case 0:
+			if e.Src < 0 || e.Src >= g.cfg.Vertices || e.Dst < 0 || e.Dst >= g.cfg.Vertices {
+				in.err = fmt.Errorf("stinger: edge %v out of range", e)
+				in.pc = 13
+				continue
+			}
+			// Reading the vertex record migrates the thread to v's home nodelet.
+			in.pc = 1
+			if t.CLoad(g.tail.At(e.Src)) {
+				return true
+			}
+		case 1:
+			in.tail = t.Value()
+			if in.tail == nilRef {
+				in.pc = 3
+				continue
+			}
+			in.tailAddr = memsys.Addr(in.tail)
+			in.pc = 2
+			if t.CLoad(in.tailAddr.Plus(blockCount)) {
+				return true
+			}
+		case 2:
+			in.pc = 8
+			if int(t.Value()) >= g.cfg.EdgesPerBlock {
+				in.pc = 3
+			}
+		case 3:
+			in.nl = g.placementNodelet(e.Src)
+			// Claim a pool slot with a memory-side atomic; no migration.
+			in.pc = 4
+			if t.CFetchAdd(g.cursors.At(in.nl), 1) {
+				return true
+			}
+		case 4:
+			slot := int(t.Value())
+			if slot >= g.cfg.PoolBlocksPerNodelet {
+				in.err = fmt.Errorf("stinger: nodelet %d block pool exhausted", in.nl)
+				in.pc = 13
+				continue
+			}
+			in.blk = g.pools[in.nl].At(slot * g.blockWords())
+			// Initialize the block (posted remote stores if the pool is on
+			// another nodelet).
+			in.pc = 5
+			if t.CStore(in.blk.Plus(blockNext), nilRef) {
+				return true
+			}
+		case 5:
+			in.pc = 6
+			if t.CStore(in.blk.Plus(blockCount), 0) {
+				return true
+			}
+		case 6:
+			link := in.tailAddr.Plus(blockNext)
+			if in.tail == nilRef {
+				link = g.head.At(e.Src)
+			}
+			in.pc = 7
+			if t.CStore(link, uint64(in.blk)) {
+				return true
+			}
+		case 7:
+			in.tailAddr = in.blk
+			in.pc = 8
+			if t.CStore(g.tail.At(e.Src), uint64(in.blk)) {
+				return true
+			}
+		case 8:
+			in.pc = 9
+			if t.CLoad(in.tailAddr.Plus(blockCount)) { // may migrate to the block's nodelet
+				return true
+			}
+		case 9:
+			in.cnt = t.Value()
+			in.pc = 10
+			if t.CStore(in.tailAddr.Plus(blockHdr+2*int(in.cnt)), uint64(e.Dst)) {
+				return true
+			}
+		case 10:
+			in.pc = 11
+			if t.CStore(in.tailAddr.Plus(blockHdr+2*int(in.cnt)+1), e.Weight) {
+				return true
+			}
+		case 11:
+			in.pc = 12
+			if t.CStore(in.tailAddr.Plus(blockCount), in.cnt+1) {
+				return true
+			}
+		case 12:
+			in.pc = 13
+			if t.CRemoteAdd(g.deg.At(e.Src), 1) {
+				return true
+			}
+		case 13:
+			return false
 		}
-		blk := g.pools[nl].At(int(slot) * g.blockWords())
-		// Initialize the block (posted remote stores if the pool is on
-		// another nodelet).
-		t.Store(blk.Plus(blockNext), nilRef)
-		t.Store(blk.Plus(blockCount), 0)
-		if tail == nilRef {
-			t.Store(g.head.At(e.Src), uint64(blk))
-		} else {
-			t.Store(tailAddr.Plus(blockNext), uint64(blk))
-		}
-		t.Store(g.tail.At(e.Src), uint64(blk))
-		tailAddr = blk
 	}
-	cnt := t.Load(tailAddr.Plus(blockCount)) // may migrate to the block's nodelet
-	t.Store(tailAddr.Plus(blockHdr+2*int(cnt)), uint64(e.Dst))
-	t.Store(tailAddr.Plus(blockHdr+2*int(cnt)+1), e.Weight)
-	t.Store(tailAddr.Plus(blockCount), cnt+1)
-	t.RemoteAdd(g.deg.At(e.Src), 1)
-	return nil
 }
 
 // BuildInsert appends one edge functionally at setup time (zero simulated
@@ -226,22 +311,104 @@ func (g *Graph) BuildInsert(e Edge) error {
 // Degree functionally reads vertex v's degree.
 func (g *Graph) Degree(v int) uint64 { return g.sys.Mem.Read(g.deg.At(v)) }
 
-// WalkTimed traverses vertex v's chain at simulated time, invoking visit
-// for every (dst, weight) pair. The first load migrates the thread to v's
-// home nodelet; each block hop may migrate again under PlaceRoundRobin.
-func (g *Graph) WalkTimed(t *machine.Thread, v int, visit func(dst int, w uint64)) {
-	addr := t.Load(g.head.At(v))
-	for addr != nilRef {
-		blk := memsys.Addr(addr)
-		next := t.Load(blk.Plus(blockNext))
-		cnt := t.Load(blk.Plus(blockCount))
-		for e := 0; e < int(cnt); e++ {
-			dst := t.Load(blk.Plus(blockHdr + 2*e))
-			w := t.Load(blk.Plus(blockHdr + 2*e + 1))
-			visit(int(dst), w)
+// WalkTimed prepares a traversal of vertex v's chain at simulated time,
+// invoking visit for every (dst, weight) pair. The first load migrates the
+// threadlet to v's home nodelet; each block hop may migrate again under
+// PlaceRoundRobin.
+//
+// visit may itself issue CThread operations: it returns done=false right
+// after one of them reported parked=true, and is then called again with the
+// same edge once the threadlet resumes, exactly like a CBody's Step.
+func (g *Graph) WalkTimed(v int, visit func(t *machine.CThread, dst int, w uint64) (done bool)) *WalkRun {
+	return &WalkRun{g: g, v: v, visit: visit}
+}
+
+// WalkRun is a timed traversal in progress, with the cilk Drive protocol:
+// parked=false means every edge has been visited.
+type WalkRun struct {
+	g         *Graph
+	v         int
+	visit     func(t *machine.CThread, dst int, w uint64) bool
+	blk       memsys.Addr
+	next, cnt uint64
+	e, dst    int
+	w         uint64
+	pc        uint8
+}
+
+// reset points a finished walk at vertex v, so one worker reuses its walk.
+func (wr *WalkRun) reset(v int) { wr.v, wr.pc = v, 0 }
+
+// Drive advances the walk.
+func (wr *WalkRun) Drive(t *machine.CThread) (parked bool) {
+	for {
+		switch wr.pc {
+		case 0:
+			wr.pc = 1
+			if t.CLoad(wr.g.head.At(wr.v)) {
+				return true
+			}
+		case 1: // at a chain link: the value read is the next block or nilRef
+			addr := t.Value()
+			if addr == nilRef {
+				wr.pc = 9
+				continue
+			}
+			wr.blk = memsys.Addr(addr)
+			wr.pc = 2
+			if t.CLoad(wr.blk.Plus(blockNext)) {
+				return true
+			}
+		case 2:
+			wr.next = t.Value()
+			wr.pc = 3
+			if t.CLoad(wr.blk.Plus(blockCount)) {
+				return true
+			}
+		case 3:
+			wr.cnt = t.Value()
+			wr.e = 0
+			wr.pc = 4
+		case 4: // edge head
+			if wr.e >= int(wr.cnt) {
+				wr.pc = 8
+				if t.CCompute(8) {
+					return true
+				}
+				continue
+			}
+			wr.pc = 5
+			if t.CLoad(wr.blk.Plus(blockHdr + 2*wr.e)) {
+				return true
+			}
+		case 5:
+			wr.dst = int(t.Value())
+			wr.pc = 6
+			if t.CLoad(wr.blk.Plus(blockHdr + 2*wr.e + 1)) {
+				return true
+			}
+		case 6:
+			wr.w = t.Value()
+			wr.pc = 7
+		case 7:
+			if !wr.visit(t, wr.dst, wr.w) {
+				return true
+			}
+			wr.e++
+			wr.pc = 4
+		case 8: // block done: hop to the next one
+			if wr.next == nilRef {
+				wr.pc = 9
+				continue
+			}
+			wr.blk = memsys.Addr(wr.next)
+			wr.pc = 2
+			if t.CLoad(wr.blk.Plus(blockNext)) {
+				return true
+			}
+		case 9:
+			return false
 		}
-		t.Compute(8)
-		addr = next
 	}
 }
 

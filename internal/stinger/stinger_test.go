@@ -58,23 +58,17 @@ func TestInsertTimedMatchesBuildInsert(t *testing.T) {
 	}
 	// Timed inserts, partitioned by source so per-vertex order is
 	// preserved and concurrent appenders never share a chain.
-	_, err := sysA.Run(func(root *machine.Thread) {
-		for w := 0; w < 8; w++ {
-			w := w
-			root.SpawnAt(w, func(th *machine.Thread) {
-				for _, e := range edges {
-					if e.Src%8 == w {
-						if err := a.InsertTimed(th, e); err != nil {
-							t.Error(err)
-							return
-						}
-					}
-				}
-			})
+	inserters := make([]machine.CBody, 8)
+	for w := range inserters {
+		var mine []Edge
+		for _, e := range edges {
+			if e.Src%8 == w {
+				mine = append(mine, e)
+			}
 		}
-		root.Sync()
-	})
-	if err != nil {
+		inserters[w] = &inserter{t: t, g: a, edges: mine}
+	}
+	if _, err := sysA.RunCont(&phases{spawn: [][]machine.CBody{inserters}, at: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 64; v++ {
@@ -107,20 +101,12 @@ func TestWalkTimedVisitsAllEdges(t *testing.T) {
 		want[e.Src] += e.Weight
 	}
 	got := make([]uint64, 64)
-	_, err := sys.Run(func(root *machine.Thread) {
-		for w := 0; w < 16; w++ {
-			w := w
-			root.SpawnAt(w%8, func(th *machine.Thread) {
-				for v := w; v < 64; v += 16 {
-					var sum uint64
-					g.WalkTimed(th, v, func(dst int, wt uint64) { sum += wt })
-					got[v] = sum
-				}
-			})
-		}
-		root.Sync()
-	})
-	if err != nil {
+	walkers := make([]machine.CBody, 16)
+	at := make([]int, 16)
+	for w := range walkers {
+		walkers[w], at[w] = &summer{g: g, v: w, step: 16, sums: got}, w%8
+	}
+	if _, err := sys.RunCont(&phases{spawn: [][]machine.CBody{walkers}, at: [][]int{at}}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 64; v++ {
@@ -139,18 +125,11 @@ func TestPlacementDrivesMigrations(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		_, err := sys.Run(func(root *machine.Thread) {
-			for w := 0; w < 8; w++ {
-				w := w
-				root.SpawnAt(w, func(th *machine.Thread) {
-					for v := w; v < 64; v += 8 {
-						g.WalkTimed(th, v, func(int, uint64) {})
-					}
-				})
-			}
-			root.Sync()
-		})
-		if err != nil {
+		walkers := make([]machine.CBody, 8)
+		for w := range walkers {
+			walkers[w] = &summer{g: g, v: w, step: 8, sums: make([]uint64, 64)}
+		}
+		if _, err := sys.RunCont(&phases{spawn: [][]machine.CBody{walkers}, at: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Counters.TotalMigrations()

@@ -51,6 +51,22 @@ type TTVConfig struct {
 	GrainNNZ int
 }
 
+// MaxModeSize bounds every mode of an Emu tensor kernel's tensor. Entries
+// pack their coordinates into 21-bit fields of one word (packCoord) and
+// sort on a key with 20-bit J and K fields (sortByIJ), so a larger mode
+// would corrupt coordinates mid-simulation rather than fail cleanly.
+const MaxModeSize = 1 << 20
+
+// checkDims rejects mode sizes the packed layout cannot hold.
+func checkDims(dims [3]int) error {
+	for m, d := range dims {
+		if d < 1 || d > MaxModeSize {
+			return fmt.Errorf("tensor: mode %d size %d outside [1, %d]", m, d, MaxModeSize)
+		}
+	}
+	return nil
+}
+
 // TTVEmu contracts a random tensor's mode 2 with a dyadic vector on a
 // fresh machine and verifies against the reference TTV. Effective bytes
 // count each entry's packed coordinates, value, vector read, and output
@@ -58,6 +74,9 @@ type TTVConfig struct {
 func TTVEmu(mcfg machine.Config, cfg TTVConfig) (metrics.Result, error) {
 	if cfg.NNZ <= 0 || cfg.GrainNNZ <= 0 {
 		return metrics.Result{}, fmt.Errorf("tensor: invalid TTV config %+v", cfg)
+	}
+	if err := checkDims(cfg.Dims); err != nil {
+		return metrics.Result{}, err
 	}
 	t := Random(cfg.Dims, cfg.NNZ, workload.NewRNG(cfg.Seed))
 	if err := t.Validate(); err != nil {
@@ -83,17 +102,14 @@ func TTVEmu(mcfg machine.Config, cfg TTVConfig) (metrics.Result, error) {
 	ya := sys.Mem.AllocStriped(cells)
 
 	var elapsed sim.Time
-	var runErr error
-	switch cfg.Layout {
-	case Layout1D:
-		elapsed, runErr = ttv1D(sys, t, vr, ya, cfg.GrainNNZ)
-	case Layout2D:
-		elapsed, runErr = ttv2D(sys, t, vr, ya, cfg.GrainNNZ)
-	default:
-		return metrics.Result{}, fmt.Errorf("tensor: unknown layout %v", cfg.Layout)
+	root, err := placeEntries(sys, t, cfg.Layout, cfg.GrainNNZ, &elapsed, func(coords, vals vector, lo, hi int) machine.CBody {
+		return &ttvLeaf{vr: vr, ya: ya, cols: t.Dims[1], coords: coords, vals: vals, n: lo, hi: hi}
+	})
+	if err != nil {
+		return metrics.Result{}, err
 	}
-	if runErr != nil {
-		return metrics.Result{}, runErr
+	if _, err := sys.RunCont(root); err != nil {
+		return metrics.Result{}, err
 	}
 	for c := 0; c < cells; c++ {
 		got := math.Float64frombits(sys.Mem.Read(ya.At(c)))
@@ -118,73 +134,163 @@ func unpackCoord(w uint64) (i, j, k int32) {
 	return int32(w >> 42 & 0x1FFFFF), int32(w >> 21 & 0x1FFFFF), int32(w & 0x1FFFFF)
 }
 
-// ttv1D stripes the coordinate and value arrays word-by-word.
-func ttv1D(sys *machine.System, t *COO, vr memsys.Replicated, ya memsys.Striped, grain int) (sim.Time, error) {
-	coords := sys.Mem.AllocStriped(t.NNZ())
-	vals := sys.Mem.AllocStriped(t.NNZ())
-	for n := 0; n < t.NNZ(); n++ {
-		sys.Mem.Write(coords.At(n), packCoord(t.I[n], t.J[n], t.K[n]))
-		sys.Mem.Write(vals.At(n), math.Float64bits(t.Val[n]))
-	}
-	var elapsed sim.Time
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		cilk.ParallelFor(root, t.NNZ(), grain, func(w *machine.Thread, lo, hi int) {
-			for n := lo; n < hi; n++ {
-				cw := w.Load(coords.At(n)) // migrates to nodelet n mod N
-				i, j, k := unpackCoord(cw)
-				val := math.Float64frombits(w.Load(vals.At(n))) // local: same stripe
-				vk := math.Float64frombits(w.Load(vr.At(w.Nodelet(), int(k))))
-				w.RemoteAddFloat(ya.At(int(i)*t.Dims[1]+int(j)), val*vk)
-				w.Compute(ttvNNZCycles)
-			}
-		})
-		elapsed = root.Now() - t0
-	})
-	return elapsed, err
+// vector addresses one dimension of words: a striped array, or one
+// nodelet's shard of a blocked one.
+type vector interface{ At(i int) memsys.Addr }
+
+// shard views one nodelet's chunk of a blocked allocation as a vector.
+type shard struct {
+	b  memsys.Blocked
+	nl int
 }
 
-// ttv2D deals mode-0 slices round-robin: nodelet nl holds the entries of
-// slices i with i mod N == nl, contiguous in its shard.
-func ttv2D(sys *machine.System, t *COO, vr memsys.Replicated, ya memsys.Striped, grain int) (sim.Time, error) {
-	nodelets := sys.Nodelets()
-	perNL := make([]int, nodelets)
-	for n := 0; n < t.NNZ(); n++ {
-		perNL[int(t.I[n])%nodelets]++
-	}
-	coords := sys.Mem.AllocBlocked(perNL)
-	vals := sys.Mem.AllocBlocked(perNL)
-	fill := make([]int, nodelets)
-	for n := 0; n < t.NNZ(); n++ {
-		nl := int(t.I[n]) % nodelets
-		sys.Mem.Write(coords.At(nl, fill[nl]), packCoord(t.I[n], t.J[n], t.K[n]))
-		sys.Mem.Write(vals.At(nl, fill[nl]), math.Float64bits(t.Val[n]))
-		fill[nl]++
-	}
-	var elapsed sim.Time
-	_, err := sys.Run(func(root *machine.Thread) {
-		t0 := root.Now()
-		for nl := 0; nl < nodelets; nl++ {
-			nl := nl
-			count := perNL[nl]
+func (s shard) At(i int) memsys.Addr { return s.b.At(s.nl, i) }
+
+// placeEntries writes t's packed coordinates and values under the layout
+// and builds the root body that runs leaf over every entry. Layout1D
+// stripes both arrays word-by-word (a migration on nearly every entry) and
+// the root runs one ParallelFor over them itself. Layout2D deals mode-0
+// slices round-robin — nodelet nl holds the entries of slices i with
+// i mod N == nl, contiguous in its shard — and the root spawns one
+// ParallelFor coordinator per populated nodelet, there, over its shard.
+func placeEntries(sys *machine.System, t *COO, layout Layout, grain int, out *sim.Time,
+	leaf func(coords, vals vector, lo, hi int) machine.CBody) (*timedRoot, error) {
+	root := &timedRoot{out: out}
+	switch layout {
+	case Layout1D:
+		coords := sys.Mem.AllocStriped(t.NNZ())
+		vals := sys.Mem.AllocStriped(t.NNZ())
+		for n := 0; n < t.NNZ(); n++ {
+			sys.Mem.Write(coords.At(n), packCoord(t.I[n], t.J[n], t.K[n]))
+			sys.Mem.Write(vals.At(n), math.Float64bits(t.Val[n]))
+		}
+		root.loop = cilk.NewParallelFor(t.NNZ(), grain, func(lo, hi int) machine.CBody {
+			return leaf(coords, vals, lo, hi)
+		})
+	case Layout2D:
+		nodelets := sys.Nodelets()
+		perNL := make([]int, nodelets)
+		for n := 0; n < t.NNZ(); n++ {
+			perNL[int(t.I[n])%nodelets]++
+		}
+		coords := sys.Mem.AllocBlocked(perNL)
+		vals := sys.Mem.AllocBlocked(perNL)
+		fill := make([]int, nodelets)
+		for n := 0; n < t.NNZ(); n++ {
+			nl := int(t.I[n]) % nodelets
+			sys.Mem.Write(coords.At(nl, fill[nl]), packCoord(t.I[n], t.J[n], t.K[n]))
+			sys.Mem.Write(vals.At(nl, fill[nl]), math.Float64bits(t.Val[n]))
+			fill[nl]++
+		}
+		for nl, count := range perNL {
 			if count == 0 {
 				continue
 			}
-			root.SpawnAt(nl, func(coord *machine.Thread) {
-				cilk.ParallelFor(coord, count, grain, func(w *machine.Thread, lo, hi int) {
-					for n := lo; n < hi; n++ {
-						cw := w.Load(coords.At(nl, n)) // local
-						i, j, k := unpackCoord(cw)
-						val := math.Float64frombits(w.Load(vals.At(nl, n)))
-						vk := math.Float64frombits(w.Load(vr.At(nl, int(k))))
-						w.RemoteAddFloat(ya.At(int(i)*t.Dims[1]+int(j)), val*vk)
-						w.Compute(ttvNNZCycles)
-					}
-				})
-			})
+			c, v := shard{coords, nl}, shard{vals, nl}
+			root.nls = append(root.nls, nl)
+			root.coords = append(root.coords, cilk.NewParallelFor(count, grain, func(lo, hi int) machine.CBody {
+				return leaf(c, v, lo, hi)
+			}))
 		}
-		root.Sync()
-		elapsed = root.Now() - t0
-	})
-	return elapsed, err
+	default:
+		return nil, fmt.Errorf("tensor: unknown layout %v", layout)
+	}
+	return root, nil
+}
+
+// timedRoot is a kernel's root body: it runs its loop itself (Layout1D) or
+// spawns each coordinator on its nodelet (Layout2D), joins, and records the
+// elapsed time from body start to the join.
+type timedRoot struct {
+	loop   *cilk.ParFor
+	nls    []int
+	coords []machine.CBody
+	out    *sim.Time
+	t0     sim.Time
+	k      int
+	pc     uint8
+}
+
+func (r *timedRoot) Step(t *machine.CThread) bool {
+	for {
+		switch r.pc {
+		case 0:
+			r.t0 = t.Now()
+			r.pc = 1
+		case 1:
+			if r.loop != nil && r.loop.Drive(t) {
+				return false
+			}
+			r.pc = 2
+		case 2:
+			if r.k < len(r.coords) {
+				k := r.k
+				r.k++
+				if t.CSpawnAt(r.nls[k], r.coords[k]) {
+					return false
+				}
+				continue
+			}
+			r.pc = 3
+			if t.CSync() {
+				return false
+			}
+		case 3:
+			*r.out = t.Now() - r.t0
+			return true
+		}
+	}
+}
+
+// ttvLeaf contracts entries [n, hi): load the packed coordinates (migrating
+// to the entry under Layout1D), the value and the local replica of v[k],
+// post the product into Y(i, j), and charge the loop's compute.
+type ttvLeaf struct {
+	vr           memsys.Replicated
+	ya           memsys.Striped
+	cols         int
+	coords, vals vector
+	n, hi        int
+	i, j, k      int32
+	val          float64
+	pc           uint8
+}
+
+func (w *ttvLeaf) Step(t *machine.CThread) bool {
+	for {
+		switch w.pc {
+		case 0:
+			if w.n >= w.hi {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(w.coords.At(w.n)) { // migrates to nodelet n mod N under 1D
+				return false
+			}
+		case 1:
+			w.i, w.j, w.k = unpackCoord(t.Value())
+			w.pc = 2
+			if t.CLoad(w.vals.At(w.n)) { // local: same stripe
+				return false
+			}
+		case 2:
+			w.val = math.Float64frombits(t.Value())
+			w.pc = 3
+			if t.CLoad(w.vr.At(t.Nodelet(), int(w.k))) {
+				return false
+			}
+		case 3:
+			vk := math.Float64frombits(t.Value())
+			w.pc = 4
+			if t.CRemoteAddFloat(w.ya.At(int(w.i)*w.cols+int(w.j)), w.val*vk) {
+				return false
+			}
+		case 4:
+			w.n++
+			w.pc = 0
+			if t.CCompute(ttvNNZCycles) {
+				return false
+			}
+		}
+	}
 }

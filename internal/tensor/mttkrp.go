@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
@@ -57,6 +56,9 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	if cfg.NNZ <= 0 || cfg.GrainNNZ <= 0 || cfg.Rank <= 0 {
 		return metrics.Result{}, fmt.Errorf("tensor: invalid MTTKRP config %+v", cfg)
 	}
+	if err := checkDims(cfg.Dims); err != nil {
+		return metrics.Result{}, err
+	}
 	t := Random(cfg.Dims, cfg.NNZ, newRNGFor(cfg.Seed))
 	if err := t.Validate(); err != nil {
 		return metrics.Result{}, err
@@ -73,8 +75,6 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	want := MTTKRPRef(t, b, c, rank)
 
 	sys := newSystem(mcfg)
-	nodelets := sys.Nodelets()
-
 	bRep := sys.Mem.AllocReplicated(len(b))
 	cRep := sys.Mem.AllocReplicated(len(c))
 	for i, v := range b {
@@ -85,75 +85,14 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	}
 	ya := sys.Mem.AllocStriped(cfg.Dims[0] * rank)
 
-	// body processes one nonzero from the thread's resident shard.
-	body := func(w *machine.Thread, coordA, valA memsys.Addr) {
-		i, j, k := unpackCoord(w.Load(coordA))
-		v := math.Float64frombits(w.Load(valA))
-		nl := w.Nodelet()
-		for r := 0; r < rank; r++ {
-			bb := math.Float64frombits(w.Load(bRep.At(nl, int(j)*rank+r)))
-			cc := math.Float64frombits(w.Load(cRep.At(nl, int(k)*rank+r)))
-			w.RemoteAddFloat(ya.At(int(i)*rank+r), v*bb*cc)
-			w.Compute(mttkrpNNZCyclesPerRank)
-		}
-	}
-
 	var elapsed sim.Time
-	var err error
-	switch cfg.Layout {
-	case Layout1D:
-		coords := sys.Mem.AllocStriped(t.NNZ())
-		vals := sys.Mem.AllocStriped(t.NNZ())
-		for n := 0; n < t.NNZ(); n++ {
-			sys.Mem.Write(coords.At(n), packCoord(t.I[n], t.J[n], t.K[n]))
-			sys.Mem.Write(vals.At(n), math.Float64bits(t.Val[n]))
-		}
-		_, err = sys.Run(func(root *machine.Thread) {
-			t0 := root.Now()
-			cilk.ParallelFor(root, t.NNZ(), cfg.GrainNNZ, func(w *machine.Thread, lo, hi int) {
-				for n := lo; n < hi; n++ {
-					body(w, coords.At(n), vals.At(n))
-				}
-			})
-			elapsed = root.Now() - t0
-		})
-	case Layout2D:
-		perNL := make([]int, nodelets)
-		for n := 0; n < t.NNZ(); n++ {
-			perNL[int(t.I[n])%nodelets]++
-		}
-		coords := sys.Mem.AllocBlocked(perNL)
-		vals := sys.Mem.AllocBlocked(perNL)
-		fill := make([]int, nodelets)
-		for n := 0; n < t.NNZ(); n++ {
-			nl := int(t.I[n]) % nodelets
-			sys.Mem.Write(coords.At(nl, fill[nl]), packCoord(t.I[n], t.J[n], t.K[n]))
-			sys.Mem.Write(vals.At(nl, fill[nl]), math.Float64bits(t.Val[n]))
-			fill[nl]++
-		}
-		_, err = sys.Run(func(root *machine.Thread) {
-			t0 := root.Now()
-			for nl := 0; nl < nodelets; nl++ {
-				nl := nl
-				count := perNL[nl]
-				if count == 0 {
-					continue
-				}
-				root.SpawnAt(nl, func(coord *machine.Thread) {
-					cilk.ParallelFor(coord, count, cfg.GrainNNZ, func(w *machine.Thread, lo, hi int) {
-						for n := lo; n < hi; n++ {
-							body(w, coords.At(nl, n), vals.At(nl, n))
-						}
-					})
-				})
-			}
-			root.Sync()
-			elapsed = root.Now() - t0
-		})
-	default:
-		return metrics.Result{}, fmt.Errorf("tensor: unknown layout %v", cfg.Layout)
-	}
+	root, err := placeEntries(sys, t, cfg.Layout, cfg.GrainNNZ, &elapsed, func(coords, vals vector, lo, hi int) machine.CBody {
+		return &mttkrpLeaf{b: bRep, c: cRep, ya: ya, rank: rank, coords: coords, vals: vals, n: lo, hi: hi}
+	})
 	if err != nil {
+		return metrics.Result{}, err
+	}
+	if _, err := sys.RunCont(root); err != nil {
 		return metrics.Result{}, err
 	}
 	for idx, w := range want {
@@ -166,6 +105,75 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	// R output accumulations, 8 bytes each.
 	bytes := int64(cfg.NNZ) * int64(2+3*rank) * 8
 	return metrics.Result{Bytes: bytes, Elapsed: elapsed}, nil
+}
+
+// mttkrpLeaf processes entries [n, hi) from the threadlet's resident shard:
+// load the packed coordinates and the value, then for each rank column the
+// two local factor replicas, post the product into Y(i, r), and charge the
+// column's compute.
+type mttkrpLeaf struct {
+	b, c         memsys.Replicated
+	ya           memsys.Striped
+	rank         int
+	coords, vals vector
+	n, hi        int
+	i, j, k      int32
+	nl, r        int
+	v, bb        float64
+	pc           uint8
+}
+
+func (w *mttkrpLeaf) Step(t *machine.CThread) bool {
+	for {
+		switch w.pc {
+		case 0:
+			if w.n >= w.hi {
+				return true
+			}
+			w.pc = 1
+			if t.CLoad(w.coords.At(w.n)) {
+				return false
+			}
+		case 1:
+			w.i, w.j, w.k = unpackCoord(t.Value())
+			w.pc = 2
+			if t.CLoad(w.vals.At(w.n)) {
+				return false
+			}
+		case 2:
+			w.v = math.Float64frombits(t.Value())
+			w.nl, w.r = t.Nodelet(), 0
+			w.pc = 3
+		case 3: // rank-column head
+			if w.r >= w.rank {
+				w.n++
+				w.pc = 0
+				continue
+			}
+			w.pc = 4
+			if t.CLoad(w.b.At(w.nl, int(w.j)*w.rank+w.r)) {
+				return false
+			}
+		case 4:
+			w.bb = math.Float64frombits(t.Value())
+			w.pc = 5
+			if t.CLoad(w.c.At(w.nl, int(w.k)*w.rank+w.r)) {
+				return false
+			}
+		case 5:
+			cc := math.Float64frombits(t.Value())
+			w.pc = 6
+			if t.CRemoteAddFloat(w.ya.At(int(w.i)*w.rank+w.r), w.v*w.bb*cc) {
+				return false
+			}
+		case 6:
+			w.r++
+			w.pc = 3
+			if t.CCompute(mttkrpNNZCyclesPerRank) {
+				return false
+			}
+		}
+	}
 }
 
 // newRNGFor isolates MTTKRP's tensors from TTV's for equal seeds.

@@ -154,3 +154,22 @@ func TestTTVEmuRejectsBadConfig(t *testing.T) {
 		t.Fatal("layout names wrong")
 	}
 }
+
+// TestOversizedModesRejected: entries pack each coordinate into a 21-bit
+// field and sort on 20-bit J/K key fields, so both kernels refuse a mode
+// beyond MaxModeSize (or an empty one) before building the tensor, instead
+// of corrupting coordinates mid-simulation. A mode of exactly MaxModeSize
+// still runs.
+func TestOversizedModesRejected(t *testing.T) {
+	for _, dims := range [][3]int{{1, 1 << 22, 1}, {MaxModeSize + 1, 4, 4}, {4, 4, MaxModeSize + 1}, {4, 0, 4}} {
+		if _, err := TTVEmu(machine.HardwareChick(), TTVConfig{Dims: dims, NNZ: 16, Seed: 1, Layout: Layout2D, GrainNNZ: 4}); err == nil {
+			t.Errorf("TTV accepted dims %v", dims)
+		}
+		if _, err := MTTKRPEmu(machine.HardwareChick(), MTTKRPConfig{Dims: dims, NNZ: 16, Rank: 2, Seed: 1, Layout: Layout2D, GrainNNZ: 4}); err == nil {
+			t.Errorf("MTTKRP accepted dims %v", dims)
+		}
+	}
+	if _, err := TTVEmu(machine.HardwareChick(), TTVConfig{Dims: [3]int{1, MaxModeSize, 2}, NNZ: 16, Seed: 1, Layout: Layout2D, GrainNNZ: 4}); err != nil {
+		t.Fatalf("TTV at the mode limit: %v", err)
+	}
+}

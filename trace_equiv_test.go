@@ -70,13 +70,16 @@ func tracedChase(t *testing.T, obs Observer) (Time, []machine.NodeletCounters) {
 		sys.SampleEvery(100 * sim.Nanosecond)
 	}
 	arr := sys.Mem.AllocStriped(1 << 10)
-	elapsed, err := sys.Run(func(th *Thread) {
-		SpawnWorkers(th, 8, 32, RecursiveRemoteSpawn, func(w *Thread, id int) {
-			for i := id; i < arr.Len(); i += 32 {
-				w.Store(arr.At(i), w.Load(arr.At(i))+1)
-			}
-		})
+	workers := NewWorkers(8, 32, RecursiveRemoteSpawn, func(id int) Body {
+		var sc script
+		for i := id; i < arr.Len(); i += 32 {
+			sc = append(sc,
+				func(w *Thread) bool { return w.CLoad(arr.At(i)) },
+				func(w *Thread) bool { return w.CStore(arr.At(i), w.Value()+1) })
+		}
+		return &sc
 	})
+	elapsed, err := sys.RunCont(&drives{workers})
 	if err != nil {
 		t.Fatal(err)
 	}
