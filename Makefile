@@ -13,17 +13,19 @@ check: build vet lint test bench-gate serve-smoke chaos-smoke
 build:
 	$(GO) build ./...
 
-# go vet, then a gofmt gate: fail if any tracked .go file has drifted from
-# gofmt (make check runs this).
+# go vet (the root module, then the benchmark harness, which is its own
+# module and so outside ./...), then a gofmt gate: fail if any tracked .go
+# file has drifted from gofmt (make check runs this).
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# The repo's own analyzer suite (cmd/emulint): determinism, park-site,
-# hot-path allocation, no-handoff, seed-flow, fingerprint, and
-# observer-guard contracts — interprocedural since the funcfacts pass,
-# with per-analyzer timing reported on stderr (-v).
+# The repo's own analyzer suite (cmd/emulint): determinism, hot-path
+# allocation, seed-flow, fingerprint, and observer-guard contracts —
+# interprocedural since the funcfacts pass, with per-analyzer timing
+# reported on stderr (-v).
 lint:
 	$(GO) run ./cmd/emulint -v ./...
 

@@ -23,6 +23,14 @@ type (
 	GraphEdge = stinger.Edge
 	// Placement selects where new edge blocks are allocated.
 	Placement = stinger.Placement
+	// GraphInsert is a timed insert in progress (Graph.InsertTimed).
+	GraphInsert = stinger.Insert
+	// GraphWalk is a timed adjacency walk in progress (Graph.WalkTimed).
+	GraphWalk = stinger.WalkRun
+	// BFSRun is a breadth-first search in progress (BFS).
+	BFSRun = stinger.BFSRun
+	// ComponentsRun is a component labelling in progress (Components).
+	ComponentsRun = stinger.ComponentsRun
 )
 
 // Edge-block placement policies.
@@ -39,11 +47,11 @@ func NewGraph(sys *System, cfg GraphConfig) (*Graph, error) { return stinger.New
 
 // BFS prepares the level-synchronous parallel breadth-first search over g
 // from src with the given worker count; drive it from a running Body.
-func BFS(g *Graph, src, workers int) (*stinger.BFSRun, error) { return stinger.BFS(g, src, workers) }
+func BFS(g *Graph, src, workers int) (*BFSRun, error) { return stinger.BFS(g, src, workers) }
 
 // Components prepares weakly-connected component labelling by parallel
 // min-label propagation; drive it from a running Body.
-func Components(g *Graph, workers int) (*stinger.ComponentsRun, error) {
+func Components(g *Graph, workers int) (*ComponentsRun, error) {
 	return stinger.Components(g, workers)
 }
 
@@ -74,9 +82,14 @@ type MTTKRPConfig = tensor.MTTKRPConfig
 // verifying against the host reference.
 func RunMTTKRP(cfg Config, mc MTTKRPConfig) (Result, error) { return tensor.MTTKRPEmu(cfg, mc) }
 
-// SumReducer is the migratory-thread analogue of a Cilk sum reducer:
-// per-nodelet partials updated with local memory-side atomics.
-type SumReducer = cilk.SumReducer
+type (
+	// SumReducer is the migratory-thread analogue of a Cilk sum reducer:
+	// per-nodelet partials updated with local memory-side atomics.
+	SumReducer = cilk.SumReducer
+	// Reduction is a reducer's final gather in progress
+	// (SumReducer.Reduce).
+	Reduction = cilk.Reduction
+)
 
 // NewSumReducer allocates one partial-sum cell per nodelet; call it before
 // System.Run.

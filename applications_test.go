@@ -23,7 +23,7 @@ func TestFacadeGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunCont(&drives{bfs, cc}); err != nil {
+	if _, err := sys.Run(&drives{bfs, cc}); err != nil {
 		t.Fatal(err)
 	}
 	dist, labels := bfs.Dist(), cc.Labels()
@@ -69,7 +69,7 @@ func TestFacadeReducer(t *testing.T) {
 		return &script{func(w *Thread) bool { return red.Add(w, uint64(id)) }}
 	})
 	gather := red.Reduce()
-	if _, err := sys.RunCont(&drives{workers, gather}); err != nil {
+	if _, err := sys.Run(&drives{workers, gather}); err != nil {
 		t.Fatal(err)
 	}
 	total := gather.Total()

@@ -288,7 +288,7 @@ func benchGraphTraversal(b *testing.B, placement Placement) {
 			}
 			return &walks
 		})
-		elapsed, err := sys.RunCont(&drives{walkers})
+		elapsed, err := sys.Run(&drives{walkers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func BenchmarkGraphBFS(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sys.RunCont(&drives{bfs}); err != nil {
+		if _, err := sys.Run(&drives{bfs}); err != nil {
 			b.Fatal(err)
 		}
 		dist := bfs.Dist()

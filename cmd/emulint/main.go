@@ -1,8 +1,7 @@
-// Command emulint is the repo's contract multichecker: seven analyzers
+// Command emulint is the repo's contract multichecker: five analyzers
 // (plus the funcfacts dependency they share) that turn the reproduction's
-// determinism, hot-path, no-handoff, park-site, seed-flow, fingerprint,
-// and observer-guard promises into compile-time checks (see DESIGN.md
-// sections 12 and 17).
+// determinism, hot-path, seed-flow, fingerprint, and observer-guard
+// promises into compile-time checks (see DESIGN.md sections 12 and 17).
 //
 // Usage:
 //

@@ -59,8 +59,8 @@ func TestToJSON(t *testing.T) {
 	diags := []analysis.Diagnostic{
 		{
 			Pos:      token.Position{Filename: "a.go", Line: 3, Column: 9},
-			Analyzer: "nohandoff",
-			Message:  "no-handoff path: channel send can block the goroutine",
+			Analyzer: "hotpathalloc",
+			Message:  "hot path: make allocates",
 		},
 		{
 			Pos:        token.Position{Filename: "b.go", Line: 8, Column: 1},
@@ -71,8 +71,8 @@ func TestToJSON(t *testing.T) {
 	}
 	got := toJSON(diags)
 	want := []jsonDiagnostic{
-		{File: "a.go", Line: 3, Col: 9, Analyzer: "nohandoff",
-			Message: "no-handoff path: channel send can block the goroutine"},
+		{File: "a.go", Line: 3, Col: 9, Analyzer: "hotpathalloc",
+			Message: "hot path: make allocates"},
 		{File: "b.go", Line: 8, Col: 1, Analyzer: "seedflow",
 			Message: "seed derives from package-level variable counter", Suppressed: true},
 	}

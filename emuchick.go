@@ -43,7 +43,7 @@
 //
 //	sys := emuchick.NewSystem(emuchick.HardwareChick())
 //	arr := sys.Mem.AllocStriped(1 << 10)
-//	elapsed, err := sys.RunCont(&sum{at: arr.At, n: arr.Len()})
+//	elapsed, err := sys.Run(&sum{at: arr.At, n: arr.Len()})
 //
 // See DESIGN.md for the model's calibration against the paper's published
 // rates and EXPERIMENTS.md for the paper-vs-measured comparison of every
@@ -123,8 +123,23 @@ const (
 	FullBlockShuffle  = workload.FullBlockShuffle
 )
 
-// Spawn trees (see the cilk package), driven from a running Body's Step:
-// Drive reports parked=true while the tree is still spawning or joining.
+// Spawn trees (see the cilk package), driven from a running Body's Step.
+type (
+	// Driver is a resumable spawn tree: Drive reports parked=true while the
+	// tree is still spawning or joining (the Body's Step must then return
+	// false) and parked=false once it has joined.
+	Driver = cilk.Driver
+	// Workers is the spawn tree NewWorkers builds.
+	Workers = cilk.Workers
+	// ParFor is the parallel loop NewParallelFor builds.
+	ParFor = cilk.ParFor
+	// Fanout spawns each body added to it on its nodelet, in order, then
+	// joins them; the zero value is empty.
+	Fanout = cilk.Fanout
+	// Timed is the measured tree NewTimed builds; it is also a Body.
+	Timed = cilk.Timed
+)
+
 var (
 	// NewWorkers prepares workers bodies spread across nodelets with one
 	// of the four spawn strategies, joined when Drive finishes.
@@ -133,6 +148,9 @@ var (
 	// recursive spawning, the stand-in for cilk_for the paper's toolchain
 	// lacked.
 	NewParallelFor = cilk.NewParallelFor
+	// NewTimed wraps a Driver so its simulated time, from first Drive to
+	// final join, is stored in *out.
+	NewTimed = cilk.NewTimed
 )
 
 // Benchmark configurations and entry points (Emu side).

@@ -20,9 +20,7 @@ func (s *script) Step(t *Thread) bool {
 
 // drives is a test thread body that runs each spawn tree or analytics
 // kernel to completion, in order.
-type drives []interface {
-	Drive(t *Thread) (parked bool)
-}
+type drives []Driver
 
 func (d *drives) Step(t *Thread) bool {
 	for len(*d) > 0 {
@@ -49,7 +47,7 @@ func TestFacadeQuickstart(t *testing.T) {
 		})
 	}
 	body = append(body, func(th *Thread) bool { sum += th.Value(); return false })
-	elapsed, err := sys.RunCont(&body)
+	elapsed, err := sys.Run(&body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestFacadeHelpers(t *testing.T) {
 	workers := NewWorkers(8, 8, RecursiveRemoteSpawn, func(int) Body {
 		return &script{func(w *Thread) bool { return w.CCompute(10) }}
 	})
-	if _, err := sys.RunCont(&drives{loop, workers}); err != nil {
+	if _, err := sys.Run(&drives{loop, workers}); err != nil {
 		t.Fatal(err)
 	}
 	for i, h := range hits {

@@ -40,7 +40,7 @@ func ExampleNewSystem() {
 		sys.Mem.Write(arr.At(i), uint64(i))
 	}
 	body := &sumBody{at: arr.At, n: 16}
-	if _, err := sys.RunCont(body); err != nil {
+	if _, err := sys.Run(body); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("sum:", body.sum)
@@ -74,11 +74,9 @@ func (b homeBody) Step(t *emuchick.Thread) bool {
 }
 
 // tree is a root body that drives a spawn tree until it has joined.
-type tree struct {
-	drive func(t *emuchick.Thread) (parked bool)
-}
+type tree struct{ emuchick.Driver }
 
-func (r tree) Step(t *emuchick.Thread) bool { return !r.drive(t) }
+func (r tree) Step(t *emuchick.Thread) bool { return !r.Drive(t) }
 
 func ExampleNewWorkers() {
 	sys := emuchick.NewSystem(emuchick.HardwareChick())
@@ -86,7 +84,7 @@ func ExampleNewWorkers() {
 	workers := emuchick.NewWorkers(8, 8, emuchick.SerialRemoteSpawn, func(id int) emuchick.Body {
 		return homeBody{nodelets, id}
 	})
-	if _, err := sys.RunCont(tree{workers.Drive}); err != nil {
+	if _, err := sys.Run(tree{workers}); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("worker home nodelets:", nodelets)

@@ -20,7 +20,6 @@ import (
 	"log"
 
 	"emuchick"
-	"emuchick/internal/stinger"
 	"emuchick/internal/workload"
 )
 
@@ -32,7 +31,7 @@ const (
 
 // buildEdges generates a deterministic R-MAT edge stream — the skewed
 // degree distribution streaming-graph benchmarks use.
-func buildEdges() []stinger.Edge {
+func buildEdges() []emuchick.GraphEdge {
 	rng := workload.NewRNG(99)
 	// Mildly skewed R-MAT: enough irregularity to be graph-like without a
 	// few hub vertices serializing the per-vertex walk and hiding the
@@ -42,9 +41,9 @@ func buildEdges() []stinger.Edge {
 	if err != nil {
 		log.Fatal(err)
 	}
-	edges := make([]stinger.Edge, len(rmat))
+	edges := make([]emuchick.GraphEdge, len(rmat))
 	for i, e := range rmat {
-		edges[i] = stinger.Edge{Src: e.Src, Dst: e.Dst, Weight: rng.Uint64()%100 + 1}
+		edges[i] = emuchick.GraphEdge{Src: e.Src, Dst: e.Dst, Weight: rng.Uint64()%100 + 1}
 	}
 	return edges
 }
@@ -55,55 +54,20 @@ type phaseResult struct {
 	migrations uint64
 }
 
-// phases is the main threadlet: it spawns the inserters round-robin over
-// the nodelets and joins them, then drives the walk tree, timing each phase.
-type phases struct {
-	inserters []emuchick.Body
-	walkers   interface {
-		Drive(t *emuchick.Thread) (parked bool)
-	}
-	out                     *phaseResult
-	k                       int
-	started, synced, walked bool
-	t0                      emuchick.Time
-}
+// phases is the main threadlet: it times the insertion fan-out, then the
+// walk tree.
+type phases struct{ insert, traverse *emuchick.Timed }
 
 func (r *phases) Step(t *emuchick.Thread) bool {
-	if !r.started {
-		r.started = true
-		r.t0 = t.Now()
-	}
-	for r.k < len(r.inserters) {
-		w := r.k
-		r.k++
-		if t.CSpawnAt(w%8, r.inserters[w]) {
-			return false
-		}
-	}
-	if !r.synced {
-		r.synced = true
-		if t.CSync() {
-			return false
-		}
-	}
-	if !r.walked {
-		r.walked = true
-		r.out.insert = t.Now() - r.t0
-		r.t0 = t.Now()
-	}
-	if r.walkers.Drive(t) {
-		return false
-	}
-	r.out.traverse = t.Now() - r.t0
-	return true
+	return !r.insert.Drive(t) && !r.traverse.Drive(t)
 }
 
 // inserter appends the edges whose source is w mod 64, in stream order.
 type inserter struct {
-	g     *stinger.Graph
-	edges []stinger.Edge
+	g     *emuchick.Graph
+	edges []emuchick.GraphEdge
 	w, i  int
-	in    *stinger.Insert
+	in    *emuchick.GraphInsert
 }
 
 func (b *inserter) Step(t *emuchick.Thread) bool {
@@ -130,10 +94,10 @@ func (b *inserter) Step(t *emuchick.Thread) bool {
 
 // walker sums the edge weights of vertices v, v+workers, ...
 type walker struct {
-	g    *stinger.Graph
+	g    *emuchick.Graph
 	v    int
 	sums []uint64
-	walk *stinger.WalkRun
+	walk *emuchick.GraphWalk
 }
 
 func (b *walker) Step(t *emuchick.Thread) bool {
@@ -156,9 +120,9 @@ func (b *walker) Step(t *emuchick.Thread) bool {
 	}
 }
 
-func runPhases(placement stinger.Placement, edges []stinger.Edge) phaseResult {
+func runPhases(placement emuchick.Placement, edges []emuchick.GraphEdge) phaseResult {
 	sys := emuchick.NewSystem(emuchick.HardwareChick())
-	g, err := stinger.New(sys, stinger.Config{
+	g, err := emuchick.NewGraph(sys, emuchick.GraphConfig{
 		Vertices: vertices, EdgesPerBlock: 4,
 		Placement: placement, PoolBlocksPerNodelet: len(edges),
 	})
@@ -175,16 +139,21 @@ func runPhases(placement stinger.Placement, edges []stinger.Edge) phaseResult {
 	var out phaseResult
 	sums := make([]uint64, vertices)
 	// Phase 1: streaming insertion, partitioned by source vertex so no two
-	// threads append to the same chain.
-	inserters := make([]emuchick.Body, 64)
-	for w := range inserters {
-		inserters[w] = &inserter{g: g, edges: edges, w: w}
+	// threads append to the same chain; inserters go round-robin over the
+	// nodelets.
+	inserters := &emuchick.Fanout{}
+	for w := 0; w < 64; w++ {
+		inserters.Add(w%8, &inserter{g: g, edges: edges, w: w})
 	}
 	// Phase 2: full traversal.
 	walkers := emuchick.NewWorkers(8, workers, emuchick.RecursiveRemoteSpawn, func(id int) emuchick.Body {
 		return &walker{g: g, v: id, sums: sums}
 	})
-	if _, err := sys.RunCont(&phases{inserters: inserters, walkers: walkers, out: &out}); err != nil {
+	root := &phases{
+		insert:   emuchick.NewTimed(inserters, &out.insert),
+		traverse: emuchick.NewTimed(walkers, &out.traverse),
+	}
+	if _, err := sys.Run(root); err != nil {
 		log.Fatal(err)
 	}
 	for v := 0; v < vertices; v++ {
@@ -198,8 +167,8 @@ func runPhases(placement stinger.Placement, edges []stinger.Edge) phaseResult {
 
 func main() {
 	edges := buildEdges()
-	clustered := runPhases(stinger.PlaceAtVertex, edges)
-	fragmented := runPhases(stinger.PlaceRoundRobin, edges)
+	clustered := runPhases(emuchick.PlaceAtVertex, edges)
+	fragmented := runPhases(emuchick.PlaceRoundRobin, edges)
 
 	bytes := float64(len(edges) * 16)
 	fmt.Printf("graph: %d vertices, %d edges, 4-edge blocks, %d walk threads\n\n",

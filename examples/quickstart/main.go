@@ -44,11 +44,7 @@ func (w *summer) Step(t *emuchick.Thread) bool {
 
 // root is the main threadlet: it spawns the workers and returns once the
 // tree has joined.
-type root struct {
-	workers interface {
-		Drive(t *emuchick.Thread) (parked bool)
-	}
-}
+type root struct{ workers emuchick.Driver }
 
 func (r *root) Step(t *emuchick.Thread) bool { return !r.workers.Drive(t) }
 
@@ -70,7 +66,7 @@ func main() {
 	acc := sys.Mem.AllocLocal(0, 1)
 
 	const workers = 64 // 8 per nodelet
-	elapsed, err := sys.RunCont(&root{emuchick.NewWorkers(8, workers, emuchick.RecursiveRemoteSpawn,
+	elapsed, err := sys.Run(&root{emuchick.NewWorkers(8, workers, emuchick.RecursiveRemoteSpawn,
 		func(id int) emuchick.Body {
 			// Worker id serves stripe id mod 8, so every Load is local; the
 			// 8 workers of a nodelet interleave over it.
@@ -106,7 +102,7 @@ func main() {
 		sys2.Mem.Write(arr2.At(i), uint64(i))
 	}
 	acc2 := sys2.Mem.AllocLocal(0, 1)
-	elapsed2, err := sys2.RunCont(&root{emuchick.NewWorkers(8, workers, emuchick.SerialSpawn,
+	elapsed2, err := sys2.Run(&root{emuchick.NewWorkers(8, workers, emuchick.SerialSpawn,
 		func(id int) emuchick.Body {
 			nl, rank := id%8, id/8
 			return &summer{at: arr2.At, i: nl + 8*rank, n: n, step: 8 * (workers / 8), acc: acc2.At(0)}

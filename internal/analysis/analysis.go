@@ -18,20 +18,15 @@
 // converts the repo's central determinism promises from test-time checks
 // into compile-time guarantees:
 //
-//   - funcfacts: computes the per-function effect facts (allocates,
-//     parks, spawns goroutines, reads the wall clock, seeds rand
-//     ambiently, reaches dynamic calls) every transitive check consumes.
+//   - funcfacts: computes the per-function effect facts (allocates, reads
+//     the wall clock, seeds rand ambiently) every transitive check
+//     consumes.
 //   - nodeterminism: no wall-clock reads, no ambiently-seeded rand, no
 //     unordered map iteration in result-producing packages — including
 //     calls that reach an offender living in an out-of-scope package.
-//   - parksite: every sim blocking point carries a park-site label, so
-//     deadlock post-mortems never dump anonymous procs.
 //   - hotpathalloc: functions annotated //emu:hotpath neither contain
 //     allocating constructs nor call anything that transitively
 //     allocates (cold paths opt out with //emu:cold).
-//   - nohandoff: functions annotated //emu:nohandoff never park their
-//     goroutine or spawn one per proc, through any call chain the
-//     analyzer can follow; unprovable dynamic calls are diagnosed.
 //   - seedflow: every RNG constructed in a result-producing package is
 //     seeded from configuration (a parameter, an options/spec field, a
 //     constant), never from ambient state.

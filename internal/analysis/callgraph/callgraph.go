@@ -11,20 +11,17 @@
 //   - FuncValue: a call through a local variable whose bindings are all
 //     resolvable function identifiers in the same body (best-effort
 //     single-function-at-a-time value flow; a variable with any
-//     unresolvable binding degrades to a dynamic site instead).
+//     unresolvable binding yields no edge instead).
 //   - Interface: an interface method call, resolved by class-hierarchy
 //     analysis over the visible type universe — the package itself plus
 //     its transitive imports. Every named type in that universe whose
 //     method set satisfies the interface contributes one edge to its
 //     concrete method. CHA treats the visible universe as closed:
-//     implementations defined only in downstream packages are invisible,
-//     which is exactly why a call with zero visible implementations is
-//     recorded as a dynamic site rather than silently dropped.
+//     implementations defined only in downstream packages are invisible.
 //
 // Calls the builder cannot resolve at all — func-typed parameters and
 // struct fields, package-level function variables, interface calls with no
-// visible implementation — become explicit DynamicSite records, so
-// consumers can diagnose "cannot prove" instead of assuming innocence.
+// visible implementation — add no edge, so no effect crosses them.
 //
 // Function literals are attributed to the enclosing declaration: the
 // effects and calls of a closure body count against the function that
@@ -71,22 +68,12 @@ type Edge struct {
 	Callee *types.Func
 }
 
-// DynamicSite is one call the builder could not resolve to any callee.
-type DynamicSite struct {
-	Site token.Pos
-	// Desc says why the call is dynamic, for diagnostics: "call through
-	// func value f", "interface call (machine.CBody).Step with no visible
-	// implementation", ...
-	Desc string
-}
-
 // Node is one declared function or method and everything its body (plus
 // any function literals it contains) can call.
 type Node struct {
-	Func    *types.Func
-	Decl    *ast.FuncDecl
-	Edges   []Edge
-	Dynamic []DynamicSite
+	Func  *types.Func
+	Decl  *ast.FuncDecl
+	Edges []Edge
 }
 
 // Graph is the package's call graph. Nodes appear in declaration order, so
@@ -177,16 +164,15 @@ func (b *builder) walk(n *Node, body *ast.BlockStmt) {
 type funcBinding struct {
 	callees []*types.Func
 	// unknown marks a variable with at least one unresolvable binding
-	// (a call result, a parameter, a field load); calls through it are
-	// dynamic no matter what else was assigned.
+	// (a call result, a parameter, a field load); calls through it add
+	// no edge no matter what else was assigned.
 	unknown bool
 }
 
 // collectBindings records, for every local variable in body, the set of
 // functions it may hold — when every assignment to it is a resolvable
 // function identifier or a function literal. Function literals contribute
-// no callee (their bodies are attributed to the enclosing declaration), so
-// calling a lit-bound variable is not a dynamic site.
+// no callee (their bodies are attributed to the enclosing declaration).
 func (b *builder) collectBindings(body *ast.BlockStmt) map[*types.Var]*funcBinding {
 	bindings := map[*types.Var]*funcBinding{}
 	record := func(lhs ast.Expr, rhs ast.Expr) {
@@ -291,7 +277,9 @@ func isAbstract(fn *types.Func) bool {
 	return ok
 }
 
-// resolveCall classifies one call expression into edges or a dynamic site.
+// resolveCall classifies one call expression into edges. A call it cannot
+// resolve adds none, and neither does calling a function literal, whose
+// body is attributed to the encloser.
 func (b *builder) resolveCall(n *Node, call *ast.CallExpr, bindings map[*types.Var]*funcBinding) {
 	fun := ast.Unparen(call.Fun)
 	// Type conversions and builtins are not calls.
@@ -307,7 +295,7 @@ func (b *builder) resolveCall(n *Node, call *ast.CallExpr, bindings map[*types.V
 			n.Edges = append(n.Edges, Edge{Site: call.Pos(), Kind: Static, Callee: obj})
 			return
 		case *types.Var:
-			b.resolveVarCall(n, call, fun.Name, obj, bindings)
+			b.resolveVarCall(n, call, obj, bindings)
 			return
 		}
 	case *ast.SelectorExpr:
@@ -323,76 +311,37 @@ func (b *builder) resolveCall(n *Node, call *ast.CallExpr, bindings map[*types.V
 			b.resolveInterfaceCall(n, call, fn)
 			return
 		}
-		// Package-qualified: pkg.F (func) or pkg.V (function variable).
-		switch obj := b.info.Uses[fun.Sel].(type) {
-		case *types.Func:
+		// Package-qualified: pkg.F (func). A function variable pkg.V or a
+		// func-typed field may be rebound anywhere, so it adds no edge.
+		if obj, ok := b.info.Uses[fun.Sel].(*types.Func); ok {
 			n.Edges = append(n.Edges, Edge{Site: call.Pos(), Kind: Static, Callee: obj})
-			return
-		case *types.Var:
-			if obj.IsField() || obj.Pkg() != b.pkg || obj.Parent() != b.pkg.Scope() {
-				n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(),
-					Desc: fmt.Sprintf("call through function variable %s", fun.Sel.Name)})
-				return
-			}
-			// Package-level func var of the analyzed package itself:
-			// still dynamic (any package init or caller may rebind it).
-			n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(),
-				Desc: fmt.Sprintf("call through package-level function variable %s", fun.Sel.Name)})
-			return
 		}
-	case *ast.FuncLit:
-		return // body attributed to the encloser
+		return
 	case *ast.IndexExpr, *ast.IndexListExpr:
 		if fn := b.staticCallee(fun); fn != nil {
 			n.Edges = append(n.Edges, Edge{Site: call.Pos(), Kind: Static, Callee: fn})
-			return
 		}
 	}
-	n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(), Desc: "dynamic call"})
 }
 
 // resolveVarCall handles a call through a named variable: local variables
-// with fully resolved bindings become FuncValue edges, everything else is
-// a dynamic site.
-func (b *builder) resolveVarCall(n *Node, call *ast.CallExpr, name string, v *types.Var, bindings map[*types.Var]*funcBinding) {
+// with fully resolved bindings become FuncValue edges. Anything else — a
+// parameter, a variable with an unresolvable binding, a package-level
+// function variable any init or caller may rebind — adds no edge.
+func (b *builder) resolveVarCall(n *Node, call *ast.CallExpr, v *types.Var, bindings map[*types.Var]*funcBinding) {
 	if bd, ok := bindings[v]; ok && !bd.unknown {
 		for _, fn := range dedupFuncs(bd.callees) {
 			n.Edges = append(n.Edges, Edge{Site: call.Pos(), Kind: FuncValue, Callee: fn})
 		}
-		return
 	}
-	// A package-level function variable is dynamic for a different reason
-	// than a local: any init or caller may rebind it at any time.
-	if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-		n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(),
-			Desc: fmt.Sprintf("call through package-level function variable %s", name)})
-		return
-	}
-	n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(),
-		Desc: fmt.Sprintf("call through func value %s", name)})
 }
 
 // resolveInterfaceCall resolves x.M() where M is an interface method, by
 // CHA over the visible universe.
 func (b *builder) resolveInterfaceCall(n *Node, call *ast.CallExpr, m *types.Func) {
-	impls := b.implementations(m)
-	if len(impls) == 0 {
-		n.Dynamic = append(n.Dynamic, DynamicSite{Site: call.Pos(),
-			Desc: fmt.Sprintf("interface call %s with no visible implementation", methodLabel(m))})
-		return
-	}
-	for _, fn := range impls {
+	for _, fn := range b.implementations(m) {
 		n.Edges = append(n.Edges, Edge{Site: call.Pos(), Kind: Interface, Callee: fn})
 	}
-}
-
-// methodLabel renders an abstract method as (pkg.Iface).Name for messages.
-func methodLabel(m *types.Func) string {
-	recv := m.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return m.Name()
-	}
-	return fmt.Sprintf("(%s).%s", types.TypeString(recv.Type(), types.RelativeTo(m.Pkg())), m.Name())
 }
 
 // implementations returns the concrete methods implementing abstract

@@ -1,11 +1,10 @@
 // Package funcfacts computes the per-function effect facts that make the
 // emulint suite interprocedural. For every function of every package it
 // records whether the function — itself or through any call chain the
-// call graph can follow — allocates, parks its goroutine, spawns a
-// goroutine, reads the wall clock, draws from the ambiently-seeded
-// math/rand source, or makes a dynamic call no analysis can see past.
-// Each effect carries a witness: a human-readable chain from the function
-// to the originating site, so a transitive diagnostic can say *why*.
+// call graph can follow — allocates, reads the wall clock, or draws from
+// the ambiently-seeded math/rand source. Each effect carries a witness: a
+// human-readable chain from the function to the originating site, so a
+// transitive diagnostic can say *why*.
 //
 // The analyzer produces no diagnostics of its own. Its customers are the
 // contract analyzers, which consume the same-package Result through
@@ -13,8 +12,6 @@
 //
 //   - hotpathalloc: an //emu:hotpath function must not call anything
 //     whose Allocates fact is set;
-//   - nohandoff: an //emu:nohandoff function must not reach Parks,
-//     SpawnsGoroutine, or DynamicCall;
 //   - nodeterminism: a deterministic package must not call out-of-scope
 //     code whose ReadsWallClock or SeedsRandAmbiently fact is set;
 //   - seedflow: an RNG seed expression may call helpers only when their
@@ -24,14 +21,10 @@
 //
 //   - Static and FuncValue edges propagate every effect.
 //   - Interface edges (CHA-resolved) propagate the behavioral effects —
-//     Parks, SpawnsGoroutine, ReadsWallClock, SeedsRandAmbiently — but
-//     not Allocates (interface dispatch is a contract boundary: each
-//     implementation carries its own hot-path annotation if it needs
-//     one) and not DynamicCall (a resolved interface call is already
-//     accounted; its implementations' own indirections are beyond the
-//     caller's blast radius).
-//   - Unresolved calls set DynamicCall, which flows up Static and
-//     FuncValue edges so annotated roots can report "cannot prove".
+//     ReadsWallClock, SeedsRandAmbiently — but not Allocates (interface
+//     dispatch is a contract boundary: each implementation carries its
+//     own hot-path annotation if it needs one).
+//   - Unresolved calls propagate nothing: no analysis can see past them.
 //
 // A function annotated //emu:cold declares itself a cold path — a
 // failure exit or a pool-miss slow path whose allocations are amortized
@@ -59,29 +52,18 @@ type Effect int
 const (
 	// Allocates: the function contains an allocating construct.
 	Allocates Effect = iota
-	// Parks: the function can block its goroutine (proc parking methods,
-	// blocking sync wrappers, channel operations, select, WaitGroup.Wait).
-	Parks
-	// SpawnsGoroutine: the function starts a goroutine (go statement or a
-	// goroutine-spawning engine method).
-	SpawnsGoroutine
 	// ReadsWallClock: the function reads the wall clock (time.Now and
 	// friends).
 	ReadsWallClock
 	// SeedsRandAmbiently: the function draws from math/rand's ambient
 	// global source.
 	SeedsRandAmbiently
-	// DynamicCall: the function makes a call the call graph cannot
-	// resolve (func-typed parameter or field, package-level function
-	// variable, interface call with no visible implementation).
-	DynamicCall
 	// NumEffects bounds the effect arrays in Fact.
 	NumEffects
 )
 
 var effectNames = [NumEffects]string{
-	"allocates", "parks", "spawns-goroutine", "reads-wall-clock",
-	"seeds-rand-ambiently", "dynamic-call",
+	"allocates", "reads-wall-clock", "seeds-rand-ambiently",
 }
 
 func (e Effect) String() string {
@@ -183,9 +165,9 @@ func (r *Result) Lookup(pass *analysis.Pass, fn *types.Func) *Fact {
 // any diagnosing analyzer's scope, contributes facts.
 var Analyzer = &analysis.Analyzer{
 	Name: "funcfacts",
-	Doc: "computes per-function effect facts (allocates, parks, spawns " +
-		"goroutines, reads wall clock, seeds rand ambiently, reaches dynamic " +
-		"calls) over the package call graph, for the transitive contract checks",
+	Doc: "computes per-function effect facts (allocates, reads wall clock, " +
+		"seeds rand ambiently) over the package call graph, for the " +
+		"transitive contract checks",
 	FactTypes: []analysis.Fact{(*Fact)(nil)},
 	Run:       run,
 }
@@ -226,15 +208,9 @@ func scanLocal(pass *analysis.Pass, n *callgraph.Node, f *Fact) {
 	ScanAlloc(pass.TypesInfo, body, func(pos token.Pos, format string, args ...any) {
 		set(pos, Allocates, format, args...)
 	})
-	ScanHandoff(pass.TypesInfo, body, func(pos token.Pos, e Effect, format string, args ...any) {
-		set(pos, e, format, args...)
-	})
 	ScanAmbient(pass.TypesInfo, body, func(pos token.Pos, e Effect, format string, args ...any) {
 		set(pos, e, format, args...)
 	})
-	for _, d := range n.Dynamic {
-		set(d.Site, DynamicCall, "%s", d.Desc)
-	}
 }
 
 // propagate folds callee facts into callers until the package reaches a
@@ -270,14 +246,10 @@ func propagate(pass *analysis.Pass, res *Result) {
 // their annotated roots so a root-level diagnostic and a propagated fact
 // never disagree.
 func Propagates(kind callgraph.Kind, e Effect, calleeCold bool) bool {
-	switch e {
-	case Allocates:
+	if e == Allocates {
 		return kind != callgraph.Interface && !calleeCold
-	case DynamicCall:
-		return kind != callgraph.Interface
-	default:
-		return true
 	}
+	return true
 }
 
 // link builds a caller-side witness: the call site plus the callee's own

@@ -61,6 +61,17 @@ func analyze(t *testing.T, pkgs ...*analysis.Package) map[string]*funcfacts.Resu
 	return results
 }
 
+// fakeStd type-checks stand-ins for the two standard packages the ambient
+// scanners recognize by import path, so test sources can reach their
+// effects without loading the real standard library.
+func fakeStd(t *testing.T, fset *token.FileSet) mapImporter {
+	t.Helper()
+	imp := mapImporter{}
+	imp["time"] = checkSrc(t, fset, nil, "time", "package time\n\nfunc Now() int { return 0 }\n").Types
+	imp["math/rand"] = checkSrc(t, fset, nil, "math/rand", "package rand\n\nfunc Intn(n int) int { return 0 }\n").Types
+	return imp
+}
+
 func fact(t *testing.T, res *funcfacts.Result, pkg *analysis.Package, name string) *funcfacts.Fact {
 	t.Helper()
 	fn, ok := pkg.Types.Scope().Lookup(name).(*types.Func)
@@ -85,12 +96,10 @@ func TestPropagatesPolicy(t *testing.T) {
 		{callgraph.Static, funcfacts.Allocates, true, false},
 		{callgraph.FuncValue, funcfacts.Allocates, false, true},
 		{callgraph.Interface, funcfacts.Allocates, false, false},
-		{callgraph.Interface, funcfacts.DynamicCall, false, false},
-		{callgraph.Static, funcfacts.DynamicCall, true, true},
-		{callgraph.Interface, funcfacts.Parks, false, true},
-		{callgraph.Interface, funcfacts.SpawnsGoroutine, true, true},
 		{callgraph.Interface, funcfacts.ReadsWallClock, false, true},
-		{callgraph.Static, funcfacts.Parks, true, true},
+		{callgraph.Interface, funcfacts.SeedsRandAmbiently, true, true},
+		{callgraph.Static, funcfacts.ReadsWallClock, true, true},
+		{callgraph.FuncValue, funcfacts.SeedsRandAmbiently, false, true},
 	}
 	for _, c := range cases {
 		if got := funcfacts.Propagates(c.kind, c.e, c.cold); got != c.want {
@@ -101,15 +110,20 @@ func TestPropagatesPolicy(t *testing.T) {
 
 func TestLocalEffects(t *testing.T) {
 	fset := token.NewFileSet()
-	pkg := checkSrc(t, fset, nil, "p", `package p
+	pkg := checkSrc(t, fset, fakeStd(t, fset), "p", `package p
+
+import (
+	"math/rand"
+	"time"
+)
 
 func alloc() []int { return make([]int, 8) }
 
-func park(ch chan int) { ch <- 1 }
+func clock() int { return time.Now() }
 
-func spawn() { go park(nil) }
+func random() int { return rand.Intn(4) }
 
-func dynamic(f func()) { f() }
+func both() int { return clock() + random() }
 
 func clean(x int) int { return x + 1 }
 `)
@@ -119,9 +133,8 @@ func clean(x int) int { return x + 1 }
 		e  funcfacts.Effect
 	}{
 		{"alloc", funcfacts.Allocates},
-		{"park", funcfacts.Parks},
-		{"spawn", funcfacts.SpawnsGoroutine},
-		{"dynamic", funcfacts.DynamicCall},
+		{"clock", funcfacts.ReadsWallClock},
+		{"random", funcfacts.SeedsRandAmbiently},
 	}
 	for _, c := range checks {
 		f := fact(t, res, pkg, c.fn)
@@ -135,10 +148,10 @@ func clean(x int) int { return x + 1 }
 	if f := fact(t, res, pkg, "clean"); f.Any() {
 		t.Errorf("clean: want no effects, got %s", f)
 	}
-	// spawn reaches park's channel send too: Parks propagates up the
-	// static edge inside the go statement's callee.
-	if f := fact(t, res, pkg, "spawn"); !f.Has[funcfacts.Parks] {
-		t.Errorf("spawn: Parks should propagate from park (fact: %s)", f)
+	// both reaches clock's and random's sites: the effects propagate up
+	// the static edges.
+	if f := fact(t, res, pkg, "both"); !f.Has[funcfacts.ReadsWallClock] || !f.Has[funcfacts.SeedsRandAmbiently] {
+		t.Errorf("both: clock and rand effects should propagate (fact: %s)", f)
 	}
 }
 
@@ -171,27 +184,29 @@ func top() []int { return mid() }
 // keeps its own Allocates fact, callers inherit everything except it.
 func TestColdStopsAllocates(t *testing.T) {
 	fset := token.NewFileSet()
-	pkg := checkSrc(t, fset, nil, "p", `package p
+	pkg := checkSrc(t, fset, fakeStd(t, fset), "p", `package p
+
+import "time"
 
 //emu:cold pool-miss path, amortized away
-func coldLeaf(ch chan int) []int {
-	ch <- 1
+func coldLeaf() []int {
+	_ = time.Now()
 	return make([]int, 4)
 }
 
-func caller(ch chan int) { coldLeaf(ch) }
+func caller() { coldLeaf() }
 `)
 	res := analyze(t, pkg)["p"]
 	leaf := fact(t, res, pkg, "coldLeaf")
-	if !leaf.Cold || !leaf.Has[funcfacts.Allocates] || !leaf.Has[funcfacts.Parks] {
-		t.Fatalf("coldLeaf: want cold+allocates+parks, got %s", leaf)
+	if !leaf.Cold || !leaf.Has[funcfacts.Allocates] || !leaf.Has[funcfacts.ReadsWallClock] {
+		t.Fatalf("coldLeaf: want cold+allocates+reads-wall-clock, got %s", leaf)
 	}
 	caller := fact(t, res, pkg, "caller")
 	if caller.Has[funcfacts.Allocates] {
 		t.Errorf("caller: Allocates leaked through //emu:cold (fact: %s)", caller)
 	}
-	if !caller.Has[funcfacts.Parks] {
-		t.Errorf("caller: Parks should cross the cold boundary (fact: %s)", caller)
+	if !caller.Has[funcfacts.ReadsWallClock] {
+		t.Errorf("caller: ReadsWallClock should cross the cold boundary (fact: %s)", caller)
 	}
 }
 
@@ -199,23 +214,25 @@ func caller(ch chan int) { coldLeaf(ch) }
 // interface dispatch, Allocates does not.
 func TestInterfaceEdgePolicy(t *testing.T) {
 	fset := token.NewFileSet()
-	pkg := checkSrc(t, fset, nil, "p", `package p
+	pkg := checkSrc(t, fset, fakeStd(t, fset), "p", `package p
 
-type Worker interface{ Work(ch chan int) }
+import "time"
+
+type Worker interface{ Work() }
 
 type W struct{}
 
-func (W) Work(ch chan int) {
-	ch <- 1
+func (W) Work() {
+	_ = time.Now()
 	_ = make([]int, 8)
 }
 
-func drive(w Worker, ch chan int) { w.Work(ch) }
+func drive(w Worker) { w.Work() }
 `)
 	res := analyze(t, pkg)["p"]
 	f := fact(t, res, pkg, "drive")
-	if !f.Has[funcfacts.Parks] {
-		t.Errorf("drive: Parks should cross the interface edge (fact: %s)", f)
+	if !f.Has[funcfacts.ReadsWallClock] {
+		t.Errorf("drive: ReadsWallClock should cross the interface edge (fact: %s)", f)
 	}
 	if f.Has[funcfacts.Allocates] {
 		t.Errorf("drive: Allocates must not cross the interface edge (fact: %s)", f)

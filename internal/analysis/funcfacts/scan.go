@@ -3,7 +3,7 @@ package funcfacts
 // Local effect scanners: the intraprocedural half of the fact computation.
 // Each scanner walks one function body and reports every site exhibiting
 // its effect through a callback, so the same logic serves two masters —
-// the diagnosing analyzers (hotpathalloc, nohandoff) call them with
+// the diagnosing analyzers (hotpathalloc, nodeterminism) call them with
 // pass.Reportf to flag sites inside annotated functions, and the fact
 // computation calls them with a first-witness collector to summarize
 // every function.
@@ -209,136 +209,6 @@ func funcSig(info *types.Info, call *ast.CallExpr) (*types.Signature, bool) {
 func isUntypedNil(info *types.Info, e ast.Expr) bool {
 	tv, ok := info.Types[e]
 	return ok && tv.IsNil()
-}
-
-// --- goroutine handoffs ---
-
-// Parking are the Proc methods that block the calling goroutine, mapped to
-// their continuation-safe replacements.
-var Parking = map[string]string{
-	"Park":       "Suspend(site)",
-	"ParkReason": "Suspend(site)",
-	"WaitUntil":  "SleepUntil(t)",
-	"Delay":      "SleepUntil(p.Now()+d)",
-}
-
-// Blocking are the sync wrappers that park the proc's goroutine when they
-// cannot proceed, mapped to their park-state counterparts.
-var Blocking = map[string]string{
-	"Acquire": "AcquireCont",
-	"Wait":    "WaitCont",
-}
-
-// Spawning are the Engine methods that start a goroutine per proc, mapped
-// to their continuation counterparts.
-var Spawning = map[string]string{
-	"Go":       "SpawnContAt",
-	"GoAt":     "SpawnContAt",
-	"SpawnAt":  "SpawnContAt",
-	"LaunchAt": "LaunchContAt",
-}
-
-// HandoffReport receives one handoff site with the effect it exhibits
-// (Parks or SpawnsGoroutine).
-type HandoffReport func(pos token.Pos, effect Effect, format string, args ...any)
-
-// ScanHandoff reports every goroutine handoff in body: calls to the
-// parking proc methods, the blocking sync wrappers, and the
-// goroutine-spawning engine methods (shape-matched, as in the nohandoff
-// analyzer); plus the raw runtime forms — go statements, channel sends,
-// channel receives, select statements, and ranging over a channel.
-func ScanHandoff(info *types.Info, body ast.Node, report HandoffReport) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			report(n.Pos(), SpawnsGoroutine, "go statement starts a goroutine")
-		case *ast.SendStmt:
-			report(n.Pos(), Parks, "channel send can block the goroutine")
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				report(n.Pos(), Parks, "channel receive can block the goroutine")
-			}
-		case *ast.SelectStmt:
-			report(n.Pos(), Parks, "select can block the goroutine")
-		case *ast.RangeStmt:
-			if t := info.TypeOf(n.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					report(n.Pos(), Parks, "ranging over a channel blocks the goroutine")
-				}
-			}
-		case *ast.CallExpr:
-			scanHandoffCall(info, n, report)
-		}
-		return true
-	})
-}
-
-func scanHandoffCall(info *types.Info, call *ast.CallExpr, report HandoffReport) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	name := sel.Sel.Name
-	recv := info.TypeOf(sel.X)
-	if recv == nil {
-		return
-	}
-	if cont, ok := Parking[name]; ok && IsParkable(recv) {
-		report(call.Pos(), Parks, "%s parks the calling goroutine; use %s and return parked", name, cont)
-		return
-	}
-	if cont, ok := Blocking[name]; ok && len(call.Args) == 1 && IsParkable(info.TypeOf(call.Args[0])) {
-		report(call.Pos(), Parks, "%s(p) parks the proc's goroutine; use %s(p) and return parked", name, cont)
-		return
-	}
-	if cont, ok := Spawning[name]; ok && IsContEngine(recv) {
-		report(call.Pos(), SpawnsGoroutine, "%s starts a goroutine per proc; use %s with a Stepper", name, cont)
-		return
-	}
-	// sync.WaitGroup.Wait blocks until the group drains.
-	if name == "Wait" && isSyncType(recv, "WaitGroup") {
-		report(call.Pos(), Parks, "sync.WaitGroup.Wait blocks the goroutine")
-		return
-	}
-	if name == "Sleep" && pkgOf(info, sel.X) == "time" {
-		report(call.Pos(), Parks, "time.Sleep blocks the goroutine")
-	}
-}
-
-// IsParkable reports whether t (or *t) is a named type with both a Park()
-// and a ParkReason(string) method — the shape of a simulated process.
-func IsParkable(t types.Type) bool {
-	return hasMethod(t, "Park") && hasMethod(t, "ParkReason")
-}
-
-// IsContEngine reports whether t offers both the goroutine and the
-// continuation spawn surface — the shape of the event-loop engine.
-func IsContEngine(t types.Type) bool {
-	return hasMethod(t, "SpawnAt") && hasMethod(t, "SpawnContAt")
-}
-
-func hasMethod(t types.Type, name string) bool {
-	ms := types.NewMethodSet(t)
-	if _, ok := t.Underlying().(*types.Pointer); !ok {
-		ms = types.NewMethodSet(types.NewPointer(t))
-	}
-	for i := 0; i < ms.Len(); i++ {
-		if ms.At(i).Obj().Name() == name {
-			return true
-		}
-	}
-	return false
-}
-
-func isSyncType(t types.Type, name string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return named.Obj().Name() == name && named.Obj().Pkg() != nil && named.Obj().Pkg().Path() == "sync"
 }
 
 // --- ambient nondeterminism ---

@@ -1,4 +1,4 @@
-// Package suite assembles the repo's seven contract analyzers into the
+// Package suite assembles the repo's five contract analyzers into the
 // multichecker that cmd/emulint, the Makefile lint target, and the
 // emuvalidate -lint claim all share. The funcfacts analyzer rides along
 // implicitly: the driver expands each analyzer's Requires closure, so
@@ -11,9 +11,7 @@ import (
 	"emuchick/internal/analysis/fingerprint"
 	"emuchick/internal/analysis/hotpathalloc"
 	"emuchick/internal/analysis/nodeterminism"
-	"emuchick/internal/analysis/nohandoff"
 	"emuchick/internal/analysis/observerguard"
-	"emuchick/internal/analysis/parksite"
 	"emuchick/internal/analysis/seedflow"
 )
 
@@ -23,9 +21,7 @@ func Analyzers() []*analysis.Analyzer {
 		fingerprint.Analyzer,
 		hotpathalloc.Analyzer,
 		nodeterminism.Analyzer,
-		nohandoff.Analyzer,
 		observerguard.Analyzer,
-		parksite.Analyzer,
 		seedflow.Analyzer,
 	}
 }

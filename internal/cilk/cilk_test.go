@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"emuchick/internal/machine"
+	"emuchick/internal/memsys"
 )
 
 func TestStrategyNames(t *testing.T) {
@@ -40,7 +41,7 @@ func TestRemoteProperty(t *testing.T) {
 	}
 }
 
-// runWorkers executes SpawnWorkers under the given strategy and returns the
+// runWorkers drives a Workers tree under the given strategy and returns the
 // system plus a per-worker record of (ran, nodelet at start).
 func runWorkers(t *testing.T, workers int, strat Strategy) (*machine.System, []int) {
 	t.Helper()
@@ -49,15 +50,16 @@ func runWorkers(t *testing.T, workers int, strat Strategy) (*machine.System, []i
 	for i := range startNodelet {
 		startNodelet[i] = -1
 	}
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, workers, strat, func(w *machine.Thread, id int) {
+	ws := NewWorkers(8, workers, strat, func(id int) machine.CBody {
+		return &script{func(w *machine.CThread) bool {
 			if startNodelet[id] != -1 {
 				t.Errorf("worker %d ran twice", id)
 			}
 			startNodelet[id] = w.Nodelet()
-			w.Compute(100)
-		})
+			return w.CCompute(100)
+		}}
 	})
+	_, err := s.Run(&drives{ws})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,13 +106,7 @@ func TestRemoteStrategiesAvoidMigrations(t *testing.T) {
 	// only nodelet-local memory never migrates.
 	s := machine.NewSystem(machine.HardwareChick())
 	arr := s.Mem.AllocStriped(64)
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 16, SerialRemoteSpawn, func(w *machine.Thread, id int) {
-			for i := id % 8; i < 64; i += 8 {
-				w.Load(arr.At(i))
-			}
-		})
-	})
+	_, err := s.Run(&drives{NewWorkers(8, 16, SerialRemoteSpawn, stripeLoads(arr))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +118,7 @@ func TestRemoteStrategiesAvoidMigrations(t *testing.T) {
 func TestSerialSpawnWorkersMigrateToData(t *testing.T) {
 	s := machine.NewSystem(machine.HardwareChick())
 	arr := s.Mem.AllocStriped(64)
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 16, SerialSpawn, func(w *machine.Thread, id int) {
-			for i := id % 8; i < 64; i += 8 {
-				w.Load(arr.At(i))
-			}
-		})
-	})
+	_, err := s.Run(&drives{NewWorkers(8, 16, SerialSpawn, stripeLoads(arr))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +130,46 @@ func TestSerialSpawnWorkersMigrateToData(t *testing.T) {
 
 func TestSpawnWorkersZeroAndBounds(t *testing.T) {
 	s := machine.NewSystem(machine.HardwareChick())
-	_, err := s.Run(func(th *machine.Thread) {
-		SpawnWorkers(th, 8, 0, SerialSpawn, func(*machine.Thread, int) {
-			t.Error("worker ran for workers=0")
-		})
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("nodelets out of range did not panic")
-				}
-			}()
-			SpawnWorkers(th, 99, 1, SerialSpawn, func(*machine.Thread, int) {})
-		}()
+	ws := NewWorkers(8, 0, SerialSpawn, func(int) machine.CBody {
+		t.Error("worker built for workers=0")
+		return nil
 	})
-	if err != nil {
+	if _, err := s.Run(&drives{ws}); err != nil {
 		t.Fatal(err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("nodelets out of range did not panic")
+		}
+	}()
+	s = machine.NewSystem(machine.HardwareChick())
+	s.Run(&drives{NewWorkers(99, 1, SerialSpawn, func(int) machine.CBody { return &script{} })})
+}
+
+// stripeLoads builds worker id's body: load every word of arr homed on
+// nodelet id mod 8.
+func stripeLoads(arr memsys.Striped) func(id int) machine.CBody {
+	return func(id int) machine.CBody {
+		var sc script
+		for i := id % 8; i < arr.Len(); i += 8 {
+			sc = append(sc, func(w *machine.CThread) bool { return w.CLoad(arr.At(i)) })
+		}
+		return &sc
+	}
+}
+
+// rangeHits is a ParallelFor leaf that counts every iteration it runs.
+func rangeHits(t *testing.T, hits []int, grain int) func(lo, hi int) machine.CBody {
+	return func(lo, hi int) machine.CBody {
+		return &script{func(*machine.CThread) bool {
+			if hi-lo > grain {
+				t.Errorf("chunk [%d,%d) exceeds grain %d", lo, hi, grain)
+			}
+			for i := lo; i < hi; i++ {
+				hits[i]++
+			}
+			return false
+		}}
 	}
 }
 
@@ -176,7 +191,7 @@ func runGrouped(groups [][]int, record func(id, nodelet int)) error {
 	g := NewGrouped(groups, func(id int) machine.CBody {
 		return &startRecorder{id: id, record: record}
 	})
-	_, err := s.RunCont(&ctGroupedRoot{g: g})
+	_, err := s.Run(&ctGroupedRoot{g: g})
 	return err
 }
 
@@ -261,16 +276,7 @@ func TestParallelForCoversRangeExactly(t *testing.T) {
 	s := machine.NewSystem(machine.HardwareChick())
 	const n = 100
 	hits := make([]int, n)
-	_, err := s.Run(func(th *machine.Thread) {
-		ParallelFor(th, n, 7, func(w *machine.Thread, lo, hi int) {
-			if hi-lo > 7 {
-				t.Errorf("chunk [%d,%d) exceeds grain", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				hits[i]++
-			}
-		})
-	})
+	_, err := s.Run(&drives{NewParallelFor(n, 7, rangeHits(t, hits, 7))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,24 +289,17 @@ func TestParallelForCoversRangeExactly(t *testing.T) {
 
 func TestParallelForEdgeCases(t *testing.T) {
 	s := machine.NewSystem(machine.HardwareChick())
-	_, err := s.Run(func(th *machine.Thread) {
-		ParallelFor(th, 0, 4, func(*machine.Thread, int, int) {
-			t.Error("body ran for n=0")
-		})
-		ran := false
-		ParallelFor(th, 1, 0, func(w *machine.Thread, lo, hi int) {
-			// grain <= 0 is clamped to 1
-			if lo != 0 || hi != 1 {
-				t.Errorf("chunk [%d,%d)", lo, hi)
-			}
-			ran = true
-		})
-		if !ran {
-			t.Error("n=1 body never ran")
-		}
+	empty := NewParallelFor(0, 4, func(int, int) machine.CBody {
+		t.Error("body built for n=0")
+		return nil
 	})
-	if err != nil {
+	hits := make([]int, 1)
+	one := NewParallelFor(1, 0, rangeHits(t, hits, 1)) // grain <= 0 is clamped to 1
+	if _, err := s.Run(&drives{empty, one}); err != nil {
 		t.Fatal(err)
+	}
+	if hits[0] != 1 {
+		t.Error("n=1 body never ran")
 	}
 }
 
@@ -312,11 +311,9 @@ func TestSpawnWorkersCoverageProperty(t *testing.T) {
 		strat := Strategies[int(sIdx)%len(Strategies)]
 		s := machine.NewSystem(machine.HardwareChick())
 		count := make([]int, workers)
-		_, err := s.Run(func(th *machine.Thread) {
-			SpawnWorkers(th, 8, workers, strat, func(_ *machine.Thread, id int) {
-				count[id]++
-			})
-		})
+		_, err := s.Run(&drives{NewWorkers(8, workers, strat, func(id int) machine.CBody {
+			return &script{func(*machine.CThread) bool { count[id]++; return false }}
+		})})
 		if err != nil {
 			return false
 		}
@@ -332,7 +329,7 @@ func TestSpawnWorkersCoverageProperty(t *testing.T) {
 	}
 }
 
-// Property: ParallelFor partitions [0,n) into disjoint covering chunks for
+// Property: NewParallelFor partitions [0,n) into disjoint covering chunks for
 // any n and grain.
 func TestParallelForPartitionProperty(t *testing.T) {
 	f := func(nRaw, gRaw uint8) bool {
@@ -340,13 +337,7 @@ func TestParallelForPartitionProperty(t *testing.T) {
 		grain := int(gRaw % 32)
 		s := machine.NewSystem(machine.HardwareChick())
 		hits := make([]int, n)
-		_, err := s.Run(func(th *machine.Thread) {
-			ParallelFor(th, n, grain, func(_ *machine.Thread, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-		})
+		_, err := s.Run(&drives{NewParallelFor(n, grain, rangeHits(t, hits, max(grain, 1)))})
 		if err != nil {
 			return false
 		}

@@ -4,17 +4,27 @@ import (
 	"fmt"
 
 	"emuchick/internal/machine"
+	"emuchick/internal/sim"
 )
 
-// Continuation-form spawn trees: SpawnWorkers and ParallelFor restated as
-// resumable state machines over machine.CThread, plus Grouped, which has no
-// goroutine form. Workers and ParFor perform the IDENTICAL sequence of
-// spawn/sync operations as their goroutine twins — same tree shape, same
-// spawn order, same explicit syncs — so a kernel ported to the continuation
-// engine produces a bit-identical event stream. The recursive helpers
-// (spawnRangeLocal and friends) become iterative drivers: the caller-side half
-// of each recursion is a loop that shrinks its range, and the spawned-side
-// half is a coordinator CBody carrying the subrange.
+// The spawn trees as resumable state machines over machine.CThread: Workers
+// places workers with one of the four strategies, ParFor splits a range
+// with a grain, Grouped places workers on given nodelets, Fanout spawns a
+// fixed list of bodies, and Timed measures any of them. Each is a Driver,
+// driven from the enclosing body's Step. The recursive tree shapes become
+// iterative drivers: the caller-side half of each recursion is a loop that
+// shrinks its range, and the spawned-side half is a coordinator CBody
+// carrying the subrange. Workers and ParFor replaced goroutine trees and
+// reproduce their event streams bit for bit (golden_test.go).
+
+// Driver is a resumable spawn tree. Call Drive from the enclosing body's
+// Step each time it is resumed: parked=true means the Step must return
+// false; parked=false means the whole tree has been spawned AND joined, and
+// the body continues past it. Once finished, Drive keeps reporting
+// parked=false without doing anything.
+type Driver interface {
+	Drive(t *machine.CThread) (parked bool)
+}
 
 // contSpawner is one resumable caller-side spawn loop. drive issues spawns
 // until it parks (parked=true: the enclosing Step must return) or until
@@ -24,15 +34,13 @@ type contSpawner interface {
 }
 
 // contCoord is the spawned-side coordinator shape shared by every strategy:
-// run a spawner over the delegated subrange, then an explicit sync — the
-// continuation of the goroutine closures `func(c) { spawnXxx(c, ...); c.Sync() }`.
+// run a spawner over the delegated subrange, then an explicit sync.
 type contCoord struct {
 	s      contSpawner
 	mk     func(int) machine.CBody
 	synced bool
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (c *contCoord) Step(t *machine.CThread) bool {
 	if !c.synced {
 		if c.s.drive(t, c.mk) {
@@ -46,7 +54,7 @@ func (c *contCoord) Step(t *machine.CThread) bool {
 	return true
 }
 
-// contSerial mirrors SerialSpawn's caller loop: workers local spawns in id
+// contSerial is SerialSpawn's caller loop: workers local spawns in id
 // order.
 type contSerial struct{ w, workers int }
 
@@ -61,7 +69,7 @@ func (s *contSerial) drive(t *machine.CThread, mk func(int) machine.CBody) bool 
 	return false
 }
 
-// contRange mirrors spawnRangeLocal's caller side: spawn a coordinator for
+// contRange is RecursiveSpawn's local binary tree: spawn a coordinator for
 // the lower half, then descend into the upper half in place.
 type contRange struct{ lo, hi int }
 
@@ -87,7 +95,7 @@ func (r *contRange) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
 	}
 }
 
-// contIDs mirrors spawnIDsLocal's caller side over an explicit id list.
+// contIDs is the local binary tree over an explicit id list.
 type contIDs struct{ ids []int }
 
 func (s *contIDs) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
@@ -112,8 +120,8 @@ func (s *contIDs) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
 	}
 }
 
-// contSerialRemote mirrors SerialRemoteSpawn's caller loop: one remote spawn
-// per nodelet, each hosting a serial per-nodelet coordinator.
+// contSerialRemote is SerialRemoteSpawn's caller loop: one remote spawn per
+// nodelet, each hosting a serial per-nodelet coordinator.
 type contSerialRemote struct{ nl, nodelets, workers int }
 
 func (s *contSerialRemote) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
@@ -143,8 +151,8 @@ func (s *contSerialNodelet) drive(t *machine.CThread, mk func(int) machine.CBody
 	return false
 }
 
-// contNodelets mirrors spawnNodeletsRecursive's caller side: spawn the upper
-// half of the nodelet range at its first nodelet, descend into the lower half.
+// contNodelets is RecursiveRemoteSpawn's remote tree: spawn the upper half
+// of the nodelet range at its first nodelet, descend into the lower half.
 type contNodelets struct{ nodelets, nlo, nhi, workers int }
 
 func (s *contNodelets) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
@@ -220,12 +228,11 @@ func (s *contGroups) drive(t *machine.CThread, mk func(int) machine.CBody) bool 
 	}
 }
 
-// Workers is SpawnWorkers for the continuation engine: construct with
-// NewWorkers, then call Drive from the body's Step each time it is resumed.
-// Drive reports parked=true when the enclosing Step must return false; once
-// it reports parked=false the whole tree has been spawned AND joined, and
-// the body continues past it — exactly where the goroutine SpawnWorkers call
-// would have returned.
+// Workers creates workers threadlets spread across nodelets with one of the
+// four strategies and joins them. Worker w runs the body mk(w) and belongs
+// to nodelet w mod nodelets; with a non-remote strategy every worker is
+// created on the caller's nodelet and must migrate to its data on first
+// touch. Construct with NewWorkers and drive it as a Driver.
 type Workers struct {
 	nodelets, workers int
 	strat             Strategy
@@ -234,13 +241,13 @@ type Workers struct {
 	phase             uint8 // 0 validate, 1 spawn, 2 sync issued, 3 done
 }
 
-// NewWorkers prepares a continuation-form SpawnWorkers: workers bodies built
-// by mk(w), spread over nodelets with the given strategy.
+// NewWorkers prepares workers bodies built by mk(w), spread over nodelets
+// with the given strategy. No workers (workers <= 0) is an empty tree.
 func NewWorkers(nodelets, workers int, strat Strategy, mk func(int) machine.CBody) *Workers {
 	return &Workers{nodelets: nodelets, workers: workers, strat: strat, mk: mk}
 }
 
-// Drive advances the spawn tree; see the type comment for the protocol.
+// Drive advances the spawn tree; see Driver for the protocol.
 func (ws *Workers) Drive(t *machine.CThread) (parked bool) {
 	for {
 		switch ws.phase {
@@ -281,12 +288,14 @@ func (ws *Workers) Drive(t *machine.CThread) (parked bool) {
 	}
 }
 
-// ParFor is ParallelFor for the continuation engine, with the same Drive
-// protocol as Workers. The caller's thread splits its range exactly as
-// parForRange does — each lower half goes to a spawned coordinator, the upper
-// half is split again in place — then runs the final range of at most grain
-// iterations inline through the leaf body, and syncs. A ParFor is also the
-// CBody of those spawned coordinators, which do the same over their half.
+// ParFor is a grain-size parallel loop, the cilk_spawn-built analogue of
+// cilk_for with a grain-size clause — the knob the paper sweeps for SpMV
+// (16 iterations per spawn best on Emu, 16384 on the Xeon) — and a Driver. The caller's thread splits its range with a
+// recursive local spawn tree — each lower half goes to a spawned
+// coordinator, the upper half is split again in place — then runs the final
+// range of at most grain iterations inline through the leaf body, and
+// syncs. A ParFor is also the CBody of those spawned coordinators, which do
+// the same over their half.
 type ParFor struct {
 	lo, hi, grain int
 	leaf          func(lo, hi int) machine.CBody
@@ -294,8 +303,8 @@ type ParFor struct {
 	phase         uint8         // 0 split, 1 leaf, 2 sync issued, 3 done
 }
 
-// NewParallelFor prepares a continuation-form ParallelFor over [0, n) with at
-// most grain iterations per leaf; leaf(lo, hi) builds the body that runs
+// NewParallelFor prepares a parallel loop over [0, n) with at most grain
+// iterations per leaf (grain <= 0 means 1); leaf(lo, hi) builds the body that runs
 // iterations [lo, hi) on whichever thread reaches them.
 func NewParallelFor(n, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
 	if grain <= 0 {
@@ -303,14 +312,12 @@ func NewParallelFor(n, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
 	}
 	f := &ParFor{hi: n, grain: grain, leaf: leaf}
 	if n <= 0 {
-		f.phase = 3 // ParallelFor returns at once, without a sync
+		f.phase = 3 // an empty loop returns at once, without a sync
 	}
 	return f
 }
 
-// Drive advances the loop; see Workers.Drive for the protocol.
-//
-//emu:nohandoff CBody contract: park state, never the goroutine
+// Drive advances the loop; see Driver for the protocol.
 func (f *ParFor) Drive(t *machine.CThread) (parked bool) {
 	for {
 		switch f.phase {
@@ -324,11 +331,9 @@ func (f *ParFor) Drive(t *machine.CThread) (parked bool) {
 				}
 				continue
 			}
-			//lint:allow nohandoff leaf is the caller's constructor for its leaf state machine; it only allocates
 			f.body = f.leaf(f.lo, f.hi)
 			f.phase = 1
 		case 1:
-			//lint:allow nohandoff body is the kernel's leaf CBody, annotated //emu:nohandoff at its own Step
 			if !f.body.Step(t) {
 				return true
 			}
@@ -346,16 +351,12 @@ func (f *ParFor) Drive(t *machine.CThread) (parked bool) {
 }
 
 // Step runs a spawned coordinator's half of the loop.
-//
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (f *ParFor) Step(t *machine.CThread) bool {
-	//lint:allow nohandoff Drive's one dynamic call is the leaf constructor, allowed at its site
 	return !f.Drive(t)
 }
 
 // Grouped creates one worker per id in groups, where groups[nl] lists the
-// worker ids that must start on nodelet nl, with the same Drive protocol as
-// Workers. Placement uses a recursive remote-spawn tree over the nodelets
+// worker ids that must start on nodelet nl; it is a Driver. Placement uses a recursive remote-spawn tree over the nodelets
 // followed by local recursive trees — the paper's recursive_remote_spawn
 // shape — so launching W workers costs O(log W) critical-path spawns instead
 // of W. Kernels whose workers have data-dependent home nodelets (pointer
@@ -378,7 +379,7 @@ func NewGrouped(groups [][]int, mk func(int) machine.CBody) *Grouped {
 	return &Grouped{spawner: &contGroups{groups: groups, nls: nls}, mk: mk}
 }
 
-// Drive advances the grouped spawn tree; see Workers.Drive for the protocol.
+// Drive advances the grouped spawn tree; see Driver for the protocol.
 func (g *Grouped) Drive(t *machine.CThread) (parked bool) {
 	for {
 		switch g.phase {
@@ -396,4 +397,74 @@ func (g *Grouped) Drive(t *machine.CThread) (parked bool) {
 			return false
 		}
 	}
+}
+
+// Fanout spawns each of its bodies on its nodelet, in the order they were
+// added, then syncs. The zero value is an empty fan-out, which only syncs.
+type Fanout struct {
+	nls    []int
+	bodies []machine.CBody
+	k      int
+	synced bool
+}
+
+// Add queues body to be spawned on nodelet nl.
+func (f *Fanout) Add(nl int, body machine.CBody) {
+	f.nls = append(f.nls, nl)
+	f.bodies = append(f.bodies, body)
+}
+
+// Drive advances the fan-out; see Driver for the protocol.
+func (f *Fanout) Drive(t *machine.CThread) (parked bool) {
+	for f.k < len(f.bodies) {
+		k := f.k
+		f.k++
+		body := f.bodies[k]
+		f.bodies[k] = nil // the child owns it now
+		if t.CSpawnAt(f.nls[k], body) {
+			return true
+		}
+	}
+	if !f.synced {
+		f.synced = true
+		return t.CSync()
+	}
+	return false
+}
+
+// Timed drives a tree and stores in *out the simulated time from its first
+// Drive to its final join. It is a Driver and, through Step, a body that
+// can be a run's root.
+type Timed struct {
+	tree  Driver
+	out   *sim.Time
+	t0    sim.Time
+	phase uint8 // 0 not started, 1 driving, 2 done
+}
+
+// NewTimed prepares a measured run of tree.
+func NewTimed(tree Driver, out *sim.Time) *Timed {
+	return &Timed{tree: tree, out: out}
+}
+
+// Drive advances the tree; see Driver for the protocol.
+func (r *Timed) Drive(t *machine.CThread) (parked bool) {
+	switch r.phase {
+	case 0:
+		r.t0 = t.Now()
+		r.phase = 1
+		fallthrough
+	case 1:
+		if r.tree.Drive(t) {
+			return true
+		}
+		*r.out = t.Now() - r.t0
+		r.phase = 2
+	}
+	return false
+}
+
+// Step runs the measured tree as a body.
+func (r *Timed) Step(t *machine.CThread) bool {
+	return !r.Drive(t)
 }

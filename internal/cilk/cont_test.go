@@ -8,15 +8,14 @@ import (
 
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
-	"emuchick/internal/sim"
 	"emuchick/internal/trace"
 )
 
-// Cross-engine equivalence for the spawn trees that have both forms: every
-// SpawnWorkers strategy and ParallelFor must produce the identical trace
-// event stream, elapsed time, and counters whether the tree is spawned by
-// goroutine threads or continuation threadlets. Grouped has only the
-// continuation form and is pinned by a golden digest instead.
+// The spawn trees against the event streams of the goroutine trees they
+// replaced: every Workers strategy and ParFor shape must reproduce the trace
+// event stream, elapsed time, and counters recorded from its goroutine
+// twin (golden_test.go). Grouped never had a goroutine form and is pinned by
+// a digest of its own.
 
 type streamRecorder struct {
 	events []trace.Event
@@ -25,9 +24,8 @@ type streamRecorder struct {
 func (r *streamRecorder) Event(e trace.Event) { r.events = append(r.events, e) }
 func (r *streamRecorder) Sample(trace.Sample) {}
 
-// ctTouchWorker is the continuation twin of the goroutine test worker: load
-// the worker's home word (migrating if the strategy left it remote), then a
-// little compute.
+// ctTouchWorker loads the worker's home word (migrating if the strategy
+// left it remote), then does a little compute.
 type ctTouchWorker struct {
 	arr memsys.Striped
 	w   int
@@ -85,51 +83,18 @@ func (b *ctGroupedRoot) Step(t *machine.CThread) bool {
 	return true
 }
 
-// runEnginePair runs the goroutine and continuation variants of one scenario
-// on fresh systems and fails on any trace/time/counter divergence, and on
-// any drift of the goroutine run from its recorded digest (see
-// golden_test.go).
-func runEnginePair(t *testing.T, label, want string,
-	mkGo func(s *machine.System) func(*machine.Thread),
-	mkCont func(s *machine.System) machine.CBody) {
+// runRecorded runs one scenario on a fresh system and fails on any drift
+// from the digest recorded from its goroutine twin.
+func runRecorded(t *testing.T, label, want string, mk func(s *machine.System) machine.CBody) {
 	t.Helper()
-	run := func(cont bool) (sim.Time, []trace.Event, []machine.NodeletCounters) {
-		s := machine.NewSystem(machine.HardwareChick())
-		rec := &streamRecorder{}
-		s.Attach(rec)
-		var elapsed sim.Time
-		var err error
-		if cont {
-			elapsed, err = s.RunCont(mkCont(s))
-		} else {
-			elapsed, err = s.Run(mkGo(s))
-		}
-		if err != nil {
-			t.Fatalf("%s (cont=%v): %v", label, cont, err)
-		}
-		if !cont {
-			checkDigest(t, label, runDigest(elapsed, rec.events, s, nil), want)
-		}
-		return elapsed, rec.events, s.Counters.Snapshot()
+	s := machine.NewSystem(machine.HardwareChick())
+	rec := &streamRecorder{}
+	s.Attach(rec)
+	elapsed, err := s.Run(mk(s))
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	ge, gev, gc := run(false)
-	ce, cev, cc := run(true)
-	if ge != ce {
-		t.Errorf("%s: elapsed diverged: goroutine %v, continuation %v", label, ge, ce)
-	}
-	if len(gev) != len(cev) {
-		t.Fatalf("%s: event count diverged: goroutine %d, continuation %d", label, len(gev), len(cev))
-	}
-	for i := range gev {
-		if gev[i] != cev[i] {
-			t.Fatalf("%s: event %d diverged:\n  goroutine    %+v\n  continuation %+v", label, i, gev[i], cev[i])
-		}
-	}
-	for i := range gc {
-		if gc[i] != cc[i] {
-			t.Errorf("%s: counters diverged at nodelet %d:\n  goroutine    %+v\n  continuation %+v", label, i, gc[i], cc[i])
-		}
-	}
+	checkDigest(t, label, runDigest(elapsed, rec.events, s, nil), want)
 }
 
 func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
@@ -137,23 +102,13 @@ func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
-			runEnginePair(t, strat.String(), workersDigests[strat],
-				func(s *machine.System) func(*machine.Thread) {
-					arr := s.Mem.AllocStriped(s.Nodelets())
-					return func(th *machine.Thread) {
-						SpawnWorkers(th, th.System().Nodelets(), workers, strat, func(c *machine.Thread, w int) {
-							c.Load(arr.At(w % arr.Len()))
-							c.Compute(5)
-						})
-					}
-				},
-				func(s *machine.System) machine.CBody {
-					arr := s.Mem.AllocStriped(s.Nodelets())
-					ws := NewWorkers(s.Nodelets(), workers, strat, func(w int) machine.CBody {
-						return &ctTouchWorker{arr: arr, w: w}
-					})
-					return &ctWorkersRoot{ws: ws}
+			runRecorded(t, strat.String(), workersDigests[strat], func(s *machine.System) machine.CBody {
+				arr := s.Mem.AllocStriped(s.Nodelets())
+				ws := NewWorkers(s.Nodelets(), workers, strat, func(w int) machine.CBody {
+					return &ctTouchWorker{arr: arr, w: w}
 				})
+				return &ctWorkersRoot{ws: ws}
+			})
 		})
 	}
 }
@@ -176,7 +131,7 @@ func TestContGroupedGolden(t *testing.T) {
 	g := NewGrouped(groups, func(w int) machine.CBody {
 		return &ctTouchWorker{arr: arr, w: w}
 	})
-	elapsed, err := s.RunCont(&ctGroupedRoot{g: g})
+	elapsed, err := s.Run(&ctGroupedRoot{g: g})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +152,7 @@ func TestContWorkersZeroAndNegative(t *testing.T) {
 			t.Fatal("worker built for an empty tree")
 			return nil
 		})
-		if _, err := s.RunCont(&ctWorkersRoot{ws: ws}); err != nil {
+		if _, err := s.Run(&ctWorkersRoot{ws: ws}); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if s.Counters.ThreadsSpawned != 1 { // just the root
@@ -206,8 +161,8 @@ func TestContWorkersZeroAndNegative(t *testing.T) {
 	}
 }
 
-// ctRangeLeaf is the continuation twin of a ParallelFor body: load each
-// iteration's word (migrating across the stripe), then a little compute.
+// ctRangeLeaf is a ParallelFor leaf: load each iteration's word (migrating
+// across the stripe), then a little compute.
 type ctRangeLeaf struct {
 	arr    memsys.Striped
 	i, hi  int
@@ -260,28 +215,14 @@ func TestContParallelForMatchesGoroutine(t *testing.T) {
 	for _, tc := range []struct{ n, grain int }{{37, 1}, {37, 4}, {37, 36}, {37, 37}, {37, 100}, {64, 0}, {1, 5}} {
 		tc := tc
 		label := fmt.Sprintf("n=%d/grain=%d", tc.n, tc.grain)
-		runEnginePair(t, label, parForDigests[label],
-			func(s *machine.System) func(*machine.Thread) {
-				arr := s.Mem.AllocStriped(tc.n)
-				out := s.Mem.AllocLocal(0, 1)
-				return func(th *machine.Thread) {
-					ParallelFor(th, tc.n, tc.grain, func(c *machine.Thread, lo, hi int) {
-						for i := lo; i < hi; i++ {
-							c.Load(arr.At(i))
-							c.Compute(3)
-						}
-					})
-					th.Store(out.At(0), 1)
-				}
-			},
-			func(s *machine.System) machine.CBody {
-				arr := s.Mem.AllocStriped(tc.n)
-				out := s.Mem.AllocLocal(0, 1)
-				f := NewParallelFor(tc.n, tc.grain, func(lo, hi int) machine.CBody {
-					return &ctRangeLeaf{arr: arr, i: lo, hi: hi}
-				})
-				return &ctParForRoot{f: f, out: out.At(0)}
+		runRecorded(t, label, parForDigests[label], func(s *machine.System) machine.CBody {
+			arr := s.Mem.AllocStriped(tc.n)
+			out := s.Mem.AllocLocal(0, 1)
+			f := NewParallelFor(tc.n, tc.grain, func(lo, hi int) machine.CBody {
+				return &ctRangeLeaf{arr: arr, i: lo, hi: hi}
 			})
+			return &ctParForRoot{f: f, out: out.At(0)}
+		})
 	}
 }
 
@@ -293,7 +234,7 @@ func TestContParallelForEmptyRange(t *testing.T) {
 			t.Fatal("leaf built for an empty range")
 			return nil
 		})
-		if _, err := s.RunCont(&ctParForRoot{f: f, out: out.At(0)}); err != nil {
+		if _, err := s.Run(&ctParForRoot{f: f, out: out.At(0)}); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if s.Counters.ThreadsSpawned != 1 {

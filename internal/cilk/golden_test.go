@@ -75,14 +75,8 @@ func (s *script) Step(t *machine.CThread) bool {
 	return true
 }
 
-// driver is anything with the Drive protocol: Workers, ParFor, Grouped,
-// Reduction.
-type driver interface {
-	Drive(t *machine.CThread) (parked bool)
-}
-
 // drives is a test thread body that runs each driver to completion in order.
-type drives []driver
+type drives []Driver
 
 func (d *drives) Step(t *machine.CThread) bool {
 	for len(*d) > 0 {
@@ -118,7 +112,7 @@ func TestSumReducerGolden(t *testing.T) {
 		return adds(red, vs...)
 	})
 	gather := red.Reduce()
-	elapsed, err := s.RunCont(&drives{ws, gather})
+	elapsed, err := s.Run(&drives{ws, gather})
 	if err != nil {
 		t.Fatal(err)
 	}

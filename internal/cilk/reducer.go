@@ -35,8 +35,8 @@ func (r *SumReducer) Add(t *machine.CThread, v uint64) (parked bool) {
 // after a sync).
 func (r *SumReducer) Reduce() *Reduction { return &Reduction{r: r} }
 
-// Reduction is a gather in progress, with the Drive protocol of Workers:
-// once Drive reports parked=false, Total holds the sum of the partials.
+// Reduction is a gather in progress and a Driver: once Drive reports
+// parked=false, Total holds the sum of the partials.
 type Reduction struct {
 	r      *SumReducer
 	nl     int
@@ -44,7 +44,7 @@ type Reduction struct {
 	total  uint64
 }
 
-// Drive advances the gather; see Workers.Drive for the protocol.
+// Drive advances the gather; see Driver for the protocol.
 func (g *Reduction) Drive(t *machine.CThread) (parked bool) {
 	for g.nl < t.System().Nodelets() {
 		if !g.issued {

@@ -23,7 +23,7 @@ func TestSumReducerCorrectness(t *testing.T) {
 		return adds(red, ones(id+1)...)
 	})
 	gather := red.Reduce()
-	if _, err := sys.RunCont(&drives{ws, gather}); err != nil {
+	if _, err := sys.Run(&drives{ws, gather}); err != nil {
 		t.Fatal(err)
 	}
 	want := uint64(32 * 33 / 2) // sum of 1..32
@@ -41,7 +41,7 @@ func TestSumReducerNeverMigrates(t *testing.T) {
 	ws := NewWorkers(8, 16, SerialRemoteSpawn, func(int) machine.CBody {
 		return adds(red, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
 	})
-	if _, err := sys.RunCont(&drives{ws, red.Reduce()}); err != nil {
+	if _, err := sys.Run(&drives{ws, red.Reduce()}); err != nil {
 		t.Fatal(err)
 	}
 	if m := sys.Counters.TotalMigrations(); m != 0 {
@@ -60,7 +60,7 @@ func TestSumReducerBeatsSharedCell(t *testing.T) {
 		ws := NewWorkers(8, workers, SerialRemoteSpawn, func(int) machine.CBody {
 			return adds(red, ones(nadds)...)
 		})
-		elapsed, err := sys.RunCont(&drives{ws, red.Reduce()})
+		elapsed, err := sys.Run(&drives{ws, red.Reduce()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestSumReducerBeatsSharedCell(t *testing.T) {
 			}
 			return &sc
 		})
-		elapsed, err := sys.RunCont(&drives{ws})
+		elapsed, err := sys.Run(&drives{ws})
 		if err != nil {
 			t.Fatal(err)
 		}

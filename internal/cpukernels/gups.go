@@ -59,7 +59,6 @@ type gupsWorker struct {
 	pc     uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *gupsWorker) Step(t *xeon.CThread) bool {
 	for len(w.stream) > 0 {
 		idx := w.stream[0]

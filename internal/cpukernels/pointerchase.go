@@ -103,7 +103,6 @@ type chaseWorker struct {
 	pc      uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *chaseWorker) Step(t *xeon.CThread) bool {
 	if w.empty {
 		return true

@@ -24,10 +24,8 @@ type task struct {
 	synced bool
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (k *task) Step(t *xeon.CThread) bool {
 	if !k.synced {
-		//lint:allow nohandoff d is a spawnTree, parFor or fanout, all pure CThread state machines
 		if k.d.Drive(t) {
 			return false
 		}
@@ -47,7 +45,6 @@ type spawnTree struct {
 	worker func(id int) xeon.CBody
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (s *spawnTree) Drive(t *xeon.CThread) (parked bool) {
 	for {
 		switch n := s.hi - s.lo; {
@@ -56,7 +53,6 @@ func (s *spawnTree) Drive(t *xeon.CThread) (parked bool) {
 		case n == 1:
 			id := s.lo
 			s.lo = s.hi
-			//lint:allow nohandoff worker only builds the kernel's worker state machine
 			if t.Spawn(s.worker(id)) {
 				return true
 			}
@@ -81,12 +77,10 @@ type parFor struct {
 	body          xeon.CBody // the inline leaf, once the range is split down
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (f *parFor) Drive(t *xeon.CThread) (parked bool) {
 	for f.body == nil {
 		n := f.hi - f.lo
 		if n <= f.grain {
-			//lint:allow nohandoff leaf only builds the kernel's leaf state machine
 			f.body = f.leaf(f.lo, f.hi)
 			break
 		}
@@ -97,7 +91,6 @@ func (f *parFor) Drive(t *xeon.CThread) (parked bool) {
 			return true
 		}
 	}
-	//lint:allow nohandoff body is the kernel's leaf CBody, annotated //emu:nohandoff at its own Step
 	return !f.body.Step(t)
 }
 
@@ -106,7 +99,6 @@ type fanout struct {
 	bodies []xeon.CBody
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (f *fanout) Drive(t *xeon.CThread) (parked bool) {
 	for len(f.bodies) > 0 {
 		body := f.bodies[0]

@@ -140,7 +140,6 @@ type rowWalker struct {
 	pc                    uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *rowWalker) Step(t *xeon.CThread) bool {
 	m := w.m
 	for w.r < w.hi {

@@ -67,7 +67,6 @@ type streamWorker struct {
 	pc         uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *streamWorker) Step(t *xeon.CThread) bool {
 	for w.i < w.hi {
 		switch w.pc {

@@ -200,10 +200,29 @@ func TestCheckpointMidFileCorruptionRefused(t *testing.T) {
 	}
 }
 
-// procFunc runs a plain function as a goroutine-hosted sim proc.
-type procFunc func(*sim.Proc)
+// script is a test proc body: its steps run in order, each issuing at most
+// one blocking operation and returning that operation's parked result; the
+// proc exits after its last step.
+type script []func(p *sim.Proc) (parked bool)
 
-func (f procFunc) RunProc(p *sim.Proc) { f(p) }
+func (s *script) StepProc(p *sim.Proc) {
+	for len(*s) > 0 {
+		op := (*s)[0]
+		*s = (*s)[1:]
+		if op(p) {
+			return
+		}
+	}
+	p.Exit()
+}
+
+// spinner sleeps one tick at a time forever.
+type spinner struct{}
+
+func (spinner) StepProc(p *sim.Proc) {
+	for !p.SleepUntil(p.Now() + 1) {
+	}
+}
 
 // deadlockExperiment builds an unregistered experiment whose sweep deadlocks
 // on exactly one cell, so the failure path can be exercised hermetically.
@@ -216,14 +235,14 @@ func deadlockExperiment() *Experiment {
 				if pi == 1 {
 					eng := sim.NewEngine()
 					sem := sim.NewSemaphore(eng, "slots", 1)
-					eng.SpawnAt(0, "holder", procFunc(func(p *sim.Proc) {
-						sem.Acquire(p)
-						p.ParkReason("hold-forever") // never unparked
-					}))
-					eng.SpawnAt(0, "blocked", procFunc(func(p *sim.Proc) {
-						p.Delay(5)
-						sem.Acquire(p)
-					}))
+					eng.SpawnContAt(0, "holder", &script{sem.AcquireCont, func(p *sim.Proc) bool {
+						p.Suspend("hold-forever") // never unparked
+						return true
+					}})
+					eng.SpawnContAt(0, "blocked", &script{
+						func(p *sim.Proc) bool { return p.SleepUntil(5) },
+						sem.AcquireCont,
+					})
 					if err := eng.Run(); err != nil {
 						return 0, err
 					}
@@ -303,11 +322,7 @@ func TestWatchdogKillsStuckCellAfterRetries(t *testing.T) {
 					// deadline (via Interrupt) ends this engine.
 					eng := sim.NewEngine()
 					eng.Interrupt = o.ctx.Err
-					eng.SpawnAt(0, "spinner", procFunc(func(p *sim.Proc) {
-						for {
-							p.Delay(1)
-						}
-					}))
+					eng.SpawnContAt(0, "spinner", spinner{})
 					if err := eng.Run(); err != nil {
 						return 0, err
 					}

@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
 	"emuchick/internal/metrics"
@@ -45,14 +46,14 @@ func GUPS(mcfg machine.Config, cfg GUPSConfig, opts ...RunOption) (metrics.Resul
 	// Thread k takes the k-th contiguous share of the stream and starts on
 	// nodelet k mod N; threads left without updates are never spawned.
 	nodelets := sys.Nodelets()
-	fan := &fanout{}
+	fan := &cilk.Fanout{}
 	for k := 0; k < cfg.Threads; k++ {
 		if lo, hi := share(cfg.Updates, k, cfg.Threads); lo < hi {
-			fan.add(k%nodelets, &gupsWorker{table: table, idx: stream[lo:hi]})
+			fan.Add(k%nodelets, &gupsWorker{table: table, idx: stream[lo:hi]})
 		}
 	}
 	var res metrics.Result
-	if _, err := sys.RunCont(&timedRoot{drive: fan, out: &res.Elapsed}); err != nil {
+	if _, err := sys.Run(cilk.NewTimed(fan, &res.Elapsed)); err != nil {
 		return metrics.Result{}, err
 	}
 	for i, w := range want {
@@ -75,7 +76,6 @@ type gupsWorker struct {
 	posted bool
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *gupsWorker) Step(t *machine.CThread) bool {
 	for len(w.idx) > 0 {
 		if !w.posted {

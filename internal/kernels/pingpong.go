@@ -3,6 +3,7 @@ package kernels
 import (
 	"fmt"
 
+	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/sim"
 )
@@ -42,7 +43,7 @@ func PingPong(mcfg machine.Config, cfg PingPongConfig, opts ...RunOption) (PingP
 		return PingPongResult{}, fmt.Errorf("kernels: ping-pong nodelets out of range")
 	}
 	var out PingPongResult
-	if _, err := sys.RunCont(pingRoot(cfg, &out.Elapsed)); err != nil {
+	if _, err := sys.Run(pingRoot(cfg, &out.Elapsed)); err != nil {
 		return PingPongResult{}, err
 	}
 	want := uint64(cfg.Threads) * uint64(cfg.Iterations) * 2
@@ -66,7 +67,6 @@ type pingWorker struct {
 	pc       int
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *pingWorker) Step(t *machine.CThread) bool {
 	for w.i < w.iters {
 		switch w.pc {
@@ -89,9 +89,9 @@ func (w *pingWorker) Step(t *machine.CThread) bool {
 // pingRoot builds the root body of one ping-pong run: spawn every worker on
 // nodelet A, sync, and record the elapsed time.
 func pingRoot(cfg PingPongConfig, out *sim.Time) machine.CBody {
-	fan := &fanout{}
+	fan := &cilk.Fanout{}
 	for k := 0; k < cfg.Threads; k++ {
-		fan.add(cfg.NodeletA, &pingWorker{a: cfg.NodeletA, b: cfg.NodeletB, iters: cfg.Iterations})
+		fan.Add(cfg.NodeletA, &pingWorker{a: cfg.NodeletA, b: cfg.NodeletB, iters: cfg.Iterations})
 	}
-	return &timedRoot{drive: fan, out: out}
+	return cilk.NewTimed(fan, out)
 }

@@ -125,7 +125,7 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 
 	sums := make([]uint64, cfg.Threads)
 	var res metrics.Result
-	if _, err := sys.RunCont(chaseRoot(groups, starts, sums, &res.Elapsed)); err != nil {
+	if _, err := sys.Run(chaseRoot(groups, starts, sums, &res.Elapsed)); err != nil {
 		return metrics.Result{}, ChaseStats{}, err
 	}
 	for k := range sums {
@@ -150,7 +150,6 @@ type chaseWorker struct {
 	pc   int
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *chaseWorker) Step(t *machine.CThread) bool {
 	for {
 		switch w.pc {
@@ -189,5 +188,5 @@ func chaseRoot(groups [][]int, starts []memsys.Addr, sums []uint64, out *sim.Tim
 	g := cilk.NewGrouped(groups, func(k int) machine.CBody {
 		return &chaseWorker{sums: sums, k: k, addr: starts[k]}
 	})
-	return &timedRoot{drive: g, out: out}
+	return cilk.NewTimed(g, out)
 }

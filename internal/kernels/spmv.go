@@ -97,7 +97,7 @@ func SpMV(mcfg machine.Config, cfg SpMVConfig, opts ...RunOption) (metrics.Resul
 	want := m.MulVec(xv)
 	grainRows := spmvGrainRows(cfg.GrainNNZ)
 
-	var loop driver
+	var loop cilk.Driver
 	var ya memsys.Local
 	switch cfg.Layout {
 	case SpMVLocal, SpMV1D:
@@ -108,7 +108,7 @@ func SpMV(mcfg machine.Config, cfg SpMVConfig, opts ...RunOption) (metrics.Resul
 		return metrics.Result{}, fmt.Errorf("kernels: unknown layout %v", cfg.Layout)
 	}
 	var elapsed sim.Time
-	if _, err := sys.RunCont(&timedRoot{drive: loop, out: &elapsed}); err != nil {
+	if _, err := sys.Run(cilk.NewTimed(loop, &elapsed)); err != nil {
 		return metrics.Result{}, err
 	}
 	for r := 0; r < m.Rows; r++ {
@@ -214,7 +214,6 @@ type rowWalker struct {
 	pc     uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *rowWalker) Step(t *machine.CThread) bool {
 	s := w.s
 	for {
@@ -297,7 +296,7 @@ func rowLoop(s *spmvRows, n, grainRows int) *cilk.ParFor {
 // nodelets r and r+1 mod N and, since ColIdx and Val share stripe indices,
 // each element is one migration followed by a local load; x is replicated
 // (or striped under the ablation). y stays on nodelet 0 in both.
-func spmvCSR(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int, layout SpMVLayout, stripeX bool) (driver, memsys.Local) {
+func spmvCSR(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int, layout SpMVLayout, stripeX bool) (cilk.Driver, memsys.Local) {
 	alloc := func(n int) vector { return sys.Mem.AllocStriped(n) }
 	if layout == SpMVLocal {
 		alloc = func(n int) vector { return sys.Mem.AllocLocal(0, n) }
@@ -322,7 +321,7 @@ func spmvCSR(sys *machine.System, m *sparse.CSR, xv []float64, grainRows int, la
 // nodelet's shard contiguous, per-row (offset, length) metadata local. The
 // root spawns one coordinator per populated nodelet, each running the row
 // loop over its own shard.
-func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (driver, memsys.Local) {
+func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelets int, stripeX bool) (cilk.Driver, memsys.Local) {
 	part := sparse.PartitionRows(m, nodelets)
 	// Shards need padding to the system's nodelet count.
 	ciWords := make([]int, sys.Nodelets())
@@ -336,7 +335,7 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 	meta := sys.Mem.AllocBlocked(metaWords)
 	x := allocX(sys, xv, SpMV2D, stripeX)
 	ya := sys.Mem.AllocLocal(0, m.Rows)
-	fan := &fanout{}
+	fan := &cilk.Fanout{}
 	for nl := 0; nl < nodelets; nl++ {
 		for slot, r := range part.RowsOf[nl] {
 			off := part.Offset[r]
@@ -351,7 +350,7 @@ func spmv2D(sys *machine.System, m *sparse.CSR, xv []float64, grainRows, nodelet
 		if rows := part.RowsOf[nl]; len(rows) > 0 {
 			s := &spmvRows{bounds: shard{meta, nl}, stride: 2, counted: true, rows: rows,
 				ci: shard{ci, nl}, vv: shard{vv, nl}, x: x, y: ya}
-			fan.add(nl, rowLoop(s, len(rows), grainRows))
+			fan.Add(nl, rowLoop(s, len(rows), grainRows))
 		}
 	}
 	return fan, ya

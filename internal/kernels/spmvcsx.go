@@ -89,17 +89,17 @@ func SpMVCSX(mcfg machine.Config, cfg SpMVCSXConfig, opts ...RunOption) (metrics
 	}
 
 	grainRows := spmvGrainRows(cfg.GrainNNZ)
-	fan := &fanout{}
+	fan := &cilk.Fanout{}
 	for nl := 0; nl < nodelets; nl++ {
 		if rows := part.RowsOf[nl]; len(rows) > 0 {
 			sh := &csxShard{meta: shard{meta, nl}, deltas: shard{dsh, nl}, vals: shard{vsh, nl}, rows: rows, x: xr, y: ya}
-			fan.add(nl, cilk.NewParallelFor(len(rows), grainRows, func(lo, hi int) machine.CBody {
+			fan.Add(nl, cilk.NewParallelFor(len(rows), grainRows, func(lo, hi int) machine.CBody {
 				return &csxWalker{s: sh, i: lo, hi: hi}
 			}))
 		}
 	}
 	var elapsed sim.Time
-	_, err = sys.RunCont(&timedRoot{drive: fan, out: &elapsed})
+	_, err = sys.Run(cilk.NewTimed(fan, &elapsed))
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -140,7 +140,6 @@ type csxWalker struct {
 	pc           uint8
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *csxWalker) Step(t *machine.CThread) bool {
 	s := w.s
 	for {

@@ -156,7 +156,7 @@ func Stream(mcfg machine.Config, cfg StreamConfig, opts ...RunOption) (metrics.R
 	loads, _ := cfg.Kernel.loadsStores()
 	sh := &streamShared{a: a, b: b, c: c, kernel: cfg.Kernel, loads: loads}
 	var res metrics.Result
-	if _, err := sys.RunCont(streamRoot(cfg, sh, &res.Elapsed)); err != nil {
+	if _, err := sys.Run(streamRoot(cfg, sh, &res.Elapsed)); err != nil {
 		return metrics.Result{}, err
 	}
 	res.Bytes = int64(n) * cfg.Kernel.bytesPerElement()
@@ -188,7 +188,6 @@ type streamWorker struct {
 	pc             int
 }
 
-//emu:nohandoff CBody contract: park state, never the goroutine
 func (w *streamWorker) Step(t *machine.CThread) bool {
 	s := w.sh
 	for {
@@ -242,7 +241,7 @@ func streamRoot(cfg StreamConfig, sh *streamShared, out *sim.Time) machine.CBody
 		lo, hi := share(cfg.ElemsPerNodelet, rank, (cfg.Threads-nl+n-1)/n)
 		return &streamWorker{sh: sh, i: nl + lo*n, end: nl + hi*n, stride: n}
 	})
-	return &timedRoot{drive: ws, out: out}
+	return cilk.NewTimed(ws, out)
 }
 
 // share splits n items into parts pieces and returns the half-open range of

@@ -1,8 +1,9 @@
 // Package machine models the Emu Chick: nodes of eight nodelets, each
 // nodelet combining a narrow NCDRAM channel with one or more cache-less,
 // highly multithreaded Gossamer cores, plus the migration engine that moves
-// thread contexts to data. It exposes a Thread API (Load/Store/Atomic/
-// Compute/Spawn/Sync) against which the paper's Cilk kernels are written.
+// thread contexts to data. It exposes a threadlet API (CThread: load, store,
+// atomics, compute, spawn, sync) against which the paper's Cilk kernels are
+// written.
 //
 // The model is a calibrated queueing simulation, not an RTL simulation: each
 // hardware resource (core issue port, memory channel, migration engine,
@@ -223,8 +224,8 @@ func FullSpeed(nodes int) Config {
 // the given number of chassis, each an 8-node (64-nodelet) Fig. 11 system,
 // joined by a top-of-rack fabric tier. A full rack is millions of hardware
 // thread contexts (chassis × 64 nodelets × 1024 contexts), which is only
-// tractable to simulate on the continuation proc engine — a goroutine per
-// resident threadlet would exhaust the host long before the model does.
+// tractable to simulate because a parked threadlet is a couple of hundred
+// bytes of state machine (see CThread), not a host goroutine.
 // FullSpeedRack(1) differs from FullSpeed(8) only in naming the chassis
 // tier explicitly; no transfer crosses a chassis, so timings are identical.
 func FullSpeedRack(chassis int) Config {

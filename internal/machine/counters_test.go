@@ -6,16 +6,10 @@ func TestCounterAggregates(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	arr := s.Mem.AllocStriped(64)
 	remote := s.Mem.AllocLocal(3, 2)
-	_, err := s.Run(func(th *Thread) {
-		th.SpawnAt(2, func(c *Thread) {
-			for i := 0; i < 16; i++ {
-				c.Load(arr.At(i)) // striped walk: migrations + local reads
-			}
-			c.Store(remote.At(0), 7) // posted remote store
-			c.RemoteAdd(remote.At(1), 1)
-		})
-		th.Sync()
-	})
+	child := append(loadAll(arr.At, 16), // striped walk: migrations + local reads
+		func(c *CThread) bool { return c.CStore(remote.At(0), 7) }, // posted remote store
+		func(c *CThread) bool { return c.CRemoteAdd(remote.At(1), 1) })
+	_, err := s.Run(&script{func(th *CThread) bool { return th.CSpawnAt(2, &child) }, (*CThread).CSync})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +42,8 @@ func TestSystemAccessors(t *testing.T) {
 		t.Fatalf("Clock = %d Hz", s.Clock().Hz())
 	}
 	arr := s.Mem.AllocLocal(0, 8)
-	elapsed, err := s.Run(func(th *Thread) {
-		for i := 0; i < 8; i++ {
-			th.Load(arr.At(i))
-		}
-	})
+	sc := loadAll(arr.At, 8)
+	elapsed, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}

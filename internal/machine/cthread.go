@@ -10,21 +10,29 @@ import (
 	"emuchick/internal/trace"
 )
 
-// CThread is the continuation-form Gossamer threadlet: the same machine
-// model as Thread, expressed as an explicit state machine the event loop
-// resumes by a method call instead of a goroutine it hands a channel token
-// to. A CThread plus its sim.Proc is the entire saved context of a parked
-// threadlet — a couple of hundred bytes, like the <200 B register file the
-// hardware swaps in and out — which is what makes rack-scale configurations
-// (millions of resident contexts) simulable.
+// CThread is one Gossamer threadlet: a lightweight context (the real thing
+// is 16 registers, a PC, a stack counter and status — under 200 bytes)
+// resident on some nodelet. Kernels are written against this API the way
+// the paper's Cilk benchmarks are written against the Emu toolchain:
 //
-// Every operation mirrors its Thread counterpart op for op: the same
-// resource acquisitions in the same order at the same times, counters
-// bumped before waits, trace events and functional memory effects on the
-// same side of each wait. The two engines therefore produce bit-identical
-// (at, scheduling order) event streams for the same kernel — the
-// byte-identical-figures contract — which cthread_test.go and the kernel and
-// figure golden tests enforce.
+//   - CLoad of a local word costs an issue slot, channel occupancy, and
+//     memory latency.
+//   - CLoad of a REMOTE word first migrates the thread to the word's
+//     nodelet ("any remote read triggers a migration").
+//   - Stores to remote words are posted through the network without
+//     migrating, and atomics are executed by memory-side processors, both
+//     matching section II.
+//   - CSpawn creates a child threadlet locally; CSpawnAt creates it on a
+//     chosen nodelet (a "remote spawn"); CSync joins all children.
+//
+// A CThread is an explicit state machine the event loop resumes by a method
+// call. A CThread plus its sim.Proc is the entire saved context of a parked
+// threadlet — a couple of hundred bytes, like the register file the
+// hardware swaps in and out — which is what makes rack-scale configurations
+// (millions of resident contexts) simulable. Contexts are pooled by the
+// System (see acquireCThread), and the child join is embedded rather than
+// allocated: children all finish before their parent's implicit end-of-body
+// sync completes, so the embedded join never outlives its CThread.
 //
 // Bodies implement CBody. A body method that can block returns parked=true
 // after arranging its continuation, and the body's Step must immediately
@@ -62,16 +70,16 @@ type CThread struct {
 	spawnBody CBody
 }
 
-// CBody is the body of a continuation-form threadlet: the state-machine
-// analogue of the func(*Thread) a goroutine thread runs. Step resumes the
+// CBody is the body of a threadlet, written as a resumable state machine.
+// Step resumes the
 // body with no micro-op pending; it returns true when the body has run to
 // completion, or false after a CThread operation reported parked=true.
 type CBody interface {
 	Step(t *CThread) bool
 }
 
-// cphase is a CThread's position in the thread lifecycle that Thread.RunProc
-// expresses as straight-line code.
+// cphase is a CThread's position in the thread lifecycle: claim a context
+// slot, run the body, join the children, release and notify the parent.
 type cphase uint8
 
 const (
@@ -96,10 +104,7 @@ const (
 )
 
 // StepProc is the sim.Stepper hook: it drives the lifecycle phases, running
-// any pending micro-op to completion before re-entering the body, exactly
-// mirroring the straight-line order of Thread.RunProc.
-//
-//emu:nohandoff
+// any pending micro-op to completion before re-entering the body.
 func (t *CThread) StepProc(p *sim.Proc) {
 	for {
 		switch t.phase {
@@ -121,7 +126,6 @@ func (t *CThread) StepProc(p *sim.Proc) {
 			if t.op != opNone && t.runOp() {
 				return
 			}
-			//lint:allow nohandoff CBody implementations live downstream (kernels, cilk) and each Step carries its own //emu:nohandoff annotation
 			if !t.body.Step(t) {
 				return
 			}
@@ -152,8 +156,6 @@ func (t *CThread) StepProc(p *sim.Proc) {
 
 // runOp advances the pending micro-op; parked=true means a wait was
 // scheduled and the caller must return from StepProc.
-//
-//emu:nohandoff
 func (t *CThread) runOp() (parked bool) {
 	for {
 		switch t.op {
@@ -238,10 +240,8 @@ func (t *CThread) runOp() (parked bool) {
 }
 
 // localAccess books one blocking 8-byte access on the resident nodelet's
-// channel — Thread.localWordAccess restated; parked=true means the sleep to
-// its completion time was scheduled.
-//
-//emu:nohandoff
+// channel: issue at the core, occupy the channel, then the load-to-use
+// latency. parked=true means the sleep to its completion time was scheduled.
 func (t *CThread) localAccess() (parked bool) {
 	s := t.sys
 	nl := s.nodelets[t.nodelet]
@@ -250,9 +250,7 @@ func (t *CThread) localAccess() (parked bool) {
 	return t.p.SleepUntil(served + s.Cfg.MemLatency)
 }
 
-// compute books cycles of core work — Thread.Compute restated.
-//
-//emu:nohandoff
+// compute books cycles of core work on the threadlet's core.
 func (t *CThread) compute(cycles int64) (parked bool) {
 	if cycles <= 0 {
 		return false
@@ -264,12 +262,18 @@ func (t *CThread) compute(cycles int64) (parked bool) {
 	return t.p.SleepUntil(done)
 }
 
-// migStep drives the migration sub-machine — Thread.migrate restated as
-// stages: fault backoff at the source (holding the slot), departure through
-// the migration engine and fabric, arrival, slot acquisition, core
-// assignment. beginMigrate must have set the mig fields.
+// migStep drives the migration sub-machine in stages: fault backoff at the
+// source (holding the slot), departure through the migration engine and
+// fabric, arrival, slot acquisition, core assignment. beginMigrate must have
+// set the mig fields.
 //
-//emu:nohandoff
+// While a fault blocks the migration — a migration-engine stall window, or
+// a fabric-link outage when the move crosses node cards — the threadlet
+// keeps its context slot and polls with exponential backoff (the real
+// backpressure a stalled engine exerts: the slot stays occupied, starving
+// inbound work), which the StalledMigrations / MigrationRetries /
+// BackoffCycles counters measure. Windows are validated time-bounded, so
+// the backoff always ends.
 func (t *CThread) migStep() (parked bool) {
 	s := t.sys
 	for {
@@ -334,8 +338,8 @@ func (t *CThread) migStep() (parked bool) {
 	}
 }
 
-// beginMigrate validates the target and records the migration bookkeeping,
-// mirroring the entry of Thread.migrate (counters before the backoff loop).
+// beginMigrate validates the target and records the migration bookkeeping
+// (counters before the backoff loop).
 func (t *CThread) beginMigrate(target int, trigger memsys.Addr) {
 	s := t.sys
 	if target < 0 || target >= len(s.nodelets) {
@@ -363,10 +367,8 @@ func (t *CThread) Now() sim.Time { return t.p.Now() }
 // value of the word the last completed CFetchAdd updated.
 func (t *CThread) Value() uint64 { return t.val }
 
-// CCompute charges cycles of non-memory work — Thread.Compute. parked=true
-// means Step must return; the work is complete when Step is re-entered.
-//
-//emu:nohandoff
+// CCompute charges cycles of non-memory work. parked=true means Step must
+// return; the work is complete when Step is re-entered.
 func (t *CThread) CCompute(cycles int64) (parked bool) {
 	if cycles <= 0 {
 		return false
@@ -379,10 +381,9 @@ func (t *CThread) CCompute(cycles int64) (parked bool) {
 	return false
 }
 
-// CLoad reads the word at a — Thread.Load. It migrates first when a is
-// remote; the value is available from Value() once the op completes.
-//
-//emu:nohandoff
+// CLoad reads the word at a, migrating to its home nodelet first when a is
+// remote (the read is the migration's trigger address). The value is
+// available from Value() once the op completes.
 func (t *CThread) CLoad(a memsys.Addr) (parked bool) {
 	t.op = opLoad
 	t.opAddr = a
@@ -395,10 +396,16 @@ func (t *CThread) CLoad(a memsys.Addr) (parked bool) {
 	return t.runOp()
 }
 
-// CStore writes v to the word at a — Thread.Store: a local store blocks
-// like a load, a remote store is posted without migrating.
+// CStore writes v to the word at a. A local store blocks like a load; a
+// remote store is posted through the network without migrating (the thread
+// is charged only the issue cycle, and stalls only when the destination's
+// finite remote queue is saturated).
 //
-//emu:nohandoff
+// Memory-ordering note: the functional value becomes visible immediately
+// even though the modelled delivery completes later, so programs that race
+// a posted store against a reader observe the store "early". The paper's
+// kernels (and this repository's) partition writers, or join with CSync
+// before reading, exactly as real Emu programs must.
 func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 	s := t.sys
 	home := a.Nodelet()
@@ -418,56 +425,36 @@ func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 	s.Counters.remoteStores[home]++
 	s.Mem.Write(a, v)
 	s.emit(trace.KindRemoteStore, t.nodelet, home, a, issued, served)
-	t.op = opDelay
-	if t.p.SleepUntil(s.postedAccept(issued, served)) {
-		return true
-	}
-	t.op = opNone
-	return false
+	return t.sleepOp(s.postedAccept(issued, served))
 }
 
 // CRemoteAdd posts an atomic add to the word at a without waiting for it —
-// Thread.RemoteAdd: the memory-side processor of a's home nodelet applies
-// it, so the threadlet never migrates; only the backpressure sleep can park.
-//
-//emu:nohandoff
+// the "remote update" idiom Emu programs use to accumulate into far memory.
+// The memory-side processor of a's home nodelet applies it, so the
+// threadlet never migrates; only the backpressure sleep can park.
 func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
-	s := t.sys
-	home := a.Nodelet()
-	nl := s.nodelets[t.nodelet]
-	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
-	arrive := issued
-	if home != t.nodelet {
-		arrive += s.flightLatency(t.nodelet, home)
-	}
-	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
-	s.Counters.atomics[home]++
-	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
-	s.Mem.Write(a, s.Mem.Read(a)+delta)
-	t.op = opDelay
-	if t.p.SleepUntil(s.postedAccept(issued, served)) {
-		return true
-	}
-	t.op = opNone
-	return false
+	mem := t.sys.Mem
+	mem.Write(a, mem.Read(a)+delta)
+	return t.postAtomic(a)
 }
 
-// CFetchAdd atomically adds delta to the word at a — Thread.FetchAdd: the
-// memory-side processor of a's home nodelet executes it, so the threadlet
-// never migrates but blocks for the round trip. The previous value is
+// CRemoteAddFloat posts an atomic float64 accumulation into the word at a,
+// the operation the memory-side processors provide for reductions into far
+// memory (tensor contractions use it). Timing is identical to CRemoteAdd.
+func (t *CThread) CRemoteAddFloat(a memsys.Addr, delta float64) (parked bool) {
+	mem := t.sys.Mem
+	mem.Write(a, math.Float64bits(math.Float64frombits(mem.Read(a))+delta))
+	return t.postAtomic(a)
+}
+
+// CFetchAdd atomically adds delta to the word at a. The memory-side
+// processor of a's home nodelet executes it, so the threadlet never
+// migrates but blocks for the round trip. The previous value is
 // available from Value() once the op completes.
 func (t *CThread) CFetchAdd(a memsys.Addr, delta uint64) (parked bool) {
 	s := t.sys
 	home := a.Nodelet()
-	nl := s.nodelets[t.nodelet]
-	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
-	arrive := issued
-	if home != t.nodelet {
-		arrive += s.flightLatency(t.nodelet, home)
-	}
-	// Read-modify-write occupies the home channel for two word times.
-	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
-	s.Counters.atomics[home]++
+	issued, served := t.bookAtomic(home)
 	t.val = s.Mem.Read(a)
 	s.Mem.Write(a, t.val+delta)
 	finish := served
@@ -477,42 +464,53 @@ func (t *CThread) CFetchAdd(a memsys.Addr, delta uint64) (parked bool) {
 		finish += s.Cfg.MemLatency
 	}
 	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, finish)
-	t.op = opDelay
-	if t.p.SleepUntil(finish) {
-		return true
-	}
-	t.op = opNone
-	return false
+	return t.sleepOp(finish)
 }
 
-// CRemoteAddFloat posts an atomic float64 accumulation into the word at a —
-// Thread.RemoteAddFloat, with CRemoteAdd's timing.
-func (t *CThread) CRemoteAddFloat(a memsys.Addr, delta float64) (parked bool) {
+// postAtomic books a posted memory-side atomic on a's home nodelet, whose
+// functional effect the caller has applied, and sleeps only for the
+// posted-queue backpressure.
+func (t *CThread) postAtomic(a memsys.Addr) (parked bool) {
 	s := t.sys
 	home := a.Nodelet()
+	issued, served := t.bookAtomic(home)
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
+	return t.sleepOp(s.postedAccept(issued, served))
+}
+
+// bookAtomic books a memory-side atomic on nodelet home: the issue slot on
+// the threadlet's core, the flight to home's channel when it is remote,
+// and two word times of read-modify-write there. It returns the issue and
+// service-completion times.
+func (t *CThread) bookAtomic(home int) (issued, served sim.Time) {
+	s := t.sys
 	nl := s.nodelets[t.nodelet]
-	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	_, issued = nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
 	arrive := issued
 	if home != t.nodelet {
 		arrive += s.flightLatency(t.nodelet, home)
 	}
-	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	_, served = s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
 	s.Counters.atomics[home]++
-	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
-	cur := math.Float64frombits(s.Mem.Read(a))
-	s.Mem.Write(a, math.Float64bits(cur+delta))
+	return issued, served
+}
+
+// sleepOp parks the threadlet until the given time as a pending op with
+// nothing left to do on completion; parked=false means the sleep completed
+// in place.
+func (t *CThread) sleepOp(until sim.Time) (parked bool) {
 	t.op = opDelay
-	if t.p.SleepUntil(s.postedAccept(issued, served)) {
+	if t.p.SleepUntil(until) {
 		return true
 	}
 	t.op = opNone
 	return false
 }
 
-// CMigrateTo moves the threadlet's context to the target nodelet —
-// Thread.MigrateTo. Migrating to the current nodelet is a no-op.
-//
-//emu:nohandoff
+// CMigrateTo moves the threadlet's context to the target nodelet: it
+// releases its context slot, queues at the local migration-engine egress
+// port, flies across the (possibly inter-node) fabric, and claims a context
+// slot at the destination. Migrating to the current nodelet is a no-op.
 func (t *CThread) CMigrateTo(target int) (parked bool) {
 	if target == t.nodelet {
 		return false
@@ -522,11 +520,10 @@ func (t *CThread) CMigrateTo(target int) (parked bool) {
 	return t.runOp()
 }
 
-// CSpawn creates a child threadlet on the current nodelet — Thread.Spawn.
-// The child's body is itself a CBody; children are joined by CSync (or the
-// implicit sync when this body's Step returns true).
-//
-//emu:nohandoff
+// CSpawn creates a child threadlet on the current nodelet (cilk_spawn). The
+// parent is charged the spawn cost; the child becomes runnable once it
+// obtains a context slot. The child's body is itself a CBody; children are
+// joined by CSync (or the implicit sync when this body's Step returns true).
 func (t *CThread) CSpawn(body CBody) (parked bool) {
 	t.op = opSpawn
 	t.opStage = 0
@@ -535,9 +532,9 @@ func (t *CThread) CSpawn(body CBody) (parked bool) {
 	return t.runOp()
 }
 
-// CSpawnAt creates a child threadlet on the given nodelet — Thread.SpawnAt.
-//
-//emu:nohandoff
+// CSpawnAt creates a child threadlet on the given nodelet — Emu's "remote
+// spawn", which the paper shows is essential for saturating multi-nodelet
+// bandwidth (Fig. 5). The parent continues after issuing the spawn packet.
 func (t *CThread) CSpawnAt(nl int, body CBody) (parked bool) {
 	if nl < 0 || nl >= len(t.sys.nodelets) {
 		panic(fmt.Sprintf("machine: spawn at nodelet %d of %d", nl, len(t.sys.nodelets)))
@@ -549,9 +546,8 @@ func (t *CThread) CSpawnAt(nl int, body CBody) (parked bool) {
 	return t.runOp()
 }
 
-// spawnOnCont is Thread.spawnOn for a continuation child: same counters,
-// same trace event, same launch-event pattern — the child's first dispatch
-// is queued when the launch fires at its arrival time.
+// spawnOnCont accounts and launches a child: the child's first dispatch is
+// queued when the launch event fires at its arrival time.
 //
 //emu:hotpath the continuation spawn path: pooled child, launch event, no closure
 func (t *CThread) spawnOnCont(nl int, at sim.Time, body CBody) {
@@ -573,11 +569,11 @@ func (t *CThread) spawnOnCont(nl int, at sim.Time, body CBody) {
 	s.Eng.LaunchContAt(at, "t", child)
 }
 
-// CSync joins all children spawned so far — Thread.Sync: the context slot is
-// released while blocked and re-acquired after the join, letting deep spawn
-// trees exceed the per-nodelet context count without deadlocking.
-//
-//emu:nohandoff
+// CSync joins all children spawned so far (cilk_sync). A threadlet with no
+// outstanding children continues at once. While blocked, the context is
+// saved to memory and its slot released, then re-acquired after the join —
+// the runtime behaviour that lets deep spawn trees exceed the per-nodelet
+// context count without deadlocking.
 func (t *CThread) CSync() (parked bool) {
 	if t.children == nil || t.children.Pending() == 0 {
 		return false
@@ -589,8 +585,10 @@ func (t *CThread) CSync() (parked bool) {
 	return true
 }
 
-// CPeek functionally reads a local word without consuming simulated time —
-// Thread.Peek, with the same remote-access panic.
+// CPeek functionally reads a word the threadlet's resident nodelet owns
+// without consuming simulated time. It is for setup and verification code;
+// timed kernel code must use CLoad. Peeking remote memory panics — that
+// would be a modelling bug (a free remote read).
 func (t *CThread) CPeek(a memsys.Addr) uint64 {
 	if a.Nodelet() != t.nodelet {
 		panic(fmt.Sprintf("machine: Peek of remote address %v from nodelet %d", a, t.nodelet))
@@ -598,11 +596,58 @@ func (t *CThread) CPeek(a memsys.Addr) uint64 {
 	return t.sys.Mem.Read(a)
 }
 
-// CPoke functionally writes a local word without consuming simulated time —
-// Thread.Poke.
+// CPoke functionally writes a local word without consuming simulated time.
+// Like CPeek, it is restricted to the resident nodelet.
 func (t *CThread) CPoke(a memsys.Addr, v uint64) {
 	if a.Nodelet() != t.nodelet {
 		panic(fmt.Sprintf("machine: Poke of remote address %v from nodelet %d", a, t.nodelet))
 	}
 	t.sys.Mem.Write(a, v)
+}
+
+// remoteQueueEntries bounds the per-nodelet queue of posted remote
+// operations. A sender whose packet would land more than this many
+// word-service times deep in the destination's backlog stalls until the
+// queue drains — finite buffering, without which posted operations would
+// be infinitely absorbing and destination contention invisible.
+const remoteQueueEntries = 64
+
+// postedAccept converts a posted operation's issue and service times into
+// the moment the sender may proceed.
+func (s *System) postedAccept(issued, served sim.Time) sim.Time {
+	bound := served - sim.Time(remoteQueueEntries)*s.Cfg.WordAccessTime
+	if bound > issued {
+		return bound
+	}
+	return issued
+}
+
+// flightLatency is the one-way network flight time from nodelet src to the
+// target nodelet's memory-side processor: the base migration latency, plus
+// the inter-node hop when crossing node cards, plus the top-of-rack hop when
+// crossing chassis (zero on single-tier machines).
+func (s *System) flightLatency(src, target int) sim.Time {
+	lat := s.Cfg.MigrationLatency
+	if s.Cfg.NodeOf(target) != s.Cfg.NodeOf(src) {
+		lat += s.Cfg.InterNodeLatency
+	}
+	if s.Cfg.ChassisOf(target) != s.Cfg.ChassisOf(src) {
+		lat += s.Cfg.InterChassisLatency
+	}
+	return lat
+}
+
+// spawnArrival is when a spawn packet issued at nodelet src at time at
+// becomes runnable on nodelet nl.
+func (s *System) spawnArrival(src, nl int, at sim.Time) sim.Time {
+	if nl != src {
+		at += s.Cfg.RemoteSpawnLatency
+		if s.Cfg.NodeOf(nl) != s.Cfg.NodeOf(src) {
+			at += s.Cfg.InterNodeLatency
+		}
+		if s.Cfg.ChassisOf(nl) != s.Cfg.ChassisOf(src) {
+			at += s.Cfg.InterChassisLatency
+		}
+	}
+	return at
 }

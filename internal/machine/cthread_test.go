@@ -21,12 +21,11 @@ func TestCThreadUnderContextBound(t *testing.T) {
 	}
 }
 
-// The engine-equivalence suite: every scenario is written twice — once
-// against the goroutine Thread API and once as a CBody state machine with
-// the identical operation sequence — and the two runs must agree on elapsed
-// time, every per-nodelet counter, and the full trace event/sample streams
-// including timestamps. This is the machine-layer half of the
-// byte-identical-figures contract.
+// The engine-equivalence suite: every scenario below once ran on both the
+// goroutine Thread and CThread, and the two had to agree on elapsed time,
+// every per-nodelet counter, and the full trace event/sample streams
+// including timestamps. The goroutine runs are recorded as golden digests
+// (golden_test.go), and each scenario must still reproduce its digest.
 
 // eqCollector records the full observer stream for comparison.
 type eqCollector struct {
@@ -37,65 +36,21 @@ type eqCollector struct {
 func (c *eqCollector) Event(e trace.Event)   { c.events = append(c.events, e) }
 func (c *eqCollector) Sample(s trace.Sample) { c.samples = append(c.samples, s) }
 
-// runEngines runs the scenario on both proc engines and fails the test on
-// the first divergence, and on any drift of the goroutine run from its
-// recorded golden digest (see golden_test.go). mk builds the scenario
-// against a fresh system (so allocations land identically) and returns the
-// two equivalent bodies.
-func runEngines(t *testing.T, cfg Config, plan *fault.Plan, want string, mk func(s *System) (func(*Thread), CBody)) {
+// runRecorded runs the scenario mk builds against a fresh system and fails
+// the test on any drift from the digest recorded from its goroutine twin.
+func runRecorded(t *testing.T, cfg Config, plan *fault.Plan, want string, mk func(s *System) CBody) {
 	t.Helper()
-	run := func(cont bool) (sim.Time, *eqCollector, []NodeletCounters) {
-		s := NewSystem(cfg)
-		if plan != nil {
-			s.InjectFaults(plan)
-		}
-		col := &eqCollector{}
-		s.Attach(col)
-		g, c := mk(s)
-		var elapsed sim.Time
-		var err error
-		if cont {
-			elapsed, err = s.RunCont(c)
-		} else {
-			elapsed, err = s.Run(g)
-		}
-		if err != nil {
-			t.Fatalf("run (cont=%v) failed: %v", cont, err)
-		}
-		if !cont {
-			checkDigest(t, "goroutine run", scenarioDigest(elapsed, col, s, nil), want)
-		}
-		return elapsed, col, s.Counters.Snapshot()
+	s := NewSystem(cfg)
+	if plan != nil {
+		s.InjectFaults(plan)
 	}
-	ge, gcol, gcnt := run(false)
-	ce, ccol, ccnt := run(true)
-
-	if ge != ce {
-		t.Errorf("elapsed time diverged: goroutine %v, continuation %v", ge, ce)
+	col := &eqCollector{}
+	s.Attach(col)
+	elapsed, err := s.Run(mk(s))
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
 	}
-	if !snapshotEqual(gcnt, ccnt) {
-		for i := range gcnt {
-			if gcnt[i] != ccnt[i] {
-				t.Errorf("counters diverged at nodelet %d:\n  goroutine    %+v\n  continuation %+v", i, gcnt[i], ccnt[i])
-			}
-		}
-	}
-	if len(gcol.events) != len(ccol.events) {
-		t.Fatalf("event streams diverged in length: goroutine %d, continuation %d", len(gcol.events), len(ccol.events))
-	}
-	for i := range gcol.events {
-		if gcol.events[i] != ccol.events[i] {
-			t.Fatalf("event %d diverged:\n  goroutine    %+v\n  continuation %+v", i, gcol.events[i], ccol.events[i])
-		}
-	}
-	if len(gcol.samples) != len(ccol.samples) {
-		t.Fatalf("sample streams diverged in length: goroutine %d, continuation %d", len(gcol.samples), len(ccol.samples))
-	}
-	for i := range gcol.samples {
-		if gcol.samples[i] != ccol.samples[i] {
-			t.Fatalf("sample %d diverged:\n  goroutine    %+v\n  continuation %+v", i, gcol.samples[i], ccol.samples[i])
-		}
-	}
+	checkDigest(t, "run", scenarioDigest(elapsed, col, s, nil), want)
 }
 
 // ctLoadOnce loads one word and exits — the child body of the mixed test.
@@ -114,8 +69,7 @@ func (b *ctLoadOnce) Step(t *CThread) bool {
 	return true
 }
 
-// ctMixed exercises every CThread operation kind once, in lockstep with its
-// goroutine twin in TestContThreadMatchesGoroutineMixedOps.
+// ctMixed exercises every CThread operation kind once.
 type ctMixed struct {
 	local, remote memsys.Local
 	pc            int
@@ -171,20 +125,8 @@ func (b *ctMixed) Step(t *CThread) bool {
 }
 
 func TestContThreadMatchesGoroutineMixedOps(t *testing.T) {
-	runEngines(t, HardwareChick(), nil, mixedOpsDigest, func(s *System) (func(*Thread), CBody) {
-		local := s.Mem.AllocLocal(0, 2)
-		remote := s.Mem.AllocLocal(3, 1)
-		g := func(th *Thread) {
-			th.Load(local.At(0))
-			th.Store(local.At(1), 7)
-			th.Store(remote.At(0), 9)
-			th.Compute(25)
-			th.Spawn(func(c *Thread) { c.Load(local.At(0)) })
-			th.Sync()
-			th.MigrateTo(5)
-			th.Load(local.At(0)) // remote now: migrates back
-		}
-		return g, &ctMixed{local: local, remote: remote}
+	runRecorded(t, HardwareChick(), nil, mixedOpsDigest, func(s *System) CBody {
+		return &ctMixed{local: s.Mem.AllocLocal(0, 2), remote: s.Mem.AllocLocal(3, 1)}
 	})
 }
 
@@ -233,24 +175,15 @@ func (b *ctTreeRoot) Step(t *CThread) bool {
 }
 
 // TestContThreadMatchesGoroutineSpawnTree forces context-slot contention
-// (2 contexts per nodelet, 4 children each plus the root): both engines must
-// park identically in slot queues and during the implicit sync's
-// release/re-acquire.
+// (2 contexts per nodelet, 4 children each plus the root): threadlets must
+// park exactly as the goroutine threads did in slot queues and during the
+// implicit sync's release/re-acquire.
 func TestContThreadMatchesGoroutineSpawnTree(t *testing.T) {
 	cfg := HardwareChick()
 	cfg.ThreadsPerGC = 2 // squeeze: ContextsPerNodelet() == 2
 	const fan = 32
-	runEngines(t, cfg, nil, spawnTreeDigest, func(s *System) (func(*Thread), CBody) {
-		arr := s.Mem.AllocStriped(s.Nodelets())
-		g := func(th *Thread) {
-			for i := 0; i < fan; i++ {
-				th.SpawnAt(i%th.System().Nodelets(), func(c *Thread) {
-					c.Load(arr.At(c.Nodelet()))
-					c.Compute(10)
-				})
-			}
-		}
-		return g, &ctTreeRoot{arr: arr, fan: fan}
+	runRecorded(t, cfg, nil, spawnTreeDigest, func(s *System) CBody {
+		return &ctTreeRoot{arr: s.Mem.AllocStriped(s.Nodelets()), fan: fan}
 	})
 }
 
@@ -290,44 +223,34 @@ func (p *ctPing) Step(t *CThread) bool {
 	return true
 }
 
-func pingScenario(a, b, rounds int) func(s *System) (func(*Thread), CBody) {
-	return func(s *System) (func(*Thread), CBody) {
-		arr := s.Mem.AllocStriped(s.Nodelets())
-		g := func(th *Thread) {
-			for i := 0; i < rounds; i++ {
-				th.MigrateTo(b)
-				th.Load(arr.At(b))
-				th.MigrateTo(a)
-				th.Load(arr.At(a))
-			}
-		}
-		return g, &ctPing{arr: arr, a: a, b: b, rounds: rounds}
+func pingScenario(a, b, rounds int) func(s *System) CBody {
+	return func(s *System) CBody {
+		return &ctPing{arr: s.Mem.AllocStriped(s.Nodelets()), a: a, b: b, rounds: rounds}
 	}
 }
 
 // TestContThreadMatchesGoroutineCrossNode drives migrations across node
-// cards, exercising the migration engine, fabric link, and inter-node tier
-// on both engines.
+// cards, exercising the migration engine, fabric link, and inter-node tier.
 func TestContThreadMatchesGoroutineCrossNode(t *testing.T) {
-	runEngines(t, HardwareChickNodes(2), nil, crossNodeDigest, pingScenario(0, 12, 40))
+	runRecorded(t, HardwareChickNodes(2), nil, crossNodeDigest, pingScenario(0, 12, 40))
 }
 
 // TestContThreadMatchesGoroutineCrossChassis drives migrations across the
-// rack tier of FullSpeedRack, covering the inter-chassis hop in both
-// engines' flight paths.
+// rack tier of FullSpeedRack, covering the inter-chassis hop in the flight
+// path.
 func TestContThreadMatchesGoroutineCrossChassis(t *testing.T) {
 	// Nodelet 70 is on node 8, chassis 1; nodelet 0 is chassis 0.
-	runEngines(t, FullSpeedRack(2), nil, crossChassisDigest, pingScenario(0, 70, 25))
+	runRecorded(t, FullSpeedRack(2), nil, crossChassisDigest, pingScenario(0, 70, 25))
 }
 
 // TestContThreadMatchesGoroutineUnderFaults covers the migration backoff
-// state machine: stall windows force both engines through the same retry
-// sequence, FaultStall events included.
+// state machine: stall windows force the recorded retry sequence,
+// FaultStall events included.
 func TestContThreadMatchesGoroutineUnderFaults(t *testing.T) {
 	plan := &fault.Plan{
 		Stalls: []fault.Stall{{Duration: 40 * sim.Microsecond, Period: 100 * sim.Microsecond}},
 	}
-	runEngines(t, HardwareChick(), plan, underFaultsDigest, pingScenario(0, 5, 60))
+	runRecorded(t, HardwareChick(), plan, underFaultsDigest, pingScenario(0, 5, 60))
 }
 
 // ctAdder posts n remote adds into acc, alternating a far word and a word on
@@ -370,30 +293,16 @@ func (b *ctAdderRoot) Step(t *CThread) bool {
 
 // TestContThreadMatchesGoroutineRemoteAdd covers CRemoteAdd: enough posted
 // adds converge on one word to back its queue up past the posted-operation
-// bound, across node cards, and the memory-side sums must agree too.
+// bound, across node cards, and the memory-side sums must be exact.
 func TestContThreadMatchesGoroutineRemoteAdd(t *testing.T) {
 	const fan, n = 48, 40
-	runEngines(t, HardwareChickNodes(2), nil, remoteAddDigest, func(s *System) (func(*Thread), CBody) {
-		acc := s.Mem.AllocStriped(s.Nodelets())
-		g := func(th *Thread) {
-			for k := 0; k < fan; k++ {
-				th.SpawnAt(k%th.System().Nodelets(), func(c *Thread) {
-					for i := 1; i <= n; i++ {
-						w := acc.At(0)
-						if i%2 == 0 {
-							w = acc.At(c.Nodelet())
-						}
-						c.RemoteAdd(w, uint64(i))
-					}
-				})
-			}
-		}
-		return g, &ctAdderRoot{acc: acc, fan: fan, n: n}
+	runRecorded(t, HardwareChickNodes(2), nil, remoteAddDigest, func(s *System) CBody {
+		return &ctAdderRoot{acc: s.Mem.AllocStriped(s.Nodelets()), fan: fan, n: n}
 	})
 
 	s := NewSystem(HardwareChickNodes(2))
 	acc := s.Mem.AllocStriped(s.Nodelets())
-	if _, err := s.RunCont(&ctAdderRoot{acc: acc, fan: fan, n: n}); err != nil {
+	if _, err := s.Run(&ctAdderRoot{acc: acc, fan: fan, n: n}); err != nil {
 		t.Fatal(err)
 	}
 	var sum uint64
@@ -415,7 +324,7 @@ func TestContThreadPoolRecycles(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	arr := s.Mem.AllocStriped(s.Nodelets())
 	const fan = 200
-	if _, err := s.RunCont(&ctTreeRoot{arr: arr, fan: fan}); err != nil {
+	if _, err := s.Run(&ctTreeRoot{arr: arr, fan: fan}); err != nil {
 		t.Fatal(err)
 	}
 	if s.Counters.ThreadsSpawned != fan+1 {
@@ -433,28 +342,18 @@ func TestContThreadPoolRecycles(t *testing.T) {
 	}
 }
 
-// TestRunContFunctionalResults: values stored by continuation threadlets land
-// in memory exactly as the goroutine engine's do.
+// TestRunContFunctionalResults: values stored by threadlets, locally and
+// posted to a remote nodelet, land in memory.
 func TestRunContFunctionalResults(t *testing.T) {
-	build := func() (*System, memsys.Local, memsys.Local) {
-		s := NewSystem(HardwareChick())
-		return s, s.Mem.AllocLocal(0, 2), s.Mem.AllocLocal(3, 1)
-	}
-	gs, glocal, gremote := build()
-	if _, err := gs.Run(func(th *Thread) {
-		th.Store(glocal.At(1), 7)
-		th.Store(gremote.At(0), 9)
-	}); err != nil {
+	s := NewSystem(HardwareChick())
+	local, remote := s.Mem.AllocLocal(0, 2), s.Mem.AllocLocal(3, 1)
+	if _, err := s.Run(&ctMixed{local: local, remote: remote}); err != nil {
 		t.Fatal(err)
 	}
-	cs, clocal, cremote := build()
-	if _, err := cs.RunCont(&ctMixed{local: clocal, remote: cremote}); err != nil {
-		t.Fatal(err)
+	if got := s.Mem.Read(local.At(1)); got != 7 {
+		t.Fatalf("local store wrote %d, want 7", got)
 	}
-	if got, want := cs.Mem.Read(clocal.At(1)), gs.Mem.Read(glocal.At(1)); got != want {
-		t.Fatalf("local store: continuation wrote %d, goroutine %d", got, want)
-	}
-	if got, want := cs.Mem.Read(cremote.At(0)), gs.Mem.Read(gremote.At(0)); got != want {
-		t.Fatalf("remote store: continuation wrote %d, goroutine %d", got, want)
+	if got := s.Mem.Read(remote.At(0)); got != 9 {
+		t.Fatalf("remote store wrote %d, want 9", got)
 	}
 }

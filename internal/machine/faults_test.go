@@ -10,25 +10,20 @@ import (
 // pingPongWorkload migrates between two nodelets and does a little memory
 // work — it exercises cores, channels, the migration engine, and (when the
 // nodelets sit on different node cards) the fabric link.
-func pingPongWorkload(a, b, rounds int) func(*Thread) {
-	return func(th *Thread) {
-		arr := th.System().Mem.AllocStriped(th.System().Nodelets())
-		for i := 0; i < rounds; i++ {
-			th.MigrateTo(b)
-			th.Load(arr.At(b))
-			th.MigrateTo(a)
-			th.Load(arr.At(a))
-		}
+func pingPongWorkload(a, b, rounds int) func(s *System) CBody {
+	return func(s *System) CBody {
+		arr := s.Mem.AllocStriped(s.Nodelets())
+		return &ctPing{arr: arr, a: a, b: b, rounds: rounds}
 	}
 }
 
 // runWithPlan runs the workload on a fresh system with the plan injected and
 // returns elapsed time and the counter snapshot.
-func runWithPlan(t *testing.T, cfg Config, plan *fault.Plan, body func(*Thread)) (sim.Time, []NodeletCounters) {
+func runWithPlan(t *testing.T, cfg Config, plan *fault.Plan, mk func(s *System) CBody) (sim.Time, []NodeletCounters) {
 	t.Helper()
 	s := NewSystem(cfg)
 	s.InjectFaults(plan)
-	elapsed, err := s.Run(body)
+	elapsed, err := s.Run(mk(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +94,7 @@ func TestChannelThrottleSlowsRun(t *testing.T) {
 
 func TestCoreSlowdownSlowsComputeBoundRun(t *testing.T) {
 	cfg := HardwareChick()
-	body := func(th *Thread) { th.Compute(100000) }
+	body := func(*System) CBody { return &script{compute(100000)} }
 	base, _ := runWithPlan(t, cfg, nil, body)
 	slow, _ := runWithPlan(t, cfg, &fault.Plan{
 		Cores: []fault.Slowdown{{Factor: 2, Nodelets: []int{0}}},
@@ -143,9 +138,11 @@ func TestLinkOutageBlocksCrossNodeMigrations(t *testing.T) {
 	plan := &fault.Plan{
 		Links: []fault.LinkFault{{Factor: 0, Start: 0, End: 200 * sim.Microsecond, Nodes: []int{0}}},
 	}
-	_, counters := runWithPlan(t, cfg, plan, func(th *Thread) {
-		th.MigrateTo(12) // node 1
-		th.MigrateTo(0)
+	_, counters := runWithPlan(t, cfg, plan, func(*System) CBody {
+		return &script{
+			func(th *CThread) bool { return th.CMigrateTo(12) }, // node 1
+			func(th *CThread) bool { return th.CMigrateTo(0) },
+		}
 	})
 	if counters[0].StalledMigrations == 0 {
 		t.Fatal("outbound cross-node migration did not stall during the outage")

@@ -104,7 +104,7 @@ func TestAtomicsAndServiceGolden(t *testing.T) {
 	root = append(root,
 		func(r *CThread) bool { start = r.Now(); return r.CServiceCall(50) },
 		func(r *CThread) bool { results[len(results)-1] = int64(r.Now() - start); return false })
-	elapsed, err := s.RunCont(&root)
+	elapsed, err := s.Run(&root)
 	if err != nil {
 		t.Fatal(err)
 	}

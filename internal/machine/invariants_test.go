@@ -1,14 +1,17 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"emuchick/internal/workload"
 )
 
-// randomProgram drives a system with a pseudo-random mix of every thread
-// operation and returns it for invariant checking.
+// randomProgram drives a system with a pseudo-random mix of every threadlet
+// operation and returns it for invariant checking. It fails the run unless
+// the engine ends idle: no live procs, no pending events, and no threadlet
+// still queued for a context slot.
 func randomProgram(t *testing.T, seed uint64, ops int) (*System, error) {
 	t.Helper()
 	sys := NewSystem(HardwareChick())
@@ -20,47 +23,69 @@ func randomProgram(t *testing.T, seed uint64, ops int) (*System, error) {
 	kinds := make([]int, ops)
 	args := make([]int, ops)
 	for i := range kinds {
-		kinds[i] = rng.Intn(7)
+		kinds[i] = rng.Intn(9)
 		args[i] = rng.Intn(256)
 	}
-	_, err := sys.Run(func(root *Thread) {
-		for w := 0; w < 8; w++ {
-			w := w
-			root.SpawnAt(w, func(th *Thread) {
-				for i := w; i < ops; i += 8 {
-					switch kinds[i] {
-					case 0:
-						th.Load(arr.At(args[i]))
-					case 1:
-						th.Store(arr.At(args[i]), uint64(i))
-					case 2:
-						th.FetchAdd(acc.At(args[i]%4), 1)
-					case 3:
-						th.RemoteAdd(acc.At(args[i]%4), 1)
-					case 4:
-						th.MigrateTo(args[i] % 8)
-					case 5:
-						th.Compute(int64(args[i]))
-					case 6:
-						th.Spawn(func(c *Thread) { c.Load(arr.At(args[i])) })
-					}
+	var root script
+	for w := 0; w < 8; w++ {
+		var body script
+		for i := w; i < ops; i += 8 {
+			a := args[i]
+			var op func(th *CThread) bool
+			switch kinds[i] {
+			case 0:
+				op = func(th *CThread) bool { return th.CLoad(arr.At(a)) }
+			case 1:
+				op = func(th *CThread) bool { return th.CStore(arr.At(a), uint64(i)) }
+			case 2:
+				op = func(th *CThread) bool { return th.CFetchAdd(acc.At(a%4), 1) }
+			case 3:
+				op = func(th *CThread) bool { return th.CRemoteAdd(acc.At(a%4), 1) }
+			case 4:
+				op = func(th *CThread) bool { return th.CMigrateTo(a % 8) }
+			case 5:
+				op = compute(int64(a))
+			case 6:
+				op = func(th *CThread) bool {
+					return th.CSpawn(&script{func(c *CThread) bool { return c.CLoad(arr.At(a)) }})
 				}
-				th.Sync()
-			})
+			case 7:
+				op = func(th *CThread) bool { return th.CRemoteAddFloat(acc.At(a%4), 0.5) }
+			case 8:
+				op = func(th *CThread) bool { return th.CServiceCall(int64(a)) }
+			}
+			body = append(body, op)
 		}
-	})
-	return sys, err
+		body = append(body, (*CThread).CSync)
+		root = append(root, func(th *CThread) bool { return th.CSpawnAt(w, &body) })
+	}
+	if _, err := sys.Run(&root); err != nil {
+		return sys, err
+	}
+	if n := sys.Eng.LiveProcs(); n != 0 {
+		return sys, fmt.Errorf("%d procs live after the run", n)
+	}
+	if n := sys.Eng.Pending(); n != 0 {
+		return sys, fmt.Errorf("%d events pending after the run", n)
+	}
+	for nl, n := range sys.nodelets {
+		if w := n.slots.Waiting(); w != 0 {
+			return sys, fmt.Errorf("nodelet %d has %d threadlets queued for a slot after the run", nl, w)
+		}
+	}
+	return sys, nil
 }
 
 // Property: for any op mix, the machine's conservation laws hold —
 // migrations out equal migrations in, every spawned thread completes, all
-// context slots drain, and the per-nodelet spawn counts account for every
-// thread.
+// context slots drain, the per-nodelet spawn counts account for every
+// thread, and the engine ends idle (see randomProgram).
 func TestMachineConservationProperty(t *testing.T) {
 	f := func(seed uint64, opsRaw uint8) bool {
 		ops := int(opsRaw%100) + 20
 		sys, err := randomProgram(t, seed, ops)
 		if err != nil {
+			t.Log(err)
 			return false
 		}
 		c := sys.Counters
@@ -96,6 +121,7 @@ func TestMachineDeterminismProperty(t *testing.T) {
 		a, errA := randomProgram(t, seed, 80)
 		b, errB := randomProgram(t, seed, 80)
 		if errA != nil || errB != nil {
+			t.Log(errA, errB)
 			return false
 		}
 		if a.Eng.Now() != b.Eng.Now() || a.Eng.Fired() != b.Eng.Fired() {

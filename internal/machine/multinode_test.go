@@ -12,14 +12,10 @@ func TestCrossNodeRemoteStoreLatency(t *testing.T) {
 	intra := s.Mem.AllocLocal(4, 1)  // same node as nodelet 0
 	inter := s.Mem.AllocLocal(12, 1) // node 1
 	var intraDur, interDur sim.Time
-	_, err := s.Run(func(th *Thread) {
-		t0 := th.Now()
-		th.Store(intra.At(0), 1)
-		intraDur = th.Now() - t0
-		t0 = th.Now()
-		th.Store(inter.At(0), 2)
-		interDur = th.Now() - t0
-	})
+	sc := script(append(
+		timed(&intraDur, func(th *CThread) bool { return th.CStore(intra.At(0), 1) }),
+		timed(&interDur, func(th *CThread) bool { return th.CStore(inter.At(0), 2) })...))
+	_, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,14 +34,10 @@ func TestCrossNodeFetchAddPaysInterNodeRTT(t *testing.T) {
 	intra := s.Mem.AllocLocal(4, 1)
 	inter := s.Mem.AllocLocal(12, 1)
 	var intraDur, interDur sim.Time
-	_, err := s.Run(func(th *Thread) {
-		t0 := th.Now()
-		th.FetchAdd(intra.At(0), 1)
-		intraDur = th.Now() - t0
-		t0 = th.Now()
-		th.FetchAdd(inter.At(0), 1)
-		interDur = th.Now() - t0
-	})
+	sc := script(append(
+		timed(&intraDur, func(th *CThread) bool { return th.CFetchAdd(intra.At(0), 1) }),
+		timed(&interDur, func(th *CThread) bool { return th.CFetchAdd(inter.At(0), 1) })...))
+	_, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,12 +55,13 @@ func TestCrossNodePingPongSlower(t *testing.T) {
 	cfg := HardwareChickNodes(2)
 	run := func(b int) sim.Time {
 		s := NewSystem(cfg)
-		elapsed, err := s.Run(func(th *Thread) {
-			for i := 0; i < 100; i++ {
-				th.MigrateTo(b)
-				th.MigrateTo(0)
-			}
-		})
+		var sc script
+		for i := 0; i < 100; i++ {
+			sc = append(sc,
+				func(th *CThread) bool { return th.CMigrateTo(b) },
+				func(th *CThread) bool { return th.CMigrateTo(0) })
+		}
+		elapsed, err := s.Run(&sc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,11 +80,8 @@ func TestFullSpeed64NodeletTopology(t *testing.T) {
 		t.Fatalf("nodelets = %d", s.Nodelets())
 	}
 	arr := s.Mem.AllocStriped(64)
-	_, err := s.Run(func(th *Thread) {
-		for i := 0; i < 64; i++ {
-			th.Load(arr.At(i)) // touch every nodelet across all 8 nodes
-		}
-	})
+	sc := loadAll(arr.At, 64) // touch every nodelet across all 8 nodes
+	_, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}

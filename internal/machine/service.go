@@ -26,31 +26,10 @@ const serviceQueueLatency = 500 * sim.Nanosecond
 // on the same FPGA fabric as the Gossamer cores.
 const stationaryHz = 300e6
 
-// ServiceCall forwards an operating-system request costing the given
-// number of stationary-core cycles through the node's service queue and
-// blocks until the response returns. It reports the request's total
-// round-trip time.
-func (t *Thread) ServiceCall(cycles int64) sim.Time {
-	if cycles < 0 {
-		panic(fmt.Sprintf("machine: negative service cycles %d", cycles))
-	}
-	s := t.sys
-	node := s.Cfg.NodeOf(t.nodelet)
-	start := t.p.Now()
-	arrive := start + serviceQueueLatency
-	_, served := s.stationary[node].Acquire(arrive, s.stationaryClock.Cycles(cycles))
-	s.Counters.serviceCalls[t.nodelet]++
-	finish := served + serviceQueueLatency
-	s.emit(trace.KindService, t.nodelet, -1, 0, start, finish)
-	t.p.WaitUntil(finish)
-	return finish - start
-}
-
 // CServiceCall forwards an operating-system request costing the given
-// number of stationary-core cycles through the node's service queue —
-// Thread.ServiceCall. The threadlet blocks until the response returns, so
-// the request's round trip is the simulated time Step observes across the
-// call.
+// number of stationary-core cycles through the node's service queue. The
+// threadlet blocks until the response returns, so the request's round
+// trip is the simulated time Step observes across the call.
 func (t *CThread) CServiceCall(cycles int64) (parked bool) {
 	if cycles < 0 {
 		panic(fmt.Sprintf("machine: negative service cycles %d", cycles))
@@ -63,10 +42,5 @@ func (t *CThread) CServiceCall(cycles int64) (parked bool) {
 	s.Counters.serviceCalls[t.nodelet]++
 	finish := served + serviceQueueLatency
 	s.emit(trace.KindService, t.nodelet, -1, 0, start, finish)
-	t.op = opDelay
-	if t.p.SleepUntil(finish) {
-		return true
-	}
-	t.op = opNone
-	return false
+	return t.sleepOp(finish)
 }

@@ -9,9 +9,8 @@ import (
 func TestServiceCallRoundTrip(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	var dur sim.Time
-	elapsed, err := s.Run(func(th *Thread) {
-		dur = th.ServiceCall(3000) // 10 us at 300 MHz
-	})
+	sc := script(timed(&dur, func(th *CThread) bool { return th.CServiceCall(3000) })) // 10 us at 300 MHz
+	elapsed, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +28,14 @@ func TestServiceCallRoundTrip(t *testing.T) {
 
 func TestServiceCallsSerializeOnStationaryCore(t *testing.T) {
 	s := NewSystem(HardwareChick())
-	elapsed, err := s.Run(func(th *Thread) {
-		for i := 0; i < 4; i++ {
-			th.Spawn(func(c *Thread) { c.ServiceCall(30000) }) // 100 us each
-		}
-		th.Sync()
-	})
+	var sc script
+	for i := 0; i < 4; i++ {
+		sc = append(sc, func(th *CThread) bool {
+			return th.CSpawn(&script{func(c *CThread) bool { return c.CServiceCall(30000) }}) // 100 us each
+		})
+	}
+	sc = append(sc, (*CThread).CSync)
+	elapsed, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +47,14 @@ func TestServiceCallsSerializeOnStationaryCore(t *testing.T) {
 
 func TestServiceCallNegativePanics(t *testing.T) {
 	s := NewSystem(HardwareChick())
-	_, err := s.Run(func(th *Thread) {
+	_, err := s.Run(&script{func(th *CThread) bool {
 		defer func() {
 			if recover() == nil {
 				t.Error("negative cycles did not panic")
 			}
 		}()
-		th.ServiceCall(-1)
-	})
+		return th.CServiceCall(-1)
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,12 +63,8 @@ func TestServiceCallNegativePanics(t *testing.T) {
 func TestStatsReflectActivity(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	arr := s.Mem.AllocLocal(0, 64)
-	elapsed, err := s.Run(func(th *Thread) {
-		for i := 0; i < 64; i++ {
-			th.Load(arr.At(i))
-		}
-		th.MigrateTo(1)
-	})
+	sc := append(loadAll(arr.At, 64), func(th *CThread) bool { return th.CMigrateTo(1) })
+	elapsed, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +92,18 @@ func TestStatsReflectActivity(t *testing.T) {
 func TestBottleneckHint(t *testing.T) {
 	// Migration-saturated run: ping-pong style.
 	s := NewSystem(HardwareChick())
-	elapsed, err := s.Run(func(th *Thread) {
-		for k := 0; k < 32; k++ {
-			th.Spawn(func(c *Thread) {
-				for i := 0; i < 50; i++ {
-					c.MigrateTo(1)
-					c.MigrateTo(0)
-				}
-			})
+	var root script
+	for k := 0; k < 32; k++ {
+		var pingPong script
+		for i := 0; i < 50; i++ {
+			pingPong = append(pingPong,
+				func(c *CThread) bool { return c.CMigrateTo(1) },
+				func(c *CThread) bool { return c.CMigrateTo(0) })
 		}
-		th.Sync()
-	})
+		root = append(root, func(th *CThread) bool { return th.CSpawn(&pingPong) })
+	}
+	root = append(root, (*CThread).CSync)
+	elapsed, err := s.Run(&root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,9 +113,7 @@ func TestBottleneckHint(t *testing.T) {
 
 	// Compute-saturated run.
 	s2 := NewSystem(HardwareChick())
-	elapsed2, err := s2.Run(func(th *Thread) {
-		th.Compute(100000)
-	})
+	elapsed2, err := s2.Run(&script{compute(100000)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +125,8 @@ func TestBottleneckHint(t *testing.T) {
 func TestStatsAggregates(t *testing.T) {
 	s := NewSystem(HardwareChick())
 	arr := s.Mem.AllocStriped(128)
-	elapsed, err := s.Run(func(th *Thread) {
-		for i := 0; i < 128; i++ {
-			th.Load(arr.At(i))
-		}
-	})
+	sc := loadAll(arr.At, 128)
+	elapsed, err := s.Run(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,11 @@ type System struct {
 	migEngines      []*sim.Resource // per-node migration engine
 	stationary      []*sim.Resource // per-node stationary (OS) processor
 
-	// freeThreads pools finished Thread contexts for reuse, so spawn-heavy
-	// kernels allocate thread state only up to the peak live count. The
-	// simulated analogue is exact: a Gossamer context slot is likewise a
-	// recycled hardware resource, not a fresh allocation per threadlet.
-	freeThreads []*Thread
-
-	// freeCThreads pools continuation threadlet contexts the same way; on
-	// the continuation engine this pool plus the sim proc pool is the entire
+	// freeCThreads pools finished threadlet contexts for reuse, so
+	// spawn-heavy kernels allocate thread state only up to the peak live
+	// count. The simulated analogue is exact: a Gossamer context slot is
+	// likewise a recycled hardware resource, not a fresh allocation per
+	// threadlet. This pool plus the sim proc pool is the entire
 	// steady-state allocation footprint of a spawn.
 	freeCThreads []*CThread
 
@@ -156,21 +153,11 @@ func (s *System) MeanChannelUtilization(elapsed sim.Time) float64 {
 	return sum / float64(len(s.nodelets))
 }
 
-// Run executes root as the initial thread on nodelet 0 (where the Chick's
-// runtime launches a program's main thread) and drives the simulation until
-// every thread has finished. It returns the total simulated time.
-func (s *System) Run(root func(*Thread)) (sim.Time, error) {
-	start := s.beginRun()
-	s.startThread(0, "main", root, nil)
-	return s.finishRun(start)
-}
-
-// RunCont executes root as the initial continuation threadlet on nodelet 0.
-// It is Run for the continuation proc engine: the same begin/finish
-// bookkeeping, the same main-thread spawn accounting, but no goroutine is
-// created for this or any descendant threadlet — the event loop resumes
-// each CThread's state machine in place.
-func (s *System) RunCont(root CBody) (sim.Time, error) {
+// Run executes root as the initial threadlet on nodelet 0 (where the
+// Chick's runtime launches a program's main thread) and drives the
+// simulation until every threadlet has finished. It returns the total
+// simulated time.
+func (s *System) Run(root CBody) (sim.Time, error) {
 	start := s.beginRun()
 	t := s.acquireCThread()
 	t.nodelet = 0
@@ -198,47 +185,6 @@ func (s *System) finishRun(start sim.Time) (sim.Time, error) {
 	}
 	s.emit(trace.KindRunEnd, len(s.nodelets), -1, 0, end, end)
 	return end - start, nil
-}
-
-// startThread creates a thread on the given nodelet, dispatched at the
-// current time — the immediate-spawn path (Run's main thread). The thread
-// first waits for a context slot, runs body, then releases the slot and
-// notifies parentJoin (if any); see Thread.RunProc.
-func (s *System) startThread(nl int, name string, body func(*Thread), parentJoin *sim.Join) {
-	t := s.acquireThread()
-	t.nodelet = nl
-	t.body = body
-	t.parentJoin = parentJoin
-	s.Eng.SpawnAt(s.Eng.Now(), name, t)
-}
-
-// acquireThread pops a pooled Thread or allocates a fresh one.
-//
-//emu:hotpath pool hit is the steady state; the miss path is factored into newThread
-func (s *System) acquireThread() *Thread {
-	if n := len(s.freeThreads); n > 0 {
-		t := s.freeThreads[n-1]
-		s.freeThreads[n-1] = nil
-		s.freeThreads = s.freeThreads[:n-1]
-		*t = Thread{sys: s}
-		return t
-	}
-	return s.newThread()
-}
-
-func (s *System) newThread() *Thread {
-	return &Thread{sys: s}
-}
-
-// releaseThread returns a finished Thread to the pool. References are
-// dropped so the pool never pins a body closure or a parent's join.
-//
-//emu:hotpath the tail of every simulated thread
-func (s *System) releaseThread(t *Thread) {
-	t.body = nil
-	t.parentJoin = nil
-	t.children = nil
-	s.freeThreads = append(s.freeThreads, t)
 }
 
 // acquireCThread pops a pooled continuation threadlet or allocates one.

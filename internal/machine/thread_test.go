@@ -3,32 +3,60 @@ package machine
 import (
 	"testing"
 
+	"emuchick/internal/memsys"
 	"emuchick/internal/sim"
 )
 
-// run executes root on a fresh system with the given config and returns the
-// system and elapsed time, failing the test on simulation errors.
-func run(t *testing.T, cfg Config, root func(*Thread)) (*System, sim.Time) {
+// run builds a fresh system with the given config, runs the root body mk
+// builds against it, and returns the system and elapsed time, failing the
+// test on simulation errors.
+func run(t *testing.T, cfg Config, mk func(s *System) CBody) (*System, sim.Time) {
 	t.Helper()
 	s := NewSystem(cfg)
-	elapsed, err := s.Run(root)
+	elapsed, err := s.Run(mk(s))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s, elapsed
 }
 
+// compute is a script step charging cycles of core work.
+func compute(cycles int64) func(*CThread) bool {
+	return func(th *CThread) bool { return th.CCompute(cycles) }
+}
+
+// loadAll is a script loading words 0..n-1 of at, in order.
+func loadAll(at func(i int) memsys.Addr, n int) script {
+	sc := make(script, n)
+	for i := range sc {
+		sc[i] = func(th *CThread) bool { return th.CLoad(at(i)) }
+	}
+	return sc
+}
+
+// timed wraps the steps of one operation sequence so *dur receives the
+// simulated time they took.
+func timed(dur *sim.Time, steps ...func(*CThread) bool) []func(*CThread) bool {
+	var t0 sim.Time
+	out := []func(*CThread) bool{func(th *CThread) bool { t0 = th.Now(); return false }}
+	out = append(out, steps...)
+	return append(out, func(th *CThread) bool { *dur = th.Now() - t0; return false })
+}
+
 func TestLocalLoadTiming(t *testing.T) {
 	cfg := HardwareChick()
 	var got sim.Time
-	s, _ := run(t, cfg, func(th *Thread) {
-		arr := th.System().Mem.AllocLocal(0, 4)
-		th.System().Mem.Write(arr.At(2), 99)
-		t0 := th.Now()
-		if v := th.Load(arr.At(2)); v != 99 {
-			t.Errorf("Load = %d, want 99", v)
-		}
-		got = th.Now() - t0
+	s, _ := run(t, cfg, func(s *System) CBody {
+		arr := s.Mem.AllocLocal(0, 4)
+		s.Mem.Write(arr.At(2), 99)
+		sc := script(timed(&got, func(th *CThread) bool { return th.CLoad(arr.At(2)) }))
+		sc = append(sc, func(th *CThread) bool {
+			if v := th.Value(); v != 99 {
+				t.Errorf("Load = %d, want 99", v)
+			}
+			return false
+		})
+		return &sc
 	})
 	want := s.clock.Cycles(cfg.MemIssueCycles) + cfg.WordAccessTime + cfg.MemLatency
 	if got != want {
@@ -40,17 +68,25 @@ func TestLocalLoadTiming(t *testing.T) {
 }
 
 func TestRemoteLoadMigrates(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		arr := th.System().Mem.AllocLocal(5, 1)
-		th.System().Mem.Write(arr.At(0), 7)
-		if th.Nodelet() != 0 {
-			t.Fatalf("root on nodelet %d", th.Nodelet())
-		}
-		if v := th.Load(arr.At(0)); v != 7 {
-			t.Errorf("Load = %d", v)
-		}
-		if th.Nodelet() != 5 {
-			t.Errorf("thread on nodelet %d after remote load, want 5", th.Nodelet())
+	s, _ := run(t, HardwareChick(), func(s *System) CBody {
+		arr := s.Mem.AllocLocal(5, 1)
+		s.Mem.Write(arr.At(0), 7)
+		return &script{
+			func(th *CThread) bool {
+				if th.Nodelet() != 0 {
+					t.Fatalf("root on nodelet %d", th.Nodelet())
+				}
+				return th.CLoad(arr.At(0))
+			},
+			func(th *CThread) bool {
+				if v := th.Value(); v != 7 {
+					t.Errorf("Load = %d", v)
+				}
+				if th.Nodelet() != 5 {
+					t.Errorf("thread on nodelet %d after remote load, want 5", th.Nodelet())
+				}
+				return false
+			},
 		}
 	})
 	c := s.Counters
@@ -67,10 +103,9 @@ func TestRemoteLoadMigrates(t *testing.T) {
 func TestMigrationLatencyBounds(t *testing.T) {
 	cfg := HardwareChick()
 	var dur sim.Time
-	run(t, cfg, func(th *Thread) {
-		t0 := th.Now()
-		th.MigrateTo(3)
-		dur = th.Now() - t0
+	run(t, cfg, func(*System) CBody {
+		sc := script(timed(&dur, func(th *CThread) bool { return th.CMigrateTo(3) }))
+		return &sc
 	})
 	// One uncontended migration costs engine service + flight latency;
 	// the paper measures 1-2 us end to end.
@@ -83,13 +118,20 @@ func TestMigrationLatencyBounds(t *testing.T) {
 }
 
 func TestMigrateToSelfIsFree(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		t0 := th.Now()
-		th.MigrateTo(th.Nodelet())
-		if th.Now() != t0 {
-			t.Error("self-migration consumed time")
-		}
+	var dur sim.Time
+	s, _ := run(t, HardwareChick(), func(*System) CBody {
+		sc := script(timed(&dur, func(th *CThread) bool {
+			if th.CMigrateTo(th.Nodelet()) {
+				t.Error("self-migration parked")
+				return true
+			}
+			return false
+		}))
+		return &sc
 	})
+	if dur != 0 {
+		t.Error("self-migration consumed time")
+	}
 	if s.Counters.TotalMigrations() != 0 {
 		t.Fatal("self-migration counted")
 	}
@@ -98,17 +140,19 @@ func TestMigrateToSelfIsFree(t *testing.T) {
 func TestRemoteStoreIsPosted(t *testing.T) {
 	cfg := HardwareChick()
 	var dur sim.Time
-	s, _ := run(t, cfg, func(th *Thread) {
-		arr := th.System().Mem.AllocLocal(4, 1)
-		t0 := th.Now()
-		th.Store(arr.At(0), 11)
-		dur = th.Now() - t0
-		if th.Nodelet() != 0 {
-			t.Error("remote store migrated the thread")
-		}
-		if th.System().Mem.Read(arr.At(0)) != 11 {
-			t.Error("remote store lost")
-		}
+	s, _ := run(t, cfg, func(s *System) CBody {
+		arr := s.Mem.AllocLocal(4, 1)
+		sc := script(timed(&dur, func(th *CThread) bool { return th.CStore(arr.At(0), 11) }))
+		sc = append(sc, func(th *CThread) bool {
+			if th.Nodelet() != 0 {
+				t.Error("remote store migrated the thread")
+			}
+			if s.Mem.Read(arr.At(0)) != 11 {
+				t.Error("remote store lost")
+			}
+			return false
+		})
+		return &sc
 	})
 	// Posted: the thread only pays the issue cycle, far less than a
 	// migration or the memory latency.
@@ -123,11 +167,10 @@ func TestRemoteStoreIsPosted(t *testing.T) {
 func TestLocalStoreBlocks(t *testing.T) {
 	cfg := HardwareChick()
 	var dur sim.Time
-	run(t, cfg, func(th *Thread) {
-		arr := th.System().Mem.AllocLocal(0, 1)
-		t0 := th.Now()
-		th.Store(arr.At(0), 5)
-		dur = th.Now() - t0
+	run(t, cfg, func(s *System) CBody {
+		arr := s.Mem.AllocLocal(0, 1)
+		sc := script(timed(&dur, func(th *CThread) bool { return th.CStore(arr.At(0), 5) }))
+		return &sc
 	})
 	want := NewSystem(cfg).clock.Cycles(cfg.MemIssueCycles) + cfg.WordAccessTime + cfg.MemLatency
 	if dur != want {
@@ -136,20 +179,30 @@ func TestLocalStoreBlocks(t *testing.T) {
 }
 
 func TestFetchAddLocalAndRemote(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		local := th.System().Mem.AllocLocal(0, 1)
-		remote := th.System().Mem.AllocLocal(6, 1)
-		if old := th.FetchAdd(local.At(0), 5); old != 0 {
-			t.Errorf("local FetchAdd returned %d", old)
+	s, _ := run(t, HardwareChick(), func(s *System) CBody {
+		local := s.Mem.AllocLocal(0, 1)
+		remote := s.Mem.AllocLocal(6, 1)
+		expect := func(what string, want uint64) func(*CThread) bool {
+			return func(th *CThread) bool {
+				if old := th.Value(); old != want {
+					t.Errorf("%s FetchAdd returned %d, want %d", what, old, want)
+				}
+				return false
+			}
 		}
-		if old := th.FetchAdd(local.At(0), 3); old != 5 {
-			t.Errorf("second FetchAdd returned %d", old)
-		}
-		if old := th.FetchAdd(remote.At(0), 9); old != 0 {
-			t.Errorf("remote FetchAdd returned %d", old)
-		}
-		if th.Nodelet() != 0 {
-			t.Error("FetchAdd migrated the thread")
+		return &script{
+			func(th *CThread) bool { return th.CFetchAdd(local.At(0), 5) },
+			expect("local", 0),
+			func(th *CThread) bool { return th.CFetchAdd(local.At(0), 3) },
+			expect("second", 5),
+			func(th *CThread) bool { return th.CFetchAdd(remote.At(0), 9) },
+			expect("remote", 0),
+			func(th *CThread) bool {
+				if th.Nodelet() != 0 {
+					t.Error("FetchAdd migrated the thread")
+				}
+				return false
+			},
 		}
 	})
 	if s.Counters.Nodelet(0).Atomics != 2 || s.Counters.Nodelet(6).Atomics != 1 {
@@ -158,15 +211,19 @@ func TestFetchAddLocalAndRemote(t *testing.T) {
 }
 
 func TestRemoteAddAccumulates(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		acc := th.System().Mem.AllocLocal(7, 1)
+	s, _ := run(t, HardwareChick(), func(s *System) CBody {
+		acc := s.Mem.AllocLocal(7, 1)
+		var sc script
 		for i := 0; i < 10; i++ {
-			th.RemoteAdd(acc.At(0), 2)
+			sc = append(sc, func(th *CThread) bool { return th.CRemoteAdd(acc.At(0), 2) })
 		}
-		th.Sync()
-		if got := th.System().Mem.Read(acc.At(0)); got != 20 {
-			t.Errorf("accumulated %d, want 20", got)
-		}
+		sc = append(sc, (*CThread).CSync, func(*CThread) bool {
+			if got := s.Mem.Read(acc.At(0)); got != 20 {
+				t.Errorf("accumulated %d, want 20", got)
+			}
+			return false
+		})
+		return &sc
 	})
 	if s.Counters.Nodelet(7).Atomics != 10 {
 		t.Fatal("RemoteAdd atomics miscounted")
@@ -174,15 +231,19 @@ func TestRemoteAddAccumulates(t *testing.T) {
 }
 
 func TestRemoteAddFloat(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		acc := th.System().Mem.AllocLocal(5, 1)
+	s, _ := run(t, HardwareChick(), func(s *System) CBody {
+		acc := s.Mem.AllocLocal(5, 1)
+		var sc script
 		for i := 0; i < 8; i++ {
-			th.RemoteAddFloat(acc.At(0), 0.25)
+			sc = append(sc, func(th *CThread) bool { return th.CRemoteAddFloat(acc.At(0), 0.25) })
 		}
-		th.Sync()
-		if th.Nodelet() != 0 {
-			t.Error("RemoteAddFloat migrated the thread")
-		}
+		sc = append(sc, (*CThread).CSync, func(th *CThread) bool {
+			if th.Nodelet() != 0 {
+				t.Error("RemoteAddFloat migrated the thread")
+			}
+			return false
+		})
+		return &sc
 	})
 	if s.Counters.Nodelet(5).Atomics != 8 {
 		t.Fatalf("Atomics = %d", s.Counters.Nodelet(5).Atomics)
@@ -194,16 +255,14 @@ func TestPostedBackpressure(t *testing.T) {
 	// destination channel's service rate once the finite remote queue
 	// fills, so doubling the burst roughly doubles the time.
 	elapsedFor := func(n int) sim.Time {
-		s := NewSystem(HardwareChick())
-		cell := s.Mem.AllocLocal(7, 1)
-		elapsed, err := s.Run(func(th *Thread) {
-			for i := 0; i < n; i++ {
-				th.Store(cell.At(0), uint64(i))
+		_, elapsed := run(t, HardwareChick(), func(s *System) CBody {
+			cell := s.Mem.AllocLocal(7, 1)
+			sc := make(script, n)
+			for i := range sc {
+				sc[i] = func(th *CThread) bool { return th.CStore(cell.At(0), uint64(i)) }
 			}
+			return &sc
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return elapsed
 	}
 	small, big := elapsedFor(500), elapsedFor(1000)
@@ -214,18 +273,21 @@ func TestPostedBackpressure(t *testing.T) {
 }
 
 func TestSpawnSyncSemantics(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
-		sum := th.System().Mem.AllocLocal(0, 1)
+	s, _ := run(t, HardwareChick(), func(s *System) CBody {
+		sum := s.Mem.AllocLocal(0, 1)
+		var sc script
 		for i := 0; i < 8; i++ {
-			th.Spawn(func(c *Thread) {
-				c.Compute(100)
-				c.FetchAdd(sum.At(0), 1)
+			sc = append(sc, func(th *CThread) bool {
+				return th.CSpawn(&script{compute(100), func(c *CThread) bool { return c.CFetchAdd(sum.At(0), 1) }})
 			})
 		}
-		th.Sync()
-		if got := th.Peek(sum.At(0)); got != 8 {
-			t.Errorf("after Sync sum = %d, want 8", got)
-		}
+		sc = append(sc, (*CThread).CSync, func(th *CThread) bool {
+			if got := th.CPeek(sum.At(0)); got != 8 {
+				t.Errorf("after Sync sum = %d, want 8", got)
+			}
+			return false
+		})
+		return &sc
 	})
 	if s.Counters.ThreadsSpawned != 9 || s.Counters.ThreadsCompleted != 9 {
 		t.Fatalf("thread accounting: %d spawned, %d completed",
@@ -237,35 +299,40 @@ func TestSpawnSyncSemantics(t *testing.T) {
 }
 
 func TestImplicitSyncAtThreadEnd(t *testing.T) {
-	// A thread that returns without calling Sync must still be joined
-	// after its children (Cilk semantics).
+	// A thread that returns without syncing must still be joined after its
+	// children (Cilk semantics).
 	var childDone bool
-	run(t, HardwareChick(), func(th *Thread) {
-		th.Spawn(func(c *Thread) {
-			c.Spawn(func(g *Thread) {
-				g.Compute(10000)
-				childDone = true
-			})
-			// no explicit Sync
-		})
-		th.Sync()
-		if !childDone {
-			t.Error("grandchild not finished at parent Sync")
+	grandchild := &script{compute(10000), func(*CThread) bool { childDone = true; return false }}
+	child := &script{func(c *CThread) bool { return c.CSpawn(grandchild) }} // no explicit sync
+	run(t, HardwareChick(), func(*System) CBody {
+		return &script{
+			func(th *CThread) bool { return th.CSpawn(child) },
+			(*CThread).CSync,
+			func(*CThread) bool {
+				if !childDone {
+					t.Error("grandchild not finished at parent Sync")
+				}
+				return false
+			},
 		}
 	})
 }
 
 func TestSpawnAtPlacesChild(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(th *Thread) {
+	s, _ := run(t, HardwareChick(), func(*System) CBody {
+		var sc script
 		for nl := 0; nl < 8; nl++ {
-			nl := nl
-			th.SpawnAt(nl, func(c *Thread) {
-				if c.Nodelet() != nl {
-					t.Errorf("child started on nodelet %d, want %d", c.Nodelet(), nl)
-				}
+			sc = append(sc, func(th *CThread) bool {
+				return th.CSpawnAt(nl, &script{func(c *CThread) bool {
+					if c.Nodelet() != nl {
+						t.Errorf("child started on nodelet %d, want %d", c.Nodelet(), nl)
+					}
+					return false
+				}})
 			})
 		}
-		th.Sync()
+		sc = append(sc, (*CThread).CSync)
+		return &sc
 	})
 	for nl := 1; nl < 8; nl++ {
 		if s.Counters.Nodelet(nl).RemoteSpawns != 1 {
@@ -280,21 +347,15 @@ func TestSpawnAtPlacesChild(t *testing.T) {
 func TestContextSlotsLimitResidentThreads(t *testing.T) {
 	cfg := HardwareChick()
 	cfg.ThreadsPerGC = 4 // tiny capacity to make the limit observable
-	s := NewSystem(cfg)
-	var maxLive int
-	_, err := s.Run(func(th *Thread) {
+	s, _ := run(t, cfg, func(*System) CBody {
+		var sc script
 		for i := 0; i < 16; i++ {
-			th.Spawn(func(c *Thread) {
-				c.Compute(1000)
-			})
+			sc = append(sc, func(th *CThread) bool { return th.CSpawn(&script{compute(1000)}) })
 		}
-		th.Sync()
+		sc = append(sc, (*CThread).CSync)
+		return &sc
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxLive = s.nodelets[0].slots.MaxInUse()
-	if maxLive > cfg.ContextsPerNodelet() {
+	if maxLive := s.nodelets[0].slots.MaxInUse(); maxLive > cfg.ContextsPerNodelet() {
 		t.Fatalf("resident threads %d exceeded context capacity %d", maxLive, cfg.ContextsPerNodelet())
 	}
 	if s.Counters.ThreadsCompleted != 17 {
@@ -307,52 +368,56 @@ func TestMigrationReleasesSlot(t *testing.T) {
 	// migrates away.
 	cfg := HardwareChick()
 	cfg.ThreadsPerGC = 2
-	s := NewSystem(cfg)
-	_, err := s.Run(func(th *Thread) {
+	run(t, cfg, func(s *System) CBody {
 		remote := s.Mem.AllocLocal(1, 1)
-		// Root holds slot 1 of 2. Child A takes slot 2 and migrates away.
-		th.Spawn(func(a *Thread) {
-			a.Load(remote.At(0)) // migrates to nodelet 1
-			a.Compute(100000)
-		})
-		// Child B needs the slot A vacates.
-		th.Spawn(func(b *Thread) { b.Compute(10) })
-		th.Sync()
+		// Root holds slot 1 of 2. Child A takes slot 2 and migrates away
+		// to nodelet 1; child B needs the slot A vacates.
+		a := &script{func(a *CThread) bool { return a.CLoad(remote.At(0)) }, compute(100000)}
+		return &script{
+			func(th *CThread) bool { return th.CSpawn(a) },
+			func(th *CThread) bool { return th.CSpawn(&script{compute(10)}) },
+			(*CThread).CSync,
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestPeekPokeLocalityEnforced(t *testing.T) {
-	run(t, HardwareChick(), func(th *Thread) {
-		remote := th.System().Mem.AllocLocal(3, 1)
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("remote Peek did not panic")
-				}
+	run(t, HardwareChick(), func(s *System) CBody {
+		remote := s.Mem.AllocLocal(3, 1)
+		return &script{func(th *CThread) bool {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("remote Peek did not panic")
+					}
+				}()
+				th.CPeek(remote.At(0))
 			}()
-			th.Peek(remote.At(0))
-		}()
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("remote Poke did not panic")
-				}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("remote Poke did not panic")
+					}
+				}()
+				th.CPoke(remote.At(0), 1)
 			}()
-			th.Poke(remote.At(0), 1)
-		}()
+			return false
+		}}
 	})
 }
 
 func TestCrossNodeMigration(t *testing.T) {
 	cfg := HardwareChickNodes(2)
-	s, _ := run(t, cfg, func(th *Thread) {
-		arr := th.System().Mem.AllocLocal(12, 1) // node 1
-		th.Load(arr.At(0))
-		if th.Nodelet() != 12 {
-			t.Errorf("on nodelet %d, want 12", th.Nodelet())
+	s, _ := run(t, cfg, func(s *System) CBody {
+		arr := s.Mem.AllocLocal(12, 1) // node 1
+		return &script{
+			func(th *CThread) bool { return th.CLoad(arr.At(0)) },
+			func(th *CThread) bool {
+				if th.Nodelet() != 12 {
+					t.Errorf("on nodelet %d, want 12", th.Nodelet())
+				}
+				return false
+			},
 		}
 	})
 	if s.Counters.Nodelet(12).MigrationsIn != 1 {
@@ -365,22 +430,19 @@ func TestCrossNodeMigration(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	trial := func() (sim.Time, uint64, uint64) {
-		s := NewSystem(HardwareChick())
-		arr := s.Mem.AllocStriped(256)
-		elapsed, err := s.Run(func(th *Thread) {
+		s, elapsed := run(t, HardwareChick(), func(s *System) CBody {
+			arr := s.Mem.AllocStriped(256)
+			var sc script
 			for w := 0; w < 16; w++ {
-				w := w
-				th.SpawnAt(w%8, func(c *Thread) {
-					for i := w; i < 256; i += 16 {
-						c.Load(arr.At(i))
-					}
-				})
+				var loads script
+				for i := w; i < 256; i += 16 {
+					loads = append(loads, func(c *CThread) bool { return c.CLoad(arr.At(i)) })
+				}
+				sc = append(sc, func(th *CThread) bool { return th.CSpawnAt(w%8, &loads) })
 			}
-			th.Sync()
+			sc = append(sc, (*CThread).CSync)
+			return &sc
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		return elapsed, s.Counters.TotalMigrations(), s.Counters.TotalWords()
 	}
 	e1, m1, w1 := trial()
@@ -393,10 +455,9 @@ func TestDeterminism(t *testing.T) {
 func TestComputeChargesCore(t *testing.T) {
 	cfg := HardwareChick()
 	var dur sim.Time
-	s, _ := run(t, cfg, func(th *Thread) {
-		t0 := th.Now()
-		th.Compute(150) // 150 cycles at 150 MHz = 1 us
-		dur = th.Now() - t0
+	s, _ := run(t, cfg, func(*System) CBody {
+		sc := script(timed(&dur, compute(150))) // 150 cycles at 150 MHz = 1 us
+		return &sc
 	})
 	if dur != s.clock.Cycles(150) {
 		t.Fatalf("Compute(150) took %v", dur)
@@ -404,28 +465,26 @@ func TestComputeChargesCore(t *testing.T) {
 	if s.Counters.Nodelet(0).ComputeCycles != 150 {
 		t.Fatal("compute cycles miscounted")
 	}
-	// Compute(0) is free.
-	run(t, cfg, func(th *Thread) {
-		t0 := th.Now()
-		th.Compute(0)
-		if th.Now() != t0 {
-			t.Error("Compute(0) consumed time")
-		}
+	// CCompute(0) is free.
+	run(t, cfg, func(*System) CBody {
+		sc := script(timed(&dur, compute(0)))
+		return &sc
 	})
+	if dur != 0 {
+		t.Error("Compute(0) consumed time")
+	}
 }
 
 func TestCoreContentionSerializesIssue(t *testing.T) {
 	// Two threads computing on the same single-core nodelet take twice as
 	// long in aggregate as one.
 	cfg := HardwareChick()
-	_, one := run(t, cfg, func(th *Thread) {
-		th.Spawn(func(c *Thread) { c.Compute(15000) })
-		th.Sync()
+	spawnCompute := func(th *CThread) bool { return th.CSpawn(&script{compute(15000)}) }
+	_, one := run(t, cfg, func(*System) CBody {
+		return &script{spawnCompute, (*CThread).CSync}
 	})
-	_, two := run(t, cfg, func(th *Thread) {
-		th.Spawn(func(c *Thread) { c.Compute(15000) })
-		th.Spawn(func(c *Thread) { c.Compute(15000) })
-		th.Sync()
+	_, two := run(t, cfg, func(*System) CBody {
+		return &script{spawnCompute, spawnCompute, (*CThread).CSync}
 	})
 	if two < one+NewSystem(cfg).clock.Cycles(15000)*9/10 {
 		t.Fatalf("core contention missing: one=%v two=%v", one, two)

@@ -13,14 +13,14 @@ func TestTraceCapturesOps(t *testing.T) {
 	s.Attach(trace.FuncObserver{OnEvent: func(e trace.Event) { events = append(events, e) }})
 	local := s.Mem.AllocLocal(0, 2)
 	remote := s.Mem.AllocLocal(3, 2)
-	_, err := s.Run(func(th *Thread) {
-		th.Load(local.At(0))          // load
-		th.Store(local.At(1), 1)      // store
-		th.Store(remote.At(0), 2)     // remote_store
-		th.RemoteAdd(remote.At(1), 1) // atomic
-		th.Spawn(func(c *Thread) {})  // spawn
-		th.Sync()
-		th.MigrateTo(5) // migrate
+	_, err := s.Run(&script{
+		func(th *CThread) bool { return th.CLoad(local.At(0)) },          // load
+		func(th *CThread) bool { return th.CStore(local.At(1), 1) },      // store
+		func(th *CThread) bool { return th.CStore(remote.At(0), 2) },     // remote_store
+		func(th *CThread) bool { return th.CRemoteAdd(remote.At(1), 1) }, // atomic
+		func(th *CThread) bool { return th.CSpawn(&script{}) },           // spawn
+		(*CThread).CSync,
+		func(th *CThread) bool { return th.CMigrateTo(5) }, // migrate
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -56,11 +56,8 @@ func TestTraceToLimits(t *testing.T) {
 	var b strings.Builder
 	s.TraceTo(&b, 3)
 	arr := s.Mem.AllocLocal(0, 10)
-	if _, err := s.Run(func(th *Thread) {
-		for i := 0; i < 10; i++ {
-			th.Load(arr.At(i))
-		}
-	}); err != nil {
+	sc := loadAll(arr.At, 10)
+	if _, err := s.Run(&sc); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Count(b.String(), "\n")
@@ -95,7 +92,8 @@ func TestTraceUninstall(t *testing.T) {
 	s.Attach(trace.FuncObserver{OnEvent: func(trace.Event) { count++ }})
 	s.Attach(nil)
 	arr := s.Mem.AllocLocal(0, 1)
-	if _, err := s.Run(func(th *Thread) { th.Load(arr.At(0)) }); err != nil {
+	sc := loadAll(arr.At, 1)
+	if _, err := s.Run(&sc); err != nil {
 		t.Fatal(err)
 	}
 	if count != 0 {

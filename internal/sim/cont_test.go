@@ -7,8 +7,8 @@ import (
 )
 
 // TestProcParkStateUnderContextBound pins the struct-size half of the
-// threadlet-scale claim: the entire park state of a continuation proc is
-// the Proc struct itself, and it must stay within the <200 B hardware
+// threadlet-scale claim: the entire park state of a proc is the Proc
+// struct itself, and it must stay within the <200 B hardware
 // thread context the paper reports (section III-B). Growing it past the
 // bound silently erodes the millions-of-threadlets capacity, so the bound
 // is a test, not a comment.
@@ -26,10 +26,8 @@ type scriptStep struct {
 	at   Time
 }
 
-// contScript is a continuation body that sleeps through a fixed schedule of
-// absolute wake times, logging each resumption. Its goroutine twin below
-// runs the identical wait sequence, so the two engines must interleave the
-// logs identically.
+// contScript is a body that sleeps through a fixed schedule of absolute
+// wake times, logging each resumption.
 type contScript struct {
 	wakes  []Time
 	pc     int
@@ -55,19 +53,6 @@ func (s *contScript) StepProc(p *Proc) {
 	p.Exit()
 }
 
-func (s *contScript) runGoroutine(p *Proc) {
-	for _, t := range s.wakes {
-		p.WaitUntil(t)
-		*s.log = append(*s.log, scriptStep{p.Name(), "wake", p.Now()})
-	}
-	*s.log = append(*s.log, scriptStep{p.Name(), "exit", p.Now()})
-}
-
-// contScript logs on non-parked waits too — mirror that in the goroutine
-// twin by logging after every WaitUntil, parked or not. (SleepUntil returning
-// false still completed the wait; the log entry above fires either way
-// because the loop body continues.)
-
 func scriptSchedules() [][]Time {
 	return [][]Time{
 		{10, 20, 30},
@@ -77,36 +62,54 @@ func scriptSchedules() [][]Time {
 	}
 }
 
+// goroutineInterleaving is the log, end time and fired-event count of the
+// four schedules above, recorded from goroutine-hosted procs performing the
+// identical waits before the engine dropped them.
+var goroutineInterleaving = struct {
+	log   []scriptStep
+	now   Time
+	fired uint64
+}{
+	log: []scriptStep{
+		{"p2", "wake", 5},
+		{"p0", "wake", 10},
+		{"p1", "wake", 10},
+		{"p1", "wake", 15},
+		{"p2", "wake", 20},
+		{"p2", "wake", 20},
+		{"p0", "wake", 20},
+		{"p3", "wake", 25},
+		{"p3", "exit", 25},
+		{"p0", "wake", 30},
+		{"p0", "exit", 30},
+		{"p1", "wake", 35},
+		{"p1", "exit", 35},
+		{"p2", "wake", 40},
+		{"p2", "exit", 40},
+	},
+	now:   40,
+	fired: 14,
+}
+
 func TestContinuationMatchesGoroutineInterleaving(t *testing.T) {
-	run := func(continuation bool) ([]scriptStep, Time, uint64) {
-		e := NewEngine()
-		var log []scriptStep
-		for i, wakes := range scriptSchedules() {
-			s := &contScript{wakes: wakes, log: &log}
-			name := fmt.Sprintf("p%d", i)
-			if continuation {
-				e.SpawnContAt(0, name, s)
-			} else {
-				e.GoAt(0, name, s.runGoroutine)
-			}
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log, e.Now(), e.Fired()
+	e := NewEngine()
+	var log []scriptStep
+	for i, wakes := range scriptSchedules() {
+		e.SpawnContAt(0, fmt.Sprintf("p%d", i), &contScript{wakes: wakes, log: &log})
 	}
-	gLog, gNow, gFired := run(false)
-	cLog, cNow, cFired := run(true)
-	if gNow != cNow || gFired != cFired {
-		t.Fatalf("engine state diverged: goroutine (now=%v fired=%d) vs continuation (now=%v fired=%d)",
-			gNow, gFired, cNow, cFired)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if len(gLog) != len(cLog) {
-		t.Fatalf("log lengths differ: %d vs %d", len(gLog), len(cLog))
+	want := goroutineInterleaving
+	if e.Now() != want.now || e.Fired() != want.fired {
+		t.Fatalf("engine state diverged: now=%v fired=%d, want now=%v fired=%d", e.Now(), e.Fired(), want.now, want.fired)
 	}
-	for i := range gLog {
-		if gLog[i] != cLog[i] {
-			t.Fatalf("step %d diverged: goroutine %+v vs continuation %+v", i, gLog[i], cLog[i])
+	if len(log) != len(want.log) {
+		t.Fatalf("log lengths differ: %d vs %d", len(log), len(want.log))
+	}
+	for i := range log {
+		if log[i] != want.log[i] {
+			t.Fatalf("step %d diverged: %+v, want %+v", i, log[i], want.log[i])
 		}
 	}
 }
@@ -141,24 +144,21 @@ func (s *contSemUser) StepProc(p *Proc) {
 	}
 }
 
-// TestSemaphoreFIFOAcrossProcKinds interleaves goroutine and continuation
-// waiters on one capacity-1 semaphore and checks the grant order is the
-// arrival order regardless of the hosting.
+// TestSemaphoreFIFOAcrossProcKinds interleaves procs started by an
+// immediate spawn and by a launch event on one capacity-1 semaphore and
+// checks the grant order is the arrival order regardless of how each proc
+// was started.
 func TestSemaphoreFIFOAcrossProcKinds(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "slots", 1)
 	var order []string
 	for i := 0; i < 6; i++ {
 		name := fmt.Sprintf("p%d", i)
+		user := &contSemUser{sem: sem, hold: 10, order: &order}
 		if i%2 == 0 {
-			e.SpawnContAt(0, name, &contSemUser{sem: sem, hold: 10, order: &order})
+			e.SpawnContAt(Time(i), name, user)
 		} else {
-			e.GoAt(0, name, func(p *Proc) {
-				sem.Acquire(p)
-				order = append(order, p.Name())
-				p.Delay(10)
-				sem.Release()
-			})
+			e.LaunchContAt(Time(i), name, user)
 		}
 	}
 	if err := e.Run(); err != nil {
@@ -227,8 +227,8 @@ func TestContinuationProcsAreRecycled(t *testing.T) {
 	}
 }
 
-// TestJoinWaitContWakesOnLastDone: a continuation parent forks goroutine
-// children through a Join and resumes exactly when the last one finishes.
+// TestJoinWaitContWakesOnLastDone: a parent forks children through a Join
+// and resumes exactly when the last one finishes.
 type contJoiner struct {
 	join *Join
 	pc   int
@@ -255,11 +255,7 @@ func TestJoinWaitContWakesOnLastDone(t *testing.T) {
 	var done Time
 	for i := 0; i < 3; i++ {
 		j.Add(1)
-		d := Time(10 * (i + 1))
-		e.Go("child", func(p *Proc) {
-			p.Delay(d)
-			j.Done()
-		})
+		e.Go("child", delay(Time(10*(i+1))), do(func(*Proc) { j.Done() }))
 	}
 	e.SpawnContAt(0, "parent", &contJoiner{join: j, done: &done})
 	if err := e.Run(); err != nil {

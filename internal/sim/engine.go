@@ -7,8 +7,8 @@ import "fmt"
 // Proc (both set, fn == launchMark; firing it schedules the proc's first
 // dispatch at the fire time). Dispatch and launch targets are kept in
 // dedicated fields rather than closures so the context-switch and spawn hot
-// paths (WaitUntil, Unpark, SpawnAt, LaunchAt) allocate nothing per event.
-// Events fire in time order, ties in scheduling order, so runs are
+// paths (SleepUntil, Unpark, SpawnContAt, LaunchContAt) allocate nothing per
+// event. Events fire in time order, ties in scheduling order, so runs are
 // deterministic.
 type event struct {
 	at   Time
@@ -18,40 +18,23 @@ type event struct {
 
 // Engine is a sequential discrete-event simulator. It is not safe for
 // concurrent use; all interaction must happen from the goroutine that calls
-// Run, or from a Proc while that Proc holds the control token.
+// Run, which is also the goroutine every Proc's Stepper runs on.
 //
 // Pending events live in one monotone radix queue keyed on time (see
 // queue): appends are O(1), a pop either takes the head of the bucket due
 // now or splits the lowest non-empty bucket, and the earliest pending time
-// is one bitmask scan away, which is what the WaitUntil fast-forward reads.
+// is one bitmask scan away, which is what the SleepUntil fast-forward reads.
 // Equal times share a bucket in scheduling order, so events fire in
 // (at, scheduling order) without a sequence number.
 type Engine struct {
 	now Time
 	q   queue
 
-	// done carries the run's outcome from whichever goroutine drains the
-	// queue (or trips a valve) back to the Run caller. Buffered so the
-	// sender never blocks.
-	done chan error
-
 	procs int     // live (spawned, not finished) procs
 	all   []*Proc // every registered Proc, for failure dumps (see register)
 
-	// free holds finished Procs whose goroutines are parked in procLoop,
-	// ready to be recycled by the next spawn; stop, captured by each pooled
-	// goroutine at creation, is closed when Run ends so the pool drains.
-	// freeCont is the separate pool for continuation procs, which have no
-	// goroutine or channel to keep alive.
-	free     []*Proc
-	freeCont []*Proc
-	stop     chan struct{}
-
-	// aborted is set during failed-run teardown while live goroutine procs
-	// are being released (see abortParked); each one acknowledges on
-	// abortAck as its host goroutine unwinds.
-	aborted  bool
-	abortAck chan struct{}
+	// free holds finished Procs, recycled by the next spawn.
+	free []*Proc
 
 	fired     uint64 // events dispatched so far
 	MaxEvents uint64 // safety valve; 0 means no limit
@@ -127,18 +110,17 @@ func (e *Engine) After(d Time, fn func()) {
 	e.Schedule(e.now+d, fn)
 }
 
-// fastForward is the uncontended-wait fast path behind Proc.WaitUntil: the
-// calling Proc holds the control token and wants to sleep until t. If every
-// pending event fires strictly after t, the dispatch event WaitUntil would
-// schedule at t would by construction be the very next event advance pops
-// (a pending event at exactly t was scheduled earlier and would fire first,
-// hence the strict comparison). In that case the schedule/pop round trip and
-// the token hand-back are pure overhead: the engine instead counts the
-// firing directly and hops the clock to t, leaving (now, fired) — and
-// therefore every subsequent event ordering — bit-identical to the slow
-// path. Runs with a safety valve or interrupt hook in a state the event loop
-// would act on decline the fast path so failure behaviour is byte-for-byte
-// unchanged.
+// fastForward is the uncontended-wait fast path behind Proc.SleepUntil: the
+// calling Proc is running and wants to sleep until t. If every pending event
+// fires strictly after t, the dispatch event SleepUntil would schedule at t
+// would by construction be the very next event advance pops (a pending event
+// at exactly t was scheduled earlier and would fire first, hence the strict
+// comparison). In that case the schedule/pop round trip is pure overhead:
+// the engine instead counts the firing directly and hops the clock to t,
+// leaving (now, fired) — and therefore every subsequent event ordering —
+// bit-identical to the slow path. Runs with a safety valve or interrupt hook
+// in a state the event loop would act on decline the fast path so failure
+// behaviour is byte-for-byte unchanged.
 //
 //emu:hotpath the no-contention wait: a clock hop instead of a queue round trip
 func (e *Engine) fastForward(t Time) bool {
@@ -163,44 +145,28 @@ func (e *Engine) fastForward(t Time) bool {
 // safety valve trips or if processes are still live when the event queue
 // drains (a deadlock: some Proc parked forever).
 //
-// The event loop itself is not pinned to this goroutine: it migrates with
-// the control token. When a Proc yields, its goroutine runs the loop until
-// the token moves on — so a proc-to-proc context switch is one direct
-// channel handoff, and a Proc whose own wake-up is the next event continues
-// without any handoff at all.
 // Run may be called again on the same engine after it returns: teardown
 // leaves the engine in a clean reusable state whether the run succeeded or
 // failed (the clock and fired count stay monotonic across runs — simulated
 // time never rewinds).
 func (e *Engine) Run() error {
-	e.done = make(chan error, 1)
-	e.advance(nil)
-	err := <-e.done
+	err := e.advance()
 	e.teardown(err != nil)
 	return err
 }
 
-// teardown retires the proc pools after a run. After a failed run it first
-// releases every proc still parked mid-body — historically those goroutines
-// stayed blocked on their resume channels forever, a leak that accumulated
-// in long-lived job servers as watchdog-killed, cancelled, and deadlocked
-// runs piled up — and then clears the scheduling state (un-fired events,
-// live-proc count, failure registry) the failure left behind and re-anchors
-// the queue at the clock, so reusing the engine cannot silently misbehave.
-// Closing stop lets the freelisted goroutines, all parked in procLoop's
-// select, exit.
+// teardown retires the proc pool after a run. After a failed run it also
+// clears the scheduling state (un-fired events, live-proc count, failure
+// registry) the failure left behind and re-anchors the queue at the clock,
+// so reusing the engine cannot silently misbehave. Procs parked mid-body
+// hold no goroutine or other runtime resource; dropping them is the whole
+// release.
 func (e *Engine) teardown(failed bool) {
 	if failed {
-		e.abortParked()
 		e.q.reset(e.now)
 		e.procs = 0
 	}
-	if e.stop != nil {
-		close(e.stop)
-		e.stop = nil
-	}
 	e.free = nil
-	e.freeCont = nil
 	for i := range e.all {
 		e.all[i].registered = false
 		e.all[i] = nil
@@ -208,66 +174,25 @@ func (e *Engine) teardown(failed bool) {
 	e.all = e.all[:0]
 }
 
-// abortParked wakes every goroutine proc still parked mid-body and unwinds
-// it: the proc's next resume observes e.aborted and panics with an abort
-// sentinel that procLoop recovers, acknowledging on abortAck before its
-// goroutine exits. The unbuffered resume send doubles as the rendezvous — it
-// completes only once the target goroutine has actually reached its receive,
-// so a proc whose goroutine was still between "scheduled" and "parked"
-// cannot be missed. Continuation procs have no goroutine to release; they
-// are simply dropped with the rest of the engine state.
-func (e *Engine) abortParked() {
-	waking := 0
-	for _, p := range e.all {
-		if !p.done && p.resume != nil {
-			waking++
-		}
-	}
-	if waking == 0 {
-		return
-	}
-	e.aborted = true
-	e.abortAck = make(chan struct{}, waking)
-	for _, p := range e.all {
-		if !p.done && p.resume != nil {
-			p.resume <- struct{}{}
-		}
-	}
-	for i := 0; i < waking; i++ {
-		<-e.abortAck
-	}
-	e.aborted = false
-	e.abortAck = nil
-}
-
-// advance runs the event loop on the calling goroutine. self is the Proc
-// the caller is running as (nil for the Run goroutine, or a just-finished
-// Proc whose done flag is set). It returns true when the popped event
-// re-dispatches self, in which case the caller simply keeps executing.
-// Otherwise the token was handed to another Proc, or the run ended and its
-// outcome was sent on e.done; either way the caller no longer holds the
-// token and must block on its resume channel (a parked Proc) or return (the
-// Run goroutine, a finished Proc).
+// advance runs the event loop until the queue drains or a valve trips, and
+// returns the run's outcome. A proc dispatch resumes the proc's Stepper in
+// place — a method call, not a goroutine handoff.
 //
 //emu:hotpath the event loop itself; failure exits allocate via e.failure, which is fine — they end the run
-func (e *Engine) advance(self *Proc) bool {
+func (e *Engine) advance() error {
 	for {
 		if e.q.empty() {
 			if e.procs > 0 {
-				e.done <- e.failure(FailDeadlock, nil)
-			} else {
-				e.done <- nil
+				return e.failure(FailDeadlock, nil)
 			}
-			return false
+			return nil
 		}
 		if e.MaxEvents > 0 && e.fired >= e.MaxEvents {
-			e.done <- e.failure(FailMaxEvents, nil)
-			return false
+			return e.failure(FailMaxEvents, nil)
 		}
 		if e.Interrupt != nil && e.fired&1023 == 0 {
 			if err := e.Interrupt(); err != nil {
-				e.done <- e.failure(FailInterrupted, err)
-				return false
+				return e.failure(FailInterrupted, err)
 			}
 		}
 		ev := e.q.pop()
@@ -275,8 +200,7 @@ func (e *Engine) advance(self *Proc) bool {
 			panic("sim: time went backwards")
 		}
 		if e.MaxTime > 0 && ev.at > e.MaxTime {
-			e.done <- e.failure(FailMaxTime, nil)
-			return false
+			return e.failure(FailMaxTime, nil)
 		}
 		e.now = ev.at
 		e.fired++
@@ -286,8 +210,7 @@ func (e *Engine) advance(self *Proc) bool {
 		}
 		if ev.fn != nil {
 			// Launch: schedule the new proc's first dispatch now, behind
-			// every event already due now, exactly as the closure-based
-			// deferred spawn did when its Schedule closure fired.
+			// every event already due now.
 			e.scheduleProc(e.now, ev.proc)
 			continue
 		}
@@ -295,17 +218,6 @@ func (e *Engine) advance(self *Proc) bool {
 			panic("sim: dispatching finished proc " + ev.proc.name)
 		}
 		ev.proc.hasWake = false
-		if s := ev.proc.stepper; s != nil {
-			// Continuation dispatch: resume the state machine in place — a
-			// method call, not a handoff. The token never leaves this
-			// goroutine, so the loop just continues.
-			s.StepProc(ev.proc)
-			continue
-		}
-		if ev.proc == self {
-			return true
-		}
-		ev.proc.resume <- struct{}{}
-		return false
+		ev.proc.stepper.StepProc(ev.proc)
 	}
 }

@@ -5,10 +5,7 @@ import "testing"
 func TestProcDelayAdvancesTime(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.Go("p", func(p *Proc) {
-		p.Delay(100)
-		at = p.Now()
-	})
+	e.Go("p", delay(100), do(func(p *Proc) { at = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -22,12 +19,15 @@ func TestProcDelayAdvancesTime(t *testing.T) {
 
 func TestProcWaitUntilPastIsNoop(t *testing.T) {
 	e := NewEngine()
-	e.Go("p", func(p *Proc) {
-		p.Delay(50)
-		p.WaitUntil(10) // already past; must not deadlock or rewind
+	e.Go("p", delay(50), func(p *Proc) bool {
+		if p.SleepUntil(10) { // already past; must not park or rewind
+			t.Error("sleep into the past parked")
+			return true
+		}
 		if p.Now() != 50 {
 			t.Errorf("Now = %v, want 50", p.Now())
 		}
+		return false
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -37,18 +37,9 @@ func TestProcWaitUntilPastIsNoop(t *testing.T) {
 func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 	e := NewEngine()
 	var trace []string
-	e.Go("a", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			trace = append(trace, "a")
-			p.Delay(10)
-		}
-	})
-	e.Go("b", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			trace = append(trace, "b")
-			p.Delay(10)
-		}
-	})
+	for _, name := range []string{"a", "b"} {
+		e.Go(name, times(3, do(func(*Proc) { trace = append(trace, name) }), delay(10))...)
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +57,7 @@ func TestTwoProcsInterleaveDeterministically(t *testing.T) {
 func TestGoAt(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.GoAt(42, "late", func(p *Proc) { at = p.Now() })
+	e.GoAt(42, "late", do(func(p *Proc) { at = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,16 +70,9 @@ func TestParkUnpark(t *testing.T) {
 	e := NewEngine()
 	var waiter *Proc
 	var resumedAt Time
-	e.Go("waiter", func(p *Proc) {
-		waiter = p
-		//lint:allow parksite the bare Park/Unpark pair is the API under test
-		p.Park()
-		resumedAt = p.Now()
-	})
-	e.Go("waker", func(p *Proc) {
-		p.Delay(200)
-		waiter.Unpark()
-	})
+	e.Go("waiter", do(func(p *Proc) { waiter = p }), park("park"),
+		do(func(p *Proc) { resumedAt = p.Now() }))
+	e.Go("waker", delay(200), do(func(*Proc) { waiter.Unpark() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +83,7 @@ func TestParkUnpark(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	e := NewEngine()
-	e.Go("stuck", func(p *Proc) { p.ParkReason("no-waker") })
+	e.Go("stuck", park("no-waker"))
 	if err := e.Run(); err == nil {
 		t.Fatal("parked-forever proc not reported as deadlock")
 	}
@@ -108,14 +92,9 @@ func TestDeadlockDetected(t *testing.T) {
 func TestProcSpawnsProc(t *testing.T) {
 	e := NewEngine()
 	var childAt Time
-	e.Go("parent", func(p *Proc) {
-		p.Delay(5)
-		e.Go("child", func(c *Proc) {
-			c.Delay(5)
-			childAt = c.Now()
-		})
-		p.Delay(100)
-	})
+	e.Go("parent", delay(5), do(func(*Proc) {
+		e.Go("child", delay(5), do(func(c *Proc) { childAt = c.Now() }))
+	}), delay(100))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -124,51 +103,35 @@ func TestProcSpawnsProc(t *testing.T) {
 	}
 }
 
+// TestProcAccessorsAndUnparkAt checks the accessors and a timed wake: a
+// parked proc resumed by an Unpark scheduled for a later time.
 func TestProcAccessorsAndUnparkAt(t *testing.T) {
 	e := NewEngine()
 	var waiter *Proc
 	var resumedAt Time
-	e.Go("sleeper", func(p *Proc) {
+	e.Go("sleeper", do(func(p *Proc) {
 		if p.Name() != "sleeper" || p.Engine() != e {
 			t.Error("accessors wrong")
 		}
 		waiter = p
-		p.ParkReason("timed-sleep")
-		resumedAt = p.Now()
-	})
-	e.Go("waker", func(p *Proc) {
-		waiter.UnparkAt(500)
-	})
+	}), park("timed-sleep"), do(func(p *Proc) { resumedAt = p.Now() }))
+	e.Go("waker", do(func(*Proc) { e.Schedule(500, waiter.Unpark) }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if resumedAt != 500 {
-		t.Fatalf("UnparkAt resumed at %v", resumedAt)
+		t.Fatalf("timed Unpark resumed at %v", resumedAt)
 	}
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	e := NewEngine()
-	e.Go("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative Delay did not panic")
-			}
-		}()
-		p.Delay(-1)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	e2 := NewEngine()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative After did not panic")
-			}
-		}()
-		e2.After(-1, func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("negative After did not panic")
+		}
 	}()
+	e.After(-1, func() {})
 }
 
 func TestManyProcs(t *testing.T) {
@@ -176,11 +139,7 @@ func TestManyProcs(t *testing.T) {
 	const n = 2000
 	var finished int
 	for i := 0; i < n; i++ {
-		d := Time(i % 37)
-		e.Go("w", func(p *Proc) {
-			p.Delay(d)
-			finished++
-		})
+		e.Go("w", delay(Time(i%37)), do(func(*Proc) { finished++ }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -13,16 +13,10 @@ import (
 func TestRunErrorDeadlockNamesParkedProcs(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "slots", 1)
-	j := NewJoin(1) // never Done'd
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Delay(3)
-		j.Wait(p) // parks at t=3, forever
-	})
-	e.Go("blocked", func(p *Proc) {
-		p.Delay(7)
-		sem.Acquire(p) // parks at t=7, forever: holder never releases
-	})
+	j := NewJoin(1)                                       // never Done'd
+	e.Go("holder", sem.AcquireCont, delay(3), j.WaitCont) // parks at t=3, forever
+	// Parks at t=7, forever: the holder never releases.
+	e.Go("blocked", delay(7), sem.AcquireCont)
 	err := e.Run()
 	if err == nil {
 		t.Fatal("deadlocked engine returned nil")
@@ -69,11 +63,7 @@ func TestRunErrorDeadlockNamesParkedProcs(t *testing.T) {
 func TestRunErrorMaxEventsReportsFiredAndTime(t *testing.T) {
 	e := NewEngine()
 	e.MaxEvents = 100
-	e.Go("looper", func(p *Proc) {
-		for {
-			p.Delay(2)
-		}
-	})
+	e.SpawnContAt(0, "looper", spinner(2))
 	err := e.Run()
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -121,11 +111,7 @@ func TestRunErrorInterruptWrapsCause(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	e.Interrupt = ctx.Err
-	e.Go("worker", func(p *Proc) {
-		for {
-			p.Delay(1)
-		}
-	})
+	e.SpawnContAt(0, "worker", spinner(1))
 	err := e.Run()
 	var re *RunError
 	if !errors.As(err, &re) {
@@ -144,15 +130,9 @@ func TestRunErrorInterruptWrapsCause(t *testing.T) {
 // exactly two survivors.
 func TestRunErrorDumpAfterProcChurn(t *testing.T) {
 	e := NewEngine()
-	e.Go("spawner", func(p *Proc) {
-		for i := 0; i < 500; i++ {
-			e.Go("ephemeral", func(c *Proc) { c.Delay(1) })
-			p.Delay(2)
-		}
-		p.ParkReason("churn-done") // never woken
-	})
-	//lint:allow parksite asserting the bare-Park "park" fallback site below
-	e.Go("lurker", func(p *Proc) { p.Park() })
+	churn := times(500, do(func(*Proc) { e.Go("ephemeral", delay(1)) }), delay(2))
+	e.Go("spawner", append(churn, park("churn-done"))...) // never woken
+	e.Go("lurker", park("park"))
 	err := e.Run()
 	var re *RunError
 	if !errors.As(err, &re) || re.Kind != FailDeadlock {

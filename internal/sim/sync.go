@@ -31,28 +31,13 @@ func NewSemaphore(eng *Engine, name string, capacity int) *Semaphore {
 	return &Semaphore{eng: eng, name: name, capacity: capacity}
 }
 
-// Acquire takes one slot, blocking p until one is available.
+// AcquireCont takes one slot for p: parked=false means the slot was taken
+// in place and the body continues; parked=true means p joined the FIFO
+// waiter queue (recorded as its park site) and StepProc must return — the
+// releaser transfers its slot and schedules p's next dispatch, with the
+// count already adjusted.
 //
 //emu:hotpath every spawn and inbound migration acquires a context slot
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.inUse < s.capacity {
-		s.take()
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.ParkReason(s.name)
-	// The releaser transferred its slot to us and woke us; the count was
-	// already adjusted in Release.
-}
-
-// AcquireCont is Acquire for continuation procs: parked=false means the
-// slot was taken in place and the body continues; parked=true means p joined
-// the FIFO waiter queue (recorded as its park site) and StepProc must
-// return — the releaser transfers its slot and schedules p's next dispatch,
-// with the count already adjusted, exactly as for a goroutine waiter. The
-// two kinds of waiter mix freely in one queue.
-//
-//emu:hotpath every continuation spawn and inbound migration acquires a context slot
 func (s *Semaphore) AcquireCont(p *Proc) (parked bool) {
 	if s.inUse < s.capacity {
 		s.take()
@@ -119,12 +104,12 @@ func (s *Semaphore) Capacity() int { return s.capacity }
 // MaxInUse reports the high-water mark of held slots.
 func (s *Semaphore) MaxInUse() int { return s.maxInUse }
 
-// Waiting reports how many Procs are blocked in Acquire.
+// Waiting reports how many Procs are queued for a slot.
 func (s *Semaphore) Waiting() int { return len(s.waiters) - s.head }
 
 // Join is a completion counter, the simulation analogue of sync.WaitGroup.
 // A parent uses it to implement cilk_sync: children call Done, the parent
-// calls Wait.
+// calls WaitCont.
 type Join struct {
 	remaining int
 	waiter    *Proc
@@ -164,24 +149,10 @@ func (j *Join) Done() {
 // Pending reports the number of completions still outstanding.
 func (j *Join) Pending() int { return j.remaining }
 
-// Wait blocks p until the count reaches zero. At most one Proc may wait.
-//
-//emu:hotpath
-func (j *Join) Wait(p *Proc) {
-	if j.remaining == 0 {
-		return
-	}
-	if j.waiter != nil {
-		panic("sim: join already has a waiter")
-	}
-	j.waiter = p
-	p.ParkReason("join")
-}
-
-// WaitCont is Wait for continuation procs: parked=false means the count was
-// already zero and the body continues; parked=true means p is registered as
-// the waiter and StepProc must return — the final Done schedules its next
-// dispatch.
+// WaitCont registers p as the join's waiter: parked=false means the count
+// was already zero and the body continues; parked=true means p is
+// registered as the waiter and StepProc must return — the final Done
+// schedules its next dispatch. At most one Proc may wait.
 //
 //emu:hotpath
 func (j *Join) WaitCont(p *Proc) (parked bool) {

@@ -26,7 +26,7 @@ func semProgram(capacity int, ops []byte) error {
 	e := NewEngine()
 	sem := NewSemaphore(e, "slots", capacity)
 
-	// Model state, updated by the driver while it holds the token.
+	// Model state, updated by the driver and the waiters as they run.
 	var (
 		modelInUse   int
 		fifo         []int // ids of waiters currently blocked, arrival order
@@ -50,8 +50,10 @@ func semProgram(capacity int, ops []byte) error {
 		}
 	}
 
-	e.Go("driver", func(p *Proc) {
-		for _, op := range ops {
+	// The driver's script: each op, then an audit once the op has settled.
+	var driver []func(*Proc) bool
+	for _, op := range ops {
+		driver = append(driver, func(p *Proc) bool {
 			switch op % 4 {
 			case 0, 1: // spawn a waiter that acquires, holds briefly, releases
 				id := next
@@ -63,22 +65,20 @@ func semProgram(capacity int, ops []byte) error {
 				} else {
 					modelInUse++
 				}
-				e.Go("waiter", func(wp *Proc) {
-					sem.Acquire(wp)
-					granted = append(granted, id)
-					wp.Delay(3)
-					// The model: this release either transfers the slot to
-					// the FIFO head or frees it.
-					if len(fifo) > 0 {
-						fifo = fifo[1:]
-					} else {
-						modelInUse--
-					}
-					sem.Release()
-				})
+				e.Go("waiter", sem.AcquireCont, do(func(*Proc) { granted = append(granted, id) }), delay(3),
+					do(func(*Proc) {
+						// The model: this release either transfers the slot
+						// to the FIFO head or frees it.
+						if len(fifo) > 0 {
+							fifo = fifo[1:]
+						} else {
+							modelInUse--
+						}
+						sem.Release()
+					}))
 				// Let the waiter run up to its park or grant so the audit
 				// below sees a settled state.
-				p.Delay(1)
+				return p.SleepUntil(p.Now() + 1)
 			case 2: // TryAcquire from the driver
 				got := sem.TryAcquire()
 				want := modelInUse < capacity
@@ -100,14 +100,20 @@ func semProgram(capacity int, ops []byte) error {
 						modelInUse--
 					}
 					sem.Release()
-					p.Delay(1)
+					return p.SleepUntil(p.Now() + 1)
 				}
 			}
-			audit("after op")
-		}
-		// Drain: release every slot the driver still holds so no waiter is
-		// pinned forever; waiter-held slots release themselves.
-		for holders > 0 {
+			return false
+		}, do(func(*Proc) { audit("after op") }))
+	}
+	// Drain: release every slot the driver still holds so no waiter is
+	// pinned forever; waiter-held slots release themselves. The driver
+	// holds at most one slot per op.
+	for range ops {
+		driver = append(driver, func(p *Proc) bool {
+			if holders == 0 {
+				return false
+			}
 			holders--
 			if len(fifo) > 0 {
 				fifo = fifo[1:]
@@ -115,9 +121,10 @@ func semProgram(capacity int, ops []byte) error {
 				modelInUse--
 			}
 			sem.Release()
-			p.Delay(1)
-		}
-	})
+			return p.SleepUntil(p.Now() + 1)
+		})
+	}
+	e.Go("driver", driver...)
 	if err := e.Run(); err != nil {
 		return fmt.Errorf("run failed: %w", err)
 	}
@@ -213,12 +220,8 @@ func TestSemaphoreCompactionCrossing(t *testing.T) {
 	sem := NewSemaphore(e, "slots", 1)
 	var order []int
 	spawn := func(id int, at, hold Time) {
-		e.GoAt(at, "w", func(p *Proc) {
-			sem.Acquire(p)
-			order = append(order, id)
-			p.Delay(hold)
-			sem.Release()
-		})
+		e.GoAt(at, "w", sem.AcquireCont, do(func(*Proc) { order = append(order, id) }),
+			delay(hold), do(func(*Proc) { sem.Release() }))
 	}
 	// Waiter 0 takes the slot at t=0 and holds it until t=200, so waiters
 	// 1..79 all queue up (len = 79, head = 0) before any grant happens.

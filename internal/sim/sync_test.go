@@ -7,13 +7,8 @@ func TestSemaphoreBlocksAtCapacity(t *testing.T) {
 	sem := NewSemaphore(e, "slots", 2)
 	var acquiredAt [3]Time
 	for i := 0; i < 3; i++ {
-		i := i
-		e.Go("w", func(p *Proc) {
-			sem.Acquire(p)
-			acquiredAt[i] = p.Now()
-			p.Delay(100)
-			sem.Release()
-		})
+		e.Go("w", sem.AcquireCont, do(func(p *Proc) { acquiredAt[i] = p.Now() }),
+			delay(100), do(func(*Proc) { sem.Release() }))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -36,18 +31,12 @@ func TestSemaphoreFIFO(t *testing.T) {
 	e := NewEngine()
 	sem := NewSemaphore(e, "slots", 1)
 	var order []int
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Delay(10)
-		sem.Release()
-	})
+	e.Go("holder", sem.AcquireCont, delay(10), do(func(*Proc) { sem.Release() }))
 	for i := 0; i < 5; i++ {
-		i := i
-		e.GoAt(Time(i+1), "w", func(p *Proc) {
-			sem.Acquire(p)
+		e.GoAt(Time(i+1), "w", sem.AcquireCont, do(func(*Proc) {
 			order = append(order, i)
 			sem.Release()
-		})
+		}))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -89,18 +78,12 @@ func TestJoinWaitsForAll(t *testing.T) {
 	e := NewEngine()
 	j := NewJoin(0)
 	var doneAt Time
-	e.Go("parent", func(p *Proc) {
+	e.Go("parent", do(func(*Proc) {
 		for i := 1; i <= 3; i++ {
-			d := Time(i * 10)
 			j.Add(1)
-			e.Go("child", func(c *Proc) {
-				c.Delay(d)
-				j.Done()
-			})
+			e.Go("child", delay(Time(i*10)), do(func(*Proc) { j.Done() }))
 		}
-		j.Wait(p)
-		doneAt = p.Now()
-	})
+	}), j.WaitCont, do(func(p *Proc) { doneAt = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +95,12 @@ func TestJoinWaitsForAll(t *testing.T) {
 func TestJoinAlreadyZero(t *testing.T) {
 	e := NewEngine()
 	var ran bool
-	e.Go("p", func(p *Proc) {
-		j := NewJoin(0)
-		j.Wait(p) // must not block
+	e.Go("p", func(p *Proc) bool {
+		if NewJoin(0).WaitCont(p) { // must not block
+			return true
+		}
 		ran = true
+		return false
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -129,15 +114,9 @@ func TestJoinDoneBeforeWait(t *testing.T) {
 	e := NewEngine()
 	j := NewJoin(1)
 	var doneAt Time
-	e.Go("child", func(c *Proc) {
-		c.Delay(5)
-		j.Done()
-	})
-	e.Go("parent", func(p *Proc) {
-		p.Delay(50) // child finishes before we wait
-		j.Wait(p)
-		doneAt = p.Now()
-	})
+	e.Go("child", delay(5), do(func(*Proc) { j.Done() }))
+	// The child finishes before the parent waits.
+	e.Go("parent", delay(50), j.WaitCont, do(func(p *Proc) { doneAt = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,28 +131,21 @@ func TestSemaphoreAccessors(t *testing.T) {
 	if sem.Capacity() != 3 || sem.Waiting() != 0 {
 		t.Fatal("fresh semaphore accessors wrong")
 	}
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.Delay(100)
-		sem.Release()
-	})
+	e.Go("holder", sem.AcquireCont, delay(100), do(func(*Proc) { sem.Release() }))
 	waiting := -1
-	e.GoAt(10, "probe", func(p *Proc) {
-		// The holder has 1 of 3 slots; taking two fills the semaphore,
-		// so the third Acquire blocks until the holder releases at t=100.
-		sem.Acquire(p)
-		sem.Acquire(p)
-		sem.Acquire(p)
+	// The holder has 1 of 3 slots; taking two fills the semaphore, so the
+	// probe's third acquire blocks until the holder releases at t=100.
+	e.GoAt(10, "probe", sem.AcquireCont, sem.AcquireCont, sem.AcquireCont, do(func(*Proc) {
 		waiting = 0
 		sem.Release()
 		sem.Release()
 		sem.Release()
-	})
-	e.GoAt(20, "observer", func(p *Proc) {
+	}))
+	e.GoAt(20, "observer", do(func(*Proc) {
 		if sem.Waiting() != 1 {
 			t.Errorf("Waiting = %d at t=20", sem.Waiting())
 		}
-	})
+	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -13,18 +13,19 @@ func failDeadlock() *Engine {
 	e := NewEngine()
 	sem := NewSemaphore(e, "slots", 1)
 	j := NewJoin(1)
-	e.Go("holder", func(p *Proc) {
-		sem.Acquire(p)
-		p.ParkReason("never") // holds the slot forever
-	})
-	e.Go("sem-waiter", func(p *Proc) {
-		p.Delay(1)
-		sem.Acquire(p)
-	})
-	e.Go("join-waiter", func(p *Proc) {
-		j.Wait(p)
-	})
+	e.Go("holder", sem.AcquireCont, park("never")) // holds the slot forever
+	e.Go("sem-waiter", delay(1), sem.AcquireCont)
+	e.Go("join-waiter", j.WaitCont)
 	return e
+}
+
+// spinner sleeps d ticks at a time forever; only a valve or the interrupt
+// hook ends a run that contains one.
+type spinner Time
+
+func (d spinner) StepProc(p *Proc) {
+	for !p.SleepUntil(p.Now() + Time(d)) {
+	}
 }
 
 // failMaxEvents builds an engine whose run trips the MaxEvents valve while
@@ -33,11 +34,7 @@ func failMaxEvents() *Engine {
 	e := NewEngine()
 	e.MaxEvents = 64
 	for i := 0; i < 2; i++ {
-		e.Go("spinner", func(p *Proc) {
-			for {
-				p.Delay(1)
-			}
-		})
+		e.SpawnContAt(0, "spinner", spinner(1))
 	}
 	return e
 }
@@ -49,21 +46,18 @@ func failInterrupted() *Engine {
 	cause := errors.New("cancelled")
 	e.Interrupt = func() error { return cause }
 	for i := 0; i < 3; i++ {
-		e.Go("worker", func(p *Proc) {
-			for {
-				p.Delay(1)
-			}
-		})
+		e.SpawnContAt(0, "worker", spinner(1))
 	}
 	return e
 }
 
 // TestFailedRunsReleaseParkedGoroutines is the leak regression test: across
 // many failing runs of every failure kind, the process goroutine count must
-// return to its baseline. Before the teardown fix, every proc parked
-// mid-body when a run failed stayed blocked on its resume channel forever —
-// in a long-lived job server those leaked goroutines accumulated with every
-// watchdog-killed, cancelled, or deadlocked job.
+// stay at its baseline and every engine must end with no live procs. Procs
+// used to be goroutines, and every one parked mid-body when a run failed
+// stayed blocked forever; in a long-lived job server those leaked
+// goroutines accumulated with every watchdog-killed, cancelled, or
+// deadlocked job. The engine now runs every proc on the Run goroutine.
 func TestFailedRunsReleaseParkedGoroutines(t *testing.T) {
 	// Let goroutines from other tests settle before taking the baseline.
 	runtime.GC()
@@ -78,13 +72,14 @@ func TestFailedRunsReleaseParkedGoroutines(t *testing.T) {
 			if err := e.Run(); err == nil {
 				t.Fatal("expected the run to fail")
 			}
+			if e.LiveProcs() != 0 || e.Pending() != 0 {
+				t.Fatalf("failed run left procs=%d pending=%d", e.LiveProcs(), e.Pending())
+			}
 		}
 	}
 
-	// Teardown synchronizes with every released goroutine before Run
-	// returns, but the runtime unwinds exiting goroutines asynchronously;
-	// poll briefly before declaring a leak. With the old teardown this
-	// plateaus hundreds of goroutines above baseline and fails.
+	// Goroutines from other tests may still be unwinding; poll briefly
+	// before declaring a leak.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		runtime.GC()
@@ -117,10 +112,7 @@ func TestEngineReuseAfterFailure(t *testing.T) {
 
 	// A clean run on the reused engine must succeed.
 	var at Time
-	e.Go("ok", func(p *Proc) {
-		p.Delay(10)
-		at = p.Now()
-	})
+	e.Go("ok", delay(10), do(func(p *Proc) { at = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatalf("reused engine failed a clean run: %v", err)
 	}
@@ -130,7 +122,7 @@ func TestEngineReuseAfterFailure(t *testing.T) {
 
 	// A third run that fails must dump only its own procs, not ghosts from
 	// the first failure.
-	e.Go("fresh-stuck", func(p *Proc) { p.ParkReason("again") })
+	e.Go("fresh-stuck", park("again"))
 	err := e.Run()
 	re, ok := err.(*RunError)
 	if !ok {
@@ -145,7 +137,7 @@ func TestEngineReuseAfterFailure(t *testing.T) {
 // with the clock staying monotonic across them.
 func TestEngineReuseAfterSuccess(t *testing.T) {
 	e := NewEngine()
-	e.Go("a", func(p *Proc) { p.Delay(100) })
+	e.Go("a", delay(100))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -154,10 +146,7 @@ func TestEngineReuseAfterSuccess(t *testing.T) {
 		t.Fatalf("first run ended at %v, want 100", firstNow)
 	}
 	var at Time
-	e.Go("b", func(p *Proc) {
-		p.Delay(50)
-		at = p.Now()
-	})
+	e.Go("b", delay(50), do(func(p *Proc) { at = p.Now() }))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -197,9 +186,8 @@ func TestEngineReuseAfterMaxTime(t *testing.T) {
 	}
 }
 
-// TestFailedRunReleasesContinuationProcs: continuation procs have no
-// goroutine to leak, but a failed run must still reset the live count they
-// contribute to.
+// TestFailedRunReleasesContinuationProcs: procs have no goroutine to leak,
+// but a failed run must still reset the live count they contribute to.
 func TestFailedRunReleasesContinuationProcs(t *testing.T) {
 	e := NewEngine()
 	e.SpawnContAt(0, "stuck", contForever{})

@@ -3,6 +3,7 @@ package stinger
 import (
 	"fmt"
 
+	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/memsys"
 )
@@ -13,7 +14,7 @@ import (
 // all per-vertex work with timed operations; only the level/iteration
 // bookkeeping (frontier lists, convergence flags) is host-side, standing
 // in for the runtime's work-queues. Each is built by a constructor and run
-// from a kernel threadlet's Step with the cilk Drive protocol.
+// from a kernel threadlet's Step as a cilk.Driver.
 
 // unvisited marks a vertex not yet reached by BFS.
 const unvisited = ^uint64(0)
@@ -28,9 +29,8 @@ type BFSRun struct {
 	inNext   []bool
 	level    uint64
 	active   int
-	groups   [][]int // groups[nl] lists the level's workers homed on nl
-	nl, k    int     // spawn cursor into groups
-	phase    uint8   // 0 level start, 1 spawn, 2 joined, 3 done
+	fan      *cilk.Fanout // the level's workers
+	phase    uint8        // 0 level start, 1 level running, 2 done
 }
 
 // BFS prepares hop distances from src with a level-synchronous parallel
@@ -57,45 +57,36 @@ func BFS(g *Graph, src, workers int) (*BFSRun, error) {
 		inNext: make([]bool, g.cfg.Vertices)}, nil
 }
 
-// Drive advances the search; see cilk.Workers.Drive for the protocol.
+// Drive advances the search; see cilk.Driver for the protocol.
 func (b *BFSRun) Drive(t *machine.CThread) (parked bool) {
 	for {
 		switch b.phase {
 		case 0:
 			if len(b.frontier) == 0 {
-				b.phase = 3
+				b.phase = 2
 				continue
 			}
 			// Partition the frontier round-robin over min(workers,
 			// |frontier|) threads, each spawned at its first vertex's home
-			// nodelet.
+			// nodelet, in nodelet order.
 			b.active = min(b.workers, len(b.frontier))
 			b.next = make([][]int, b.active)
-			b.groups = make([][]int, b.g.sys.Nodelets())
+			groups := make([][]int, b.g.sys.Nodelets())
 			for w := 0; w < b.active; w++ {
 				nl := b.frontier[w] % b.g.sys.Nodelets()
-				b.groups[nl] = append(b.groups[nl], w)
+				groups[nl] = append(groups[nl], w)
 			}
-			b.nl, b.k = 0, 0
+			b.fan = &cilk.Fanout{}
+			for nl, ws := range groups {
+				for _, w := range ws {
+					b.fan.Add(nl, newBFSWorker(b, w))
+				}
+			}
 			b.phase = 1
 		case 1:
-			for b.nl < len(b.groups) {
-				if b.k >= len(b.groups[b.nl]) {
-					b.nl++
-					b.k = 0
-					continue
-				}
-				w := b.groups[b.nl][b.k]
-				b.k++
-				if t.CSpawnAt(b.nl, newBFSWorker(b, w)) {
-					return true
-				}
-			}
-			b.phase = 2
-			if t.CSync() {
+			if b.fan.Drive(t) {
 				return true
 			}
-		case 2:
 			b.frontier = b.frontier[:0]
 			for _, part := range b.next {
 				b.frontier = append(b.frontier, part...)
@@ -105,7 +96,7 @@ func (b *BFSRun) Drive(t *machine.CThread) (parked bool) {
 			}
 			b.level++
 			b.phase = 0
-		case 3:
+		case 2:
 			return false
 		}
 	}
@@ -192,8 +183,8 @@ type ComponentsRun struct {
 	workers int
 	labels  memsys.Striped
 	changed []bool
-	k       int   // spawn cursor
-	phase   uint8 // 0 pass start, 1 spawn, 2 joined, 3 done
+	fan     *cilk.Fanout // the pass's workers
+	phase   uint8        // 0 pass start, 1 pass running, 2 done
 }
 
 // Components prepares weakly-connected component labels by iterative
@@ -214,36 +205,30 @@ func Components(g *Graph, workers int) (*ComponentsRun, error) {
 	return &ComponentsRun{g: g, workers: workers, labels: labels}, nil
 }
 
-// Drive advances the labelling; see cilk.Workers.Drive for the protocol.
+// Drive advances the labelling; see cilk.Driver for the protocol.
 func (c *ComponentsRun) Drive(t *machine.CThread) (parked bool) {
 	for {
 		switch c.phase {
 		case 0:
 			c.changed = make([]bool, c.workers)
-			c.k = 0
-			c.phase = 1
-		case 1:
-			for c.k < c.workers {
-				w := c.k
-				c.k++
+			c.fan = &cilk.Fanout{}
+			for w := 0; w < c.workers; w++ {
 				cw := &ccWorker{c: c, w: w, v: w}
 				cw.walk = WalkRun{g: c.g, visit: cw.visit}
-				if t.CSpawnAt(w%c.g.sys.Nodelets(), cw) {
-					return true
-				}
+				c.fan.Add(w%c.g.sys.Nodelets(), cw)
 			}
-			c.phase = 2
-			if t.CSync() {
+			c.phase = 1
+		case 1:
+			if c.fan.Drive(t) {
 				return true
 			}
-		case 2:
-			c.phase = 3
+			c.phase = 2
 			for _, ch := range c.changed {
 				if ch {
 					c.phase = 0
 				}
 			}
-		case 3:
+		case 2:
 			return false
 		}
 	}

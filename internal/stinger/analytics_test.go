@@ -84,7 +84,7 @@ func runBFS(t *testing.T, sys *machine.System, g *Graph, src, workers int) []int
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunCont(&phases{then: []driver{bfs}}); err != nil {
+	if _, err := sys.Run(&drives{bfs}); err != nil {
 		t.Fatal(err)
 	}
 	return bfs.Dist()
@@ -144,7 +144,7 @@ func TestComponentsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunCont(&phases{then: []driver{cc}}); err != nil {
+	if _, err := sys.Run(&drives{cc}); err != nil {
 		t.Fatal(err)
 	}
 	got := cc.Labels()
@@ -183,7 +183,7 @@ func TestBFSProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if _, err := sys.RunCont(&phases{then: []driver{bfs}}); err != nil {
+		if _, err := sys.Run(&drives{bfs}); err != nil {
 			return false
 		}
 		got := bfs.Dist()

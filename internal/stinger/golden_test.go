@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/sim"
 	"emuchick/internal/trace"
@@ -90,12 +91,11 @@ func TestGraphKernelsGolden(t *testing.T) {
 			for w := range walkers {
 				walkers[w] = &summer{g: g, v: w, step: 6, sums: sums}
 			}
-			root := &phases{
-				spawn: [][]machine.CBody{inserters, walkers},
-				at:    [][]int{{0, 1, 2, 3, 4, 5, 6, 7}, {0, 3, 6, 1, 4, 7}},
-				then:  []driver{bfs, cc},
-			}
-			elapsed, err := sys.RunCont(root)
+			elapsed, err := sys.Run(&drives{
+				fanAt(inserters, []int{0, 1, 2, 3, 4, 5, 6, 7}),
+				fanAt(walkers, []int{0, 3, 6, 1, 4, 7}),
+				bfs, cc,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -113,46 +113,26 @@ func TestGraphKernelsGolden(t *testing.T) {
 	}
 }
 
-// driver is anything with the cilk Drive protocol.
-type driver interface {
-	Drive(t *machine.CThread) (parked bool)
-}
+// drives is a root body that drives each tree to completion in order.
+type drives []cilk.Driver
 
-// phases is a root body: for each phase it spawns every body at its nodelet
-// and joins them, then drives each of then to completion in order.
-type phases struct {
-	spawn  [][]machine.CBody
-	at     [][]int
-	then   []driver
-	ph, k  int
-	synced bool
-}
-
-func (r *phases) Step(t *machine.CThread) bool {
-	for r.ph < len(r.spawn) {
-		if r.k < len(r.spawn[r.ph]) {
-			k := r.k
-			r.k++
-			if t.CSpawnAt(r.at[r.ph][k], r.spawn[r.ph][k]) {
-				return false
-			}
-			continue
-		}
-		if !r.synced {
-			r.synced = true
-			if t.CSync() {
-				return false
-			}
-		}
-		r.ph, r.k, r.synced = r.ph+1, 0, false
-	}
-	for len(r.then) > 0 {
-		if r.then[0].Drive(t) {
+func (d *drives) Step(t *machine.CThread) bool {
+	for len(*d) > 0 {
+		if (*d)[0].Drive(t) {
 			return false
 		}
-		r.then = r.then[1:]
+		*d = (*d)[1:]
 	}
 	return true
+}
+
+// fanAt is a fan-out spawning bodies[k] on nodelet at[k], in order.
+func fanAt(bodies []machine.CBody, at []int) *cilk.Fanout {
+	fan := &cilk.Fanout{}
+	for k, b := range bodies {
+		fan.Add(at[k], b)
+	}
+	return fan
 }
 
 // inserter appends its edges in order with timed inserts.

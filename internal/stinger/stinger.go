@@ -144,8 +144,7 @@ func (g *Graph) placementNodelet(v int) int {
 // lock-free STINGER updates partition work.
 func (g *Graph) InsertTimed(e Edge) *Insert { return &Insert{g: g, e: e} }
 
-// Insert is a timed edge append in progress, with the cilk Drive protocol:
-// Drive reports parked=true when the enclosing Step must return, and once it
+// Insert is a timed edge append in progress and a cilk.Driver: once Drive
 // reports parked=false the append has finished and Err holds its outcome.
 type Insert struct {
 	g        *Graph
@@ -262,7 +261,7 @@ func (in *Insert) Drive(t *machine.CThread) (parked bool) {
 			if t.CRemoteAdd(g.deg.At(e.Src), 1) {
 				return true
 			}
-		case 13:
+		case 13: // done, or failed with err set
 			return false
 		}
 	}
@@ -323,8 +322,8 @@ func (g *Graph) WalkTimed(v int, visit func(t *machine.CThread, dst int, w uint6
 	return &WalkRun{g: g, v: v, visit: visit}
 }
 
-// WalkRun is a timed traversal in progress, with the cilk Drive protocol:
-// parked=false means every edge has been visited.
+// WalkRun is a timed traversal in progress and a cilk.Driver: parked=false
+// means every edge has been visited.
 type WalkRun struct {
 	g         *Graph
 	v         int

@@ -68,7 +68,7 @@ func TestInsertTimedMatchesBuildInsert(t *testing.T) {
 		}
 		inserters[w] = &inserter{t: t, g: a, edges: mine}
 	}
-	if _, err := sysA.RunCont(&phases{spawn: [][]machine.CBody{inserters}, at: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}); err != nil {
+	if _, err := sysA.Run(&drives{fanAt(inserters, []int{0, 1, 2, 3, 4, 5, 6, 7})}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 64; v++ {
@@ -106,7 +106,7 @@ func TestWalkTimedVisitsAllEdges(t *testing.T) {
 	for w := range walkers {
 		walkers[w], at[w] = &summer{g: g, v: w, step: 16, sums: got}, w%8
 	}
-	if _, err := sys.RunCont(&phases{spawn: [][]machine.CBody{walkers}, at: [][]int{at}}); err != nil {
+	if _, err := sys.Run(&drives{fanAt(walkers, at)}); err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 64; v++ {
@@ -129,7 +129,7 @@ func TestPlacementDrivesMigrations(t *testing.T) {
 		for w := range walkers {
 			walkers[w] = &summer{g: g, v: w, step: 8, sums: make([]uint64, 64)}
 		}
-		if _, err := sys.RunCont(&phases{spawn: [][]machine.CBody{walkers}, at: [][]int{{0, 1, 2, 3, 4, 5, 6, 7}}}); err != nil {
+		if _, err := sys.Run(&drives{fanAt(walkers, []int{0, 1, 2, 3, 4, 5, 6, 7})}); err != nil {
 			t.Fatal(err)
 		}
 		return sys.Counters.TotalMigrations()

@@ -108,7 +108,7 @@ func TTVEmu(mcfg machine.Config, cfg TTVConfig) (metrics.Result, error) {
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	if _, err := sys.RunCont(root); err != nil {
+	if _, err := sys.Run(root); err != nil {
 		return metrics.Result{}, err
 	}
 	for c := 0; c < cells; c++ {
@@ -153,9 +153,9 @@ func (s shard) At(i int) memsys.Addr { return s.b.At(s.nl, i) }
 // slices round-robin — nodelet nl holds the entries of slices i with
 // i mod N == nl, contiguous in its shard — and the root spawns one
 // ParallelFor coordinator per populated nodelet, there, over its shard.
+// Either way the root records the elapsed time from its start to the join.
 func placeEntries(sys *machine.System, t *COO, layout Layout, grain int, out *sim.Time,
-	leaf func(coords, vals vector, lo, hi int) machine.CBody) (*timedRoot, error) {
-	root := &timedRoot{out: out}
+	leaf func(coords, vals vector, lo, hi int) machine.CBody) (*cilk.Timed, error) {
 	switch layout {
 	case Layout1D:
 		coords := sys.Mem.AllocStriped(t.NNZ())
@@ -164,9 +164,9 @@ func placeEntries(sys *machine.System, t *COO, layout Layout, grain int, out *si
 			sys.Mem.Write(coords.At(n), packCoord(t.I[n], t.J[n], t.K[n]))
 			sys.Mem.Write(vals.At(n), math.Float64bits(t.Val[n]))
 		}
-		root.loop = cilk.NewParallelFor(t.NNZ(), grain, func(lo, hi int) machine.CBody {
+		return cilk.NewTimed(cilk.NewParallelFor(t.NNZ(), grain, func(lo, hi int) machine.CBody {
 			return leaf(coords, vals, lo, hi)
-		})
+		}), out), nil
 	case Layout2D:
 		nodelets := sys.Nodelets()
 		perNL := make([]int, nodelets)
@@ -182,64 +182,19 @@ func placeEntries(sys *machine.System, t *COO, layout Layout, grain int, out *si
 			sys.Mem.Write(vals.At(nl, fill[nl]), math.Float64bits(t.Val[n]))
 			fill[nl]++
 		}
+		fan := &cilk.Fanout{}
 		for nl, count := range perNL {
 			if count == 0 {
 				continue
 			}
 			c, v := shard{coords, nl}, shard{vals, nl}
-			root.nls = append(root.nls, nl)
-			root.coords = append(root.coords, cilk.NewParallelFor(count, grain, func(lo, hi int) machine.CBody {
+			fan.Add(nl, cilk.NewParallelFor(count, grain, func(lo, hi int) machine.CBody {
 				return leaf(c, v, lo, hi)
 			}))
 		}
-	default:
-		return nil, fmt.Errorf("tensor: unknown layout %v", layout)
+		return cilk.NewTimed(fan, out), nil
 	}
-	return root, nil
-}
-
-// timedRoot is a kernel's root body: it runs its loop itself (Layout1D) or
-// spawns each coordinator on its nodelet (Layout2D), joins, and records the
-// elapsed time from body start to the join.
-type timedRoot struct {
-	loop   *cilk.ParFor
-	nls    []int
-	coords []machine.CBody
-	out    *sim.Time
-	t0     sim.Time
-	k      int
-	pc     uint8
-}
-
-func (r *timedRoot) Step(t *machine.CThread) bool {
-	for {
-		switch r.pc {
-		case 0:
-			r.t0 = t.Now()
-			r.pc = 1
-		case 1:
-			if r.loop != nil && r.loop.Drive(t) {
-				return false
-			}
-			r.pc = 2
-		case 2:
-			if r.k < len(r.coords) {
-				k := r.k
-				r.k++
-				if t.CSpawnAt(r.nls[k], r.coords[k]) {
-					return false
-				}
-				continue
-			}
-			r.pc = 3
-			if t.CSync() {
-				return false
-			}
-		case 3:
-			*r.out = t.Now() - r.t0
-			return true
-		}
-	}
+	return nil, fmt.Errorf("tensor: unknown layout %v", layout)
 }
 
 // ttvLeaf contracts entries [n, hi): load the packed coordinates (migrating

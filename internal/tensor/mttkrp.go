@@ -92,7 +92,7 @@ func MTTKRPEmu(mcfg machine.Config, cfg MTTKRPConfig) (metrics.Result, error) {
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	if _, err := sys.RunCont(root); err != nil {
+	if _, err := sys.Run(root); err != nil {
 		return metrics.Result{}, err
 	}
 	for idx, w := range want {

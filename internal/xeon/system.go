@@ -146,14 +146,11 @@ type CBody interface {
 // StepProc is the sim.Stepper hook: it launches a child whose spawn
 // overhead has elapsed, resumes the body, and at the body's end joins its
 // children (the implicit cilk_sync) and tells the parent.
-//
-//emu:nohandoff
 func (t *CThread) StepProc(p *sim.Proc) {
 	if !t.finishing {
 		if t.spawned != nil {
 			t.launch()
 		}
-		//lint:allow nohandoff CBody implementations are the cpukernels state machines, each annotated //emu:nohandoff at its Step
 		if !t.body.Step(t) {
 			return
 		}
@@ -178,8 +175,6 @@ func (t *CThread) Now() sim.Time { return t.p.Now() }
 func (t *CThread) System() *System { return t.sys }
 
 // Compute charges cycles of execution on the thread's core.
-//
-//emu:nohandoff
 func (t *CThread) Compute(cycles int64) (parked bool) {
 	if cycles <= 0 {
 		return false
@@ -190,15 +185,11 @@ func (t *CThread) Compute(cycles int64) (parked bool) {
 
 // Read models a blocking load of bytes at addr, walking the cache
 // hierarchy per covered line.
-//
-//emu:nohandoff
 func (t *CThread) Read(addr, bytes int64) (parked bool) { return t.access(addr, bytes, false) }
 
 // Write models a store of bytes at addr with write-allocate semantics: the
 // line is fetched like a read, marked dirty, and written back to memory
 // when eventually evicted (consuming channel bandwidth asynchronously).
-//
-//emu:nohandoff
 func (t *CThread) Write(addr, bytes int64) (parked bool) { return t.access(addr, bytes, true) }
 
 // WriteNT models a non-temporal (streaming) store: it bypasses the caches
@@ -231,7 +222,6 @@ func (t *CThread) WriteNT(addr, bytes int64) {
 	s.NTWriteLines += uint64(last - first + 1)
 }
 
-//emu:nohandoff
 func (t *CThread) access(addr, bytes int64, write bool) (parked bool) {
 	if bytes <= 0 {
 		return false
@@ -361,8 +351,6 @@ func (t *CThread) prefetchArm(line int64) bool {
 // Spawn creates a child thread (cilk_spawn): the parent is charged the
 // runtime's spawn overhead and the child begins after the same overhead on
 // the next hardware thread slot.
-//
-//emu:nohandoff
 func (t *CThread) Spawn(body CBody) (parked bool) {
 	s := t.sys
 	t.spawned = body
@@ -386,6 +374,4 @@ func (t *CThread) launch() {
 }
 
 // Sync blocks until all children spawned so far have finished (cilk_sync).
-//
-//emu:nohandoff
 func (t *CThread) Sync() (parked bool) { return t.children.WaitCont(t.p) }

@@ -79,7 +79,7 @@ func tracedChase(t *testing.T, obs Observer) (Time, []machine.NodeletCounters) {
 		}
 		return &sc
 	})
-	elapsed, err := sys.RunCont(&drives{workers})
+	elapsed, err := sys.Run(&drives{workers})
 	if err != nil {
 		t.Fatal(err)
 	}
