@@ -32,24 +32,28 @@ func reportEmu(b *testing.B, run func() (Result, error)) {
 	b.ReportMetric(last.MBps(), "simMB/s")
 }
 
+// kernel returns a reportEmu body that runs a registered bandwidth kernel.
+func kernel(cfg Config, name string, p KernelParams, opts ...RunOption) func() (Result, error) {
+	return func() (Result, error) {
+		m, err := Run(cfg, name, p, opts...)
+		return m.Result(), err
+	}
+}
+
 // BenchmarkFig4StreamSingleNodelet is the plateau point of Fig. 4: STREAM
 // on one nodelet with 64 threads.
 func BenchmarkFig4StreamSingleNodelet(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunStream(HardwareChick(), StreamConfig{
-			ElemsPerNodelet: 1024, Nodelets: 1, Threads: 64, Strategy: SerialSpawn,
-		})
-	})
+	reportEmu(b, kernel(HardwareChick(), "stream", KernelParams{
+		Elems: 1024, Nodelets: 1, Threads: 64, Strategy: SerialSpawn.String(),
+	}))
 }
 
 // BenchmarkFig5StreamEightNodelets is Fig. 5's peak: 512 threads with a
 // recursive remote spawn tree across 8 nodelets (~1.2 GB/s on hardware).
 func BenchmarkFig5StreamEightNodelets(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunStream(HardwareChick(), StreamConfig{
-			ElemsPerNodelet: 1024, Nodelets: 8, Threads: 512, Strategy: RecursiveRemoteSpawn,
-		})
-	})
+	reportEmu(b, kernel(HardwareChick(), "stream", KernelParams{
+		Elems: 1024, Nodelets: 8, Threads: 512, Strategy: RecursiveRemoteSpawn.String(),
+	}))
 }
 
 // BenchmarkStreamAnchorXeon is the section IV-A anchor: Sandy Bridge
@@ -71,22 +75,18 @@ func BenchmarkStreamAnchorXeon(b *testing.B) {
 // BenchmarkStreamAnchorEightNodes is the unstable 8-node test (6.5 GB/s in
 // the paper's one successful run).
 func BenchmarkStreamAnchorEightNodes(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunStream(HardwareChickNodes(8), StreamConfig{
-			ElemsPerNodelet: 512, Nodelets: 64, Threads: 4096, Strategy: RecursiveRemoteSpawn,
-		})
-	})
+	reportEmu(b, kernel(HardwareChickNodes(8), "stream", KernelParams{
+		Elems: 512, Nodelets: 64, Threads: 4096, Strategy: RecursiveRemoteSpawn.String(),
+	}))
 }
 
 // BenchmarkFig6PointerChaseEmu is Fig. 6's flat region: 512 threads,
 // full shuffle, 64-element blocks.
 func BenchmarkFig6PointerChaseEmu(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunPointerChase(HardwareChick(), ChaseConfig{
-			Elements: 16384, BlockSize: 64, Mode: FullBlockShuffle,
-			Seed: 1, Threads: 512, Nodelets: 8,
-		})
-	})
+	reportEmu(b, kernel(HardwareChick(), "chase", KernelParams{
+		Elems: 16384, Block: 64, Mode: FullBlockShuffle.String(),
+		Seed: 1, Threads: 512, Nodelets: 8,
+	}))
 }
 
 // BenchmarkFig6PointerChaseTraced is the observability-cost probe: the
@@ -97,23 +97,19 @@ func BenchmarkFig6PointerChaseEmu(b *testing.B) {
 // actually costs.
 func BenchmarkFig6PointerChaseTraced(b *testing.B) {
 	agg := NewTraceAggregator(0)
-	reportEmu(b, func() (Result, error) {
-		return RunPointerChase(HardwareChick(), ChaseConfig{
-			Elements: 16384, BlockSize: 64, Mode: FullBlockShuffle,
-			Seed: 1, Threads: 512, Nodelets: 8,
-		}, WithObserver(agg))
-	})
+	reportEmu(b, kernel(HardwareChick(), "chase", KernelParams{
+		Elems: 16384, Block: 64, Mode: FullBlockShuffle.String(),
+		Seed: 1, Threads: 512, Nodelets: 8,
+	}, WithObserver(agg)))
 }
 
 // BenchmarkFig6BlockOneDip is Fig. 6's defining dip: every element
 // migrates.
 func BenchmarkFig6BlockOneDip(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunPointerChase(HardwareChick(), ChaseConfig{
-			Elements: 16384, BlockSize: 1, Mode: FullBlockShuffle,
-			Seed: 1, Threads: 512, Nodelets: 8,
-		})
-	})
+	reportEmu(b, kernel(HardwareChick(), "chase", KernelParams{
+		Elems: 16384, Block: 1, Mode: FullBlockShuffle.String(),
+		Seed: 1, Threads: 512, Nodelets: 8,
+	}))
 }
 
 // BenchmarkFig7PointerChaseXeon is Fig. 7's sweet spot: 512-element
@@ -135,44 +131,38 @@ func BenchmarkFig7PointerChaseXeon(b *testing.B) {
 // BenchmarkFig8Utilization reports Fig. 8's headline: the Emu's
 // pointer-chase bandwidth as a fraction of its measured STREAM peak.
 func BenchmarkFig8Utilization(b *testing.B) {
-	peak, err := RunStream(HardwareChick(), StreamConfig{
-		ElemsPerNodelet: 2048, Nodelets: 8, Threads: 512, Strategy: RecursiveRemoteSpawn,
+	peak, err := Run(HardwareChick(), "stream", KernelParams{
+		Elems: 2048, Nodelets: 8, Threads: 512, Strategy: RecursiveRemoteSpawn.String(),
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunPointerChase(HardwareChick(), ChaseConfig{
-			Elements: 16384, BlockSize: 64, Mode: FullBlockShuffle,
+		res, err := Run(HardwareChick(), "chase", KernelParams{
+			Elems: 16384, Block: 64, Mode: FullBlockShuffle.String(),
 			Seed: 1, Threads: 512, Nodelets: 8,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		frac = res.BytesPerSec() / peak.BytesPerSec()
+		frac = res.Result().BytesPerSec() / peak.Result().BytesPerSec()
 	}
 	b.ReportMetric(frac*100, "%ofpeak")
 }
 
 // BenchmarkFig9aSpMVEmu is Fig. 9a's best case: the 2D layout at n=100.
 func BenchmarkFig9aSpMVEmu(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunSpMV(HardwareChick(), SpMVConfig{GridN: 100, Layout: SpMV2D, GrainNNZ: 16})
-	})
+	reportEmu(b, kernel(HardwareChick(), "spmv", KernelParams{GridN: 100, Layout: SpMV2D.String(), Grain: 16}))
 }
 
 // BenchmarkFig9aSpMVEmu1D and ...Local are the other two layout curves.
 func BenchmarkFig9aSpMVEmu1D(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunSpMV(HardwareChick(), SpMVConfig{GridN: 100, Layout: SpMV1D, GrainNNZ: 16})
-	})
+	reportEmu(b, kernel(HardwareChick(), "spmv", KernelParams{GridN: 100, Layout: SpMV1D.String(), Grain: 16}))
 }
 
 func BenchmarkFig9aSpMVEmuLocal(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunSpMV(HardwareChick(), SpMVConfig{GridN: 100, Layout: SpMVLocal, GrainNNZ: 16})
-	})
+	reportEmu(b, kernel(HardwareChick(), "spmv", KernelParams{GridN: 100, Layout: SpMVLocal.String(), Grain: 16}))
 }
 
 // BenchmarkFig9bSpMVXeon is Fig. 9b's MKL curve at a mid-size matrix.
@@ -193,21 +183,21 @@ func BenchmarkFig9bSpMVXeon(b *testing.B) {
 // BenchmarkFig10ValidationGap reports the hardware/simulator bandwidth
 // ratio on the migration-bound chase point — the Fig. 10 mismatch.
 func BenchmarkFig10ValidationGap(b *testing.B) {
-	cfg := ChaseConfig{
-		Elements: 16384, BlockSize: 1, Mode: FullBlockShuffle,
+	p := KernelParams{
+		Elems: 16384, Block: 1, Mode: FullBlockShuffle.String(),
 		Seed: 1, Threads: 512, Nodelets: 8,
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		hw, err := RunPointerChase(HardwareChick(), cfg)
+		hw, err := Run(HardwareChick(), "chase", p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		sm, err := RunPointerChase(SimMatched(), cfg)
+		sm, err := Run(SimMatched(), "chase", p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		ratio = sm.BytesPerSec() / hw.BytesPerSec()
+		ratio = sm.Result().BytesPerSec() / hw.Result().BytesPerSec()
 	}
 	b.ReportMetric(ratio, "sim/hw")
 }
@@ -217,13 +207,13 @@ func BenchmarkFig10ValidationGap(b *testing.B) {
 func BenchmarkMigrationAnchorPingPong(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunPingPong(HardwareChick(), PingPongConfig{
-			Threads: 64, Iterations: 500, NodeletA: 0, NodeletB: 1,
+		m, err := Run(HardwareChick(), "pingpong", KernelParams{
+			Threads: 64, Iters: 500, NodeletA: 0, NodeletB: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		rate = res.MigrationsPerSec / 1e6
+		rate = m.PingPong().MigrationsPerSec / 1e6
 	}
 	b.ReportMetric(rate, "Mmig/s")
 }
@@ -231,12 +221,10 @@ func BenchmarkMigrationAnchorPingPong(b *testing.B) {
 // BenchmarkFig11FullSpeed64 is the Fig. 11 projection: 64 nodelets at
 // design speed, thousands of threads.
 func BenchmarkFig11FullSpeed64(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunPointerChase(FullSpeed(8), ChaseConfig{
-			Elements: 65536, BlockSize: 128, Mode: FullBlockShuffle,
-			Seed: 1, Threads: 4096, Nodelets: 64,
-		})
-	})
+	reportEmu(b, kernel(FullSpeed(8), "chase", KernelParams{
+		Elems: 65536, Block: 128, Mode: FullBlockShuffle.String(),
+		Seed: 1, Threads: 4096, Nodelets: 64,
+	}))
 }
 
 // --- Extension benchmarks: the application substrates the paper's
@@ -351,9 +339,7 @@ func BenchmarkTensorTTV2D(b *testing.B) {
 // BenchmarkAblationReplicatedX is the smart-migration ablation headline:
 // SpMV 2D with the input vector replicated (vs striped in the experiment).
 func BenchmarkAblationReplicatedX(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunSpMV(HardwareChick(), SpMVConfig{GridN: 50, Layout: SpMV2D, GrainNNZ: 16})
-	})
+	reportEmu(b, kernel(HardwareChick(), "spmv", KernelParams{GridN: 50, Layout: SpMV2D.String(), Grain: 16}))
 }
 
 // threadletSleeper is the shared body of every proc in the threadlet-scale

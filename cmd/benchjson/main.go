@@ -77,28 +77,6 @@ func newStat(samples []float64) stat {
 	return s
 }
 
-// UnmarshalJSON accepts both the current object form and the legacy plain
-// number written by the pre-comparator snapshotter, so old archives remain
-// loadable as baselines.
-func (s *stat) UnmarshalJSON(b []byte) error {
-	t := strings.TrimSpace(string(b))
-	if t == "" || t[0] != '{' {
-		v, err := strconv.ParseFloat(t, 64)
-		if err != nil {
-			return fmt.Errorf("stat: %w", err)
-		}
-		*s = stat{Mean: v, Min: v, Max: v, N: 1}
-		return nil
-	}
-	type plain stat // shed the method to avoid recursion
-	var p plain
-	if err := json.Unmarshal(b, &p); err != nil {
-		return err
-	}
-	*s = stat(p)
-	return nil
-}
-
 type result struct {
 	Name       string          `json:"name"`
 	Iterations int64           `json:"iterations"` // total b.N iterations across samples

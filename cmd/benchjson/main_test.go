@@ -105,29 +105,6 @@ func TestBenchLineRejectsMalformed(t *testing.T) {
 	}
 }
 
-// The legacy snapshot format stored ns_per_op as a bare number; it must
-// still load as a one-sample stat so old archives work as baselines.
-func TestStatUnmarshalLegacyNumber(t *testing.T) {
-	const legacy = `{
-	  "context": {"goos": "linux"},
-	  "benchmarks": [
-	    {"name": "BenchmarkFigX", "iterations": 1, "ns_per_op": 3868043,
-	     "metrics": {"simMB/s": 149.2}}
-	  ]
-	}`
-	var doc document
-	if err := json.Unmarshal([]byte(legacy), &doc); err != nil {
-		t.Fatal(err)
-	}
-	ns := doc.Benchmarks[0].NsPerOp
-	if ns.Mean != 3868043 || ns.Min != 3868043 || ns.Max != 3868043 || ns.N != 1 {
-		t.Fatalf("legacy ns stat = %+v", ns)
-	}
-	if doc.Benchmarks[0].Metrics["simMB/s"].Mean != 149.2 {
-		t.Fatalf("legacy metric = %+v", doc.Benchmarks[0].Metrics)
-	}
-}
-
 // The archived JSON round-trips through the comparator's own reader.
 func TestDocumentRoundTrip(t *testing.T) {
 	doc, err := parseBench(strings.NewReader(sample))

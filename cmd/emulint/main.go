@@ -5,22 +5,26 @@
 //
 // Usage:
 //
-//	emulint [-tests] [-list] [-json] [-v] [packages]
+//	emulint [-list] [-json] [-v] [packages]
 //
-// Packages default to ./... and accept the go tool's pattern syntax. The
-// exit status is 0 when every package is clean, 1 when there are findings,
-// and 2 on an operational error. A finding is suppressed, one line and one
-// analyzer at a time, with //lint:allow <analyzer> <reason>.
+// Packages default to ./... and accept the go tool's pattern syntax; their
+// module dependencies are analyzed too, for the facts the transitive checks
+// need, but only the named packages' findings are reported. Test files are
+// not analyzed. The exit status is 0 when every package is clean, 1 when
+// there are findings, and 2 on an operational error. A finding is
+// suppressed, one line and one analyzer at a time, with
+// //lint:allow <analyzer> <reason>.
 //
 // -json emits every diagnostic — suppressed ones included, marked — as a
 // JSON array on stdout, for CI annotation and tooling; the record schema
 // is locked by TestJSONSchema. -v prints per-analyzer wall-clock cost to
 // stderr after the run.
 //
-// emulint runs standalone (it loads and type-checks packages from source
-// itself); the container this repo builds in has no module proxy, so the
-// go vet -vettool unitchecker protocol — which requires decoding compiler
-// export data via x/tools — is intentionally not implemented.
+// emulint runs standalone: it type-checks every package from source, once,
+// and runs the analyzers over them in dependency order within one process,
+// so facts cross package boundaries in memory. The go vet -vettool
+// protocol, which runs one process per package and needs compiler export
+// data decoded via x/tools, is not implemented.
 package main
 
 import (
@@ -67,7 +71,6 @@ func toJSON(diags []analysis.Diagnostic) []jsonDiagnostic {
 func run(args []string, out, errOut *os.File) int {
 	fs := flag.NewFlagSet("emulint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
-	tests := fs.Bool("tests", false, "also analyze each package's in-package _test.go files")
 	list := fs.Bool("list", false, "list the suite's analyzers and exit")
 	asJSON := fs.Bool("json", false, "emit all diagnostics (suppressed included) as a JSON array on stdout")
 	verbose := fs.Bool("v", false, "report per-analyzer timing on stderr")
@@ -80,7 +83,7 @@ func run(args []string, out, errOut *os.File) int {
 		}
 		return 0
 	}
-	res, err := suite.Run(analysis.LoadConfig{Tests: *tests}, fs.Args()...)
+	res, err := suite.Run(analysis.LoadConfig{}, fs.Args()...)
 	if err != nil {
 		fmt.Fprintln(errOut, "emulint:", err)
 		return 2

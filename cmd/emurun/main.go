@@ -44,6 +44,7 @@ import (
 	"emuchick/internal/kernels"
 	"emuchick/internal/machine"
 	"emuchick/internal/sim"
+	"emuchick/internal/trace"
 )
 
 func main() {
@@ -72,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&p.Grain, "grain", d.Grain, "elements per spawn (spmv)")
 	fs.IntVar(&p.Iters, "iters", d.Iters, "round trips per thread (pingpong)")
 	fs.IntVar(&p.Updates, "updates", d.Updates, "update count (gups)")
-	trace := fs.Int("trace", 0, "print the first N machine operations of the run")
+	traceOps := fs.Int("trace", 0, "print the first N machine operations of the run")
 	// The faults/checkpoint/QoS flags are the shared jobspec block, so their
 	// grammar and defaults match emubench and emuvalidate exactly.
 	shared := jobspec.FromFlags(fs, jobspec.GroupFaults|jobspec.GroupCheckpoint|jobspec.GroupQoS)
@@ -93,9 +94,16 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if *trace > 0 {
-		kernels.TraceNextSystem(out, *trace)
-		defer kernels.TraceNextSystem(nil, 0)
+	// -trace prints the first N machine operations of each attempt.
+	var extra []kernels.RunOption
+	traced := 0
+	if *traceOps > 0 {
+		extra = append(extra, kernels.WithObserver(trace.FuncObserver{OnEvent: func(e trace.Event) {
+			if traced < *traceOps {
+				traced++
+				io.WriteString(out, e.String()+"\n")
+			}
+		}}))
 	}
 
 	// Ctrl-C interrupts the simulation instead of killing the process.
@@ -125,9 +133,10 @@ func run(args []string, out io.Writer) error {
 	}
 
 	m, attempts, err := jobspec.RunKernel(ctx, spec, func(attempt, attempts int) {
+		traced = 0
 		fmt.Fprintf(out, "watchdog: attempt %d/%d killed after %v; retrying\n",
 			attempt, attempts, shared.CellTimeout)
-	})
+	}, extra...)
 	if err != nil {
 		if ck != nil {
 			cf := experiments.NewCellFailure(attempts, err)

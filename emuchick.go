@@ -11,7 +11,8 @@
 //   - Machine configurations (HardwareChick, SimMatched, FullSpeed) and the
 //     Thread and Body API for writing migratory-thread kernels.
 //   - The four paper benchmarks: STREAM, PointerChase, SpMV, PingPong (plus
-//     GUPS), each on both the Emu model and the Xeon models.
+//     GUPS), each on both the Emu model and the Xeon models; Run invokes
+//     the Emu side by name.
 //   - The experiment registry (Experiments, ExperimentByID) that regenerates
 //     Figs. 4-11 and the scalar anchor tables.
 //
@@ -153,22 +154,13 @@ var (
 	NewTimed = cilk.NewTimed
 )
 
-// Benchmark configurations and entry points (Emu side).
+// Benchmark vocabulary (Emu side).
 type (
-	// StreamConfig parameterizes STREAM ADD (Figs. 4-5).
-	StreamConfig = kernels.StreamConfig
-	// ChaseConfig parameterizes pointer chasing (Fig. 6).
-	ChaseConfig = kernels.ChaseConfig
-	// SpMVConfig parameterizes SpMV under the three layouts (Fig. 9a).
-	SpMVConfig = kernels.SpMVConfig
-	// SpMVLayout selects local, 1D, or 2D placement (Fig. 3).
+	// SpMVLayout selects local, 1D, or 2D placement (Fig. 3); its String
+	// is the KernelParams.Layout name.
 	SpMVLayout = kernels.SpMVLayout
-	// PingPongConfig parameterizes the migration microbenchmark.
-	PingPongConfig = kernels.PingPongConfig
 	// PingPongResult reports migration throughput and latency.
 	PingPongResult = kernels.PingPongResult
-	// GUPSConfig parameterizes the RandomAccess-style kernel.
-	GUPSConfig = kernels.GUPSConfig
 )
 
 // SpMV data layouts (Fig. 3).
@@ -285,8 +277,7 @@ func ParseFaultPlan(spec string, seed uint64) (*FaultPlan, error) {
 
 // The kernel registry, re-exported: every benchmark is invocable by name
 // with a flat parameter set, which is what the jobspec schema and the job
-// server speak. Run is the single entry point; the Run* functions below are
-// deprecated one-line wrappers over it.
+// server speak. Run is the single entry point.
 type (
 	// KernelParams is the flat, kernel-agnostic parameter set; each kernel
 	// reads the subset it understands (see DefaultKernelParams).
@@ -306,8 +297,9 @@ func DefaultKernelParams() KernelParams { return kernels.DefaultParams() }
 // running it Trials times when WithTrials is given (the simulation is
 // deterministic, so trials produce identical results; the knob exists so an
 // observer can collect repeated-run traces). Zero-valued params fields are
-// passed through as-is: wrappers stay lossless, and name-based callers can
-// start from DefaultKernelParams.
+// passed through as-is, so set every field the kernel reads or start from
+// DefaultKernelParams. Read the result with Measurement.Result (bandwidth
+// kernels) or Measurement.PingPong.
 func Run(cfg Config, kernel string, p KernelParams, opts ...RunOption) (Measurement, error) {
 	k, err := kernels.ByName(kernel)
 	if err != nil {
@@ -327,46 +319,6 @@ func Run(cfg Config, kernel string, p KernelParams, opts ...RunOption) (Measurem
 		}
 	}
 	return m, nil
-}
-
-// RunStream runs the STREAM ADD benchmark on a fresh machine.
-//
-// Deprecated: use Run(cfg, "stream", ...); this wrapper routes through it.
-func RunStream(cfg Config, bc StreamConfig, opts ...RunOption) (Result, error) {
-	m, err := Run(cfg, "stream", kernels.StreamParams(bc), opts...)
-	return m.Result(), err
-}
-
-// RunPointerChase runs the block-shuffled pointer-chasing benchmark.
-//
-// Deprecated: use Run(cfg, "chase", ...); this wrapper routes through it.
-func RunPointerChase(cfg Config, bc ChaseConfig, opts ...RunOption) (Result, error) {
-	m, err := Run(cfg, "chase", kernels.ChaseParams(bc), opts...)
-	return m.Result(), err
-}
-
-// RunSpMV runs CSR SpMV over the synthetic Laplacian.
-//
-// Deprecated: use Run(cfg, "spmv", ...); this wrapper routes through it.
-func RunSpMV(cfg Config, bc SpMVConfig, opts ...RunOption) (Result, error) {
-	m, err := Run(cfg, "spmv", kernels.SpMVParams(bc), opts...)
-	return m.Result(), err
-}
-
-// RunPingPong runs the thread-migration microbenchmark.
-//
-// Deprecated: use Run(cfg, "pingpong", ...); this wrapper routes through it.
-func RunPingPong(cfg Config, bc PingPongConfig, opts ...RunOption) (PingPongResult, error) {
-	m, err := Run(cfg, "pingpong", kernels.PingPongParams(bc), opts...)
-	return m.PingPong(), err
-}
-
-// RunGUPS runs the RandomAccess-style update kernel.
-//
-// Deprecated: use Run(cfg, "gups", ...); this wrapper routes through it.
-func RunGUPS(cfg Config, bc GUPSConfig, opts ...RunOption) (Result, error) {
-	m, err := Run(cfg, "gups", kernels.GUPSParams(bc), opts...)
-	return m.Result(), err
 }
 
 // Experiment regenerates one paper artifact (figure or table).

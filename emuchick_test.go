@@ -64,28 +64,19 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeBenchmarks(t *testing.T) {
-	if _, err := RunStream(HardwareChick(), StreamConfig{
-		ElemsPerNodelet: 32, Nodelets: 8, Threads: 8, Strategy: SerialRemoteSpawn,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPointerChase(HardwareChick(), ChaseConfig{
-		Elements: 128, BlockSize: 4, Mode: FullBlockShuffle, Seed: 1, Threads: 4, Nodelets: 8,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunSpMV(HardwareChick(), SpMVConfig{GridN: 4, Layout: SpMV2D, GrainNNZ: 16}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunPingPong(HardwareChick(), PingPongConfig{
-		Threads: 2, Iterations: 10, NodeletA: 0, NodeletB: 1,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunGUPS(HardwareChick(), GUPSConfig{
-		TableWords: 64, Updates: 128, Threads: 4, Seed: 2,
-	}); err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		kernel string
+		p      KernelParams
+	}{
+		{"stream", KernelParams{Elems: 32, Nodelets: 8, Threads: 8, Strategy: SerialRemoteSpawn.String()}},
+		{"chase", KernelParams{Elems: 128, Block: 4, Mode: FullBlockShuffle.String(), Seed: 1, Threads: 4, Nodelets: 8}},
+		{"spmv", KernelParams{GridN: 4, Layout: SpMV2D.String(), Grain: 16}},
+		{"pingpong", KernelParams{Threads: 2, Iters: 10, NodeletA: 0, NodeletB: 1}},
+		{"gups", KernelParams{Elems: 64, Updates: 128, Threads: 4, Seed: 2}},
+	} {
+		if _, err := Run(HardwareChick(), c.kernel, c.p); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -50,14 +50,14 @@ func ExampleNewSystem() {
 	// migrations: 15
 }
 
-func ExampleRunPingPong() {
-	res, err := emuchick.RunPingPong(emuchick.HardwareChick(), emuchick.PingPongConfig{
-		Threads: 64, Iterations: 500, NodeletA: 0, NodeletB: 1,
+func ExampleRun_pingpong() {
+	m, err := emuchick.Run(emuchick.HardwareChick(), "pingpong", emuchick.KernelParams{
+		Threads: 64, Iters: 500, NodeletA: 0, NodeletB: 1,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("hardware migration engine: %.1f M migrations/s\n", res.MigrationsPerSec/1e6)
+	fmt.Printf("hardware migration engine: %.1f M migrations/s\n", m.PingPong().MigrationsPerSec/1e6)
 	// Output:
 	// hardware migration engine: 9.0 M migrations/s
 }
@@ -92,15 +92,15 @@ func ExampleNewWorkers() {
 	// worker home nodelets: [0 1 2 3 4 5 6 7]
 }
 
-func ExampleRunSpMV() {
+func ExampleRun_spmv() {
 	// Fig. 9a's point: the 2D layout never migrates.
-	res, err := emuchick.RunSpMV(emuchick.HardwareChick(), emuchick.SpMVConfig{
-		GridN: 16, Layout: emuchick.SpMV2D, GrainNNZ: 16,
+	m, err := emuchick.Run(emuchick.HardwareChick(), "spmv", emuchick.KernelParams{
+		GridN: 16, Layout: emuchick.SpMV2D.String(), Grain: 16,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("verified:", res.Bytes > 0)
+	fmt.Println("verified:", m.Result().Bytes > 0)
 	// Output:
 	// verified: true
 }

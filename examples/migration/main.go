@@ -23,12 +23,13 @@ func main() {
 		{"vendor simulator", emuchick.SimMatched()},
 	} {
 		for _, threads := range []int{1, 64} {
-			res, err := emuchick.RunPingPong(m.cfg, emuchick.PingPongConfig{
-				Threads: threads, Iterations: 1000, NodeletA: 0, NodeletB: 1,
+			pm, err := emuchick.Run(m.cfg, "pingpong", emuchick.KernelParams{
+				Threads: threads, Iters: 1000, NodeletA: 0, NodeletB: 1,
 			})
 			if err != nil {
 				log.Fatal(err)
 			}
+			res := pm.PingPong()
 			fmt.Printf("%-18s %10d %13.2f M/s %14v\n",
 				m.name, threads, res.MigrationsPerSec/1e6, res.MeanLatency)
 		}
@@ -47,14 +48,14 @@ func main() {
 		{"vendor simulator", emuchick.SimMatched()},
 	} {
 		for _, block := range []int{1, 4, 64} {
-			res, err := emuchick.RunPointerChase(m.cfg, emuchick.ChaseConfig{
-				Elements: 16384, BlockSize: block, Mode: emuchick.FullBlockShuffle,
+			cm, err := emuchick.Run(m.cfg, "chase", emuchick.KernelParams{
+				Elems: 16384, Block: block, Mode: emuchick.FullBlockShuffle.String(),
 				Seed: 7, Threads: 512, Nodelets: 8,
 			})
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("%-18s %10d %11.1f\n", m.name, block, res.MBps())
+			fmt.Printf("%-18s %10d %11.1f\n", m.name, block, cm.Result().MBps())
 		}
 	}
 	fmt.Println("\nAt block size 1 every element crosses a nodelet boundary, so the")

@@ -21,13 +21,13 @@ func main() {
 	}
 	var rows []row
 	for _, layout := range []emuchick.SpMVLayout{emuchick.SpMVLocal, emuchick.SpMV1D, emuchick.SpMV2D} {
-		res, err := emuchick.RunSpMV(cfg, emuchick.SpMVConfig{
-			GridN: gridN, Layout: layout, GrainNNZ: 16,
+		m, err := emuchick.Run(cfg, "spmv", emuchick.KernelParams{
+			GridN: gridN, Layout: layout.String(), Grain: 16,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows = append(rows, row{layout, res})
+		rows = append(rows, row{layout, m.Result()})
 	}
 
 	fmt.Printf("SpMV on %s: %dx%d Laplacian (n=%d), grain 16\n\n",
@@ -46,13 +46,13 @@ func main() {
 	// Grain-size sensitivity (the Emu side of the paper's grain finding).
 	fmt.Printf("\n%-10s %14s\n", "grain", "2d bandwidth")
 	for _, grain := range []int{4, 16, 64, 1024, 1 << 20} {
-		res, err := emuchick.RunSpMV(cfg, emuchick.SpMVConfig{
-			GridN: gridN, Layout: emuchick.SpMV2D, GrainNNZ: grain,
+		m, err := emuchick.Run(cfg, "spmv", emuchick.KernelParams{
+			GridN: gridN, Layout: emuchick.SpMV2D.String(), Grain: grain,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10d %11.1f MB/s\n", grain, res.MBps())
+		fmt.Printf("%-10d %11.1f MB/s\n", grain, m.Result().MBps())
 	}
 	fmt.Println("\nsmall grains win on the Emu (the paper's best is 16 elements per")
 	fmt.Println("spawn); a huge grain degenerates to serial execution.")

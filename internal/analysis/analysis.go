@@ -1,18 +1,16 @@
-// Package analysis is a self-contained reimplementation of the core
-// golang.org/x/tools/go/analysis surface, built only on the standard
-// library's go/ast, go/types, and go/importer. The container this repo is
-// developed in has no module proxy access, so the real x/tools framework
-// cannot be vendored; the subset here — Analyzer, Pass, diagnostics,
+// Package analysis is a small, standard-library-only analysis framework
+// in the shape of golang.org/x/tools/go/analysis, built on go/ast,
+// go/types, and go/importer (the repo builds without a module proxy, so
+// x/tools cannot be vendored): Analyzer, Pass, diagnostics, per-function
 // facts, analyzer dependencies (Requires/ResultOf), a package loader, and
-// an analysistest-style harness — is API-compatible in spirit, and an
-// analyzer written against it ports to x/tools by renaming imports.
+// an analysistest-style harness.
 //
-// The driver is interprocedural: packages are analyzed bottom-up over the
-// import DAG (independent packages in parallel, bounded by GOMAXPROCS),
-// and analyzers attach serialized per-function facts to packages that
-// downstream passes import — see facts.go. Within one package, analyzers
-// run in dependency order (Analyzer.Requires) and exchange results
-// through Pass.ResultOf.
+// The driver is interprocedural: the loader type-checks every package once,
+// into one universe, and the driver analyzes packages one at a time in
+// dependency order; analyzers attach per-function facts that the passes of
+// downstream packages read from one in-memory table — see facts.go.
+// Within one package, analyzers run in dependency order
+// (Analyzer.Requires) and exchange results through Pass.ResultOf.
 //
 // The suite built on top of it (see the subpackages and cmd/emulint)
 // converts the repo's central determinism promises from test-time checks
@@ -40,14 +38,11 @@
 package analysis
 
 import (
-	"encoding/gob"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -69,9 +64,6 @@ type Analyzer struct {
 	// their results are available through Pass.ResultOf. The driver runs
 	// the transitive closure automatically.
 	Requires []*Analyzer
-	// FactTypes declares the fact types this analyzer exports or imports,
-	// one zero value each; the driver registers them for serialization.
-	FactTypes []Fact
 	// Run performs the check, reporting findings through the pass and
 	// returning the result value Requires-dependents read (or nil).
 	Run func(*Pass) (any, error)
@@ -88,9 +80,8 @@ type Pass struct {
 	// named in Analyzer.Requires.
 	ResultOf map[*Analyzer]any
 
-	diags    *[]Diagnostic
-	export   *factStore
-	imported *factStore
+	diags *[]Diagnostic
+	facts map[factKey]Fact
 }
 
 // Reportf records one finding at pos.
@@ -167,197 +158,84 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 }
 
 // Run is RunAnalyzers with the full Results: suppressed diagnostics stay
-// (marked), and per-analyzer timing is reported.
+// (marked), and per-analyzer timing is reported. Packages are analyzed one
+// at a time, each after every given package it imports, whatever order
+// pkgs arrive in; they must share one type-checked universe (as Load's
+// and analysistest's packages do) for facts to cross between them.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Results, error) {
-	closure := requireClosure(analyzers)
-	for _, a := range closure {
-		for _, ft := range a.FactTypes {
-			gob.Register(ft)
+	closure := postorder(analyzers, func(a *Analyzer) []*Analyzer { return a.Requires })
+	byTypes := map[*types.Package]*Package{}
+	for _, pkg := range pkgs {
+		byTypes[pkg.Types] = pkg
+	}
+	ordered := postorder(pkgs, func(pkg *Package) []*Package {
+		var deps []*Package
+		for _, imp := range pkg.Types.Imports() {
+			if dep, ok := byTypes[imp]; ok {
+				deps = append(deps, dep)
+			}
+		}
+		return deps
+	})
+	res := &Results{Timing: make([]AnalyzerTime, len(closure))}
+	for i, a := range closure {
+		res.Timing[i].Name = a.Name
+	}
+	facts := map[factKey]Fact{}
+	for _, pkg := range ordered {
+		diags, err := analyzePackage(pkg, closure, facts, res.Timing)
+		if err != nil {
+			return nil, err
+		}
+		// A DepOnly package is analyzed only for its facts: the caller did
+		// not ask about it, so its diagnostics are not reported.
+		if !pkg.DepOnly {
+			res.Diagnostics = append(res.Diagnostics, diags...)
 		}
 	}
-	d := &driver{
-		closure:  closure,
-		export:   newFactStore(),
-		imported: newFactStore(),
-		blobs:    map[*types.Package][]byte{},
-		decoded:  map[*types.Package]bool{},
-		perPkg:   make([]pkgOutcome, len(pkgs)),
-		timings:  make([]timing, len(closure)),
-	}
-	if err := d.run(pkgs); err != nil {
-		return nil, err
-	}
-	res := &Results{}
-	for _, out := range d.perPkg {
-		res.Diagnostics = append(res.Diagnostics, out.diags...)
-	}
 	sortDiagnostics(res.Diagnostics)
-	for i, a := range closure {
-		res.Timing = append(res.Timing, AnalyzerTime{
-			Name:     a.Name,
-			Duration: time.Duration(d.timings[i].ns),
-			Packages: d.timings[i].pkgs,
-		})
-	}
 	return res, nil
 }
 
-// requireClosure expands analyzers with their transitive Requires,
-// dependencies first, preserving first-seen order among independents and
-// rejecting duplicates of the analyzer list itself.
-func requireClosure(analyzers []*Analyzer) []*Analyzer {
-	var order []*Analyzer
-	state := map[*Analyzer]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(a *Analyzer)
-	visit = func(a *Analyzer) {
-		switch state[a] {
+// postorder lists roots and everything reachable from them through deps,
+// each node after all of its deps, independent nodes in first-seen order.
+// A cycle panics: neither Analyzer.Requires nor the imports of
+// type-checked packages can form one without a bug.
+func postorder[T comparable](roots []T, deps func(T) []T) []T {
+	var order []T
+	state := map[T]int{} // 0 unvisited, 1 visiting, 2 done
+	var visit func(n T)
+	visit = func(n T) {
+		switch state[n] {
 		case 1:
-			panic(fmt.Sprintf("analysis: Requires cycle through %s", a.Name))
+			panic(fmt.Sprintf("analysis: dependency cycle through %v", n))
 		case 2:
 			return
 		}
-		state[a] = 1
-		for _, dep := range a.Requires {
-			visit(dep)
+		state[n] = 1
+		for _, d := range deps(n) {
+			visit(d)
 		}
-		state[a] = 2
-		order = append(order, a)
+		state[n] = 2
+		order = append(order, n)
 	}
-	for _, a := range analyzers {
-		visit(a)
+	for _, n := range roots {
+		visit(n)
 	}
 	return order
 }
 
-type timing struct {
-	ns   int64
-	pkgs int
-}
-
-type pkgOutcome struct {
-	diags []Diagnostic
-}
-
-type driver struct {
-	closure []*Analyzer
-
-	export   *factStore // facts exported by completed and in-flight packages
-	imported *factStore // facts visible to downstream packages (via decode)
-
-	mu      sync.Mutex
-	blobs   map[*types.Package][]byte
-	decoded map[*types.Package]bool
-	err     error
-
-	perPkg  []pkgOutcome
-	timings []timing
-	timeMu  sync.Mutex
-}
-
-// run drives every package, dependencies before dependents, independent
-// packages concurrently up to GOMAXPROCS workers.
-func (d *driver) run(pkgs []*Package) error {
-	byTypes := map[*types.Package]int{}
-	for i, pkg := range pkgs {
-		byTypes[pkg.Types] = i
-	}
-	// deps[i] = indexes of pkgs that pkgs[i] imports (directly) within the
-	// analyzed set; waiting[i] = how many are not yet analyzed.
-	dependents := make([][]int, len(pkgs))
-	waiting := make([]int, len(pkgs))
-	for i, pkg := range pkgs {
-		for _, imp := range pkg.Types.Imports() {
-			if j, ok := byTypes[imp]; ok {
-				dependents[j] = append(dependents[j], i)
-				waiting[i]++
-			}
-		}
-	}
-	ready := make(chan int, len(pkgs))
-	scheduled := 0
-	for i := range pkgs {
-		if waiting[i] == 0 {
-			ready <- i
-			scheduled++
-		}
-	}
-	if scheduled == 0 && len(pkgs) > 0 {
-		return fmt.Errorf("analysis: import cycle among analyzed packages")
-	}
-
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards waiting, scheduled, readyClosed
-	readyClosed := false
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pkgs) {
-		workers = len(pkgs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				case i, ok := <-ready:
-					if !ok {
-						return
-					}
-					err := d.analyzePackage(pkgs[i], i)
-					mu.Lock()
-					if err != nil {
-						d.mu.Lock()
-						if d.err == nil {
-							d.err = err
-							close(done)
-						}
-						d.mu.Unlock()
-						mu.Unlock()
-						return
-					}
-					for _, j := range dependents[i] {
-						waiting[j]--
-						if waiting[j] == 0 {
-							ready <- j
-							scheduled++
-						}
-					}
-					if scheduled == len(pkgs) && !readyClosed {
-						readyClosed = true
-						close(ready)
-					}
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.err != nil {
-		return d.err
-	}
-	if scheduled != len(pkgs) {
-		return fmt.Errorf("analysis: import cycle among analyzed packages (%d of %d analyzed)", scheduled, len(pkgs))
-	}
-	return nil
-}
-
-// analyzePackage runs the analyzer closure over one package, then encodes
-// its facts and publishes them (decoded) for dependents.
-func (d *driver) analyzePackage(pkg *Package, idx int) error {
+// analyzePackage runs the in-scope analyzers of closure (dependencies
+// first) over one package, accumulating their cost into timing, and
+// returns its diagnostics with //lint:allow markers applied.
+func analyzePackage(pkg *Package, closure []*Analyzer, facts map[factKey]Fact, timing []AnalyzerTime) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	allows := allowIndex{}
 	for _, f := range pkg.Files {
 		allows.collect(pkg.Fset, f, &diags)
 	}
 	results := map[*Analyzer]any{}
-	for ai, a := range d.closure {
+	for i, a := range closure {
 		if a.Packages != nil && !a.Packages(pkg.Path) {
 			continue
 		}
@@ -369,18 +247,14 @@ func (d *driver) analyzePackage(pkg *Package, idx int) error {
 			TypesInfo: pkg.Info,
 			ResultOf:  results,
 			diags:     &diags,
-			export:    d.export,
-			imported:  d.imported,
+			facts:     facts,
 		}
 		start := time.Now()
 		res, err := a.Run(pass)
-		elapsed := time.Since(start)
-		d.timeMu.Lock()
-		d.timings[ai].ns += int64(elapsed)
-		d.timings[ai].pkgs++
-		d.timeMu.Unlock()
+		timing[i].Duration += time.Since(start)
+		timing[i].Packages++
 		if err != nil {
-			return fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 		results[a] = res
 	}
@@ -389,34 +263,7 @@ func (d *driver) analyzePackage(pkg *Package, idx int) error {
 			diags[i].Suppressed = true
 		}
 	}
-	if pkg.DepOnly {
-		// Analyzed only for its facts: the caller did not ask about this
-		// package, so its diagnostics (all pre-existing, by induction on
-		// clean full runs) are not reported.
-		diags = nil
-	}
-	d.perPkg[idx] = pkgOutcome{diags: diags}
-
-	// Publish facts: encode everything attached to this package, then
-	// decode the blob into the read store dependents consult — the
-	// serialization round trip runs on every package, every time.
-	facts := d.export.ofPackage(pkg.Types)
-	blob, err := EncodeFacts(facts)
-	if err != nil {
-		return fmt.Errorf("%s: %w", pkg.Path, err)
-	}
-	decodedFacts, err := DecodeFacts(pkg.Types, blob)
-	if err != nil {
-		return fmt.Errorf("%s: %w", pkg.Path, err)
-	}
-	d.mu.Lock()
-	d.blobs[pkg.Types] = blob
-	d.decoded[pkg.Types] = true
-	d.mu.Unlock()
-	for _, of := range decodedFacts {
-		d.imported.set(of.Object, of.Fact)
-	}
-	return nil
+	return diags, nil
 }
 
 func sortDiagnostics(diags []Diagnostic) {

@@ -17,7 +17,7 @@ func loadSrc(t *testing.T, src string) *Package {
 		t.Fatal(err)
 	}
 	files := []*ast.File{f}
-	pkg, info, err := Check(fset, nil, "p", "", files)
+	pkg, info, err := Check(fset, nil, "p", files)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,8 @@ package analysistest
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -49,9 +47,10 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 
 // RunDirs loads several directories under base as one package each — the
 // import path of a package is its directory name, and later packages may
-// import earlier ones by that name — then applies a and checks // want
-// expectations across every file. This is the harness for transitive
-// suites: dependency packages first, the package under test last.
+// import earlier ones by that name, through the same Importer the real
+// loader uses — then applies a and checks // want expectations across
+// every file. This is the harness for transitive suites: dependency
+// packages first, the package under test last.
 //
 // Scope handling differs from Run on the dependency packages: only the
 // final package bypasses a's Packages scope. Dependencies are analyzed
@@ -65,17 +64,13 @@ func RunDirs(t *testing.T, base string, a *analysis.Analyzer, dirs ...string) {
 		t.Fatal("analysistest: RunDirs needs at least one dir")
 	}
 	fset := token.NewFileSet()
-	imp := &localImporter{
-		fallback: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-		local:    map[string]*types.Package{},
-	}
+	imp := analysis.NewImporter(fset)
 	var pkgs []*analysis.Package
 	for _, d := range dirs {
 		pkg, err := loadInto(fset, imp, filepath.Join(base, d), d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		imp.local[d] = pkg.Types
 		pkgs = append(pkgs, pkg)
 	}
 	underTest := pkgs[len(pkgs)-1]
@@ -111,39 +106,16 @@ func check(t *testing.T, pkgs []*analysis.Package, a *analysis.Analyzer) {
 	}
 }
 
-// localImporter resolves the already-loaded testdata packages by their
-// directory names and defers everything else (the standard library) to the
-// source importer.
-type localImporter struct {
-	fallback types.ImporterFrom
-	local    map[string]*types.Package
-}
-
-func (li *localImporter) Import(path string) (*types.Package, error) {
-	if pkg, ok := li.local[path]; ok {
-		return pkg, nil
-	}
-	return li.fallback.ImportFrom(path, "", 0)
-}
-
-func (li *localImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	if pkg, ok := li.local[path]; ok {
-		return pkg, nil
-	}
-	return li.fallback.ImportFrom(path, dir, mode)
-}
-
 // load parses and type-checks every .go file in dir as one package.
 func load(dir string) (*analysis.Package, error) {
 	fset := token.NewFileSet()
-	imp, _ := importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	return loadInto(fset, imp, dir, "")
+	return loadInto(fset, analysis.NewImporter(fset), dir, "")
 }
 
 // loadInto parses and type-checks dir as one package into a shared
-// FileSet, resolving imports through imp. An empty path defaults to the
-// package clause's name.
-func loadInto(fset *token.FileSet, imp types.ImporterFrom, dir, path string) (*analysis.Package, error) {
+// FileSet, resolving imports through imp and registering the result with
+// it. An empty path defaults to the package clause's name.
+func loadInto(fset *token.FileSet, imp *analysis.Importer, dir, path string) (*analysis.Package, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -169,10 +141,11 @@ func loadInto(fset *token.FileSet, imp types.ImporterFrom, dir, path string) (*a
 	if path == "" {
 		path = files[0].Name.Name
 	}
-	tpkg, info, err := analysis.Check(fset, imp, path, dir, files)
+	tpkg, info, err := analysis.Check(fset, imp, path, files)
 	if err != nil {
 		return nil, err
 	}
+	imp.Add(tpkg)
 	return &analysis.Package{
 		Path:  path,
 		Dir:   dir,

@@ -19,7 +19,7 @@ func buildGraph(t *testing.T, src string) (*callgraph.Graph, *types.Package) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, info, err := analysis.Check(fset, nil, "p", "", []*ast.File{f})
+	pkg, info, err := analysis.Check(fset, nil, "p", []*ast.File{f})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,259 +1,60 @@
 package analysis
 
 // Facts: the mechanism that makes the suite interprocedural. An analyzer
-// declares the fact types it uses (Analyzer.FactTypes), attaches facts to
-// functions of the package under analysis (Pass.ExportObjectFact), and
-// reads facts off functions of imported packages (Pass.ImportObjectFact).
-// The driver runs packages bottom-up over the import DAG, so by the time a
-// package is analyzed every fact of every dependency exists.
+// attaches facts to functions of the package under analysis
+// (Pass.ExportObjectFact) and reads facts off functions of the packages it
+// imports (Pass.ImportObjectFact). The driver analyzes packages in
+// dependency order, so by the time a package is analyzed every fact of
+// every dependency exists.
 //
-// Mirroring golang.org/x/tools/go/analysis, facts cross package boundaries
-// only in serialized form: when a package's analyzers finish, its newly
-// exported facts are gob-encoded into one per-package blob, and downstream
-// packages decode that blob rather than sharing memory. The round trip is
-// not an affectation — it is what keeps the suite portable to the x/tools
-// driver (where each `go vet` process sees only serialized facts of its
-// dependencies) and it forces fact types to stay plain serializable data.
-//
-// One deliberate narrowing: facts attach to functions and methods only
-// (*types.Func). The suite's facts are all per-function properties, and
-// restricting the domain lets the object-path encoding be the obvious
-// "Func" / "Type.Method" scheme instead of a full objectpath
-// implementation. Widening to other object kinds means adopting
-// x/tools/go/types/objectpath, which this package's layout anticipates.
+// Facts live in one in-memory table for the whole run, keyed by the
+// function object itself. That is sound because the loader type-checks
+// every package once, into one universe (see Importer): the *types.Func a
+// caller's call graph resolves is the very object its defining package
+// exported the fact on. Facts attach to functions and methods only — every
+// fact the suite computes is a per-function property.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // A Fact is an analyzer-defined property attached to a function and
 // visible to analyses of downstream packages. Implementations must be
-// pointers to gob-serializable structs, and AFact is a marker method only.
+// pointers to structs, and AFact is a marker method only.
 type Fact interface {
 	AFact()
 }
 
-// ObjectFact is one (function, fact) pair, as returned by AllObjectFacts.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
-
-// factKey identifies one fact slot: a function object and a concrete fact
-// type (one fact of each type per object, exactly as in x/tools).
+// factKey identifies one fact slot: a function and a concrete fact type
+// (one fact of each type per function).
 type factKey struct {
-	obj types.Object
+	fn  *types.Func
 	typ reflect.Type
 }
 
-// factStore is the driver's shared fact table. Writes happen while a
-// package's analyzers run (always single-threaded per package, and only
-// for objects of that package); cross-package reads go through blobs, so
-// the store itself is guarded by one mutex and sees little contention.
-type factStore struct {
-	mu    sync.Mutex
-	facts map[factKey]Fact
-}
-
-func newFactStore() *factStore {
-	return &factStore{facts: map[factKey]Fact{}}
-}
-
-func (s *factStore) set(obj types.Object, f Fact) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.facts[factKey{obj, reflect.TypeOf(f)}] = f
-}
-
-func (s *factStore) get(obj types.Object, typ reflect.Type) (Fact, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.facts[factKey{obj, typ}]
-	return f, ok
-}
-
-// ofPackage returns every fact attached to objects of pkg, sorted by
-// object path then fact type name for deterministic encoding.
-func (s *factStore) ofPackage(pkg *types.Package) []ObjectFact {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []ObjectFact
-	for k, f := range s.facts {
-		if k.obj.Pkg() == pkg {
-			out = append(out, ObjectFact{Object: k.obj, Fact: f})
-		}
+// ExportObjectFact attaches fact to fn, which must be a function or method
+// of the package under analysis. The fact is visible to analyses of every
+// package analyzed after this one.
+func (p *Pass) ExportObjectFact(fn *types.Func, fact Fact) {
+	if fn == nil || fact == nil {
+		panic("analysis: ExportObjectFact with nil function or fact")
 	}
-	sortObjectFacts(out)
-	return out
-}
-
-func sortObjectFacts(facts []ObjectFact) {
-	sort.Slice(facts, func(i, j int) bool {
-		pi, _ := objectPath(facts[i].Object)
-		pj, _ := objectPath(facts[j].Object)
-		if pi != pj {
-			return pi < pj
-		}
-		return reflect.TypeOf(facts[i].Fact).String() < reflect.TypeOf(facts[j].Fact).String()
-	})
-}
-
-// ExportObjectFact attaches fact to obj, which must be a function or
-// method of the package under analysis. The fact becomes visible to
-// analyses of downstream packages after this package completes.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	if obj == nil || fact == nil {
-		panic("analysis: ExportObjectFact with nil object or fact")
-	}
-	if obj.Pkg() != p.Pkg {
+	if fn.Pkg() != p.Pkg {
 		panic(fmt.Sprintf("analysis: exporting fact for %v, which belongs to %v, not the package under analysis (%v)",
-			obj, obj.Pkg(), p.Pkg))
+			fn, fn.Pkg(), p.Pkg))
 	}
-	if _, ok := obj.(*types.Func); !ok {
-		panic(fmt.Sprintf("analysis: facts attach to functions only; got %T (%v)", obj, obj))
-	}
-	p.export.set(obj, fact)
+	p.facts[factKey{fn, reflect.TypeOf(fact)}] = fact
 }
 
 // ImportObjectFact copies into fact the fact of fact's concrete type
-// previously attached to obj, reporting whether one exists. Facts of the
-// package under analysis come from the in-progress export store; facts of
-// imported packages come from their decoded blobs.
-func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
-	if obj == nil || fact == nil {
-		panic("analysis: ImportObjectFact with nil object or fact")
-	}
-	typ := reflect.TypeOf(fact)
-	var src Fact
-	var ok bool
-	if obj.Pkg() == p.Pkg {
-		src, ok = p.export.get(obj, typ)
-	} else {
-		src, ok = p.imported.get(obj, typ)
-	}
+// previously attached to fn, reporting whether one exists.
+func (p *Pass) ImportObjectFact(fn *types.Func, fact Fact) bool {
+	src, ok := p.facts[factKey{fn, reflect.TypeOf(fact)}]
 	if !ok {
 		return false
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(src).Elem())
 	return true
-}
-
-// AllObjectFacts returns the facts exported so far for the package under
-// analysis, in deterministic order.
-func (p *Pass) AllObjectFacts() []ObjectFact {
-	return p.export.ofPackage(p.Pkg)
-}
-
-// --- serialization ---
-
-// encodedFact is the wire form of one fact: the object's path within its
-// package plus the gob-encoded fact value (as a registered interface).
-type encodedFact struct {
-	Path string
-	Fact Fact
-}
-
-// EncodeFacts serializes facts (all belonging to one package) into one
-// blob. It is exported for the driver and for tests; fact concrete types
-// must have been registered via gob.Register (RunAnalyzers does this from
-// Analyzer.FactTypes).
-func EncodeFacts(facts []ObjectFact) ([]byte, error) {
-	enc := make([]encodedFact, 0, len(facts))
-	for _, of := range facts {
-		path, err := objectPath(of.Object)
-		if err != nil {
-			return nil, err
-		}
-		enc = append(enc, encodedFact{Path: path, Fact: of.Fact})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(enc); err != nil {
-		return nil, fmt.Errorf("analysis: encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFacts deserializes a blob produced by EncodeFacts, resolving
-// object paths against pkg.
-func DecodeFacts(pkg *types.Package, blob []byte) ([]ObjectFact, error) {
-	var enc []encodedFact
-	if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&enc); err != nil {
-		return nil, fmt.Errorf("analysis: decoding facts of %s: %w", pkg.Path(), err)
-	}
-	out := make([]ObjectFact, 0, len(enc))
-	for _, ef := range enc {
-		obj, err := resolveObjectPath(pkg, ef.Path)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ObjectFact{Object: obj, Fact: ef.Fact})
-	}
-	return out, nil
-}
-
-// objectPath encodes a function's identity within its package: "F" for a
-// package-level function, "T.M" for a method of named type T (pointer and
-// value receivers share the namespace), "I.M" for an interface method.
-func objectPath(obj types.Object) (string, error) {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return "", fmt.Errorf("analysis: no object path for %T (%v)", obj, obj)
-	}
-	sig := fn.Type().(*types.Signature)
-	recv := sig.Recv()
-	if recv == nil {
-		return fn.Name(), nil
-	}
-	t := recv.Type()
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		if iface, ok := t.(*types.Interface); ok {
-			_ = iface
-		}
-		return "", fmt.Errorf("analysis: no object path for method %s on unnamed receiver %s", fn.Name(), recv.Type())
-	}
-	return named.Obj().Name() + "." + fn.Name(), nil
-}
-
-// resolveObjectPath is objectPath's inverse within pkg.
-func resolveObjectPath(pkg *types.Package, path string) (types.Object, error) {
-	scope := pkg.Scope()
-	typeName, methodName, isMethod := strings.Cut(path, ".")
-	if !isMethod {
-		obj := scope.Lookup(path)
-		if _, ok := obj.(*types.Func); !ok {
-			return nil, fmt.Errorf("analysis: fact path %q does not resolve to a function in %s", path, pkg.Path())
-		}
-		return obj, nil
-	}
-	tn, ok := scope.Lookup(typeName).(*types.TypeName)
-	if !ok {
-		return nil, fmt.Errorf("analysis: fact path %q: no type %s in %s", path, typeName, pkg.Path())
-	}
-	switch t := tn.Type().(type) {
-	case *types.Named:
-		if iface, ok := t.Underlying().(*types.Interface); ok {
-			for i := 0; i < iface.NumExplicitMethods(); i++ {
-				if m := iface.ExplicitMethod(i); m.Name() == methodName {
-					return m, nil
-				}
-			}
-		}
-		for i := 0; i < t.NumMethods(); i++ {
-			if m := t.Method(i); m.Name() == methodName {
-				return m, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("analysis: fact path %q: no method %s on %s in %s", path, methodName, typeName, pkg.Path())
 }

@@ -1,12 +1,10 @@
 package analysis
 
 import (
-	"encoding/gob"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"go/types"
-	"strings"
 	"testing"
 )
 
@@ -23,104 +21,25 @@ func (m mapImporter) Import(path string) (*types.Package, error) {
 	return m[path], nil
 }
 
-func (m mapImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return m[path], nil
-}
-
 // checkSrc type-checks one in-memory file against the given importer.
-func checkSrc(t *testing.T, fset *token.FileSet, imp types.ImporterFrom, path, src string) *Package {
+func checkSrc(t *testing.T, fset *token.FileSet, imp types.Importer, path, src string) *Package {
 	t.Helper()
 	f, err := parser.ParseFile(fset, path+".go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := []*ast.File{f}
-	pkg, info, err := Check(fset, imp, path, "", files)
+	pkg, info, err := Check(fset, imp, path, files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &Package{Path: path, Fset: fset, Files: files, Types: pkg, Info: info}
 }
 
-// TestFactRoundTrip drives facts through the wire format: attach to a
-// package-level function and to methods (pointer and value receivers, the
-// "T.M" path form), encode, decode against the same type universe, and
-// require identical object resolution and payloads.
-func TestFactRoundTrip(t *testing.T) {
-	gob.Register(&markFact{})
-	fset := token.NewFileSet()
-	pkg := checkSrc(t, fset, nil, "p", `package p
-
-type T struct{}
-
-func (T) Value() {}
-func (*T) Pointer() {}
-func F() {}
-`)
-	scope := pkg.Types.Scope()
-	objs := []types.Object{
-		scope.Lookup("F"),
-		method(t, scope, "T", "Value"),
-		method(t, scope, "T", "Pointer"),
-	}
-	var facts []ObjectFact
-	for _, obj := range objs {
-		facts = append(facts, ObjectFact{Object: obj, Fact: &markFact{Note: "fact on " + obj.Name()}})
-	}
-	blob, err := EncodeFacts(facts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := DecodeFacts(pkg.Types, blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != len(facts) {
-		t.Fatalf("decoded %d facts, want %d", len(decoded), len(facts))
-	}
-	for i, df := range decoded {
-		if df.Object != facts[i].Object {
-			t.Errorf("fact %d resolved to %v, want %v", i, df.Object, facts[i].Object)
-		}
-		got := df.Fact.(*markFact).Note
-		want := facts[i].Fact.(*markFact).Note
-		if got != want {
-			t.Errorf("fact %d payload %q, want %q", i, got, want)
-		}
-	}
-}
-
-func method(t *testing.T, scope *types.Scope, typeName, methodName string) types.Object {
-	t.Helper()
-	named := scope.Lookup(typeName).Type().(*types.Named)
-	for i := 0; i < named.NumMethods(); i++ {
-		if m := named.Method(i); m.Name() == methodName {
-			return m
-		}
-	}
-	t.Fatalf("no method %s.%s", typeName, methodName)
-	return nil
-}
-
-// TestFactPathRejectsNonFunctions pins the deliberate narrowing: facts
-// attach to functions only.
-func TestFactPathRejectsNonFunctions(t *testing.T) {
-	fset := token.NewFileSet()
-	pkg := checkSrc(t, fset, nil, "p", `package p
-
-var V int
-`)
-	_, err := EncodeFacts([]ObjectFact{{Object: pkg.Types.Scope().Lookup("V"), Fact: &markFact{}}})
-	if err == nil || !strings.Contains(err.Error(), "no object path") {
-		t.Fatalf("encoding a var fact: err = %v, want object-path error", err)
-	}
-}
-
-// TestFactFlowAcrossPackages runs the real driver over a two-package DAG:
-// an exporting analyzer marks functions of the dependency, and a
-// consuming analyzer on the dependent package must see the fact — which
-// has necessarily survived the encode/decode round trip the driver
-// performs on every package boundary.
+// TestFactFlowAcrossPackages runs the real driver over a two-package DAG,
+// given dependent first: an exporting analyzer marks functions of the
+// dependency, and a consuming analyzer on the dependent package must see
+// the fact, so the driver must have analyzed the dependency first.
 func TestFactFlowAcrossPackages(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := mapImporter{}
@@ -137,9 +56,8 @@ func Use() { dep.Marked() }
 `)
 
 	exporter := &Analyzer{
-		Name:      "exporter",
-		Doc:       "marks every package-level function",
-		FactTypes: []Fact{(*markFact)(nil)},
+		Name: "exporter",
+		Doc:  "marks every package-level function",
 		Run: func(pass *Pass) (any, error) {
 			scope := pass.Pkg.Scope()
 			for _, name := range scope.Names() {
@@ -152,10 +70,9 @@ func Use() { dep.Marked() }
 	}
 	var sawNote string
 	consumer := &Analyzer{
-		Name:      "consumer",
-		Doc:       "reads the dependency's fact",
-		Requires:  []*Analyzer{exporter},
-		FactTypes: []Fact{(*markFact)(nil)},
+		Name:     "consumer",
+		Doc:      "reads the dependency's fact",
+		Requires: []*Analyzer{exporter},
 		Run: func(pass *Pass) (any, error) {
 			if pass.Pkg.Path() != "top" {
 				return nil, nil

@@ -86,7 +86,7 @@ type Fact struct {
 	Cold bool
 }
 
-// AFact marks Fact as a serializable analysis fact.
+// AFact marks Fact as an analysis fact.
 func (*Fact) AFact() {}
 
 // Any reports whether any effect (or the cold marker) is set.
@@ -144,11 +144,11 @@ type Result struct {
 }
 
 // Lookup returns the transitive fact for fn from any vantage point: the
-// package under analysis (from the Result), an imported package (from its
-// serialized facts), or nil when fn has no recorded effects — external
-// code with no facts is treated as effect-free, because every effect the
-// suite models is either local (caught by the scanners at the call site)
-// or flows through module code that does carry facts.
+// package under analysis (from the Result), an imported package (from the
+// facts its analysis exported), or nil when fn has no recorded effects —
+// external code with no facts is treated as effect-free, because every
+// effect the suite models is either local (caught by the scanners at the
+// call site) or flows through module code that does carry facts.
 func (r *Result) Lookup(pass *analysis.Pass, fn *types.Func) *Fact {
 	if fn.Pkg() == pass.Pkg {
 		return r.Facts[fn]
@@ -168,8 +168,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "computes per-function effect facts (allocates, reads wall clock, " +
 		"seeds rand ambiently) over the package call graph, for the " +
 		"transitive contract checks",
-	FactTypes: []analysis.Fact{(*Fact)(nil)},
-	Run:       run,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) (any, error) {

@@ -19,26 +19,22 @@ func (m mapImporter) Import(path string) (*types.Package, error) {
 	return m[path], nil
 }
 
-func (m mapImporter) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
-	return m[path], nil
-}
-
-func checkSrc(t *testing.T, fset *token.FileSet, imp types.ImporterFrom, path, src string) *analysis.Package {
+func checkSrc(t *testing.T, fset *token.FileSet, imp types.Importer, path, src string) *analysis.Package {
 	t.Helper()
 	f, err := parser.ParseFile(fset, path+".go", src, parser.ParseComments)
 	if err != nil {
 		t.Fatal(err)
 	}
 	files := []*ast.File{f}
-	pkg, info, err := analysis.Check(fset, imp, path, "", files)
+	pkg, info, err := analysis.Check(fset, imp, path, files)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &analysis.Package{Path: path, Fset: fset, Files: files, Types: pkg, Info: info}
 }
 
-// analyze runs the real driver (facts serialize across every package
-// boundary) and captures each package's funcfacts Result.
+// analyze runs the real driver and captures each package's funcfacts
+// Result.
 func analyze(t *testing.T, pkgs ...*analysis.Package) map[string]*funcfacts.Result {
 	t.Helper()
 	results := map[string]*funcfacts.Result{}
@@ -263,9 +259,8 @@ func pong(n int) []int { return ping(n) }
 }
 
 // TestSyntheticPackageDAG runs the driver over a three-package chain and
-// requires the allocation fact to flow bottom-up across both boundaries —
-// through the serialized fact store, not shared memory — with a witness
-// naming every hop.
+// requires the allocation fact to flow bottom-up across both boundaries,
+// with a witness naming every hop.
 func TestSyntheticPackageDAG(t *testing.T) {
 	fset := token.NewFileSet()
 	imp := mapImporter{}

@@ -12,8 +12,9 @@ func TestAnalyzer(t *testing.T) {
 
 // TestTransitive drives the planted hotpath → helper → make violation:
 // the allocation lives two calls away in another package, visible only
-// through serialized facts. It also pins the two deliberate stops —
-// //emu:cold callees and interface dispatch do not propagate Allocates.
+// through that package's exported facts. It also pins the two deliberate
+// stops — //emu:cold callees and interface dispatch do not propagate
+// Allocates.
 func TestTransitive(t *testing.T) {
 	analysistest.RunDirs(t, "../testdata/src/hotpathalloc_trans", Analyzer, "dep", "root")
 }

@@ -29,9 +29,6 @@ type Package struct {
 
 // LoadConfig tunes Load.
 type LoadConfig struct {
-	// Tests additionally compiles each package's in-package _test.go files
-	// into the unit under analysis (external _test packages are skipped).
-	Tests bool
 	// Dir is the working directory for the go list invocation; "" means
 	// the current directory. Patterns may be path patterns (./...) rooted
 	// at Dir or import-path patterns (emuchick/...), which resolve from
@@ -41,21 +38,23 @@ type LoadConfig struct {
 
 // listedPackage is the subset of `go list -json` output the loader needs.
 type listedPackage struct {
-	Dir         string
-	ImportPath  string
-	Standard    bool
-	DepOnly     bool
-	GoFiles     []string
-	CgoFiles    []string
-	TestGoFiles []string
-	Error       *struct{ Err string }
+	Dir        string
+	ImportPath string
+	Standard   bool
+	DepOnly    bool
+	GoFiles    []string
+	CgoFiles   []string
+	Error      *struct{ Err string }
 }
 
 // Load enumerates the packages matching patterns via the go tool, parses
-// their sources, and type-checks them from source (the "source" importer
-// needs no pre-built export data, so the loader works in a hermetic
-// build environment). All packages share one FileSet and one importer, so
-// common dependencies are type-checked once.
+// their sources, and type-checks each module package exactly once, in the
+// go list -deps order (dependencies first), through one Importer: a module
+// package's importers see the very *types.Package Load returns for it, so
+// facts attached to its functions are found from every importer. The
+// standard library is type-checked from source (no pre-built export data
+// is needed, so the loader works in a hermetic build environment), also
+// once per Load.
 //
 // Module-internal dependencies of the matched packages are loaded too,
 // marked DepOnly: the interprocedural checks are only sound when every
@@ -76,8 +75,7 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.Bytes())
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	srcImp, _ := imp.(types.ImporterFrom)
+	imp := NewImporter(fset)
 	var pkgs []*Package
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for dec.More() {
@@ -94,25 +92,22 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 		if len(lp.CgoFiles) > 0 {
 			return nil, fmt.Errorf("%s: cgo packages are not supported", lp.ImportPath)
 		}
-		names := lp.GoFiles
-		if cfg.Tests && !lp.DepOnly {
-			names = append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...)
-		}
-		if len(names) == 0 {
+		if len(lp.GoFiles) == 0 {
 			continue
 		}
 		var files []*ast.File
-		for _, name := range names {
+		for _, name := range lp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
 			if err != nil {
 				return nil, err
 			}
 			files = append(files, f)
 		}
-		pkg, info, err := Check(fset, srcImp, lp.ImportPath, lp.Dir, files)
+		pkg, info, err := Check(fset, imp, lp.ImportPath, files)
 		if err != nil {
 			return nil, err
 		}
+		imp.Add(pkg)
 		pkgs = append(pkgs, &Package{
 			Path:    lp.ImportPath,
 			Dir:     lp.Dir,
@@ -127,9 +122,10 @@ func Load(cfg LoadConfig, patterns ...string) ([]*Package, error) {
 }
 
 // Check type-checks one parsed package with full expression, object, and
-// selection information recorded. It is exported for analysistest, which
-// loads testdata directories without going through the go tool.
-func Check(fset *token.FileSet, imp types.ImporterFrom, path, dir string, files []*ast.File) (*types.Package, *types.Info, error) {
+// selection information recorded, resolving its imports through imp (nil
+// when the package imports nothing). It is exported for analysistest and
+// for tests that build packages from in-memory sources.
+func Check(fset *token.FileSet, imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -138,7 +134,7 @@ func Check(fset *token.FileSet, imp types.ImporterFrom, path, dir string, files 
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 		Scopes:     map[ast.Node]*types.Scope{},
 	}
-	conf := types.Config{Importer: dirImporter{imp, dir}}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil {
 		return nil, nil, fmt.Errorf("typecheck %s: %w", path, err)
@@ -146,13 +142,38 @@ func Check(fset *token.FileSet, imp types.ImporterFrom, path, dir string, files 
 	return pkg, info, nil
 }
 
-// dirImporter pins the source importer's vantage point to the package's own
-// directory, so relative/internal import resolution matches the compiler's.
-type dirImporter struct {
-	imp types.ImporterFrom
-	dir string
+// Importer is the one importer of a type-checked universe. A package
+// registered with Add is returned as-is to every later importer; any other
+// path (the standard library) goes to a source importer, which
+// type-checks it once and caches it. go/types passes each importing
+// file's directory to ImportFrom, so the source importer resolves from the
+// same vantage point as the compiler.
+type Importer struct {
+	std      types.ImporterFrom
+	packages map[string]*types.Package
 }
 
-func (d dirImporter) Import(path string) (*types.Package, error) {
-	return d.imp.ImportFrom(path, d.dir, 0)
+// NewImporter returns an Importer with no registered packages whose
+// standard-library packages are type-checked from source into fset.
+func NewImporter(fset *token.FileSet) *Importer {
+	return &Importer{
+		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		packages: map[string]*types.Package{},
+	}
+}
+
+// Add registers pkg as the answer to every later import of its path.
+func (im *Importer) Add(pkg *types.Package) { im.packages[pkg.Path()] = pkg }
+
+// Import implements types.Importer.
+func (im *Importer) Import(path string) (*types.Package, error) {
+	return im.ImportFrom(path, "", 0)
+}
+
+// ImportFrom implements types.ImporterFrom.
+func (im *Importer) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkg, ok := im.packages[path]; ok {
+		return pkg, nil
+	}
+	return im.std.ImportFrom(path, dir, mode)
 }

@@ -26,20 +26,10 @@ func Analyzers() []*analysis.Analyzer {
 	}
 }
 
-// Lint loads the packages matching patterns (every package of the module
-// when none are given) and runs the suite, returning the surviving
-// findings.
-func Lint(cfg analysis.LoadConfig, patterns ...string) ([]analysis.Diagnostic, error) {
-	pkgs, err := analysis.Load(cfg, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return analysis.RunAnalyzers(pkgs, Analyzers())
-}
-
-// Run loads the packages matching patterns and runs the suite, returning
-// the full results — every diagnostic including suppressed ones, plus
-// per-analyzer timing — for drivers that need more than the findings.
+// Run loads the packages matching patterns (every package of the module
+// when none are given) and runs the suite, returning the full results:
+// every diagnostic including suppressed ones (Results.Findings drops
+// those), plus per-analyzer timing.
 func Run(cfg analysis.LoadConfig, patterns ...string) (*analysis.Results, error) {
 	pkgs, err := analysis.Load(cfg, patterns...)
 	if err != nil {

@@ -155,36 +155,6 @@ func ParseSpMVLayout(name string) (SpMVLayout, error) {
 	}
 }
 
-// Typed-config-to-Params inverses, used by the deprecated facade wrappers so
-// the old entry points route losslessly through the registry.
-
-// StreamParams flattens a StreamConfig.
-func StreamParams(c StreamConfig) Params {
-	return Params{Elems: c.ElemsPerNodelet, Nodelets: c.Nodelets,
-		Threads: c.Threads, Strategy: c.Strategy.String()}
-}
-
-// ChaseParams flattens a ChaseConfig.
-func ChaseParams(c ChaseConfig) Params {
-	return Params{Elems: c.Elements, Block: c.BlockSize, Mode: c.Mode.String(),
-		Seed: c.Seed, Threads: c.Threads, Nodelets: c.Nodelets}
-}
-
-// SpMVParams flattens an SpMVConfig.
-func SpMVParams(c SpMVConfig) Params {
-	return Params{GridN: c.GridN, Layout: c.Layout.String(), Grain: c.GrainNNZ}
-}
-
-// PingPongParams flattens a PingPongConfig.
-func PingPongParams(c PingPongConfig) Params {
-	return Params{Threads: c.Threads, Iters: c.Iterations, NodeletA: c.NodeletA, NodeletB: c.NodeletB}
-}
-
-// GUPSParams flattens a GUPSConfig.
-func GUPSParams(c GUPSConfig) Params {
-	return Params{Elems: c.TableWords, Updates: c.Updates, Threads: c.Threads, Seed: c.Seed}
-}
-
 // asMeasurement flattens a bandwidth result.
 func asMeasurement(kernel string, res metrics.Result, err error) (Measurement, error) {
 	if err != nil {

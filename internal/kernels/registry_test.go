@@ -35,7 +35,7 @@ func TestRegistryMatchesTypedEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := ByName("stream")
-	m, err := k.Run(cfg, StreamParams(sc))
+	m, err := k.Run(cfg, Params{Elems: 64, Nodelets: 8, Threads: 16, Strategy: sc.Strategy.String()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRegistryMatchesTypedEntryPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	kp, _ := ByName("pingpong")
-	pm, err := kp.Run(cfg, PingPongParams(pc))
+	pm, err := kp.Run(cfg, Params{Threads: 4, Iters: 50, NodeletA: 0, NodeletB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

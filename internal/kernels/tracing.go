@@ -2,30 +2,12 @@ package kernels
 
 import (
 	"context"
-	"io"
 
 	"emuchick/internal/fault"
 	"emuchick/internal/machine"
 	"emuchick/internal/sim"
 	"emuchick/internal/trace"
 )
-
-// Package-level tracing hook: kernels build their own System per run, so
-// callers that want an operation trace (cmd/emurun's -trace flag) register
-// a writer here before invoking a kernel.
-var (
-	traceWriter io.Writer
-	traceLimit  int
-)
-
-// TraceNextSystem routes the first limit machine operations of every
-// subsequently constructed kernel system to w; pass (nil, 0) to disable.
-// Not safe for concurrent kernel invocations — it exists for the
-// single-run CLI path.
-func TraceNextSystem(w io.Writer, limit int) {
-	traceWriter = w
-	traceLimit = limit
-}
 
 // RunOption configures the System a kernel builds for one run. Every kernel
 // entry point accepts trailing RunOptions; passing none costs nothing.
@@ -41,7 +23,6 @@ type runConfig struct {
 }
 
 // WithObserver streams the run's machine events and gauge samples to obs.
-// The observer composes with (does not replace) a TraceNextSystem writer.
 func WithObserver(obs trace.Observer) RunOption {
 	return func(c *runConfig) { c.obs = obs }
 }
@@ -75,8 +56,7 @@ func WithMaxEvents(n uint64) RunOption {
 	return func(c *runConfig) { c.maxEvents = n }
 }
 
-// newSystem builds a machine with the package tracing hook and the per-run
-// options applied.
+// newSystem builds a machine with the per-run options applied.
 func newSystem(cfg machine.Config, opts ...RunOption) *machine.System {
 	var c runConfig
 	for _, opt := range opts {
@@ -85,15 +65,10 @@ func newSystem(cfg machine.Config, opts ...RunOption) *machine.System {
 		}
 	}
 	sys := machine.NewSystem(cfg)
-	if traceWriter != nil {
-		sys.TraceTo(traceWriter, traceLimit)
-	}
 	if c.plan != nil {
 		sys.InjectFaults(c.plan)
 	}
-	if c.obs != nil {
-		sys.Attach(trace.Tee(sys.Observer(), c.obs))
-	}
+	sys.Attach(c.obs)
 	if c.sampleSet {
 		sys.SampleEvery(c.sample)
 	}

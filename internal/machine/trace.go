@@ -2,7 +2,6 @@ package machine
 
 import (
 	"context"
-	"io"
 
 	"emuchick/internal/memsys"
 	"emuchick/internal/sim"
@@ -56,19 +55,6 @@ func (s *System) WatchContext(ctx context.Context) {
 		return
 	}
 	s.Eng.Interrupt = ctx.Err
-}
-
-// TraceTo attaches an observer that writes one line per event to w and
-// stops after limit events (0 = unlimited); gauge samples are ignored.
-func (s *System) TraceTo(w io.Writer, limit int) {
-	count := 0
-	s.Attach(trace.FuncObserver{OnEvent: func(e trace.Event) {
-		if limit > 0 && count >= limit {
-			return
-		}
-		count++
-		io.WriteString(w, e.String()+"\n")
-	}})
 }
 
 // emit streams one event to the observer, then takes gauge samples if an

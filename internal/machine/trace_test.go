@@ -51,24 +51,6 @@ func TestTraceCapturesOps(t *testing.T) {
 	}
 }
 
-func TestTraceToLimits(t *testing.T) {
-	s := NewSystem(HardwareChick())
-	var b strings.Builder
-	s.TraceTo(&b, 3)
-	arr := s.Mem.AllocLocal(0, 10)
-	sc := loadAll(arr.At, 10)
-	if _, err := s.Run(&sc); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Count(b.String(), "\n")
-	if lines != 3 {
-		t.Fatalf("trace emitted %d lines, want 3", lines)
-	}
-	if !strings.Contains(b.String(), "load") {
-		t.Fatal("trace lines missing kind")
-	}
-}
-
 func TestTraceEventStrings(t *testing.T) {
 	if trace.KindLoad.String() != "load" || trace.KindMigrate.String() != "migrate" {
 		t.Fatal("kind names wrong")
