@@ -123,11 +123,13 @@ fault-smoke:
 
 # Chaos smoke at -short scale: the seeded fault-injection unit suite plus
 # the crash-restart fuzz (kill the store at a seeded op, restart, demand
-# byte-identical results) and the noisy-disk degradation tests. Wired into
+# byte-identical results), the noisy-disk degradation tests, and 10 s of
+# native fuzzing of the journal replay on arbitrary bytes. Wired into
 # `make check`; drop -short for the full 20-seed sweep.
 chaos-smoke:
 	$(GO) test ./internal/chaos -count=1
 	$(GO) test ./internal/jobserver -run 'TestChaos' -short -count=1
+	$(GO) test ./internal/jobserver -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
 
 # Boot cmd/emuserved, submit a quick job over real HTTP, poll it done, fetch
 # the result, and require an identical resubmit to be a byte-identical cache

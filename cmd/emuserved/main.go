@@ -31,7 +31,7 @@ import (
 func main() {
 	fs := flag.NewFlagSet("emuserved", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	data := fs.String("data", "emuserved-data", "durable data directory (job records, WALs, result cache)")
+	data := fs.String("data", "emuserved-data", "durable data directory: the journal of job records and results, and per-job WALs in ckpt/")
 	workers := fs.Int("workers", 2, "jobs simulated concurrently")
 	jobParallel := fs.Int("job-parallel", defaultJobParallel(), "sweep workers per job when the jobspec does not set -parallel")
 	queue := fs.Int("queue", 1024, "pending-job backlog bound (submits beyond it are shed with 503 + Retry-After)")

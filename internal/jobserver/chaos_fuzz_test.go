@@ -19,7 +19,7 @@ import (
 // then a healthy server restarts on the survivors and the workload is
 // resubmitted. The property under test: no crash point exists at which the
 // final result bytes differ from an uninterrupted run, and no crash point
-// leaves a corrupt cache entry or panics the server. Content addressing is
+// leaves a corrupt journal line or panics the server. Content addressing is
 // what makes the property checkable: resubmitting a spec either revives the
 // surviving state (records re-enqueue, WALs replay, cache hits) or
 // re-simulates from scratch, and both roads must end at identical bytes.
@@ -90,34 +90,44 @@ func runWorkload(t *testing.T, srv *Server) {
 	}
 }
 
-// validateResultsDir asserts the no-corrupt-cache invariant: every visible
-// result file parses and matches its content address. Orphan .tmp files are
-// legal (they are the signature of an interrupted atomic write, swept at
-// the next boot); a torn or foreign .json is not.
-func validateResultsDir(t *testing.T, dir string) {
+// validateJournal asserts the no-corrupt-journal invariant on the raw file,
+// independently of the store's replay: every newline-terminated line is a
+// job record that parses and names its framed id, or a result that parses
+// and carries its framed key. An unterminated tail is legal (it is the
+// signature of a kill mid-append, dropped by replay and cut by the next
+// append); a torn, foreign or unnamed complete line is not.
+func validateJournal(t *testing.T, dir string) {
 	t.Helper()
-	entries, err := os.ReadDir(filepath.Join(dir, "results"))
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return
 		}
 		t.Fatal(err)
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		b, err := os.ReadFile(filepath.Join(dir, "results", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res Result
-		if err := json.Unmarshal(b, &res); err != nil {
-			t.Fatalf("corrupt cache entry %s: %v", name, err)
-		}
-		if res.Key != strings.TrimSuffix(name, ".json") {
-			t.Fatalf("cache entry %s addressed as %q", name, res.Key)
+	lines := strings.Split(string(data), "\n")
+	for i, ln := range lines[:len(lines)-1] {
+		kind, rest, _ := strings.Cut(ln, " ")
+		name, payload, _ := strings.Cut(rest, " ")
+		switch kind {
+		case "job":
+			var rec Job
+			if err := json.Unmarshal([]byte(payload), &rec); err != nil {
+				t.Fatalf("journal line %d: corrupt record for %s: %v", i+1, name, err)
+			}
+			if !jobIDForm.MatchString(name) || rec.ID != name {
+				t.Fatalf("journal line %d: record %q framed as %q", i+1, rec.ID, name)
+			}
+		case "result":
+			var res Result
+			if err := json.Unmarshal([]byte(payload), &res); err != nil {
+				t.Fatalf("journal line %d: corrupt cache entry %s: %v", i+1, name, err)
+			}
+			if res.Key != name {
+				t.Fatalf("journal line %d: cache entry %s addressed as %q", i+1, name, res.Key)
+			}
+		default:
+			t.Fatalf("journal line %d names nothing: %.80q", i+1, ln)
 		}
 	}
 }
@@ -143,8 +153,8 @@ func TestChaosKillRestartFuzz(t *testing.T) {
 			t.Logf("seed %d: killed at op %d (fired=%v, %d ops total)",
 				seed, chaos.KillOp(seed, maxOp), fsys.Crashed(), fsys.Ops())
 
-			// The frozen directory must already satisfy the cache invariant.
-			validateResultsDir(t, dir)
+			// The frozen directory must already satisfy the journal invariant.
+			validateJournal(t, dir)
 
 			// Restart on the survivors with a healthy disk; resubmit the
 			// workload and demand byte-identical answers.
@@ -167,15 +177,15 @@ func TestChaosKillRestartFuzz(t *testing.T) {
 						rec.Key, want[rec.Key], got)
 				}
 			}
-			validateResultsDir(t, dir)
+			validateJournal(t, dir)
 		})
 	}
 }
 
 // TestChaosFaultOutcomes drives the workload through persistently noisy
-// storage — periodic torn writes, ENOSPC, sync and rename failures — and
-// checks the degradation contract: every job reaches a terminal state, every
-// failure carries a structured error, the cache never holds a corrupt entry,
+// storage — periodic torn writes, ENOSPC and sync failures — and checks the
+// degradation contract: every job reaches a terminal state, every failure
+// carries a structured error, the journal never holds a corrupt line,
 // and a healthy restart serves the exact reference bytes.
 func TestChaosFaultOutcomes(t *testing.T) {
 	want := referenceResults(t)
@@ -197,7 +207,7 @@ func TestChaosFaultOutcomes(t *testing.T) {
 				}
 			}
 			srv.Close()
-			validateResultsDir(t, dir)
+			validateJournal(t, dir)
 
 			srv2 := newTestServer(t, Config{DataDir: dir, Workers: 1})
 			defer srv2.Close()

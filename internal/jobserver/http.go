@@ -21,7 +21,9 @@ import (
 //	GET    /v1/kernels          — registered kernel names and docs
 //	GET    /v1/experiments      — registered experiment ids and titles
 //	POST   /v1/jobs             — submit a jobspec; 202 + job record,
-//	                              503 + Retry-After when shed by admission control
+//	                              503 + Retry-After when shed by admission control,
+//	                              500 + the job id when the job runs but its record
+//	                              did not persist
 //	GET    /v1/jobs             — list jobs in submission order
 //	GET    /v1/jobs/{id}        — one job record
 //	GET    /v1/jobs/{id}/wait   — long-poll until the job changes or ?timeout=
@@ -131,17 +133,20 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec, err := s.Submit(spec)
-	if err != nil {
-		var over *OverloadError
-		if errors.As(err, &over) {
-			w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(over.RetryAfter)))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
+	var over *OverloadError
+	switch {
+	case err == nil:
+		writeJSON(w, http.StatusAccepted, rec)
+	case errors.As(err, &over):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(over.RetryAfter)))
+		writeError(w, http.StatusServiceUnavailable, err)
+	case rec.ID != "":
+		// The job was created and runs; only persisting it failed. Name it,
+		// so the client can still follow it.
+		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error(), "id": rec.ID})
+	default:
 		writeError(w, http.StatusBadRequest, err)
-		return
 	}
-	writeJSON(w, http.StatusAccepted, rec)
 }
 
 // retryAfterSeconds renders a backoff hint as the whole seconds the header
@@ -298,9 +303,14 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.Cancel(r.PathValue("id"))
+	id := r.PathValue("id")
+	if _, ok := s.Get(id); !ok { // jobs are never forgotten, so this is exact
+		writeError(w, http.StatusNotFound, errUnknownJob(id))
+		return
+	}
+	rec, err := s.Cancel(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rec)

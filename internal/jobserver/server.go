@@ -5,9 +5,9 @@
 // assembled from the pieces PRs 1-6 built:
 //
 //   - jobspec.Fingerprint gives every request a content address; finished
-//     results are cached under it in memory and on disk, and identical
-//     requests — concurrent ones included, via single-flight following —
-//     are served without re-simulating.
+//     results are cached under it in memory and in the store's journal,
+//     and identical requests — concurrent ones included, via single-flight
+//     following — are served without re-simulating.
 //   - The PR-4 checkpoint WAL becomes the per-job durable store: every
 //     accepted job persists its record and streams completed sweep cells to
 //     its own log, so a killed server resumes every in-flight job on
@@ -131,7 +131,8 @@ func (e *OverloadError) Error() string {
 
 // Config parameterizes a Server.
 type Config struct {
-	// DataDir is the durable root (job records, WALs, result cache).
+	// DataDir is the durable root (the journal of job records and results,
+	// and the per-job WALs).
 	DataDir string
 	// Workers bounds how many jobs simulate concurrently (<= 0: 2).
 	Workers int
@@ -176,7 +177,8 @@ type job struct {
 	// in-flight budget; guarded by Server.mu, not job.mu.
 	admitted int64
 	// saveMu serializes persists of this job's record (the submitter and a
-	// worker can both save moments apart; both write the same .tmp path).
+	// worker can both save moments apart; without it an older snapshot could
+	// land in the journal after a newer one).
 	saveMu sync.Mutex
 }
 
@@ -225,7 +227,7 @@ type Server struct {
 	order     []string            // submission order
 	active    map[string]string   // fingerprint -> in-flight leader job id
 	followers map[string][]string // leader id -> identical jobs awaiting its result
-	cache     map[string][]byte   // fingerprint -> result bytes (backed by disk)
+	cache     map[string][]byte   // fingerprint -> result bytes (loaded from the journal at boot)
 	stats     Stats
 	seq       int
 	inflight  int64 // encoded-spec bytes of admitted, non-terminal jobs
@@ -257,7 +259,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.WatchWriteTimeout <= 0 {
 		cfg.WatchWriteTimeout = 10 * time.Second
 	}
-	st, err := newStore(cfg.DataDir, cfg.FS)
+	st, boot, err := openStore(cfg.DataDir, cfg.FS)
+	if err != nil {
+		return nil, err
+	}
+	seq, err := st.maxCheckpointSeq()
 	if err != nil {
 		return nil, err
 	}
@@ -267,19 +273,13 @@ func New(cfg Config) (*Server, error) {
 		jobs:      map[string]*job{},
 		active:    map[string]string{},
 		followers: map[string][]string{},
-		cache:     map[string][]byte{},
+		cache:     boot.results,
+		seq:       seq,
 		queue:     make(chan *job, cfg.QueueDepth),
 	}
 	s.root, s.cancel = context.WithCancel(context.Background())
 
-	recs, err := st.loadJobs()
-	if err != nil {
-		return nil, err
-	}
-	if s.seq, err = st.maxCheckpointSeq(); err != nil {
-		return nil, err
-	}
-	for _, rec := range recs {
+	for _, rec := range boot.jobs {
 		if n, ok := parseJobID(rec.ID); ok && n > s.seq {
 			s.seq = n
 		}
@@ -307,26 +307,27 @@ func New(cfg Config) (*Server, error) {
 				r.Error = ""
 			})
 			if err := st.saveJob(rec); err != nil {
-				return nil, err
+				s.logf("jobserver: %s restart not persisted: %v", rec.ID, err)
 			}
 			s.chargeLocked(j, specCost(rec.Spec))
 			s.enqueueLocked(j)
 		}
 	}
-	requeued := s.stats.Queued // read before the workers start draining it
+	// Logged before the workers start draining the queue and filling the
+	// cache.
+	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued), %d results cached, %d journal lines skipped",
+		cfg.Workers, len(boot.jobs), s.stats.Queued, len(boot.results), boot.skipped)
 	for w := 0; w < cfg.Workers; w++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	s.logf("jobserver: %d workers, %d jobs loaded (%d re-enqueued)", cfg.Workers, len(recs), requeued)
 	return s, nil
 }
 
 // saveJob persists a job's record. Saves of one job are serialized and each
 // snapshots at write time, so whichever writer lands last persists the
 // newest state — a submitter racing the worker can never overwrite a later
-// transition with an earlier one, and the two can never collide on the
-// record's temp file.
+// transition with an earlier one.
 func (s *Server) saveJob(j *job) error {
 	j.saveMu.Lock()
 	defer j.saveMu.Unlock()
@@ -340,27 +341,22 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-func parseJobID(id string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "j%d", &n); err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
-// Close preempts every running job (their WALs keep all finished cells) and
-// stops the worker pool. Interrupted jobs persist as queued, so the next
-// New on the same data directory resumes them.
+// Close preempts every running job (their WALs keep all finished cells),
+// stops the worker pool, and closes the journal. Interrupted jobs persist
+// as queued, so the next New on the same data directory resumes them.
 func (s *Server) Close() error {
 	s.cancel()
 	s.wg.Wait()
-	return nil
+	return s.store.close()
 }
 
 // Submit validates and enqueues one request, returning the accepted job
 // record. A request whose fingerprint already has a cached result completes
 // immediately as a cache hit; one identical to an in-flight job follows
 // that job instead of simulating twice.
+//
+// A non-nil error alongside a record with an ID means the job was created
+// and enqueued but persisting its record failed: the job still runs.
 //
 // Admission control runs before anything is allocated: a request that would
 // push the pending backlog past QueueDepth or the admitted-spec bytes past
@@ -379,7 +375,7 @@ func (s *Server) Submit(spec jobspec.Spec) (Job, error) {
 	if s.draining.Load() {
 		return Job{}, s.shedLocked("draining")
 	}
-	_, cached := s.cachedResultLocked(key)
+	_, cached := s.cache[key]
 	_, following := s.active[key]
 	if !cached && !following {
 		if s.stats.Queued >= s.cfg.QueueDepth {
@@ -556,7 +552,7 @@ func (s *Server) ResultBytes(id string) ([]byte, error) {
 		return nil, fmt.Errorf("jobserver: job %s is %s, not done", id, rec.State)
 	}
 	s.mu.Lock()
-	data, ok := s.cachedResultLocked(rec.Key)
+	data, ok := s.cache[rec.Key]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("jobserver: job %s result missing from cache", id)
@@ -630,19 +626,6 @@ func (s *Server) Snapshot(id string) (Job, int, bool) {
 	return rec, v, true
 }
 
-// cachedResultLocked consults the in-memory cache, falling back to (and
-// re-populating from) the disk cache. Caller holds s.mu.
-func (s *Server) cachedResultLocked(key string) ([]byte, bool) {
-	if data, ok := s.cache[key]; ok {
-		return data, true
-	}
-	if data, ok := s.store.loadResult(key); ok {
-		s.cache[key] = data
-		return data, true
-	}
-	return nil, false
-}
-
 // worker drains the queue until shutdown.
 func (s *Server) worker() {
 	defer s.wg.Done()
@@ -686,7 +669,7 @@ func (s *Server) runJob(j *job) {
 	// while an identical one was finishing — may find the answer cached by
 	// now.
 	s.mu.Lock()
-	data, hit := s.cachedResultLocked(rec.Key)
+	data, hit := s.cache[rec.Key]
 	s.mu.Unlock()
 	if hit {
 		s.finish(j, func(st *Stats) { st.CacheHits++ }, func(r *Job) {

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"emuchick/internal/chaos"
 	"emuchick/internal/jobspec"
 	"emuchick/internal/kernels"
 )
@@ -420,13 +421,18 @@ func stripKey(t *testing.T, data []byte) []byte {
 	return out
 }
 
-// TestParseJobID pins the sequence recovery used at boot.
+// TestParseJobID pins the sequence recovery used at boot: only ids of the
+// form j%06d parse.
 func TestParseJobID(t *testing.T) {
-	if n, ok := parseJobID(fmt.Sprintf("j%06d", 42)); !ok || n != 42 {
-		t.Fatalf("parseJobID = %d, %v", n, ok)
+	for _, n := range []int{42, 1000000} {
+		if got, ok := parseJobID(fmt.Sprintf("j%06d", n)); !ok || got != n {
+			t.Fatalf("parseJobID(j%06d) = %d, %v", n, got, ok)
+		}
 	}
-	if _, ok := parseJobID("job-42"); ok {
-		t.Fatal("malformed id parsed")
+	for _, id := range []string{"job-42", "j42", "j-00042", "j0000042", "j000042x", "j 000042", ""} {
+		if _, ok := parseJobID(id); ok {
+			t.Fatalf("malformed id %q parsed", id)
+		}
 	}
 }
 
@@ -456,4 +462,98 @@ func TestStatsSettledAtTerminalState(t *testing.T) {
 			t.Fatalf("%d jobs seen done but Stats counts %d simulated: %+v", i+1, st.Simulated, st)
 		}
 	}
+}
+
+// TestStorageFailuresAnswer500: a submit whose record the journal refuses
+// has still created and enqueued its job, so the client gets 500 with the
+// job's id, not 400; a cancel whose record the journal refuses gets 500,
+// not 404. Malformed specs stay 400 and unknown ids 404.
+func TestStorageFailuresAnswer500(t *testing.T) {
+	t.Run("submit", func(t *testing.T) {
+		fsys := chaos.New(chaos.Plan{Rules: []chaos.Rule{{Kind: chaos.NoSpace, Every: 1}}}, nil)
+		srv := newTestServer(t, Config{FS: fsys})
+		defer srv.Close()
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+
+		spec := quickKernel()
+		spec.Checkpoint.Disable = true // no WAL: the job itself needs no storage
+		resp := postRaw(t, ts.URL, spec)
+		var body struct{ Error, ID string }
+		mustDecode(t, []byte(readBody(t, resp)), &body)
+		if resp.StatusCode != http.StatusInternalServerError || body.ID == "" || !strings.Contains(body.Error, "no space") {
+			t.Fatalf("submit with a full disk: %s %+v, want 500 naming the job", resp.Status, body)
+		}
+		if got := waitDone(t, ts.URL, body.ID); got.State != StateDone {
+			t.Fatalf("job %s ended %s: %s", body.ID, got.State, got.Error)
+		}
+		getResult(t, ts.URL, body.ID)
+
+		resp = postRaw(t, ts.URL, jobspec.Spec{Experiment: "fig4", Kernel: "gups"})
+		if resp.Body.Close(); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("invalid spec: %s, want 400", resp.Status)
+		}
+	})
+
+	t.Run("cancel", func(t *testing.T) {
+		// cancelQueued wedges the worker in one job, queues a second and
+		// cancels it over HTTP, reporting the storage ops spent before the
+		// DELETE and its status.
+		cancelQueued := func(plan chaos.Plan) (int, int) {
+			started, block := make(chan struct{}), make(chan struct{})
+			var once sync.Once
+			fsys := chaos.New(plan, nil)
+			srv := newTestServer(t, Config{FS: fsys, CellHook: func(string, int) {
+				once.Do(func() { close(started) })
+				<-block
+			}})
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer close(block)
+
+			exp := quickExperiment()
+			exp.Parallel = 1
+			if _, err := srv.Submit(exp); err != nil {
+				t.Fatal(err)
+			}
+			<-started
+			queued, err := srv.Submit(quickKernel())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops := fsys.Ops()
+			if status := deleteJob(t, ts.URL, "j999999"); status != http.StatusNotFound {
+				t.Fatalf("cancel of an unknown job: status %d, want 404", status)
+			}
+			status := deleteJob(t, ts.URL, queued.ID)
+			if got, _ := srv.Get(queued.ID); got.State != StateCanceled {
+				t.Fatalf("canceled job is %s", got.State)
+			}
+			return ops, status
+		}
+		ops, status := cancelQueued(chaos.Plan{})
+		if status != http.StatusOK {
+			t.Fatalf("cancel on a healthy disk: status %d", status)
+		}
+		// The same schedule again, with the cancel's append refused.
+		if _, status := cancelQueued(chaos.Plan{Rules: []chaos.Rule{{Kind: chaos.NoSpace, At: ops + 1}}}); status != http.StatusInternalServerError {
+			t.Fatalf("cancel whose record cannot persist: status %d, want 500", status)
+		}
+	})
+}
+
+// deleteJob cancels a job over HTTP and returns the status code.
+func deleteJob(t *testing.T, url, id string) int {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+id, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
 }

@@ -1,15 +1,17 @@
 // Package storefs is the storage seam of the serving stack: the small
-// filesystem interface every durable write of the job server — job records,
-// the content-addressed result cache, and the checkpoint write-ahead logs —
-// goes through. Production code uses the OS implementation; internal/chaos
+// filesystem interface every durable write of the job server — the journal
+// of job records and results, and the checkpoint write-ahead logs — goes
+// through. Production code uses the OS implementation; internal/chaos
 // provides a seeded fault-injecting implementation of the same interface, so
 // torn writes, ENOSPC, sync failures, rename failures, and kill-at-an-
 // arbitrary-write crashes can be replayed deterministically in tests.
 //
-// The interface is deliberately tiny — create/write/sync/rename/remove plus
-// the read side — because every durability argument the server makes reduces
-// to those operations: atomic record replacement is create+write+sync+rename,
-// WAL appends are open+write, torn-tail recovery is truncate.
+// The interface is deliberately tiny — create/write/sync/truncate plus the
+// read side — because every durability argument the server makes reduces
+// to those operations: a journal append is write+sync, WAL appends are
+// open+write, torn-tail recovery is truncate. The server no longer renames
+// or removes; Rename and Remove stay for wrappers that forward the whole
+// interface, such as the benchmark's timing FS (bench/fs.go).
 package storefs
 
 import (
