@@ -113,13 +113,15 @@ trace-smoke:
 
 # Exercise the fault layer end to end at CI scale: both graceful-degradation
 # figures, then a faulted run traced to JSONL (fault_stall events included)
-# and structurally validated.
+# and structurally validated, then 10 s of native fuzzing of the -faults
+# grammar.
 fault-smoke:
 	$(GO) run ./cmd/emubench -fig degradation-stream -quick -format table
 	$(GO) run ./cmd/emubench -fig degradation-chase -quick -format table
 	$(GO) run ./cmd/emutrace -fig fig6 -quick -trials 1 -format jsonl \
 		-faults 'migstall=10us/100us' -out /tmp/emufault-smoke.jsonl
 	$(GO) run ./cmd/emutrace -validate /tmp/emufault-smoke.jsonl
+	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 10s
 
 # Chaos smoke at -short scale: the seeded fault-injection unit suite plus
 # the crash-restart fuzz (kill the store at a seeded op, restart, demand
@@ -161,10 +163,8 @@ soak:
 
 examples:
 	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/graphwalk
 	$(GO) run ./examples/spmv
 	$(GO) run ./examples/migration
-	$(GO) run ./examples/tensor
 
 clean:
 	$(GO) clean ./...

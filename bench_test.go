@@ -13,7 +13,6 @@ import (
 	"emuchick/internal/cpukernels"
 	"emuchick/internal/experiments"
 	"emuchick/internal/sim"
-	"emuchick/internal/workload"
 	"emuchick/internal/xeon"
 )
 
@@ -227,114 +226,7 @@ func BenchmarkFig11FullSpeed64(b *testing.B) {
 	}))
 }
 
-// --- Extension benchmarks: the application substrates the paper's
-// introduction motivates, plus model ablations.
-
-// BenchmarkGraphTraversalClustered walks a STINGER-style graph whose edge
-// blocks live on their vertices' nodelets.
-func BenchmarkGraphTraversalClustered(b *testing.B) {
-	benchGraphTraversal(b, PlaceAtVertex)
-}
-
-// BenchmarkGraphTraversalFragmented walks the same graph with blocks
-// scattered round-robin — pointer chasing in application form.
-func BenchmarkGraphTraversalFragmented(b *testing.B) {
-	benchGraphTraversal(b, PlaceRoundRobin)
-}
-
-func benchGraphTraversal(b *testing.B, placement Placement) {
-	b.Helper()
-	var mbps float64
-	for i := 0; i < b.N; i++ {
-		sys := NewSystem(HardwareChick())
-		g, err := NewGraph(sys, GraphConfig{
-			Vertices: 1024, EdgesPerBlock: 4, Placement: placement, PoolBlocksPerNodelet: 4096,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rng := uint64(12345)
-		next := func(n int) int {
-			rng ^= rng << 13
-			rng ^= rng >> 7
-			rng ^= rng << 17
-			return int(rng % uint64(n))
-		}
-		edges := 0
-		for v := 0; v < 1024; v++ {
-			for e := 0; e < 8; e++ {
-				if err := g.BuildInsert(GraphEdge{Src: v, Dst: next(1024), Weight: 1}); err != nil {
-					b.Fatal(err)
-				}
-				edges++
-			}
-		}
-		walkers := NewWorkers(8, 128, RecursiveRemoteSpawn, func(id int) Body {
-			var walks drives
-			for v := id; v < 1024; v += 128 {
-				walks = append(walks, g.WalkTimed(v, func(*Thread, int, uint64) bool { return true }))
-			}
-			return &walks
-		})
-		elapsed, err := sys.Run(&drives{walkers})
-		if err != nil {
-			b.Fatal(err)
-		}
-		mbps = float64(edges*16) / elapsed.Seconds() / 1e6
-	}
-	b.ReportMetric(mbps, "simMB/s")
-}
-
-// BenchmarkGraphBFS runs the level-synchronous BFS over an R-MAT graph —
-// the STINGER-style analytics kernel the paper's introduction motivates.
-func BenchmarkGraphBFS(b *testing.B) {
-	cfg := workload.DefaultRMAT(10, 8) // 1024 vertices, 8192 edges
-	edges, err := workload.RMAT(cfg, workload.NewRNG(42))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var reached int
-	for i := 0; i < b.N; i++ {
-		sys := NewSystem(HardwareChick())
-		g, err := NewGraph(sys, GraphConfig{
-			Vertices: cfg.Vertices(), EdgesPerBlock: 4,
-			Placement: PlaceAtVertex, PoolBlocksPerNodelet: len(edges),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, e := range edges {
-			if err := g.BuildInsert(GraphEdge{Src: e.Src, Dst: e.Dst, Weight: 1}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		bfs, err := BFS(g, 0, 64)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.Run(&drives{bfs}); err != nil {
-			b.Fatal(err)
-		}
-		dist := bfs.Dist()
-		reached = 0
-		for _, d := range dist {
-			if d >= 0 {
-				reached++
-			}
-		}
-	}
-	b.ReportMetric(float64(reached), "verticesReached")
-}
-
-// BenchmarkTensorTTV2D contracts a sparse tensor under the slice-blocked
-// layout (the ParTI motivation).
-func BenchmarkTensorTTV2D(b *testing.B) {
-	reportEmu(b, func() (Result, error) {
-		return RunTTV(HardwareChick(), TTVConfig{
-			Dims: [3]int{64, 64, 64}, NNZ: 20000, Seed: 1, Layout: TensorLayout2D, GrainNNZ: 16,
-		})
-	})
-}
+// --- Model ablations.
 
 // BenchmarkAblationReplicatedX is the smart-migration ablation headline:
 // SpMV 2D with the input vector replicated (vs striped in the experiment).
@@ -357,8 +249,9 @@ func (s *threadletSleeper) StepProc(p *sim.Proc) {
 }
 
 // BenchmarkThreadletScale spawns 2^20 continuation procs — the resident
-// threadlet population of a 16-chassis full-speed rack — parks every one of
-// them, wakes them all, and reports the measured heap bytes per parked proc.
+// threadlet population of 1,024 design-speed nodelets at 1,024 contexts
+// each — parks every one of them, wakes them all, and reports the measured
+// heap bytes per parked proc.
 // A goroutine per proc would need gigabytes of stacks; the continuation
 // engine must stay within a small constant per proc, and the benchmark
 // fails outright if the bound breaks. Wired into `make bench-gate` so the

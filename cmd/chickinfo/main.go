@@ -85,7 +85,6 @@ func info(w io.Writer) error {
 	defs.AddRow("RemoteStores", "posted stores arriving from other nodelets")
 	defs.AddRow("Atomics", "memory-side atomic operations served here")
 	defs.AddRow("ComputeCycles", "non-memory core cycles charged here")
-	defs.AddRow("ServiceCalls", "OS requests forwarded to the node's stationary core")
 	_, err := defs.WriteTo(w)
 	return err
 }

@@ -18,7 +18,6 @@ func TestInfoOutput(t *testing.T) {
 		"xeon-e5-2670-sandybridge",
 		"xeon-e7-4850v3-haswell",
 		"MigrationsIn/Out",
-		"ServiceCalls",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info output missing %q", want)

@@ -18,8 +18,8 @@ func (s *script) Step(t *Thread) bool {
 	return true
 }
 
-// drives is a test thread body that runs each spawn tree or analytics
-// kernel to completion, in order.
+// drives is a test thread body that runs each spawn tree to completion, in
+// order.
 type drives []Driver
 
 func (d *drives) Step(t *Thread) bool {

@@ -1,8 +1,6 @@
 package cilk
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -94,7 +92,7 @@ func runRecorded(t *testing.T, label, want string, mk func(s *machine.System) ma
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	checkDigest(t, label, runDigest(elapsed, rec.events, s, nil), want)
+	checkDigest(t, label, runDigest(elapsed, rec.events, s), want)
 }
 
 func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
@@ -135,14 +133,7 @@ func TestContGroupedGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	for _, e := range rec.events {
-		fmt.Fprintln(h, int64(e.Time), int64(e.End), int(e.Kind), e.Nodelet, e.Target, uint64(e.Addr))
-	}
-	fmt.Fprintf(h, "%d %+v\n", int64(elapsed), s.Counters.Snapshot())
-	if got := hex.EncodeToString(h.Sum(nil)); got != groupedGoldenDigest {
-		t.Errorf("grouped event stream drifted: digest %s", got)
-	}
+	checkDigest(t, "grouped", runDigest(elapsed, rec.events, s), groupedGoldenDigest)
 }
 
 func TestContWorkersZeroAndNegative(t *testing.T) {

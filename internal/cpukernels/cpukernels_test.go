@@ -161,44 +161,6 @@ func TestCPUSpMVScalesWithMatrixSize(t *testing.T) {
 	}
 }
 
-func TestCPUGUPSVerifies(t *testing.T) {
-	res, err := GUPS(xeon.SandyBridgeXeon(), GUPSConfig{
-		TableWords: 1 << 12, Updates: 1 << 12, Threads: 16, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bytes != 8<<12 {
-		t.Fatalf("bytes = %d", res.Bytes)
-	}
-}
-
-func TestCPUGUPSWastesLinesOutOfCache(t *testing.T) {
-	// Out-of-cache random updates use 8 of every 64 fetched bytes, so
-	// useful bandwidth stays far below nominal.
-	res, err := GUPS(xeon.SandyBridgeXeon(), GUPSConfig{
-		TableWords: 1 << 22, Updates: 1 << 15, Threads: 32, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac := res.BytesPerSec() / 51.2e9; frac > 0.2 {
-		t.Fatalf("GUPS at %.0f%% of nominal; line waste missing", frac*100)
-	}
-}
-
-func TestCPUGUPSRejectsBadConfig(t *testing.T) {
-	for _, cfg := range []GUPSConfig{
-		{TableWords: 0, Updates: 1, Threads: 1},
-		{TableWords: 1, Updates: 0, Threads: 1},
-		{TableWords: 1, Updates: 1, Threads: 0},
-	} {
-		if _, err := GUPS(xeon.SandyBridgeXeon(), cfg); err == nil {
-			t.Errorf("config %+v accepted", cfg)
-		}
-	}
-}
-
 func TestCPUSpMVRejectsBadConfig(t *testing.T) {
 	bad := []SpMVConfig{
 		{GridN: 0, Variant: SpMVMKL, Threads: 1},

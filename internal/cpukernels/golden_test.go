@@ -82,17 +82,6 @@ func cpuGoldenCases() []cpuGoldenCase {
 	spmv("spmv/mkl/n5/t56", haswell, SpMVConfig{GridN: 5, Variant: SpMVMKL, Threads: 56})
 	spmv("spmv/cilk_for/sandy", sandy, SpMVConfig{GridN: 12, Variant: SpMVCilkFor, Threads: 32})
 	spmv("spmv/cilk_spawn/freespawn", freeSpawn, SpMVConfig{GridN: 16, Variant: SpMVCilkSpawn, Threads: 8, GrainNNZ: 64})
-
-	gups := func(name string, ccfg xeon.Config, cfg GUPSConfig) {
-		cases = append(cases, cpuGoldenCase{name, func() (metrics.Result, []int64, error) {
-			return result(GUPS(ccfg, cfg))
-		}})
-	}
-	for _, seed := range []uint64{1, 7} {
-		gups(fmt.Sprintf("gups/seed%d", seed), sandy, GUPSConfig{TableWords: 4096, Updates: 4096, Threads: 16, Seed: seed})
-	}
-	gups("gups/tiny", tiny, GUPSConfig{TableWords: 8192, Updates: 2048, Threads: 8, Seed: 11})
-	gups("gups/threads>updates", sandy, GUPSConfig{TableWords: 64, Updates: 20, Threads: 48, Seed: 3})
 	return cases
 }
 
@@ -126,10 +115,6 @@ var cpuKernelGolden = map[string]string{
 	"spmv/mkl/n5/t56":                "751a2b704c7f3976bb2d5e925b3845031463c5575808f544d8f6f5383ee88048",
 	"spmv/cilk_for/sandy":            "648763790a6e3256b9b8450bc232e1b0d23391193a6cea560a34a5db4a116cd6",
 	"spmv/cilk_spawn/freespawn":      "07ea5d1e5144697f2c227544792e4afb56780b75a5d0fd6cbdfdabdc9eb8ff93",
-	"gups/seed1":                     "73333390cd2b67c52943593ba68b3fc2b6a39513926770627781cdc9a4f3923e",
-	"gups/seed7":                     "43b1a6bf7afa87b1fdc6477b5ef1d92c09ae89124b2c0bab320080eab6d21564",
-	"gups/tiny":                      "99b786f945c15d3bdd5abfe7116c952d7fe0ffe0dd6f6872e7df0be73d2765f6",
-	"gups/threads>updates":           "21de8ea56de31a33025d18de235390331eafefeb572ce1c8b2661c7659ac6982",
 }
 
 func TestCPUKernelGoldenDigests(t *testing.T) {

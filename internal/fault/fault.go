@@ -22,6 +22,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,8 +37,8 @@ import (
 // Nodelets list, a seeded random pick of Count nodelets, or (both empty)
 // every nodelet.
 type Slowdown struct {
-	// Factor multiplies the resource's service time; it must be >= 1
-	// (faults degrade, they never accelerate).
+	// Factor multiplies the resource's service time; it must lie in
+	// [1, MaxFactor] (faults degrade, they never accelerate).
 	Factor float64
 	// Count selects this many distinct nodelets with the plan's seeded
 	// RNG; 0 with a nil Nodelets list means all nodelets.
@@ -52,6 +53,7 @@ type Slowdown struct {
 // the window closes.
 type LinkFault struct {
 	// Factor multiplies the link's transfer time; 0 means outage.
+	// Otherwise it must lie in [1, MaxFactor].
 	Factor float64
 	// Start and End bound the window. End == 0 means "from Start onward"
 	// and is only legal for Factor >= 1 (an open-ended outage would stall
@@ -85,6 +87,13 @@ type Backoff struct {
 // prototype's 150 MHz clock).
 var DefaultBackoff = Backoff{BaseCycles: 64, MaxCycles: 4096}
 
+// MaxFactor bounds the product of a plan's core factors, of its channel
+// factors and of its link factors: rules can overlap on one resource, where
+// they multiply. Scaled by it, a one-second service time, longer than any
+// single booking the model makes, stays well inside sim.Time (1e18 of
+// ~9.2e18 ps).
+const MaxFactor = 1e6
+
 // Plan is one deterministic fault scenario. The zero value (and nil) injects
 // nothing and is guaranteed byte-identical to an uninjected run.
 type Plan struct {
@@ -110,20 +119,28 @@ func (p *Plan) Validate() error {
 	if p == nil {
 		return nil
 	}
-	for i, s := range append(append([]Slowdown{}, p.Cores...), p.Channels...) {
-		if s.Factor < 1 {
-			return fmt.Errorf("fault: slowdown %d: factor %v < 1", i, s.Factor)
+	for _, rules := range [][]Slowdown{p.Cores, p.Channels} {
+		product := 1.0
+		for i, s := range rules {
+			if !(s.Factor >= 1) { // also refuses NaN
+				return fmt.Errorf("fault: slowdown %d: factor %v is not >= 1", i, s.Factor)
+			}
+			if s.Count < 0 {
+				return fmt.Errorf("fault: slowdown %d: negative count", i)
+			}
+			product *= s.Factor
 		}
-		if s.Count < 0 {
-			return fmt.Errorf("fault: slowdown %d: negative count", i)
+		if product > MaxFactor {
+			return fmt.Errorf("fault: slowdown factors multiply to %g > MaxFactor %g", product, MaxFactor)
 		}
 	}
+	product := 1.0
 	for i, l := range p.Links {
-		if l.Factor < 0 {
-			return fmt.Errorf("fault: link fault %d: negative factor", i)
+		if l.Factor != 0 && !(l.Factor >= 1) { // also refuses NaN
+			return fmt.Errorf("fault: link fault %d: factor %v is neither 0 (an outage) nor >= 1", i, l.Factor)
 		}
-		if l.Factor < 1 && l.Factor != 0 {
-			return fmt.Errorf("fault: link fault %d: factor %v in (0, 1) would accelerate the link", i, l.Factor)
+		if l.Factor > 0 {
+			product *= l.Factor
 		}
 		if l.End != 0 && l.End <= l.Start {
 			return fmt.Errorf("fault: link fault %d: window end %v <= start %v", i, l.End, l.Start)
@@ -131,6 +148,9 @@ func (p *Plan) Validate() error {
 		if l.Factor == 0 && l.End == 0 {
 			return fmt.Errorf("fault: link fault %d: open-ended outage would stall threads forever", i)
 		}
+	}
+	if product > MaxFactor {
+		return fmt.Errorf("fault: link factors multiply to %g > MaxFactor %g", product, MaxFactor)
 	}
 	for i, s := range p.Stalls {
 		if s.Duration <= 0 || s.Period <= 0 {
@@ -372,8 +392,10 @@ func Scale(t sim.Time, factor float64) sim.Time {
 //	migstall=D/P    migration engine stalls for D at the start of every P
 //	backoff=B/M     retry backoff: B base cycles doubling to M max
 //
-// Durations use Go syntax ("10us", "1ms"); windows omit the window to mean
-// the whole run (outages must name one). seed drives the @K selections.
+// Factors lie in [1, MaxFactor]. Durations use Go syntax ("10us", "1ms")
+// and must fit simulated time (under 2562h); windows omit the window to
+// mean the whole run (outages must name one). seed drives the @K
+// selections.
 //
 //	-faults 'chan=4@2,migstall=10us/100us' -fault-seed 7
 func Parse(spec string, seed uint64) (*Plan, error) {
@@ -493,6 +515,9 @@ func parseBackoff(dst *Backoff, val string) error {
 	return nil
 }
 
+// maxDur is the longest duration simulated time can hold.
+const maxDur = time.Duration(math.MaxInt64 / int64(sim.Nanosecond))
+
 // parseDur converts a Go duration literal into simulated time.
 func parseDur(s string) (sim.Time, error) {
 	d, err := time.ParseDuration(strings.TrimSpace(s))
@@ -501,6 +526,9 @@ func parseDur(s string) (sim.Time, error) {
 	}
 	if d < 0 {
 		return 0, fmt.Errorf("negative duration %q", s)
+	}
+	if d > maxDur {
+		return 0, fmt.Errorf("duration %q is past the range of simulated time (%v)", s, maxDur)
 	}
 	return sim.Time(d.Nanoseconds()) * sim.Nanosecond, nil
 }

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"emuchick/internal/sim"
@@ -181,6 +183,13 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Links: []LinkFault{{Factor: 2, Start: 2 * sim.Microsecond, End: sim.Microsecond}}}, // inverted window
 		{Stalls: []Stall{{Duration: sim.Microsecond, Period: sim.Microsecond}}},             // no service window
 		{Stalls: []Stall{{Duration: 0, Period: sim.Microsecond}}},
+		{Cores: []Slowdown{{Factor: math.NaN()}}},
+		{Cores: []Slowdown{{Factor: 1e300}}},
+		{Channels: []Slowdown{{Factor: math.Inf(1)}}},
+		{Cores: []Slowdown{{Factor: 1e4}, {Factor: 1e4}}}, // composes past MaxFactor
+		{Links: []LinkFault{{Factor: math.NaN(), End: sim.Microsecond}}},
+		{Links: []LinkFault{{Factor: math.Inf(1), End: sim.Microsecond}}},
+		{Links: []LinkFault{{Factor: 2 * MaxFactor, End: sim.Microsecond}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -220,9 +229,72 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"cores", "cores=x", "cores=2@0", "link=off", "link=2@5us",
 		"migstall=10us", "migstall=0s/1ms", "backoff=64", "wat=1",
+		"cores=NaN", "cores=1e300", "chan=Inf", "link=Inf@0s-1us",
+		"link=off@0s-6000h", "link=off@0s-3000h", "migstall=1us/2563h",
 	} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)
 		}
 	}
+	// A duration past the simulated time range is refused as such, not
+	// wrapped into a misleading window error.
+	if _, err := Parse("link=off@0s-3000h", 1); err == nil || !strings.Contains(err.Error(), "range") {
+		t.Errorf("Parse of a 3000h window: %v, want a range error", err)
+	}
+	for _, ok := range []string{"cores=1e6", "link=off@0s-2562h"} {
+		if _, err := Parse(ok, 1); err != nil {
+			t.Errorf("Parse(%q): %v", ok, err)
+		}
+	}
+}
+
+// FuzzParse feeds arbitrary specs and seeds to Parse. Parse never panics,
+// and a plan it accepts validates, resolves onto a one-node and an
+// eight-node Chick, only ever slows a resource down, and has non-negative
+// windows and stalls that leave a service window in every period.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, seed uint64) {
+		p, err := Parse(spec, seed)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Parse(%q) accepted a plan Validate refuses: %v", spec, err)
+		}
+		for _, shape := range []struct{ nodelets, nodes int }{{8, 1}, {64, 8}} {
+			r, err := p.Resolve(shape.nodelets, shape.nodes)
+			if err != nil {
+				t.Fatalf("Parse(%q) onto %d nodelets: %v", spec, shape.nodelets, err)
+			}
+			if r == nil {
+				continue
+			}
+			for nl := range r.CoreScale {
+				for _, scale := range []float64{r.CoreScale[nl], r.ChannelScale[nl]} {
+					if got := Scale(sim.Second, scale); got < sim.Second {
+						t.Fatalf("Parse(%q): nodelet %d scale %v turns 1s into %v", spec, nl, scale, got)
+					}
+				}
+			}
+			for nd, links := range r.links {
+				for _, l := range links {
+					if l.Factor > 0 {
+						if got := Scale(sim.Second, r.LinkScale(nd, l.Start)); got < sim.Second {
+							t.Fatalf("Parse(%q): node %d link scale turns 1s into %v", spec, nd, got)
+						}
+					}
+				}
+			}
+		}
+		for _, l := range p.Links {
+			if l.Start < 0 || l.End < 0 {
+				t.Fatalf("Parse(%q): link window [%v, %v)", spec, l.Start, l.End)
+			}
+		}
+		for _, s := range p.Stalls {
+			if s.Duration < 0 || s.Duration >= s.Period {
+				t.Fatalf("Parse(%q): stall %v every %v", spec, s.Duration, s.Period)
+			}
+		}
+	})
 }

@@ -59,7 +59,13 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	// Job one wedges the only worker mid-sweep; job two fills the queue.
+	// Job two goes in only once the worker has taken job one off the
+	// queue: a job turns running after its queue slot is released.
 	first := postJob(t, ts.URL, quickExperiment())
+	waitFor(t, func() bool {
+		got, _ := srv.Get(first.ID)
+		return got.State == StateRunning
+	})
 	second := postJob(t, ts.URL, quickKernel())
 
 	// Queue saturated: a third distinct workload is shed.

@@ -58,6 +58,7 @@ func TestValidate(t *testing.T) {
 		"negative trials":       {Experiment: "fig4", Trials: -1},
 		"negative parallel":     {Experiment: "fig4", Parallel: -2},
 		"bad fault grammar":     {Experiment: "fig4", Faults: "chan="},
+		"infinite fault factor": {Experiment: "fig4", Faults: "chan=Inf"},
 		"unknown machine":       {Kernel: "gups", Machine: Machine{Name: "tpu"}},
 		"bad strategy":          {Kernel: "stream", Params: kernels.Params{Strategy: "bogus"}},
 		"bad shuffle mode":      {Kernel: "chase", Params: kernels.Params{Mode: "bogus"}},

@@ -47,7 +47,16 @@ func (d *digestObserver) Event(e trace.Event) {
 	if e.Kind == trace.KindFaultStall {
 		d.stalls++
 	}
-	d.put('E', int64(e.Time), int64(e.End), int64(e.Kind), int64(e.Nodelet), int64(e.Target), int64(e.Addr))
+	d.put('E', int64(e.Time), int64(e.End), recordedKind(e.Kind), int64(e.Nodelet), int64(e.Target), int64(e.Addr))
+}
+
+// recordedKind is the number a kind had when the digests were recorded:
+// a service-call kind then sat just before KindFaultStall.
+func recordedKind(k trace.Kind) int64 {
+	if k >= trace.KindFaultStall {
+		return int64(k) + 1
+	}
+	return int64(k)
 }
 
 func (d *digestObserver) Sample(s trace.Sample) {

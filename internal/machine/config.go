@@ -34,13 +34,6 @@ type Config struct {
 	GCsPerNodelet   int // 1 on the prototype, 4 at design speed
 	ThreadsPerGC    int // 64 on the prototype, 256 at design speed
 
-	// Rack tier: a multi-chassis fabric above the node cards. Zero
-	// NodesPerChassis means a single-tier machine (every node in one
-	// chassis, the Chick itself) and leaves every latency computation
-	// exactly as before — the rack fields are strictly additive.
-	NodesPerChassis     int      // node cards per chassis; 0 = single-tier
-	InterChassisLatency sim.Time // extra flight time when crossing chassis
-
 	// Gossamer cores.
 	CoreHz         int64 // 150 MHz prototype, 300 MHz design
 	MemIssueCycles int64 // core cycles to issue one memory operation
@@ -88,13 +81,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("machine: config %q: FabricBytesPerSec must be positive", c.Name)
 	case c.MemIssueCycles <= 0:
 		return fmt.Errorf("machine: config %q: MemIssueCycles must be positive", c.Name)
-	case c.NodesPerChassis < 0:
-		return fmt.Errorf("machine: config %q: NodesPerChassis must be non-negative", c.Name)
-	case c.InterChassisLatency < 0:
-		return fmt.Errorf("machine: config %q: InterChassisLatency must be non-negative", c.Name)
-	case c.NodesPerChassis > 0 && c.Nodes%c.NodesPerChassis != 0:
-		return fmt.Errorf("machine: config %q: Nodes (%d) must be a multiple of NodesPerChassis (%d)",
-			c.Name, c.Nodes, c.NodesPerChassis)
 	}
 	return nil
 }
@@ -108,24 +94,6 @@ func (c Config) ContextsPerNodelet() int { return c.GCsPerNodelet * c.ThreadsPer
 
 // NodeOf reports which node card the given nodelet belongs to.
 func (c Config) NodeOf(nodelet int) int { return nodelet / c.NodeletsPerNode }
-
-// ChassisOf reports which chassis the given nodelet belongs to. On a
-// single-tier machine (NodesPerChassis zero) every nodelet is in chassis 0,
-// so no transfer ever crosses a chassis boundary.
-func (c Config) ChassisOf(nodelet int) int {
-	if c.NodesPerChassis <= 0 {
-		return 0
-	}
-	return c.NodeOf(nodelet) / c.NodesPerChassis
-}
-
-// Chassis reports the chassis count (1 for a single-tier machine).
-func (c Config) Chassis() int {
-	if c.NodesPerChassis <= 0 {
-		return 1
-	}
-	return c.Nodes / c.NodesPerChassis
-}
 
 // ChannelBytesPerSec reports the peak word-traffic rate of one NCDRAM
 // channel under this configuration.
@@ -218,22 +186,4 @@ func FullSpeed(nodes int) Config {
 		LocalSpawnCycles:   40,
 		RemoteSpawnLatency: 1 * sim.Microsecond,
 	}
-}
-
-// FullSpeedRack returns the design-speed configuration scaled to a rack of
-// the given number of chassis, each an 8-node (64-nodelet) Fig. 11 system,
-// joined by a top-of-rack fabric tier. A full rack is millions of hardware
-// thread contexts (chassis × 64 nodelets × 1024 contexts), which is only
-// tractable to simulate because a parked threadlet is a couple of hundred
-// bytes of state machine (see CThread), not a host goroutine.
-// FullSpeedRack(1) differs from FullSpeed(8) only in naming the chassis
-// tier explicitly; no transfer crosses a chassis, so timings are identical.
-func FullSpeedRack(chassis int) Config {
-	c := FullSpeed(8 * chassis)
-	c.Name = fmt.Sprintf("emu-fullspeed-rack-%dchassis", chassis)
-	c.NodesPerChassis = 8
-	// The rack tier is an aggregated top-of-rack switch hop: noticeably
-	// longer than the in-chassis RapidIO mesh, same order of magnitude.
-	c.InterChassisLatency = 2 * sim.Microsecond
-	return c
 }

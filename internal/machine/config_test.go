@@ -13,8 +13,6 @@ func TestPresetConfigsValidate(t *testing.T) {
 		SimMatched(),
 		FullSpeed(1),
 		FullSpeed(8),
-		FullSpeedRack(1),
-		FullSpeedRack(4),
 	} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("config %q invalid: %v", cfg.Name, err)
@@ -39,9 +37,6 @@ func TestValidateCatchesEveryField(t *testing.T) {
 		{"ContextBytes", func(c *Config) { c.ContextBytes = 0 }},
 		{"FabricBytesPerSec", func(c *Config) { c.FabricBytesPerSec = 0 }},
 		{"MemIssueCycles", func(c *Config) { c.MemIssueCycles = 0 }},
-		{"NodesPerChassis", func(c *Config) { c.NodesPerChassis = -1 }},
-		{"InterChassisLatency", func(c *Config) { c.InterChassisLatency = -1 }},
-		{"Nodes%NodesPerChassis", func(c *Config) { c.Nodes = 3; c.NodesPerChassis = 2 }},
 	}
 	for _, m := range mutations {
 		c := base
@@ -64,56 +59,6 @@ func TestTopologyHelpers(t *testing.T) {
 	}
 	if c.NodeOf(0) != 0 || c.NodeOf(7) != 0 || c.NodeOf(8) != 1 || c.NodeOf(63) != 7 {
 		t.Fatal("NodeOf mapping wrong")
-	}
-}
-
-func TestChassisTopologyHelpers(t *testing.T) {
-	// Single-tier: everything is chassis 0, and the chassis count is 1,
-	// regardless of node count — no transfer ever crosses a chassis.
-	st := HardwareChickNodes(8)
-	if st.Chassis() != 1 {
-		t.Fatalf("single-tier Chassis() = %d, want 1", st.Chassis())
-	}
-	for _, nl := range []int{0, 7, 8, 63} {
-		if st.ChassisOf(nl) != 0 {
-			t.Fatalf("single-tier ChassisOf(%d) = %d, want 0", nl, st.ChassisOf(nl))
-		}
-	}
-	// Rack tier: 4 chassis of 8 nodes (64 nodelets) each.
-	r := FullSpeedRack(4)
-	if r.Chassis() != 4 {
-		t.Fatalf("rack Chassis() = %d, want 4", r.Chassis())
-	}
-	if r.TotalNodelets() != 256 {
-		t.Fatalf("rack TotalNodelets = %d, want 256", r.TotalNodelets())
-	}
-	for _, tc := range []struct{ nodelet, chassis int }{
-		{0, 0}, {63, 0}, {64, 1}, {127, 1}, {128, 2}, {255, 3},
-	} {
-		if got := r.ChassisOf(tc.nodelet); got != tc.chassis {
-			t.Errorf("ChassisOf(%d) = %d, want %d", tc.nodelet, got, tc.chassis)
-		}
-	}
-}
-
-func TestFullSpeedRackExtendsFullSpeed(t *testing.T) {
-	// One chassis is exactly the 64-nodelet Fig. 11 machine with the rack
-	// tier named explicitly: same timings everywhere, and since no transfer
-	// crosses a chassis the extra latency field is never charged.
-	r1, fs := FullSpeedRack(1), FullSpeed(8)
-	r1.Name, fs.Name = "", ""
-	r1.NodesPerChassis, r1.InterChassisLatency = 0, 0
-	if r1 != fs {
-		t.Fatalf("FullSpeedRack(1) differs from FullSpeed(8) beyond the rack tier:\nrack:      %+v\nfullspeed: %+v", r1, fs)
-	}
-	r := FullSpeedRack(2)
-	if r.Nodes != 16 || r.NodesPerChassis != 8 || r.InterChassisLatency <= 0 {
-		t.Fatalf("FullSpeedRack(2) rack tier wrong: %+v", r)
-	}
-	// A full rack reaches the million-threadlet regime the continuation
-	// engine exists for: chassis x 64 nodelets x 1024 contexts.
-	if contexts := FullSpeedRack(16).TotalNodelets() * r.ContextsPerNodelet(); contexts < 1<<20 {
-		t.Fatalf("16-chassis rack holds %d contexts, want >= 2^20", contexts)
 	}
 }
 

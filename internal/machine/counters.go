@@ -8,7 +8,7 @@ package machine
 // Storage is struct-of-arrays over a single arena: one contiguous []uint64
 // holds every per-nodelet series back to back, so a whole-machine reduction
 // (TotalWords, Snapshot, the gauge scorecards) walks unit-stride memory
-// instead of striding over 104-byte per-nodelet structs, and the increment
+// instead of striding over 96-byte per-nodelet structs, and the increment
 // paths index a flat series with no pointer chasing. NodeletCounters remains
 // the assembled per-nodelet view the public API returns.
 type Counters struct {
@@ -20,7 +20,7 @@ type Counters struct {
 	migrationsIn, migrationsOut []uint64
 	localReads, localWrites     []uint64
 	remoteStores, atomics       []uint64
-	computeCycles, serviceCalls []uint64
+	computeCycles               []uint64
 	// Fault-injection series (zero on healthy runs); see internal/fault.
 	stalledMigrations, migrationRetries, backoffCycles []uint64
 
@@ -31,7 +31,7 @@ type Counters struct {
 }
 
 // numSeries is how many per-nodelet series the arena holds.
-const numSeries = 13
+const numSeries = 12
 
 // NodeletCounters is the assembled per-nodelet view of the counter set.
 type NodeletCounters struct {
@@ -44,7 +44,6 @@ type NodeletCounters struct {
 	RemoteStores  uint64 // posted stores arriving from other nodelets
 	Atomics       uint64 // memory-side atomic operations served
 	ComputeCycles uint64 // non-memory core cycles charged on this nodelet
-	ServiceCalls  uint64 // OS requests forwarded to the stationary core
 
 	// Fault-injection counters (zero on healthy runs): migrations that hit
 	// at least one stall/outage window, individual backoff retries, and
@@ -66,10 +65,9 @@ func newCounters(nodelets int) *Counters {
 	c.remoteStores = series(6)
 	c.atomics = series(7)
 	c.computeCycles = series(8)
-	c.serviceCalls = series(9)
-	c.stalledMigrations = series(10)
-	c.migrationRetries = series(11)
-	c.backoffCycles = series(12)
+	c.stalledMigrations = series(9)
+	c.migrationRetries = series(10)
+	c.backoffCycles = series(11)
 	return c
 }
 
@@ -85,7 +83,6 @@ func (c *Counters) Nodelet(nl int) NodeletCounters {
 		RemoteStores:      c.remoteStores[nl],
 		Atomics:           c.atomics[nl],
 		ComputeCycles:     c.computeCycles[nl],
-		ServiceCalls:      c.serviceCalls[nl],
 		StalledMigrations: c.stalledMigrations[nl],
 		MigrationRetries:  c.migrationRetries[nl],
 		BackoffCycles:     c.backoffCycles[nl],

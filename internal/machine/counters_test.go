@@ -41,20 +41,4 @@ func TestSystemAccessors(t *testing.T) {
 	if s.Clock().Hz() != 150e6 {
 		t.Fatalf("Clock = %d Hz", s.Clock().Hz())
 	}
-	arr := s.Mem.AllocLocal(0, 8)
-	sc := loadAll(arr.At, 8)
-	elapsed, err := s.Run(&sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u := s.ChannelUtilization(0, elapsed); u <= 0 {
-		t.Fatal("nodelet 0 channel utilization zero")
-	}
-	if u := s.ChannelUtilization(1, elapsed); u != 0 {
-		t.Fatal("idle nodelet has utilization")
-	}
-	mean := s.MeanChannelUtilization(elapsed)
-	if mean <= 0 || mean >= s.ChannelUtilization(0, elapsed) {
-		t.Fatalf("mean utilization = %v", mean)
-	}
 }

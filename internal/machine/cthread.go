@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"math"
 
 	"emuchick/internal/fault"
 	"emuchick/internal/memsys"
@@ -28,11 +27,11 @@ import (
 // A CThread is an explicit state machine the event loop resumes by a method
 // call. A CThread plus its sim.Proc is the entire saved context of a parked
 // threadlet — a couple of hundred bytes, like the register file the
-// hardware swaps in and out — which is what makes rack-scale configurations
-// (millions of resident contexts) simulable. Contexts are pooled by the
-// System (see acquireCThread), and the child join is embedded rather than
-// allocated: children all finish before their parent's implicit end-of-body
-// sync completes, so the embedded join never outlives its CThread.
+// hardware swaps in and out — which is what makes millions of resident
+// contexts simulable. Contexts are pooled by the System (see
+// acquireCThread), and the child join is embedded rather than allocated:
+// children all finish before their parent's implicit end-of-body sync
+// completes, so the embedded join never outlives its CThread.
 //
 // Bodies implement CBody. A body method that can block returns parked=true
 // after arranging its continuation, and the body's Step must immediately
@@ -314,9 +313,6 @@ func (t *CThread) migStep() (parked bool) {
 				}
 				_, sent = link.Acquire(sent, xfer)
 				flight += s.Cfg.InterNodeLatency
-				if s.Cfg.ChassisOf(t.migTarget) != s.Cfg.ChassisOf(t.nodelet) {
-					flight += s.Cfg.InterChassisLatency
-				}
 			}
 			s.emit(trace.KindMigrate, t.nodelet, t.migTarget, t.migTrigger, t.migDepart, sent+flight)
 			t.migStage = 2
@@ -363,8 +359,7 @@ func (t *CThread) Nodelet() int { return t.nodelet }
 // Now reports the current simulated time.
 func (t *CThread) Now() sim.Time { return t.p.Now() }
 
-// Value returns the word the last completed CLoad read, or the previous
-// value of the word the last completed CFetchAdd updated.
+// Value returns the word the last completed CLoad read.
 func (t *CThread) Value() uint64 { return t.val }
 
 // CCompute charges cycles of non-memory work. parked=true means Step must
@@ -431,68 +426,23 @@ func (t *CThread) CStore(a memsys.Addr, v uint64) (parked bool) {
 // CRemoteAdd posts an atomic add to the word at a without waiting for it —
 // the "remote update" idiom Emu programs use to accumulate into far memory.
 // The memory-side processor of a's home nodelet applies it, so the
-// threadlet never migrates; only the backpressure sleep can park.
+// threadlet never migrates: it pays the issue slot on its core, the flight
+// to home's channel when home is remote, and two word times of
+// read-modify-write there. Only the backpressure sleep can park.
 func (t *CThread) CRemoteAdd(a memsys.Addr, delta uint64) (parked bool) {
-	mem := t.sys.Mem
-	mem.Write(a, mem.Read(a)+delta)
-	return t.postAtomic(a)
-}
-
-// CRemoteAddFloat posts an atomic float64 accumulation into the word at a,
-// the operation the memory-side processors provide for reductions into far
-// memory (tensor contractions use it). Timing is identical to CRemoteAdd.
-func (t *CThread) CRemoteAddFloat(a memsys.Addr, delta float64) (parked bool) {
-	mem := t.sys.Mem
-	mem.Write(a, math.Float64bits(math.Float64frombits(mem.Read(a))+delta))
-	return t.postAtomic(a)
-}
-
-// CFetchAdd atomically adds delta to the word at a. The memory-side
-// processor of a's home nodelet executes it, so the threadlet never
-// migrates but blocks for the round trip. The previous value is
-// available from Value() once the op completes.
-func (t *CThread) CFetchAdd(a memsys.Addr, delta uint64) (parked bool) {
 	s := t.sys
+	s.Mem.Write(a, s.Mem.Read(a)+delta)
 	home := a.Nodelet()
-	issued, served := t.bookAtomic(home)
-	t.val = s.Mem.Read(a)
-	s.Mem.Write(a, t.val+delta)
-	finish := served
-	if home != t.nodelet {
-		finish += s.flightLatency(t.nodelet, home) // response flight
-	} else {
-		finish += s.Cfg.MemLatency
-	}
-	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, finish)
-	return t.sleepOp(finish)
-}
-
-// postAtomic books a posted memory-side atomic on a's home nodelet, whose
-// functional effect the caller has applied, and sleeps only for the
-// posted-queue backpressure.
-func (t *CThread) postAtomic(a memsys.Addr) (parked bool) {
-	s := t.sys
-	home := a.Nodelet()
-	issued, served := t.bookAtomic(home)
-	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
-	return t.sleepOp(s.postedAccept(issued, served))
-}
-
-// bookAtomic books a memory-side atomic on nodelet home: the issue slot on
-// the threadlet's core, the flight to home's channel when it is remote,
-// and two word times of read-modify-write there. It returns the issue and
-// service-completion times.
-func (t *CThread) bookAtomic(home int) (issued, served sim.Time) {
-	s := t.sys
 	nl := s.nodelets[t.nodelet]
-	_, issued = nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
+	_, issued := nl.cores[t.core].Acquire(t.p.Now(), s.clock.Cycles(s.Cfg.MemIssueCycles))
 	arrive := issued
 	if home != t.nodelet {
 		arrive += s.flightLatency(t.nodelet, home)
 	}
-	_, served = s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
+	_, served := s.nodelets[home].channel.Acquire(arrive, 2*s.Cfg.WordAccessTime)
 	s.Counters.atomics[home]++
-	return issued, served
+	s.emit(trace.KindAtomic, t.nodelet, home, a, issued, served)
+	return t.sleepOp(s.postedAccept(issued, served))
 }
 
 // sleepOp parks the threadlet until the given time as a pending op with
@@ -624,15 +574,11 @@ func (s *System) postedAccept(issued, served sim.Time) sim.Time {
 
 // flightLatency is the one-way network flight time from nodelet src to the
 // target nodelet's memory-side processor: the base migration latency, plus
-// the inter-node hop when crossing node cards, plus the top-of-rack hop when
-// crossing chassis (zero on single-tier machines).
+// the inter-node hop when crossing node cards.
 func (s *System) flightLatency(src, target int) sim.Time {
 	lat := s.Cfg.MigrationLatency
 	if s.Cfg.NodeOf(target) != s.Cfg.NodeOf(src) {
 		lat += s.Cfg.InterNodeLatency
-	}
-	if s.Cfg.ChassisOf(target) != s.Cfg.ChassisOf(src) {
-		lat += s.Cfg.InterChassisLatency
 	}
 	return lat
 }
@@ -644,9 +590,6 @@ func (s *System) spawnArrival(src, nl int, at sim.Time) sim.Time {
 		at += s.Cfg.RemoteSpawnLatency
 		if s.Cfg.NodeOf(nl) != s.Cfg.NodeOf(src) {
 			at += s.Cfg.InterNodeLatency
-		}
-		if s.Cfg.ChassisOf(nl) != s.Cfg.ChassisOf(src) {
-			at += s.Cfg.InterChassisLatency
 		}
 	}
 	return at

@@ -50,7 +50,7 @@ func runRecorded(t *testing.T, cfg Config, plan *fault.Plan, want string, mk fun
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
 	}
-	checkDigest(t, "run", scenarioDigest(elapsed, col, s, nil), want)
+	checkDigest(t, "run", scenarioDigest(elapsed, col, s), want)
 }
 
 // ctLoadOnce loads one word and exits — the child body of the mixed test.
@@ -233,14 +233,6 @@ func pingScenario(a, b, rounds int) func(s *System) CBody {
 // cards, exercising the migration engine, fabric link, and inter-node tier.
 func TestContThreadMatchesGoroutineCrossNode(t *testing.T) {
 	runRecorded(t, HardwareChickNodes(2), nil, crossNodeDigest, pingScenario(0, 12, 40))
-}
-
-// TestContThreadMatchesGoroutineCrossChassis drives migrations across the
-// rack tier of FullSpeedRack, covering the inter-chassis hop in the flight
-// path.
-func TestContThreadMatchesGoroutineCrossChassis(t *testing.T) {
-	// Nodelet 70 is on node 8, chassis 1; nodelet 0 is chassis 0.
-	runRecorded(t, FullSpeedRack(2), nil, crossChassisDigest, pingScenario(0, 70, 25))
 }
 
 // TestContThreadMatchesGoroutineUnderFaults covers the migration backoff

@@ -23,7 +23,7 @@ func randomProgram(t *testing.T, seed uint64, ops int) (*System, error) {
 	kinds := make([]int, ops)
 	args := make([]int, ops)
 	for i := range kinds {
-		kinds[i] = rng.Intn(9)
+		kinds[i] = rng.Intn(6)
 		args[i] = rng.Intn(256)
 	}
 	var root script
@@ -38,21 +38,15 @@ func randomProgram(t *testing.T, seed uint64, ops int) (*System, error) {
 			case 1:
 				op = func(th *CThread) bool { return th.CStore(arr.At(a), uint64(i)) }
 			case 2:
-				op = func(th *CThread) bool { return th.CFetchAdd(acc.At(a%4), 1) }
-			case 3:
 				op = func(th *CThread) bool { return th.CRemoteAdd(acc.At(a%4), 1) }
-			case 4:
+			case 3:
 				op = func(th *CThread) bool { return th.CMigrateTo(a % 8) }
-			case 5:
+			case 4:
 				op = compute(int64(a))
-			case 6:
+			case 5:
 				op = func(th *CThread) bool {
 					return th.CSpawn(&script{func(c *CThread) bool { return c.CLoad(arr.At(a)) }})
 				}
-			case 7:
-				op = func(th *CThread) bool { return th.CRemoteAddFloat(acc.At(a%4), 0.5) }
-			case 8:
-				op = func(th *CThread) bool { return th.CServiceCall(int64(a)) }
 			}
 			body = append(body, op)
 		}

@@ -28,26 +28,6 @@ func TestCrossNodeRemoteStoreLatency(t *testing.T) {
 	}
 }
 
-func TestCrossNodeFetchAddPaysInterNodeRTT(t *testing.T) {
-	cfg := HardwareChickNodes(2)
-	s := NewSystem(cfg)
-	intra := s.Mem.AllocLocal(4, 1)
-	inter := s.Mem.AllocLocal(12, 1)
-	var intraDur, interDur sim.Time
-	sc := script(append(
-		timed(&intraDur, func(th *CThread) bool { return th.CFetchAdd(intra.At(0), 1) }),
-		timed(&interDur, func(th *CThread) bool { return th.CFetchAdd(inter.At(0), 1) })...))
-	_, err := s.Run(&sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The cross-node round trip adds 2x InterNodeLatency.
-	want := intraDur + 2*cfg.InterNodeLatency
-	if interDur != want {
-		t.Fatalf("cross-node FetchAdd = %v, want %v", interDur, want)
-	}
-}
-
 func TestCrossNodePingPongSlower(t *testing.T) {
 	// Migrating across node cards pays the fabric link and the extra
 	// inter-node latency, so a cross-node ping-pong is slower than an

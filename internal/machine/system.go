@@ -18,16 +18,14 @@ type System struct {
 	Mem      *memsys.Space
 	Counters *Counters
 
-	clock           sim.Clock
-	stationaryClock sim.Clock
-	faults          *fault.Resolved // nil on healthy machines (the fast path)
-	obs             trace.Observer
-	sampleEvery     sim.Time // gauge sampling interval; 0 disables
-	nextSample      sim.Time // next sampling boundary
-	nodelets        []*nodelet
-	links           []*sim.Resource // per-node fabric egress link
-	migEngines      []*sim.Resource // per-node migration engine
-	stationary      []*sim.Resource // per-node stationary (OS) processor
+	clock       sim.Clock
+	faults      *fault.Resolved // nil on healthy machines (the fast path)
+	obs         trace.Observer
+	sampleEvery sim.Time // gauge sampling interval; 0 disables
+	nextSample  sim.Time // next sampling boundary
+	nodelets    []*nodelet
+	links       []*sim.Resource // per-node fabric egress link
+	migEngines  []*sim.Resource // per-node migration engine
 
 	// freeCThreads pools finished threadlet contexts for reuse, so
 	// spawn-heavy kernels allocate thread state only up to the peak live
@@ -66,20 +64,18 @@ func NewSystem(cfg Config) *System {
 	// on the hot path.
 	eng := sim.NewEngineSized(n*cfg.ContextsPerNodelet() + 64)
 	s := &System{
-		Cfg:             cfg,
-		Eng:             eng,
-		Mem:             memsys.NewSpace(n),
-		Counters:        newCounters(n),
-		clock:           sim.NewClock(cfg.CoreHz),
-		stationaryClock: sim.NewClock(stationaryHz),
-		sampleEvery:     defaultSampleEvery,
-		nextSample:      defaultSampleEvery,
-		nodelets:        make([]*nodelet, n),
-		links:           make([]*sim.Resource, cfg.Nodes),
-		migEngines:      make([]*sim.Resource, cfg.Nodes),
-		stationary:      make([]*sim.Resource, cfg.Nodes),
-		migSvc:          sim.Interval(cfg.MigrationsPerSec),
-		ctxXfer:         sim.TransferTime(cfg.ContextBytes, cfg.FabricBytesPerSec),
+		Cfg:         cfg,
+		Eng:         eng,
+		Mem:         memsys.NewSpace(n),
+		Counters:    newCounters(n),
+		clock:       sim.NewClock(cfg.CoreHz),
+		sampleEvery: defaultSampleEvery,
+		nextSample:  defaultSampleEvery,
+		nodelets:    make([]*nodelet, n),
+		links:       make([]*sim.Resource, cfg.Nodes),
+		migEngines:  make([]*sim.Resource, cfg.Nodes),
+		migSvc:      sim.Interval(cfg.MigrationsPerSec),
+		ctxXfer:     sim.TransferTime(cfg.ContextBytes, cfg.FabricBytesPerSec),
 	}
 	for i := 0; i < n; i++ {
 		nl := &nodelet{
@@ -96,7 +92,6 @@ func NewSystem(cfg Config) *System {
 	for nd := 0; nd < cfg.Nodes; nd++ {
 		s.links[nd] = sim.NewResource(fmt.Sprintf("node%d.fabric", nd))
 		s.migEngines[nd] = sim.NewResource(fmt.Sprintf("node%d.migration", nd))
-		s.stationary[nd] = sim.NewResource(fmt.Sprintf("node%d.stationary", nd))
 	}
 	return s
 }
@@ -137,21 +132,6 @@ func (s *System) Nodelets() int { return len(s.nodelets) }
 
 // Clock returns the Gossamer core clock.
 func (s *System) Clock() sim.Clock { return s.clock }
-
-// ChannelUtilization reports the busy fraction of one nodelet's NCDRAM
-// channel over the given elapsed window.
-func (s *System) ChannelUtilization(nl int, elapsed sim.Time) float64 {
-	return s.nodelets[nl].channel.Utilization(elapsed)
-}
-
-// MeanChannelUtilization averages channel utilization across nodelets.
-func (s *System) MeanChannelUtilization(elapsed sim.Time) float64 {
-	var sum float64
-	for i := range s.nodelets {
-		sum += s.nodelets[i].channel.Utilization(elapsed)
-	}
-	return sum / float64(len(s.nodelets))
-}
 
 // Run executes root as the initial threadlet on nodelet 0 (where the
 // Chick's runtime launches a program's main thread) and drives the

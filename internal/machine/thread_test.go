@@ -178,38 +178,6 @@ func TestLocalStoreBlocks(t *testing.T) {
 	}
 }
 
-func TestFetchAddLocalAndRemote(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(s *System) CBody {
-		local := s.Mem.AllocLocal(0, 1)
-		remote := s.Mem.AllocLocal(6, 1)
-		expect := func(what string, want uint64) func(*CThread) bool {
-			return func(th *CThread) bool {
-				if old := th.Value(); old != want {
-					t.Errorf("%s FetchAdd returned %d, want %d", what, old, want)
-				}
-				return false
-			}
-		}
-		return &script{
-			func(th *CThread) bool { return th.CFetchAdd(local.At(0), 5) },
-			expect("local", 0),
-			func(th *CThread) bool { return th.CFetchAdd(local.At(0), 3) },
-			expect("second", 5),
-			func(th *CThread) bool { return th.CFetchAdd(remote.At(0), 9) },
-			expect("remote", 0),
-			func(th *CThread) bool {
-				if th.Nodelet() != 0 {
-					t.Error("FetchAdd migrated the thread")
-				}
-				return false
-			},
-		}
-	})
-	if s.Counters.Nodelet(0).Atomics != 2 || s.Counters.Nodelet(6).Atomics != 1 {
-		t.Fatal("atomic counters wrong")
-	}
-}
-
 func TestRemoteAddAccumulates(t *testing.T) {
 	s, _ := run(t, HardwareChick(), func(s *System) CBody {
 		acc := s.Mem.AllocLocal(7, 1)
@@ -227,26 +195,6 @@ func TestRemoteAddAccumulates(t *testing.T) {
 	})
 	if s.Counters.Nodelet(7).Atomics != 10 {
 		t.Fatal("RemoteAdd atomics miscounted")
-	}
-}
-
-func TestRemoteAddFloat(t *testing.T) {
-	s, _ := run(t, HardwareChick(), func(s *System) CBody {
-		acc := s.Mem.AllocLocal(5, 1)
-		var sc script
-		for i := 0; i < 8; i++ {
-			sc = append(sc, func(th *CThread) bool { return th.CRemoteAddFloat(acc.At(0), 0.25) })
-		}
-		sc = append(sc, (*CThread).CSync, func(th *CThread) bool {
-			if th.Nodelet() != 0 {
-				t.Error("RemoteAddFloat migrated the thread")
-			}
-			return false
-		})
-		return &sc
-	})
-	if s.Counters.Nodelet(5).Atomics != 8 {
-		t.Fatalf("Atomics = %d", s.Counters.Nodelet(5).Atomics)
 	}
 }
 
@@ -278,7 +226,7 @@ func TestSpawnSyncSemantics(t *testing.T) {
 		var sc script
 		for i := 0; i < 8; i++ {
 			sc = append(sc, func(th *CThread) bool {
-				return th.CSpawn(&script{compute(100), func(c *CThread) bool { return c.CFetchAdd(sum.At(0), 1) }})
+				return th.CSpawn(&script{compute(100), func(c *CThread) bool { return c.CRemoteAdd(sum.At(0), 1) }})
 			})
 		}
 		sc = append(sc, (*CThread).CSync, func(th *CThread) bool {

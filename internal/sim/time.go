@@ -28,19 +28,25 @@ const (
 
 // String renders a Time with an adaptive unit, e.g. "1.500us".
 func (t Time) String() string {
+	// The magnitude is formatted as a uint64, which holds |MinInt64|.
+	if t < 0 {
+		return "-" + formatMagnitude(-uint64(t))
+	}
+	return formatMagnitude(uint64(t))
+}
+
+func formatMagnitude(ps uint64) string {
 	switch {
-	case t < 0:
-		return "-" + (-t).String()
-	case t < Nanosecond:
-		return fmt.Sprintf("%dps", int64(t))
-	case t < Microsecond:
-		return fmt.Sprintf("%.3fns", float64(t)/float64(Nanosecond))
-	case t < Millisecond:
-		return fmt.Sprintf("%.3fus", float64(t)/float64(Microsecond))
-	case t < Second:
-		return fmt.Sprintf("%.3fms", float64(t)/float64(Millisecond))
+	case ps < uint64(Nanosecond):
+		return fmt.Sprintf("%dps", ps)
+	case ps < uint64(Microsecond):
+		return fmt.Sprintf("%.3fns", float64(ps)/float64(Nanosecond))
+	case ps < uint64(Millisecond):
+		return fmt.Sprintf("%.3fus", float64(ps)/float64(Microsecond))
+	case ps < uint64(Second):
+		return fmt.Sprintf("%.3fms", float64(ps)/float64(Millisecond))
 	default:
-		return fmt.Sprintf("%.6fs", float64(t)/float64(Second))
+		return fmt.Sprintf("%.6fs", float64(ps)/float64(Second))
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -17,6 +18,8 @@ func TestTimeString(t *testing.T) {
 		{2500 * Microsecond, "2.500ms"},
 		{3 * Second, "3.000000s"},
 		{-Nanosecond, "-1.000ns"},
+		{math.MaxInt64, "9223372.036855s"},
+		{math.MinInt64, "-9223372.036855s"},
 	}
 	for _, c := range cases {
 		if got := c.in.String(); got != c.want {

@@ -68,8 +68,6 @@ const (
 	// KindAtomic is a memory-side atomic served by the word's home
 	// nodelet (Target); blocking or posted.
 	KindAtomic
-	// KindService is an OS call forwarded to a node's stationary core.
-	KindService
 	// KindFaultStall is one backoff wait of a thread whose migration found
 	// the engine stalled or the fabric link down (fault injection): Nodelet
 	// is where the thread is stuck, Target the migration's destination,
@@ -103,8 +101,6 @@ func (k Kind) String() string {
 		return "remote_store"
 	case KindAtomic:
 		return "atomic"
-	case KindService:
-		return "service"
 	case KindFaultStall:
 		return "fault_stall"
 	default:
