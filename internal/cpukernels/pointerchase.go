@@ -47,7 +47,6 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 	base := sys.Alloc(int64(n) * 16)
 
 	order := workload.ListOrder(n, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed))
-	payload := make([]uint64, n)
 	next := make([]int32, n) // -1 terminates
 	starts := make([]int, cfg.Threads)
 	expect := make([]uint64, cfg.Threads)
@@ -61,7 +60,6 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 		starts[k] = order[lo]
 		for j := lo; j < hi; j++ {
 			p := order[j]
-			payload[p] = uint64(p) + 1
 			expect[k] += uint64(p) + 1
 			if j+1 < hi {
 				next[p] = int32(order[j+1])
@@ -73,7 +71,7 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 
 	sums := make([]uint64, cfg.Threads)
 	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(k int) xeon.CBody {
-		return &chaseWorker{base: base, payload: payload, next: next, sum: &sums[k], p: starts[k], empty: counts[k] == 0}
+		return &chaseWorker{base: base, next: next, sum: &sums[k], p: starts[k], empty: counts[k] == 0}
 	}}})
 	if err != nil {
 		return metrics.Result{}, ChaseStats{}, err
@@ -93,14 +91,14 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 
 // chaseWorker walks one chain from element p: a 16-byte read (payload and
 // next pointer) and the loop's compute per element, until the terminator.
+// Element p's payload is p+1, so the walk sums it without a host array.
 type chaseWorker struct {
-	base    int64 // model base address of the list
-	payload []uint64
-	next    []int32
-	sum     *uint64
-	p       int
-	empty   bool // the thread's share of the list is empty
-	pc      uint8
+	base  int64 // model base address of the list
+	next  []int32
+	sum   *uint64
+	p     int
+	empty bool // the thread's share of the list is empty
+	pc    uint8
 }
 
 func (w *chaseWorker) Step(t *xeon.CThread) bool {
@@ -115,7 +113,7 @@ func (w *chaseWorker) Step(t *xeon.CThread) bool {
 				return false
 			}
 		case 1:
-			*w.sum += w.payload[w.p]
+			*w.sum += uint64(w.p) + 1
 			w.pc = 2
 			if t.Compute(4) {
 				return false

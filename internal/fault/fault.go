@@ -75,8 +75,8 @@ type Stall struct {
 
 // Backoff is the retry policy of a thread whose migration finds the engine
 // stalled or the link down: wait BaseCycles core cycles, double on each
-// consecutive retry, cap at MaxCycles. The zero value selects
-// DefaultBackoff.
+// consecutive retry, cap at MaxCycles (0 caps at MaxBackoffCycles). The
+// zero value selects DefaultBackoff.
 type Backoff struct {
 	BaseCycles int64
 	MaxCycles  int64
@@ -86,6 +86,13 @@ type Backoff struct {
 // 64-cycle initial wait doubling to a 4096-cycle cap (427 ns to 27 us at the
 // prototype's 150 MHz clock).
 var DefaultBackoff = Backoff{BaseCycles: 64, MaxCycles: 4096}
+
+// MaxBackoffCycles bounds a backoff's BaseCycles and MaxCycles, and caps the
+// doubling of a backoff whose MaxCycles is 0. It is 28.6 s at the
+// prototype's 150 MHz; at any clock of 1 kHz or faster its cycles span under
+// half of sim.Time's range, so a backoff cannot wrap and move a retry
+// earlier.
+const MaxBackoffCycles = 1 << 32
 
 // MaxFactor bounds the product of a plan's core factors, of its channel
 // factors and of its link factors: rules can overlap on one resource, where
@@ -162,6 +169,10 @@ func (p *Plan) Validate() error {
 	}
 	if p.Backoff.BaseCycles < 0 || p.Backoff.MaxCycles < 0 {
 		return fmt.Errorf("fault: negative backoff cycles")
+	}
+	if p.Backoff.BaseCycles > MaxBackoffCycles || p.Backoff.MaxCycles > MaxBackoffCycles {
+		return fmt.Errorf("fault: backoff %d/%d cycles past MaxBackoffCycles %d",
+			p.Backoff.BaseCycles, p.Backoff.MaxCycles, int64(MaxBackoffCycles))
 	}
 	if p.Backoff.MaxCycles > 0 && p.Backoff.BaseCycles > p.Backoff.MaxCycles {
 		return fmt.Errorf("fault: backoff base %d > max %d", p.Backoff.BaseCycles, p.Backoff.MaxCycles)
@@ -355,22 +366,17 @@ func (r *Resolved) LinkScale(nd int, t sim.Time) float64 {
 }
 
 // BackoffCycles reports the core cycles a thread waits on its attempt-th
-// consecutive retry (attempt counts from 0): base doubling to the cap.
+// consecutive retry (attempt counts from 0): base doubling to the cap, where
+// it saturates.
 func (r *Resolved) BackoffCycles(attempt int) int64 {
-	c := r.backoff.BaseCycles
-	if c <= 0 {
-		c = 1
+	c, limit := max(r.backoff.BaseCycles, 1), r.backoff.MaxCycles
+	if limit <= 0 {
+		limit = MaxBackoffCycles
 	}
-	for i := 0; i < attempt; i++ {
+	for i := 0; i < attempt && c < limit; i++ {
 		c *= 2
-		if r.backoff.MaxCycles > 0 && c >= r.backoff.MaxCycles {
-			return r.backoff.MaxCycles
-		}
 	}
-	if r.backoff.MaxCycles > 0 && c > r.backoff.MaxCycles {
-		c = r.backoff.MaxCycles
-	}
-	return c
+	return min(c, limit)
 }
 
 // Scale multiplies a service time by a fault factor, rounding to the nearest
@@ -391,6 +397,7 @@ func Scale(t sim.Time, factor float64) sim.Time {
 //	link=off@S-E    fabric link outage (migrations retry with backoff)
 //	migstall=D/P    migration engine stalls for D at the start of every P
 //	backoff=B/M     retry backoff: B base cycles doubling to M max
+//	                (0: MaxBackoffCycles); both at most MaxBackoffCycles
 //
 // Factors lie in [1, MaxFactor]. Durations use Go syntax ("10us", "1ms")
 // and must fit simulated time (under 2562h); windows omit the window to

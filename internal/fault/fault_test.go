@@ -163,6 +163,32 @@ func TestBackoffDoublesToCap(t *testing.T) {
 	}
 }
 
+// TestBackoffSaturates: an uncapped backoff (B/0) doubles to
+// MaxBackoffCycles and stays there, and a plan whose backoff would wrap
+// sim.Time, moving a retry earlier, is refused.
+func TestBackoffSaturates(t *testing.T) {
+	p, err := Parse("migstall=10us/100us,backoff=3/0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.Resolve(8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		attempt int
+		want    int64
+	}{{0, 3}, {1, 6}, {30, 3 << 30}, {31, MaxBackoffCycles}, {1000, MaxBackoffCycles}} {
+		if got := r.BackoffCycles(c.attempt); got != c.want {
+			t.Errorf("BackoffCycles(%d) = %d, want %d", c.attempt, got, c.want)
+		}
+	}
+	_, err = Parse("migstall=10us/100us,backoff=4611686018427387904/9223372036854775807", 1)
+	if err == nil || !strings.Contains(err.Error(), "MaxBackoffCycles") {
+		t.Fatalf("overflowing backoff: %v, want a MaxBackoffCycles error", err)
+	}
+}
+
 func TestScaleIdentityAtFactorOne(t *testing.T) {
 	for _, v := range []sim.Time{0, 1, 50 * sim.Nanosecond, 3 * sim.Second} {
 		if Scale(v, 1) != v {
@@ -175,6 +201,7 @@ func TestScaleIdentityAtFactorOne(t *testing.T) {
 }
 
 func TestValidateRejectsBadPlans(t *testing.T) {
+	stall := []Stall{{Duration: sim.Microsecond, Period: 2 * sim.Microsecond}}
 	bad := []*Plan{
 		{Cores: []Slowdown{{Factor: 0.5}}},
 		{Channels: []Slowdown{{Factor: 0}}},
@@ -190,6 +217,8 @@ func TestValidateRejectsBadPlans(t *testing.T) {
 		{Links: []LinkFault{{Factor: math.NaN(), End: sim.Microsecond}}},
 		{Links: []LinkFault{{Factor: math.Inf(1), End: sim.Microsecond}}},
 		{Links: []LinkFault{{Factor: 2 * MaxFactor, End: sim.Microsecond}}},
+		{Stalls: stall, Backoff: Backoff{BaseCycles: 64, MaxCycles: MaxBackoffCycles + 1}},
+		{Stalls: stall, Backoff: Backoff{BaseCycles: MaxBackoffCycles + 1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -231,6 +260,7 @@ func TestParse(t *testing.T) {
 		"migstall=10us", "migstall=0s/1ms", "backoff=64", "wat=1",
 		"cores=NaN", "cores=1e300", "chan=Inf", "link=Inf@0s-1us",
 		"link=off@0s-6000h", "link=off@0s-3000h", "migstall=1us/2563h",
+		"backoff=4294967297/0", "backoff=1/4294967297",
 	} {
 		if _, err := Parse(bad, 1); err == nil {
 			t.Errorf("Parse(%q) succeeded", bad)
@@ -241,7 +271,7 @@ func TestParse(t *testing.T) {
 	if _, err := Parse("link=off@0s-3000h", 1); err == nil || !strings.Contains(err.Error(), "range") {
 		t.Errorf("Parse of a 3000h window: %v, want a range error", err)
 	}
-	for _, ok := range []string{"cores=1e6", "link=off@0s-2562h"} {
+	for _, ok := range []string{"cores=1e6", "link=off@0s-2562h", "backoff=4294967296/4294967296"} {
 		if _, err := Parse(ok, 1); err != nil {
 			t.Errorf("Parse(%q): %v", ok, err)
 		}
@@ -273,6 +303,22 @@ func FuzzParse(f *testing.F) {
 				for _, scale := range []float64{r.CoreScale[nl], r.ChannelScale[nl]} {
 					if got := Scale(sim.Second, scale); got < sim.Second {
 						t.Fatalf("Parse(%q): nodelet %d scale %v turns 1s into %v", spec, nl, scale, got)
+					}
+				}
+			}
+			// The backoff is positive, nondecreasing and saturating, and
+			// its cycles fit simulated time at the prototype's clock and at
+			// the 1 kHz floor MaxBackoffCycles is sized for.
+			prev := int64(1)
+			for k := 0; k <= 128; k++ {
+				c := r.BackoffCycles(k)
+				if c < prev {
+					t.Fatalf("Parse(%q): BackoffCycles(%d) = %d after %d", spec, k, c, prev)
+				}
+				prev = c
+				for _, clk := range []sim.Clock{sim.NewClock(150_000_000), sim.NewClock(1000)} {
+					if d := clk.Cycles(c); d < 0 || d/clk.Period() != sim.Time(c) {
+						t.Fatalf("Parse(%q): BackoffCycles(%d) = %d overflows at %d Hz", spec, k, c, clk.Hz())
 					}
 				}
 			}

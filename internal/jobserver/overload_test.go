@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,18 +37,21 @@ func postRaw(t *testing.T, url string, spec jobspec.Spec) *http.Response {
 	return resp
 }
 
-// wedgeHook returns a CellHook that parks every worker on the returned
-// channel, pinning whatever job is running until the test closes it.
-func wedgeHook() (func(string, int), chan struct{}) {
+// wedgeHook returns a CellHook that parks every worker, pinning whatever
+// job is running until release is called. release is idempotent: a test
+// defers it after `defer srv.Close()`, and deferred calls run last in first
+// out, so a test that fails before releasing still frees the worker before
+// Close waits for it.
+func wedgeHook() (hook func(string, int), release func()) {
 	block := make(chan struct{})
-	return func(string, int) { <-block }, block
+	return func(string, int) { <-block }, sync.OnceFunc(func() { close(block) })
 }
 
 // TestOverloadShedsWithRetryAfter saturates a depth-1 queue and proves the
 // shed contract: 503 + Retry-After on the wire, Stats.Shed accounting, no
 // phantom jobs — and full recovery once the backlog drains.
 func TestOverloadShedsWithRetryAfter(t *testing.T) {
-	hook, block := wedgeHook()
+	hook, release := wedgeHook()
 	srv := newTestServer(t, Config{
 		Workers:    1,
 		QueueDepth: 1,
@@ -55,6 +59,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 		CellHook:   hook,
 	})
 	defer srv.Close()
+	defer release()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -96,7 +101,7 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 	}
 
 	// Drain the backlog and recover: the shed spec is accepted now.
-	close(block)
+	release()
 	for _, id := range []string{first.ID, second.ID, follower.ID} {
 		if got := waitTerminal(t, srv, id); got.State != StateDone {
 			t.Fatalf("job %s ended %s: %s", id, got.State, got.Error)
@@ -125,13 +130,14 @@ func TestOverloadShedsWithRetryAfter(t *testing.T) {
 // TestOverloadByteBudget: the in-flight byte budget sheds fresh work but
 // never followers, and is returned in full when jobs finish.
 func TestOverloadByteBudget(t *testing.T) {
-	hook, block := wedgeHook()
+	hook, release := wedgeHook()
 	srv := newTestServer(t, Config{
 		Workers:          1,
 		MaxInflightBytes: specCost(quickExperiment()), // room for exactly one leader
 		CellHook:         hook,
 	})
 	defer srv.Close()
+	defer release()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -150,7 +156,7 @@ func TestOverloadByteBudget(t *testing.T) {
 	}
 	follower := postJob(t, ts.URL, quickExperiment()) // identical: free
 
-	close(block)
+	release()
 	for _, id := range []string{leader.ID, follower.ID} {
 		if got := waitTerminal(t, srv, id); got.State != StateDone {
 			t.Fatalf("job %s ended %s: %s", id, got.State, got.Error)
@@ -255,9 +261,10 @@ func (w *stepWriter) release() { w.gate <- struct{}{} }
 // version bumps land while the client is stalled, one is delivered, two are
 // dropped.
 func TestWatchDroppedAccounting(t *testing.T) {
-	hook, block := wedgeHook()
+	hook, release := wedgeHook()
 	srv := newTestServer(t, Config{Workers: 1, CellHook: hook})
 	defer srv.Close()
+	defer release()
 
 	rec, err := srv.Submit(quickKernel())
 	if err != nil {
@@ -299,7 +306,7 @@ func TestWatchDroppedAccounting(t *testing.T) {
 	}
 	// Let the job finish while the client stalls on record two; the job's
 	// only remaining transition is the terminal one.
-	close(block)
+	release()
 	waitFor(t, func() bool {
 		got, _ := srv.Get(rec.ID)
 		return got.State.terminal()

@@ -270,6 +270,7 @@ func waitTerminal(t *testing.T, srv *Server, id string) Job {
 // second job is deterministically still queued when the DELETE lands.
 func TestCancelQueuedJob(t *testing.T) {
 	block := make(chan struct{})
+	release := sync.OnceFunc(func() { close(block) }) // see wedgeHook
 	started := make(chan struct{})
 	var once sync.Once
 	srv := newTestServer(t, Config{
@@ -281,6 +282,7 @@ func TestCancelQueuedJob(t *testing.T) {
 		},
 	})
 	defer srv.Close()
+	defer release()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -304,7 +306,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if got, _ := srv.Get(second.ID); got.State != StateCanceled {
 		t.Fatalf("canceled job is %s", got.State)
 	}
-	close(block)
+	release()
 	if got := waitTerminal(t, srv, first.ID); got.State != StateDone {
 		t.Fatalf("first job ended %s: %s", got.State, got.Error)
 	}

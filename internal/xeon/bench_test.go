@@ -80,3 +80,38 @@ func BenchmarkThreadRMW(b *testing.B) {
 	}
 	b.ReportMetric(float64(events), "events/op")
 }
+
+// randomReads is a thread body issuing n 16-byte reads of random elements
+// of a list at base.
+type randomReads struct {
+	base, elems int64
+	n           int
+	g           lcg
+}
+
+func (r *randomReads) Step(t *CThread) bool {
+	for r.n > 0 {
+		r.n--
+		if t.Read(r.base+r.g.next(r.elems)*16, 16) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkThreadChaseL3Miss is fig7's miss path at one thread: each op
+// reads one random 16-byte element of a 32 MiB list on the Sandy Bridge
+// platform, so nearly every read misses the L2 and about half miss the
+// 20 MiB L3, whose 20,480 sets (not a power of two) take the division set
+// index. Fix b.N (-benchtime Nx) to compare the counters across builds.
+func BenchmarkThreadChaseL3Miss(b *testing.B) {
+	const elems = 32 << 20 / 16
+	s := NewSystem(SandyBridgeXeon())
+	body := &randomReads{base: s.Alloc(elems * 16), elems: elems, n: b.N, g: 1}
+	b.ResetTimer()
+	if _, err := s.Run(body); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(s.Eng.Fired())/float64(b.N), "events/op")
+	b.ReportMetric(float64(s.DRAMLines)/float64(b.N), "lines/op")
+}

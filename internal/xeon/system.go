@@ -239,34 +239,32 @@ func (t *CThread) access(addr, bytes int64, write bool) (parked bool) {
 	return t.p.SleepUntil(finish)
 }
 
-// insertL3 fills a line into the shared L3, writing back the dirty victim.
-func (s *System) insertL3(now sim.Time, line int64) {
-	if ev, dirty := s.l3.insert(line); dirty {
+// fillL3 fills line into way w of the L3 set at base (as chosen by find),
+// writing back the dirty victim.
+func (s *System) fillL3(now sim.Time, base, w int, line int64) {
+	if ev, dirty := s.l3.fill(base, w, line); dirty {
 		s.mem.writeback(now, ev)
 		s.WritebackLines++
 	}
 }
 
-// insertL2 fills a line into a core's L2; a dirty victim is absorbed by
-// the L3 when present there (marked dirty), otherwise written to memory.
-func (s *System) insertL2(now sim.Time, core int, line int64) {
-	ev, dirty := s.l2[core].insert(line)
-	if !dirty {
-		return
+// fillL2 fills line into way w of a core's L2 set at base; a dirty victim
+// is absorbed by the L3 when present there (marked dirty), otherwise
+// written to memory.
+func (s *System) fillL2(now sim.Time, l2 *cache, base, w int, line int64) {
+	if ev, dirty := l2.fill(base, w, line); dirty && !s.l3.markDirty(ev) {
+		s.mem.writeback(now, ev)
+		s.WritebackLines++
 	}
-	if s.l3.contains(ev) {
-		s.l3.markDirty(ev)
-		return
-	}
-	s.mem.writeback(now, ev)
-	s.WritebackLines++
 }
 
 // lineAccess resolves one line through L2 -> L3 -> DRAM and returns the
-// completion time. It also drives the stream prefetcher.
+// completion time. It also drives the stream prefetcher. Each cache level
+// scans the line's set once: a miss fills the way its probe found.
 func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 	s := t.sys
 	now := t.p.Now()
+	l2 := s.l2[t.core]
 
 	// Stream detection: two sequential line advances on any tracked
 	// stream arm the prefetcher, which then runs PrefetchDegree lines
@@ -274,16 +272,20 @@ func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 	if s.Cfg.PrefetchDegree > 0 && t.prefetchArm(line) {
 		for ahead := int64(1); ahead <= int64(s.Cfg.PrefetchDegree); ahead++ {
 			pl := line + ahead
-			if !s.l3.contains(pl) {
+			if base, w, hit := s.l3.find(pl); !hit {
 				ready := s.mem.fetch(now, pl)
-				s.insertL3(now, pl)
+				s.fillL3(now, base, w, pl)
 				s.prefetchReady[pl] = ready
 				s.DRAMLines++
 			}
 			// The L2 prefetcher pulls the stream into the requesting
 			// core's private cache, which is what lets STREAM run at
 			// L2 speed.
-			s.insertL2(now, t.core, pl)
+			if base, w, hit := l2.find(pl); hit {
+				l2.promote(base, w)
+			} else {
+				s.fillL2(now, l2, base, w, pl)
+			}
 		}
 	}
 
@@ -304,26 +306,24 @@ func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 		return done
 	}
 
-	if s.l2[t.core].lookup(line) {
+	// A hit leaves the line at way 0 of its set, as does a fill.
+	base, w, hit := l2.lookup(line)
+	if hit {
 		if write {
-			s.l2[t.core].markDirty(line)
+			l2.dirty[base] = true
 		}
 		return waitReady(now + s.Cfg.L2Latency)
 	}
-	if s.l3.lookup(line) {
-		s.insertL2(now, t.core, line)
-		if write {
-			s.l2[t.core].markDirty(line)
-		}
-		return waitReady(now + s.Cfg.L3Latency)
+	var done sim.Time
+	if base3, w3, hit3 := s.l3.lookup(line); hit3 {
+		done = waitReady(now + s.Cfg.L3Latency)
+	} else {
+		done = s.mem.fetch(now, line)
+		s.fillL3(now, base3, w3, line)
+		s.DRAMLines++
 	}
-	done := s.mem.fetch(now, line)
-	s.insertL3(now, line)
-	s.insertL2(now, t.core, line)
-	if write {
-		s.l2[t.core].markDirty(line)
-	}
-	s.DRAMLines++
+	s.fillL2(now, l2, base, w, line)
+	l2.dirty[base] = write
 	return done
 }
 
