@@ -31,6 +31,8 @@ var figureGolden = map[string]string{
 	"fig7":                     "a6101b1038adf78fd93635e95f6b1fc50d029aaffd57959c0ed4ecba0a35ad6b",
 	"fig9b":                    "d42513869ad4b45fc65b218a99711f1ad95e20849a7f810b683a3baed12a9815",
 	"stream-anchors":           "2253873499fc505f251b05aac94087b45d42a101487c360eba8e29b4cd8b57ea",
+	"migration-anchors":        "cb25ee4c4780c456d015238d14a34bac6b867ac3226e52fdf09ee9901e9432df",
+	"scaling-nodes":            "a96b6a6f04e423b9ec2503faeebf29a3b5b58ae89c6261bc48f57d9c56724266",
 	"supplement-shuffle-modes": "9073694d21f762e6046d422381a5d9cecbce963cc471a9c7526823d3743d64c6",
 	"supplement-vb-metric":     "720c0f4bb33ab40e5324dd307015bf2359e546bd66d54d4d2ae5878ed584faa0",
 }
@@ -63,7 +65,8 @@ func TestXeonFiguresGolden(t *testing.T) {
 }
 
 // TestMicrobenchmarkFiguresGolden pins the figures built on STREAM (Figs. 4,
-// 5), pointer chasing (Figs. 6, 8) and ping-pong (Figs. 10, 11).
+// 5 and the node-card scaling), pointer chasing (Figs. 6, 8) and ping-pong
+// (Figs. 10, 11 and the migration anchors).
 func TestMicrobenchmarkFiguresGolden(t *testing.T) {
-	checkFigureGoldens(t, "fig4", "fig5", "fig6", "fig8", "fig10", "fig11")
+	checkFigureGoldens(t, "fig4", "fig5", "fig6", "fig8", "fig10", "fig11", "migration-anchors", "scaling-nodes")
 }

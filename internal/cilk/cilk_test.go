@@ -303,29 +303,58 @@ func TestParallelForEdgeCases(t *testing.T) {
 	}
 }
 
-// Property: for any (workers, strategy), every worker id in [0, workers)
-// runs exactly once.
+// wantSpawns derives from the input alone how many local and remote spawns
+// a Workers tree issues, not counting the root's own: W worker spawns in
+// every strategy, plus one coordinator per split of a binary tree over a
+// nodelet's ids (k ids split k-1 times) and one per nodelet placement
+// (n = min(nodelets, W), of which only the root's own nodelet is local).
+func wantSpawns(strat Strategy, nodelets, workers int) (local, remote uint64) {
+	w, n := uint64(workers), uint64(min(nodelets, workers))
+	switch strat {
+	case SerialSpawn:
+		return w, 0
+	case RecursiveSpawn:
+		return 2*w - 1, 0
+	case SerialRemoteSpawn:
+		return w + 1, n - 1
+	default: // RecursiveRemoteSpawn
+		return 2 * w, n - 1
+	}
+}
+
+// Property: for every (nodelets, workers, strategy) with 1-8 nodelets and
+// 1-70 workers, every worker id in [0, workers) runs exactly once, and the
+// counters read exactly the spawns wantSpawns derives.
 func TestSpawnWorkersCoverageProperty(t *testing.T) {
-	f := func(w uint8, sIdx uint8) bool {
-		workers := int(w%48) + 1
-		strat := Strategies[int(sIdx)%len(Strategies)]
-		s := machine.NewSystem(machine.HardwareChick())
-		count := make([]int, workers)
-		_, err := s.Run(&drives{NewWorkers(8, workers, strat, func(id int) machine.CBody {
-			return &script{func(*machine.CThread) bool { count[id]++; return false }}
-		})})
-		if err != nil {
-			return false
-		}
-		for _, c := range count {
-			if c != 1 {
-				return false
+	for nodelets := 1; nodelets <= 8; nodelets++ {
+		for workers := 1; workers <= 70; workers++ {
+			for _, strat := range Strategies {
+				s := machine.NewSystem(machine.HardwareChick())
+				count := make([]int, workers)
+				_, err := s.Run(&drives{NewWorkers(nodelets, workers, strat, func(id int) machine.CBody {
+					return &script{func(*machine.CThread) bool { count[id]++; return false }}
+				})})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, c := range count {
+					if c != 1 {
+						t.Fatalf("%v nodelets=%d W=%d: worker %d ran %d times", strat, nodelets, workers, id, c)
+					}
+				}
+				var local, remote uint64
+				for _, nc := range s.Counters.Snapshot() {
+					local += nc.LocalSpawns
+					remote += nc.RemoteSpawns
+				}
+				local-- // the root's own spawn
+				wantLocal, wantRemote := wantSpawns(strat, nodelets, workers)
+				if local != wantLocal || remote != wantRemote {
+					t.Fatalf("%v nodelets=%d W=%d: %d local and %d remote spawns, want %d and %d",
+						strat, nodelets, workers, local, remote, wantLocal, wantRemote)
+				}
 			}
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -111,6 +111,24 @@ func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
 	}
 }
 
+// TestContWorkersShapesGolden pins every strategy where the tree's shape
+// turns on the worker and nodelet counts: fewer workers than nodelets, one
+// per nodelet, one past it, and many, on all 8 nodelets and on 3 of them.
+func TestContWorkersShapesGolden(t *testing.T) {
+	for _, tc := range workersShapes {
+		for _, strat := range Strategies {
+			label := fmt.Sprintf("%v/nodelets=%d/W=%d", strat, tc.nodelets, tc.workers)
+			runRecorded(t, label, workersShapeDigests[label], func(s *machine.System) machine.CBody {
+				arr := s.Mem.AllocStriped(s.Nodelets())
+				ws := NewWorkers(tc.nodelets, tc.workers, strat, func(w int) machine.CBody {
+					return &ctTouchWorker{arr: arr, w: w}
+				})
+				return &ctWorkersRoot{ws: ws}
+			})
+		}
+	}
+}
+
 // groupedGoldenDigest is the SHA-256 of the uneven Grouped scenario's trace
 // event stream, elapsed time and per-nodelet counters, recorded from the
 // goroutine spawn tree Grouped replaced (the two were checked equal first).
@@ -134,6 +152,24 @@ func TestContGroupedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDigest(t, "grouped", runDigest(elapsed, rec.events, s), groupedGoldenDigest)
+}
+
+// TestContGroupedRootGroupGolden pins a Grouped tree whose first group is
+// the root's own nodelet, with an empty group between populated ones and
+// one-id groups at both ends of the populated list.
+func TestContGroupedRootGroupGolden(t *testing.T) {
+	groups := make([][]int, 8)
+	groups[0] = []int{1, 0}
+	groups[2] = []int{2}
+	groups[3] = []int{3, 4, 5}
+	groups[5] = []int{8, 6, 7}
+	groups[7] = []int{9}
+	runRecorded(t, "grouped-root", groupedRootGoldenDigest, func(s *machine.System) machine.CBody {
+		arr := s.Mem.AllocStriped(s.Nodelets())
+		return &ctGroupedRoot{g: NewGrouped(groups, func(w int) machine.CBody {
+			return &ctTouchWorker{arr: arr, w: w}
+		})}
+	})
 }
 
 func TestContWorkersZeroAndNegative(t *testing.T) {
