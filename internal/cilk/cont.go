@@ -7,15 +7,18 @@ import (
 	"emuchick/internal/sim"
 )
 
-// The spawn trees as resumable state machines over machine.CThread: Workers
-// places workers with one of the four strategies, ParFor splits a range
-// with a grain, Grouped places workers on given nodelets, Fanout spawns a
-// fixed list of bodies, and Timed measures any of them. Each is a Driver,
-// driven from the enclosing body's Step. The recursive tree shapes become
-// iterative drivers: the caller-side half of each recursion is a loop that
-// shrinks its range, and the spawned-side half is a coordinator CBody
-// carrying the subrange. Workers and ParFor replaced goroutine trees and
-// reproduce their event streams bit for bit (golden_test.go).
+// The spawn trees as resumable state machines over machine.CThread, each a
+// Driver driven from the enclosing body's Step. The paper's four strategies
+// are a 2×2 — spawn in order or as a binary tree, on the caller's nodelet or
+// first onto each nodelet (Strategy.Remote) — built from one coordinator and
+// two spawners: coord runs a spawner, then syncs; local spawns a list of ids
+// on the caller's nodelet; remote places on each listed nodelet a local over
+// that nodelet's ids. Workers is local over 0…W−1 or remote over the
+// round-robin groups {nl, nl+N, …}, Grouped is recursive remote over the
+// caller's groups, and ParFor is a coord whose spawner splits its range and
+// then runs the leaf inline. Fanout spawns a fixed list of bodies, and Timed
+// measures any tree. The trees reproduce the event streams of the goroutine
+// trees they replaced bit for bit (golden_test.go).
 
 // Driver is a resumable spawn tree. Call Drive from the enclosing body's
 // Step each time it is resumed: parked=true means the Step must return
@@ -26,206 +29,106 @@ type Driver interface {
 	Drive(t *machine.CThread) (parked bool)
 }
 
-// contSpawner is one resumable caller-side spawn loop. drive issues spawns
-// until it parks (parked=true: the enclosing Step must return) or until
-// every spawn in its range has been issued (parked=false).
-type contSpawner interface {
-	drive(t *machine.CThread, mk func(int) machine.CBody) (parked bool)
+// spawner is one resumable caller-side spawn loop. spawn issues spawns
+// until one parks (parked=true: the enclosing Step must return) or until
+// every spawn has been issued (parked=false).
+type spawner interface {
+	spawn(t *machine.CThread) (parked bool)
 }
 
-// contCoord is the spawned-side coordinator shape shared by every strategy:
-// run a spawner over the delegated subrange, then an explicit sync.
-type contCoord struct {
-	s      contSpawner
-	mk     func(int) machine.CBody
-	synced bool
+// coord runs its spawner s, then an explicit sync. Each spawner embeds the
+// coord that runs it, with s pointing back at the spawner, so a spawned
+// subtree is one allocation.
+type coord struct {
+	s      spawner
+	synced bool // the sync is issued, or the tree is empty: nothing left to do
 }
 
-func (c *contCoord) Step(t *machine.CThread) bool {
-	if !c.synced {
-		if c.s.drive(t, c.mk) {
-			return false
-		}
-		c.synced = true
-		if t.CSync() {
-			return false
-		}
+// Drive advances the tree; see Driver for the protocol.
+func (c *coord) Drive(t *machine.CThread) (parked bool) {
+	if c.synced {
+		return false
 	}
-	return true
+	if c.s.spawn(t) {
+		return true
+	}
+	c.synced = true
+	return t.CSync()
 }
 
-// contSerial is SerialSpawn's caller loop: workers local spawns in id
-// order.
-type contSerial struct{ w, workers int }
+// Step runs a spawned subtree as a body.
+func (c *coord) Step(t *machine.CThread) bool {
+	return !c.Drive(t)
+}
 
-func (s *contSerial) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for s.w < s.workers {
-		w := s.w
-		s.w++
-		if t.CSpawn(mk(w)) {
+// local spawns mk(id) for each of its ids on the caller's nodelet: in
+// order, or as a binary tree that hands the lower half to a spawned local
+// and splits the upper half again in place.
+type local struct {
+	coord
+	ids       []int
+	recursive bool
+	mk        func(int) machine.CBody
+}
+
+func newLocal(ids []int, recursive bool, mk func(int) machine.CBody) *local {
+	l := &local{ids: ids, recursive: recursive, mk: mk}
+	l.s = l
+	return l
+}
+
+func (l *local) spawn(t *machine.CThread) bool {
+	for n := len(l.ids); n > 0; n = len(l.ids) {
+		var body machine.CBody
+		if l.recursive && n > 1 {
+			body = newLocal(l.ids[:n/2], true, l.mk)
+			l.ids = l.ids[n/2:]
+		} else {
+			body = l.mk(l.ids[0])
+			l.ids = l.ids[1:]
+		}
+		if t.CSpawn(body) {
 			return true
 		}
 	}
 	return false
 }
 
-// contRange is RecursiveSpawn's local binary tree: spawn a coordinator for
-// the lower half, then descend into the upper half in place.
-type contRange struct{ lo, hi int }
-
-func (r *contRange) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for {
-		switch n := r.hi - r.lo; {
-		case n <= 0:
-			return false
-		case n == 1:
-			w := r.lo
-			r.lo = r.hi
-			if t.CSpawn(mk(w)) {
-				return true
-			}
-		default:
-			mid := r.lo + n/2
-			lower := contRange{lo: r.lo, hi: mid}
-			r.lo = mid
-			if t.CSpawn(&contCoord{s: &lower, mk: mk}) {
-				return true
-			}
-		}
-	}
+// remote spawns on each nodelet nl of nls a local over groups[nl], recursive
+// when remote is: in list order, or as a binary tree that sends the upper
+// half of nls to a remote on that half's first nodelet and splits the lower
+// half again in place.
+type remote struct {
+	coord
+	groups    [][]int
+	nls       []int
+	recursive bool
+	mk        func(int) machine.CBody
 }
 
-// contIDs is the local binary tree over an explicit id list.
-type contIDs struct{ ids []int }
-
-func (s *contIDs) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for {
-		switch n := len(s.ids); {
-		case n == 0:
-			return false
-		case n == 1:
-			id := s.ids[0]
-			s.ids = nil
-			if t.CSpawn(mk(id)) {
-				return true
-			}
-		default:
-			mid := n / 2
-			left := contIDs{ids: s.ids[:mid]}
-			s.ids = s.ids[mid:]
-			if t.CSpawn(&contCoord{s: &left, mk: mk}) {
-				return true
-			}
-		}
-	}
+func newRemote(groups [][]int, nls []int, recursive bool, mk func(int) machine.CBody) *remote {
+	r := &remote{groups: groups, nls: nls, recursive: recursive, mk: mk}
+	r.s = r
+	return r
 }
 
-// contSerialRemote is SerialRemoteSpawn's caller loop: one remote spawn per
-// nodelet, each hosting a serial per-nodelet coordinator.
-type contSerialRemote struct{ nl, nodelets, workers int }
-
-func (s *contSerialRemote) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for s.nl < s.nodelets && s.nl < s.workers {
-		nl := s.nl
-		s.nl++
-		coord := &contSerialNodelet{w: nl, step: s.nodelets, workers: s.workers}
-		if t.CSpawnAt(nl, &contCoord{s: coord, mk: mk}) {
+func (r *remote) spawn(t *machine.CThread) bool {
+	for n := len(r.nls); n > 0; n = len(r.nls) {
+		nl := r.nls[0]
+		var body machine.CBody
+		if r.recursive && n > 1 {
+			upper := r.nls[n/2:]
+			nl, r.nls = upper[0], r.nls[:n/2]
+			body = newRemote(r.groups, upper, true, r.mk)
+		} else {
+			r.nls = r.nls[1:]
+			body = newLocal(r.groups[nl], r.recursive, r.mk)
+		}
+		if t.CSpawnAt(nl, body) {
 			return true
 		}
 	}
 	return false
-}
-
-// contSerialNodelet is the per-nodelet serial spawner of SerialRemoteSpawn:
-// workers nl, nl+nodelets, nl+2*nodelets, ...
-type contSerialNodelet struct{ w, step, workers int }
-
-func (s *contSerialNodelet) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for s.w < s.workers {
-		w := s.w
-		s.w += s.step
-		if t.CSpawn(mk(w)) {
-			return true
-		}
-	}
-	return false
-}
-
-// contNodelets is RecursiveRemoteSpawn's remote tree: spawn the upper half
-// of the nodelet range at its first nodelet, descend into the lower half.
-type contNodelets struct{ nodelets, nlo, nhi, workers int }
-
-func (s *contNodelets) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for {
-		switch n := s.nhi - s.nlo; {
-		case n <= 0:
-			return false
-		case n == 1:
-			nl := s.nlo
-			s.nlo = s.nhi
-			coord := &contNodeletIDs{nl: nl, step: s.nodelets, workers: s.workers}
-			if t.CSpawnAt(nl, &contCoord{s: coord, mk: mk}) {
-				return true
-			}
-		default:
-			mid := s.nlo + n/2
-			upper := contNodelets{nodelets: s.nodelets, nlo: mid, nhi: s.nhi, workers: s.workers}
-			s.nhi = mid
-			if t.CSpawnAt(mid, &contCoord{s: &upper, mk: mk}) {
-				return true
-			}
-		}
-	}
-}
-
-// contNodeletIDs is the leaf coordinator of RecursiveRemoteSpawn: build the
-// nodelet's worker-id list, then a local recursive tree over it.
-type contNodeletIDs struct {
-	nl, step, workers int
-	built             bool
-	ids               contIDs
-}
-
-func (s *contNodeletIDs) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	if !s.built {
-		s.built = true
-		for w := s.nl; w < s.workers; w += s.step {
-			s.ids.ids = append(s.ids.ids, w)
-		}
-	}
-	return s.ids.drive(t, mk)
-}
-
-// contGroups is Grouped's caller side: a recursive remote-spawn tree over the
-// populated nodelet list. The upper half of the list goes to a coordinator
-// spawned at its first nodelet, the lower half is split again in place, and
-// each single nodelet gets a coordinator that spawns its ids with a local
-// binary tree.
-type contGroups struct {
-	groups [][]int
-	nls    []int
-}
-
-func (s *contGroups) drive(t *machine.CThread, mk func(int) machine.CBody) bool {
-	for {
-		switch n := len(s.nls); {
-		case n == 0:
-			return false
-		case n == 1:
-			nl := s.nls[0]
-			s.nls = nil
-			if t.CSpawnAt(nl, &contCoord{s: &contIDs{ids: s.groups[nl]}, mk: mk}) {
-				return true
-			}
-		default:
-			mid := n / 2
-			right := contGroups{groups: s.groups, nls: s.nls[mid:]}
-			s.nls = s.nls[:mid]
-			if t.CSpawnAt(right.nls[0], &contCoord{s: &right, mk: mk}) {
-				return true
-			}
-		}
-	}
 }
 
 // Workers creates workers threadlets spread across nodelets with one of the
@@ -237,8 +140,7 @@ type Workers struct {
 	nodelets, workers int
 	strat             Strategy
 	mk                func(int) machine.CBody
-	spawner           contSpawner
-	phase             uint8 // 0 validate, 1 spawn, 2 sync issued, 3 done
+	tree              Driver // the strategy's spawner, built on the first Drive
 }
 
 // NewWorkers prepares workers bodies built by mk(w), spread over nodelets
@@ -249,154 +151,117 @@ func NewWorkers(nodelets, workers int, strat Strategy, mk func(int) machine.CBod
 
 // Drive advances the spawn tree; see Driver for the protocol.
 func (ws *Workers) Drive(t *machine.CThread) (parked bool) {
-	for {
-		switch ws.phase {
-		case 0:
-			if ws.workers <= 0 {
-				ws.phase = 3
-				return false
-			}
-			if ws.nodelets <= 0 || ws.nodelets > t.System().Nodelets() {
-				panic(fmt.Sprintf("cilk: %d nodelets requested of %d", ws.nodelets, t.System().Nodelets()))
-			}
-			switch ws.strat {
-			case SerialSpawn:
-				ws.spawner = &contSerial{workers: ws.workers}
-			case RecursiveSpawn:
-				ws.spawner = &contRange{hi: ws.workers}
-			case SerialRemoteSpawn:
-				ws.spawner = &contSerialRemote{nodelets: ws.nodelets, workers: ws.workers}
-			case RecursiveRemoteSpawn:
-				ws.spawner = &contNodelets{nodelets: ws.nodelets, nhi: min(ws.nodelets, ws.workers), workers: ws.workers}
-			default:
-				panic("cilk: unknown strategy")
-			}
-			ws.phase = 1
-		case 1:
-			if ws.spawner.drive(t, ws.mk) {
-				return true
-			}
-			ws.phase = 2
-			if t.CSync() {
-				return true
-			}
-		case 2:
-			ws.phase = 3
-		case 3:
-			return false
-		}
+	if ws.workers <= 0 {
+		return false
 	}
+	if ws.tree == nil {
+		ws.tree = ws.plan(t.System().Nodelets())
+	}
+	return ws.tree.Drive(t)
+}
+
+// plan checks the nodelet count against the machine's and builds the
+// strategy's spawner, with every id list it needs allocated once at its
+// exact size.
+func (ws *Workers) plan(machineNodelets int) Driver {
+	if ws.nodelets <= 0 || ws.nodelets > machineNodelets {
+		panic(fmt.Sprintf("cilk: %d nodelets requested of %d", ws.nodelets, machineNodelets))
+	}
+	switch ws.strat {
+	case SerialSpawn, RecursiveSpawn:
+		ids := make([]int, ws.workers)
+		for w := range ids {
+			ids[w] = w
+		}
+		return newLocal(ids, ws.strat == RecursiveSpawn, ws.mk)
+	case SerialRemoteSpawn, RecursiveRemoteSpawn:
+		n := min(ws.nodelets, ws.workers)
+		groups, nls, ids := make([][]int, n), make([]int, n), make([]int, 0, ws.workers)
+		for nl := range nls {
+			first := len(ids)
+			for w := nl; w < ws.workers; w += ws.nodelets {
+				ids = append(ids, w)
+			}
+			groups[nl], nls[nl] = ids[first:], nl
+		}
+		return newRemote(groups, nls, ws.strat == RecursiveRemoteSpawn, ws.mk)
+	}
+	panic("cilk: unknown strategy")
 }
 
 // ParFor is a grain-size parallel loop, the cilk_spawn-built analogue of
 // cilk_for with a grain-size clause — the knob the paper sweeps for SpMV
-// (16 iterations per spawn best on Emu, 16384 on the Xeon) — and a Driver. The caller's thread splits its range with a
-// recursive local spawn tree — each lower half goes to a spawned
-// coordinator, the upper half is split again in place — then runs the final
-// range of at most grain iterations inline through the leaf body, and
-// syncs. A ParFor is also the CBody of those spawned coordinators, which do
-// the same over their half.
+// (16 iterations per spawn best on Emu, 16384 on the Xeon) — and a Driver.
+// It is a coord whose spawner is the loop: it hands the lower half of its
+// range to a spawned ParFor and splits the upper half again in place, runs
+// the final range of at most grain iterations inline through the leaf body,
+// and syncs. Through Step it is also the body of each spawned half.
 type ParFor struct {
+	coord
 	lo, hi, grain int
 	leaf          func(lo, hi int) machine.CBody
 	body          machine.CBody // the inline leaf, once the range is split down
-	phase         uint8         // 0 split, 1 leaf, 2 sync issued, 3 done
 }
 
 // NewParallelFor prepares a parallel loop over [0, n) with at most grain
 // iterations per leaf (grain <= 0 means 1); leaf(lo, hi) builds the body that runs
 // iterations [lo, hi) on whichever thread reaches them.
 func NewParallelFor(n, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
-	if grain <= 0 {
-		grain = 1
-	}
-	f := &ParFor{hi: n, grain: grain, leaf: leaf}
-	if n <= 0 {
-		f.phase = 3 // an empty loop returns at once, without a sync
-	}
+	f := newParFor(0, n, max(grain, 1), leaf)
+	f.synced = n <= 0 // an empty loop returns at once, without a sync
 	return f
 }
 
-// Drive advances the loop; see Driver for the protocol.
-func (f *ParFor) Drive(t *machine.CThread) (parked bool) {
-	for {
-		switch f.phase {
-		case 0:
-			if n := f.hi - f.lo; n > f.grain {
-				mid := f.lo + n/2
-				lower := &ParFor{lo: f.lo, hi: mid, grain: f.grain, leaf: f.leaf}
-				f.lo = mid
-				if t.CSpawn(lower) {
-					return true
-				}
-				continue
-			}
-			f.body = f.leaf(f.lo, f.hi)
-			f.phase = 1
-		case 1:
-			if !f.body.Step(t) {
-				return true
-			}
-			f.body = nil
-			f.phase = 2
-			if t.CSync() {
-				return true
-			}
-		case 2:
-			f.phase = 3
-		case 3:
-			return false
-		}
-	}
+func newParFor(lo, hi, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
+	f := &ParFor{lo: lo, hi: hi, grain: grain, leaf: leaf}
+	f.s = f
+	return f
 }
 
-// Step runs a spawned coordinator's half of the loop.
-func (f *ParFor) Step(t *machine.CThread) bool {
-	return !f.Drive(t)
+// spawn splits the range down to the grain, then runs the leaf inline.
+func (f *ParFor) spawn(t *machine.CThread) bool {
+	for f.body == nil {
+		n := f.hi - f.lo
+		if n <= f.grain {
+			f.body = f.leaf(f.lo, f.hi)
+			break
+		}
+		lower := newParFor(f.lo, f.lo+n/2, f.grain, f.leaf)
+		f.lo += n / 2
+		if t.CSpawn(lower) {
+			return true
+		}
+	}
+	return !f.body.Step(t)
 }
 
 // Grouped creates one worker per id in groups, where groups[nl] lists the
-// worker ids that must start on nodelet nl; it is a Driver. Placement uses a recursive remote-spawn tree over the nodelets
-// followed by local recursive trees — the paper's recursive_remote_spawn
-// shape — so launching W workers costs O(log W) critical-path spawns instead
-// of W. Kernels whose workers have data-dependent home nodelets (pointer
-// chasing chains) use this instead of Workers' round-robin placement.
+// worker ids that must start on nodelet nl; it is a Driver. Placement is
+// the recursive remote tree over the populated nodelets — the paper's
+// recursive_remote_spawn shape, which on round-robin groups issues exactly
+// Workers' RecursiveRemoteSpawn spawns — so launching W workers costs
+// O(log W) critical-path spawns instead of W. Kernels whose workers have
+// data-dependent home nodelets (pointer chasing chains) use this instead of
+// Workers' round-robin placement.
 type Grouped struct {
-	spawner *contGroups
-	mk      func(int) machine.CBody
-	phase   uint8
+	tree *remote
 }
 
 // NewGrouped prepares a Grouped spawn tree over groups[nl] = worker ids homed
 // on nodelet nl; mk(id) builds worker id's body.
 func NewGrouped(groups [][]int, mk func(int) machine.CBody) *Grouped {
-	var nls []int
+	nls := make([]int, 0, len(groups))
 	for nl, ids := range groups {
 		if len(ids) > 0 {
 			nls = append(nls, nl)
 		}
 	}
-	return &Grouped{spawner: &contGroups{groups: groups, nls: nls}, mk: mk}
+	return &Grouped{tree: newRemote(groups, nls, true, mk)}
 }
 
 // Drive advances the grouped spawn tree; see Driver for the protocol.
 func (g *Grouped) Drive(t *machine.CThread) (parked bool) {
-	for {
-		switch g.phase {
-		case 0:
-			if g.spawner.drive(t, g.mk) {
-				return true
-			}
-			g.phase = 1
-			if t.CSync() {
-				return true
-			}
-		case 1:
-			g.phase = 2
-		case 2:
-			return false
-		}
-	}
+	return g.tree.Drive(t)
 }
 
 // Fanout spawns each of its bodies on its nodelet, in the order they were
