@@ -37,43 +37,37 @@ func runStreamAnchors(o Options) ([]*metrics.Figure, error) {
 			2: "emu chick 8 nodes",
 		},
 	}
-	// The three anchors are independent simulations fanned across the pool.
-	anchors := []func() (float64, error){
-		func() (float64, error) {
+	// The three anchors are the points of a one-series sweep.
+	anchors := []func(Options) (float64, error){
+		func(Options) (float64, error) {
 			r, err := cpukernels.StreamAdd(xeon.SandyBridgeXeon(), cpukernels.StreamConfig{
 				Elements: xeonElems, Threads: 32,
 			})
 			return r.GBps(), err
 		},
-		func() (float64, error) {
+		func(o Options) (float64, error) {
 			r, err := kernels.StreamAdd(machine.HardwareChick(), kernels.StreamConfig{
 				ElemsPerNodelet: emuElems, Nodelets: 8, Threads: 512, Strategy: cilk.RecursiveRemoteSpawn,
 			}, o.KernelOptions()...)
 			return r.GBps(), err
 		},
-		func() (float64, error) {
+		func(o Options) (float64, error) {
 			r, err := kernels.StreamAdd(machine.HardwareChickNodes(8), kernels.StreamConfig{
 				ElemsPerNodelet: emuElems, Nodelets: 64, Threads: 4096, Strategy: cilk.RecursiveRemoteSpawn,
 			}, o.KernelOptions()...)
 			return r.GBps(), err
 		},
 	}
-	vals := make([]float64, len(anchors))
-	err := parallelFor(o, len(anchors), func(i int) error {
-		v, err := anchors[i]()
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-		return nil
+	stats, err := sweep{series: 1, points: len(anchors)}.run(o, func(o Options, _, pi, _ int) (float64, error) {
+		return anchors[pi](o)
 	})
 	if err != nil {
 		return nil, err
 	}
 	measured := &metrics.Series{Name: "measured"}
 	paperS := &metrics.Series{Name: "paper"}
-	for i, v := range vals {
-		measured.Add(float64(i), single(v))
+	for i, st := range stats[0] {
+		measured.Add(float64(i), st)
 	}
 	paperS.Add(0, single(51.2)) // nominal; the paper measures "close to" it
 	paperS.Add(1, single(1.2))

@@ -125,7 +125,6 @@ type Checkpoint struct {
 	exp      string
 	fp       string
 	done     map[ckptKey]float64
-	failures []CellFailure // loaded from an existing log, for reporting
 	sweeps   int
 	recorded int
 	onRecord func(recorded int) // test hook, called after each Record
@@ -147,8 +146,8 @@ func CheckpointPath(path, expID string) string {
 
 // OpenCheckpoint opens (or creates) the write-ahead log at path for the
 // given experiment and options fingerprint. An existing log is replayed:
-// completed cells become Lookup hits, recorded failures are kept for
-// reporting, and a torn final line — the expected signature of a kill
+// completed cells become Lookup hits, failure records are skipped (their
+// cells re-run), and a torn final line — the expected signature of a kill
 // mid-append — is dropped. A log written by a different experiment or under
 // different workload-shaping options is refused.
 func OpenCheckpoint(path, exp, fingerprint string) (*Checkpoint, error) {
@@ -200,10 +199,6 @@ func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoi
 		case "cell":
 			if rec.V != nil {
 				c.done[ckptKey{rec.Sweep, rec.Cell}] = *rec.V
-			}
-		case "fail":
-			if rec.Fail != nil {
-				c.failures = append(c.failures, *rec.Fail)
 			}
 		}
 		valid, off = end, end
@@ -262,16 +257,6 @@ func (c *Checkpoint) Completed() int {
 	return len(c.done)
 }
 
-// Failures returns the failure records the log holds (loaded plus newly
-// recorded), in record order.
-func (c *Checkpoint) Failures() []CellFailure {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]CellFailure, len(c.failures))
-	copy(out, c.failures)
-	return out
-}
-
 // Record appends one completed cell to the log.
 func (c *Checkpoint) Record(sweep, cell int, v float64) error {
 	c.mu.Lock()
@@ -291,11 +276,7 @@ func (c *Checkpoint) Record(sweep, cell int, v float64) error {
 func (c *Checkpoint) RecordFailure(cf *CellFailure) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.append(ckptRecord{Type: "fail", Sweep: cf.Sweep, Cell: cf.Cell, Fail: cf}); err != nil {
-		return err
-	}
-	c.failures = append(c.failures, *cf)
-	return nil
+	return c.append(ckptRecord{Type: "fail", Sweep: cf.Sweep, Cell: cf.Cell, Fail: cf})
 }
 
 // Close flushes and closes the log file.
@@ -321,15 +302,24 @@ func (c *Checkpoint) nextSweep() int {
 	return n
 }
 
+// ckptLayout is the revision of the experiments' (sweep, cell) layout,
+// folded into every fingerprint so a log written under an older layout is
+// refused instead of replayed into the wrong cells. Revision 2 made fig8's
+// STREAM peaks sweep 0 and its chase sweep 1, and gave stream-anchors,
+// migration-anchors and scaling-nodes a sweep; revision 1 logs carry no
+// layout field.
+const ckptLayout = 2
+
 // optionsFingerprint hashes every option that shapes the workload — and
-// nothing that doesn't. Trials, scale, and the fault plan/seed change which
-// cells exist or what they compute, so they are in; Parallel, Observer, the
-// context, and the watchdog settings only change how cells are driven, so
-// they are out (a run interrupted at -parallel 8 may resume at -parallel 1,
-// or with a longer -cell-timeout, and still reuse every completed cell).
+// nothing that doesn't — plus ckptLayout. Trials, scale, and the fault
+// plan/seed change which cells exist or what they compute, so they are in;
+// Parallel, Observer, the context, and the watchdog settings only change
+// how cells are driven, so they are out (a run interrupted at -parallel 8
+// may resume at -parallel 1, or with a longer -cell-timeout, and still
+// reuse every completed cell).
 func optionsFingerprint(expID string, o Options) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%s;trials=%d;quick=%t;faultseed=%d;", expID, o.Trials, o.Quick, o.FaultSeed)
+	fmt.Fprintf(h, "%s;trials=%d;quick=%t;faultseed=%d;layout=%d;", expID, o.Trials, o.Quick, o.FaultSeed, ckptLayout)
 	if o.Faults != nil {
 		b, err := json.Marshal(o.Faults)
 		if err != nil {

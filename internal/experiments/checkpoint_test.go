@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -197,6 +199,108 @@ func TestCheckpointMidFileCorruptionRefused(t *testing.T) {
 		t.Fatal("mid-file corruption was accepted")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestCheckpointRecordsEveryCell: a checkpointed quick run of each
+// experiment whose cells once bypassed the sweep runner records every one
+// of its cells, and a second run over the finished log simulates none of
+// them and reproduces the figures.
+func TestCheckpointRecordsEveryCell(t *testing.T) {
+	for _, tc := range []struct {
+		id    string
+		cells int
+	}{
+		{"stream-anchors", 3},
+		{"migration-anchors", 3},
+		{"scaling-nodes", 4},
+		{"fig8", 2 + 2*len(chaseBlocks(true))}, // the two peaks, then both chase series at one trial
+	} {
+		path := filepath.Join(t.TempDir(), tc.id+".ckpt")
+		recorded := 0
+		hook := WithCheckpointHook(func(n int) { recorded = n })
+		cold := ckptFigureBytes(t, tc.id, path, hook)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := bytes.Count(data, []byte(`"type":"cell"`)); recorded != tc.cells || n != tc.cells {
+			t.Errorf("%s: recorded %d cells, log holds %d; want %d", tc.id, recorded, n, tc.cells)
+		}
+		recorded = 0
+		warm := ckptFigureBytes(t, tc.id, path, hook)
+		if recorded != 0 {
+			t.Errorf("%s: the run over a finished log simulated %d cells", tc.id, recorded)
+		}
+		if !bytes.Equal(cold, warm) {
+			t.Errorf("%s: replayed figures differ:\ncold: %s\nwarm: %s", tc.id, cold, warm)
+		}
+	}
+}
+
+// TestCheckpointRefusesPreLayoutLog: a log written before the fingerprint
+// carried ckptLayout is refused, never replayed. The header is the one a
+// quick fig8 run wrote then; that log's sweep 0 held chase cells, which
+// would now replay as the STREAM peaks.
+func TestCheckpointRefusesPreLayoutLog(t *testing.T) {
+	const oldFP = "eddd8b42b18601c1"
+	sum := sha256.Sum256([]byte("fig8;trials=3;quick=true;faultseed=0;"))
+	if got := hex.EncodeToString(sum[:])[:16]; got != oldFP {
+		t.Fatalf("the layout-free fingerprint of a quick fig8 run is %s, want %s", got, oldFP)
+	}
+	path := filepath.Join(t.TempDir(), "fig8.ckpt")
+	log := `{"type":"header","exp":"fig8","fp":"` + oldFP + `"}` + "\n" +
+		`{"type":"cell","v":0.16653303607136838}` + "\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := ByID("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(WithScale(QuickScale), WithCheckpoint(path)); err == nil {
+		t.Fatal("a log written under the old cell layout was replayed")
+	} else if !strings.Contains(err.Error(), oldFP) {
+		t.Fatalf("refusal does not name the log's fingerprint: %v", err)
+	}
+}
+
+// TestNaNCellIsAHoleNotARecord: a cell that returns NaN without an error —
+// fig8's chase over a failed STREAM peak — is a hole with no log record, so
+// a checkpointed sweep completes instead of failing to encode the NaN.
+func TestNaNCellIsAHoleNotARecord(t *testing.T) {
+	e := &Experiment{
+		ID:    "test-nan",
+		Title: "derived hole",
+		Runner: func(o Options) ([]*metrics.Figure, error) {
+			stats, err := sweep{series: 1, points: 2}.run(o, func(_ Options, _, pi, _ int) (float64, error) {
+				if pi == 1 {
+					return math.NaN(), nil
+				}
+				return 7, nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			fig := &metrics.Figure{ID: "test-nan", Title: "synthetic", XLabel: "x", YLabel: "y"}
+			fig.Series = assemble([]string{"only"}, xsOf([]int{1, 2}), stats)
+			return []*metrics.Figure{fig}, nil
+		},
+	}
+	path := filepath.Join(t.TempDir(), "nan.ckpt")
+	figs, err := e.Run(WithScale(QuickScale), WithTrials(1), WithCheckpoint(path))
+	if err != nil {
+		t.Fatalf("a NaN cell aborted the checkpointed sweep: %v", err)
+	}
+	if !figs[0].Incomplete || figs[0].Series[0].Points[1].Stats.Failed != 1 {
+		t.Fatalf("NaN cell is not a hole: %+v", figs[0].Series[0].Points)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte(`"type":"cell"`)); n != 1 {
+		t.Fatalf("log holds %d cell records, want 1:\n%s", n, data)
 	}
 }
 

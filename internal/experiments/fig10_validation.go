@@ -145,7 +145,7 @@ func runMigrationAnchors(o Options) ([]*metrics.Figure, error) {
 			2: "hw 1-thread latency (us)",
 		},
 	}
-	// The three anchor measurements are independent ping-pong simulations.
+	// The three anchor measurements are the points of a one-series sweep.
 	anchors := []struct {
 		cfg     machine.Config
 		threads int
@@ -155,24 +155,22 @@ func runMigrationAnchors(o Options) ([]*metrics.Figure, error) {
 		{machine.SimMatched(), 64, func(r kernels.PingPongResult) float64 { return r.MigrationsPerSec / 1e6 }},
 		{machine.HardwareChick(), 1, func(r kernels.PingPongResult) float64 { return r.MeanLatency.Seconds() * 1e6 }},
 	}
-	vals := make([]float64, len(anchors))
-	err := parallelFor(o, len(anchors), func(i int) error {
-		res, err := kernels.PingPong(anchors[i].cfg, kernels.PingPongConfig{
-			Threads: anchors[i].threads, Iterations: iters, NodeletA: 0, NodeletB: 1,
+	stats, err := sweep{series: 1, points: len(anchors)}.run(o, func(o Options, _, pi, _ int) (float64, error) {
+		res, err := kernels.PingPong(anchors[pi].cfg, kernels.PingPongConfig{
+			Threads: anchors[pi].threads, Iterations: iters, NodeletA: 0, NodeletB: 1,
 		}, o.KernelOptions()...)
 		if err != nil {
-			return err
+			return 0, err
 		}
-		vals[i] = anchors[i].value(res)
-		return nil
+		return anchors[pi].value(res), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	measured := &metrics.Series{Name: "measured"}
 	paperS := &metrics.Series{Name: "paper"}
-	for i, v := range vals {
-		measured.Add(float64(i), single(v))
+	for i, st := range stats[0] {
+		measured.Add(float64(i), st)
 	}
 	paperS.Add(0, single(9))
 	paperS.Add(1, single(16))

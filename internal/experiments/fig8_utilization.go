@@ -54,20 +54,18 @@ func measuredStreamPeakXeon(quick bool) (float64, error) {
 
 func runFig8(o Options) ([]*metrics.Figure, error) {
 	o = o.withDefaults()
-	// The two normalization peaks are independent simulations of their own.
-	var emuPeak, xeonPeak float64
-	err := parallelFor(o, 2, func(i int) error {
-		var err error
-		if i == 0 {
-			emuPeak, err = measuredStreamPeakEmu(o)
-		} else {
-			xeonPeak, err = measuredStreamPeakXeon(o.Quick)
+	// The two normalization peaks are sweep 0, the chase cells sweep 1. A
+	// failed peak is a NaN hole, and so is every chase cell divided by it.
+	peaks, err := sweep{series: 1, points: 2}.run(o, func(o Options, _, pi, _ int) (float64, error) {
+		if pi == 0 {
+			return measuredStreamPeakEmu(o)
 		}
-		return err
+		return measuredStreamPeakXeon(o.Quick)
 	})
 	if err != nil {
 		return nil, err
 	}
+	emuPeak, xeonPeak := peaks[0][0].Mean, peaks[0][1].Mean
 
 	// As in Fig. 7, the Xeon list must exceed the L3 for the paper's
 	// utilization contrast to appear; trials are capped for the same

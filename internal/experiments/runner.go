@@ -284,7 +284,10 @@ func (g sweep) run(o Options, eval func(o Options, si, pi, trial int) (float64, 
 			return nil
 		}
 		vals[i] = v
-		if o.ckpt != nil {
+		// A NaN result (a cell derived from a failed one, such as fig8's
+		// chase over a failed STREAM peak) is a hole, not a record: JSON
+		// cannot carry it, and a resume recomputes it.
+		if o.ckpt != nil && !math.IsNaN(v) {
 			return o.ckpt.Record(sweepIdx, i, v)
 		}
 		return nil

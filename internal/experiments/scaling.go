@@ -27,19 +27,14 @@ func runScalingNodes(o Options) ([]*metrics.Figure, error) {
 		threadsPerNodelet = 32
 	}
 	nodeCounts := []int{1, 2, 4, 8}
-	vals := make([]float64, len(nodeCounts))
-	err := parallelFor(o, len(nodeCounts), func(i int) error {
-		cfg := machine.HardwareChickNodes(nodeCounts[i])
+	stats, err := sweep{series: 1, points: len(nodeCounts)}.run(o, func(o Options, _, pi, _ int) (float64, error) {
+		cfg := machine.HardwareChickNodes(nodeCounts[pi])
 		nodelets := cfg.TotalNodelets()
 		res, err := kernels.StreamAdd(cfg, kernels.StreamConfig{
 			ElemsPerNodelet: elems, Nodelets: nodelets,
 			Threads: threadsPerNodelet * nodelets, Strategy: cilk.RecursiveRemoteSpawn,
 		}, o.KernelOptions()...)
-		if err != nil {
-			return err
-		}
-		vals[i] = res.GBps()
-		return nil
+		return res.GBps(), err
 	})
 	if err != nil {
 		return nil, err
@@ -52,9 +47,9 @@ func runScalingNodes(o Options) ([]*metrics.Figure, error) {
 	}
 	measured := &metrics.Series{Name: "measured"}
 	ideal := &metrics.Series{Name: "linear_from_1_node"}
-	oneNode := vals[0]
+	oneNode := stats[0][0].Mean
 	for i, nodes := range nodeCounts {
-		measured.Add(float64(nodes), single(vals[i]))
+		measured.Add(float64(nodes), stats[0][i])
 		ideal.Add(float64(nodes), single(oneNode*float64(nodes)))
 	}
 	fig.Series = []*metrics.Series{measured, ideal}
