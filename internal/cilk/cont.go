@@ -38,21 +38,21 @@ type spawner interface {
 
 // coord runs its spawner s, then an explicit sync. Each spawner embeds the
 // coord that runs it, with s pointing back at the spawner, so a spawned
-// subtree is one allocation.
+// subtree is one allocation. A nil s means nothing is left to do: the sync
+// is issued, or the tree is empty.
 type coord struct {
-	s      spawner
-	synced bool // the sync is issued, or the tree is empty: nothing left to do
+	s spawner
 }
 
 // Drive advances the tree; see Driver for the protocol.
 func (c *coord) Drive(t *machine.CThread) (parked bool) {
-	if c.synced {
+	if c.s == nil {
 		return false
 	}
 	if c.s.spawn(t) {
 		return true
 	}
-	c.synced = true
+	c.s = nil
 	return t.CSync()
 }
 
@@ -207,14 +207,10 @@ type ParFor struct {
 // iterations per leaf (grain <= 0 means 1); leaf(lo, hi) builds the body that runs
 // iterations [lo, hi) on whichever thread reaches them.
 func NewParallelFor(n, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
-	f := newParFor(0, n, max(grain, 1), leaf)
-	f.synced = n <= 0 // an empty loop returns at once, without a sync
-	return f
-}
-
-func newParFor(lo, hi, grain int, leaf func(lo, hi int) machine.CBody) *ParFor {
-	f := &ParFor{lo: lo, hi: hi, grain: grain, leaf: leaf}
-	f.s = f
+	f := &ParFor{hi: n, grain: max(grain, 1), leaf: leaf}
+	if n > 0 { // an empty loop returns at once, without a sync
+		f.s = f
+	}
 	return f
 }
 
@@ -226,7 +222,8 @@ func (f *ParFor) spawn(t *machine.CThread) bool {
 			f.body = f.leaf(f.lo, f.hi)
 			break
 		}
-		lower := newParFor(f.lo, f.lo+n/2, f.grain, f.leaf)
+		lower := &ParFor{lo: f.lo, hi: f.lo + n/2, grain: f.grain, leaf: f.leaf}
+		lower.s = lower
 		f.lo += n / 2
 		if t.CSpawn(lower) {
 			return true
