@@ -6,7 +6,9 @@ import "emuchick/internal/xeon"
 // over xeon.CThread. A recursive spawn helper becomes a driver: the
 // caller-side half of the recursion is a loop that shrinks its range, and
 // the spawned-side half is a task that drives the delegated subrange and
-// then syncs.
+// then syncs. These mirror internal/cilk rather than share it because the
+// two machines' threads have different body types and spawn/sync methods,
+// and a Xeon tree has no nodelets and no remote spawn to share.
 
 // driver is a resumable spawn loop: Drive reports parked=true while the
 // enclosing Step must return, and false once its whole range is spawned
