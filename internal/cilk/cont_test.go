@@ -95,18 +95,23 @@ func runRecorded(t *testing.T, label, want string, mk func(s *machine.System) ma
 	checkDigest(t, label, runDigest(elapsed, rec.events, s), want)
 }
 
+// touchWorkers is the golden Workers scenario: each worker loads its home
+// word of a stripe over the whole machine, then computes.
+func touchWorkers(nodelets, workers int, strat Strategy) func(s *machine.System) machine.CBody {
+	return func(s *machine.System) machine.CBody {
+		arr := s.Mem.AllocStriped(s.Nodelets())
+		return &ctWorkersRoot{ws: NewWorkers(nodelets, workers, strat, func(w int) machine.CBody {
+			return &ctTouchWorker{arr: arr, w: w}
+		})}
+	}
+}
+
 func TestContWorkersMatchGoroutineAllStrategies(t *testing.T) {
 	const workers = 23 // odd and > nodelets: uneven trees, every shape branch
 	for _, strat := range Strategies {
 		strat := strat
 		t.Run(strat.String(), func(t *testing.T) {
-			runRecorded(t, strat.String(), workersDigests[strat], func(s *machine.System) machine.CBody {
-				arr := s.Mem.AllocStriped(s.Nodelets())
-				ws := NewWorkers(s.Nodelets(), workers, strat, func(w int) machine.CBody {
-					return &ctTouchWorker{arr: arr, w: w}
-				})
-				return &ctWorkersRoot{ws: ws}
-			})
+			runRecorded(t, strat.String(), workersDigests[strat], touchWorkers(8, workers, strat))
 		})
 	}
 }
@@ -118,13 +123,7 @@ func TestContWorkersShapesGolden(t *testing.T) {
 	for _, tc := range workersShapes {
 		for _, strat := range Strategies {
 			label := fmt.Sprintf("%v/nodelets=%d/W=%d", strat, tc.nodelets, tc.workers)
-			runRecorded(t, label, workersShapeDigests[label], func(s *machine.System) machine.CBody {
-				arr := s.Mem.AllocStriped(s.Nodelets())
-				ws := NewWorkers(tc.nodelets, tc.workers, strat, func(w int) machine.CBody {
-					return &ctTouchWorker{arr: arr, w: w}
-				})
-				return &ctWorkersRoot{ws: ws}
-			})
+			runRecorded(t, label, workersShapeDigests[label], touchWorkers(tc.nodelets, tc.workers, strat))
 		}
 	}
 }
