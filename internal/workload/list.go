@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ShuffleMode selects which of Fig. 2's permutations is applied to the
 // linked list's traversal order.
@@ -100,6 +103,74 @@ func ListOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
 		order = append(order, scratch...)
 	}
 	return order
+}
+
+// VisitList calls visit with every element position of a block-shuffled
+// linked list in traversal order: the k-th call receives the memory
+// position of the k-th visited element. Elements are grouped into blocks of
+// blockSize consecutive memory positions (the final block may be short when
+// blockSize does not divide n). The rules match Fig. 2: all elements of a
+// block are visited before jumping to the next block; IntraBlockShuffle
+// permutes positions within each block, BlockShuffle permutes the block
+// visit order, and FullBlockShuffle does both. The block order is drawn
+// from rng first, then each block's permutation as the walk enters it, so
+// a seed names one order however the caller consumes it. The walk holds one
+// int32 per block and one per element of a block, never the whole order,
+// so callers can build a list of n elements in one pass.
+func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(p int)) {
+	if n < 0 {
+		panic("workload: negative list length")
+	}
+	if blockSize <= 0 {
+		panic("workload: block size must be positive")
+	}
+	if n > math.MaxInt32 {
+		panic("workload: list longer than MaxInt32 elements")
+	}
+	if n == 0 {
+		return
+	}
+	numBlocks := (n-1)/blockSize + 1
+
+	var blockOrder []int32 // nil: blocks in memory order
+	if mode == BlockShuffle || mode == FullBlockShuffle {
+		blockOrder = make([]int32, numBlocks)
+		for i := range blockOrder {
+			blockOrder[i] = int32(i)
+		}
+		rng.Shuffle(numBlocks, func(i, j int) {
+			blockOrder[i], blockOrder[j] = blockOrder[j], blockOrder[i]
+		})
+	}
+	var scratch []int32 // nil: positions within a block in memory order
+	if mode == IntraBlockShuffle || mode == FullBlockShuffle {
+		scratch = make([]int32, min(blockSize, n))
+	}
+
+	for i := 0; i < numBlocks; i++ {
+		b := i
+		if blockOrder != nil {
+			b = int(blockOrder[i])
+		}
+		lo := b * blockSize
+		hi := min(lo+blockSize, n)
+		if scratch == nil {
+			for p := lo; p < hi; p++ {
+				visit(p)
+			}
+			continue
+		}
+		block := scratch[:hi-lo]
+		for j := range block {
+			block[j] = int32(lo + j)
+		}
+		rng.Shuffle(len(block), func(i, j int) {
+			block[i], block[j] = block[j], block[i]
+		})
+		for _, p := range block {
+			visit(int(p))
+		}
+	}
 }
 
 // ListSpec bundles the parameters of one pointer-chasing list.

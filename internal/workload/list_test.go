@@ -1,9 +1,40 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
+
+// visitOrder collects the positions VisitList yields.
+func visitOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
+	var order []int
+	VisitList(n, blockSize, mode, rng, func(p int) { order = append(order, p) })
+	return order
+}
+
+// checkAgainstReference fails unless VisitList yields ListOrder's order
+// element by element and leaves rng where ListOrder leaves it.
+func checkAgainstReference(t *testing.T, n, blockSize int, mode ShuffleMode, seed uint64) {
+	t.Helper()
+	ref, got := NewRNG(seed), NewRNG(seed)
+	want := ListOrder(n, blockSize, mode, ref)
+	k := 0
+	VisitList(n, blockSize, mode, got, func(p int) {
+		if k < len(want) && p != want[k] {
+			t.Fatalf("n=%d block=%d %v seed=%d: visit %d is position %d, want %d",
+				n, blockSize, mode, seed, k, p, want[k])
+		}
+		k++
+	})
+	if k != len(want) {
+		t.Fatalf("n=%d block=%d %v seed=%d: %d visits, want %d", n, blockSize, mode, seed, k, len(want))
+	}
+	if a, b := ref.Uint64(), got.Uint64(); a != b {
+		t.Fatalf("n=%d block=%d %v seed=%d: rng state after the walk differs from the reference",
+			n, blockSize, mode, seed)
+	}
+}
 
 func TestShuffleModeNames(t *testing.T) {
 	want := map[ShuffleMode]string{
@@ -30,7 +61,7 @@ func TestShuffleModeNames(t *testing.T) {
 }
 
 func TestNoShuffleIsIdentity(t *testing.T) {
-	order := ListOrder(10, 4, NoShuffle, NewRNG(1))
+	order := visitOrder(10, 4, NoShuffle, NewRNG(1))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d", i, v)
@@ -40,7 +71,7 @@ func TestNoShuffleIsIdentity(t *testing.T) {
 
 func TestIntraBlockKeepsBlockSequence(t *testing.T) {
 	const n, bs = 64, 8
-	order := ListOrder(n, bs, IntraBlockShuffle, NewRNG(3))
+	order := visitOrder(n, bs, IntraBlockShuffle, NewRNG(3))
 	// The k-th group of bs visits must cover exactly block k.
 	for b := 0; b < n/bs; b++ {
 		for k := b * bs; k < (b+1)*bs; k++ {
@@ -53,7 +84,7 @@ func TestIntraBlockKeepsBlockSequence(t *testing.T) {
 
 func TestBlockShuffleKeepsWithinBlockSequence(t *testing.T) {
 	const n, bs = 64, 8
-	order := ListOrder(n, bs, BlockShuffle, NewRNG(3))
+	order := visitOrder(n, bs, BlockShuffle, NewRNG(3))
 	for k := 0; k < n; k += bs {
 		base := order[k]
 		if base%bs != 0 {
@@ -69,7 +100,7 @@ func TestBlockShuffleKeepsWithinBlockSequence(t *testing.T) {
 
 func TestFullShuffleStillVisitsBlocksAtomically(t *testing.T) {
 	const n, bs = 96, 8
-	order := ListOrder(n, bs, FullBlockShuffle, NewRNG(5))
+	order := visitOrder(n, bs, FullBlockShuffle, NewRNG(5))
 	// Consecutive runs of bs visits must stay within one block ("all
 	// elements within a block are accessed before jumping to the next").
 	for k := 0; k < n; k += bs {
@@ -85,7 +116,7 @@ func TestFullShuffleStillVisitsBlocksAtomically(t *testing.T) {
 func TestShufflesActuallyShuffle(t *testing.T) {
 	const n, bs = 1024, 16
 	for _, mode := range []ShuffleMode{IntraBlockShuffle, BlockShuffle, FullBlockShuffle} {
-		order := ListOrder(n, bs, mode, NewRNG(7))
+		order := visitOrder(n, bs, mode, NewRNG(7))
 		fixed := 0
 		for i, v := range order {
 			if i == v {
@@ -101,7 +132,7 @@ func TestShufflesActuallyShuffle(t *testing.T) {
 func TestListOrderShortFinalBlock(t *testing.T) {
 	// 10 elements in blocks of 4: final block has 2.
 	for _, mode := range ShuffleModes {
-		order := ListOrder(10, 4, mode, NewRNG(2))
+		order := visitOrder(10, 4, mode, NewRNG(2))
 		if len(order) != 10 {
 			t.Fatalf("%v: len = %d", mode, len(order))
 		}
@@ -116,27 +147,28 @@ func TestListOrderShortFinalBlock(t *testing.T) {
 }
 
 func TestListOrderDegenerateCases(t *testing.T) {
-	if got := ListOrder(0, 4, FullBlockShuffle, NewRNG(1)); len(got) != 0 {
+	if got := visitOrder(0, 4, FullBlockShuffle, NewRNG(1)); len(got) != 0 {
 		t.Fatal("n=0 not empty")
 	}
 	// blockSize 1 with full shuffle is a global permutation.
-	order := ListOrder(32, 1, FullBlockShuffle, NewRNG(1))
+	order := visitOrder(32, 1, FullBlockShuffle, NewRNG(1))
 	if len(order) != 32 {
 		t.Fatal("blockSize 1 wrong length")
 	}
 	// blockSize >= n with intra shuffle is also a global permutation.
-	order = ListOrder(32, 64, IntraBlockShuffle, NewRNG(1))
+	order = visitOrder(32, 64, IntraBlockShuffle, NewRNG(1))
 	if len(order) != 32 {
 		t.Fatal("oversized block wrong length")
 	}
 	for _, f := range []func(){
-		func() { ListOrder(-1, 4, NoShuffle, NewRNG(1)) },
-		func() { ListOrder(4, 0, NoShuffle, NewRNG(1)) },
+		func() { VisitList(-1, 4, NoShuffle, NewRNG(1), func(int) {}) },
+		func() { VisitList(4, 0, NoShuffle, NewRNG(1), func(int) {}) },
+		func() { VisitList(math.MaxInt32+1, 4, NoShuffle, NewRNG(1), func(int) {}) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid ListOrder args did not panic")
+					t.Error("invalid VisitList args did not panic")
 				}
 			}()
 			f()
@@ -163,14 +195,14 @@ func TestListSpec(t *testing.T) {
 	}
 }
 
-// Property: for every mode, n, blockSize, and seed, ListOrder is a
+// Property: for every mode, n, blockSize, and seed, VisitList yields a
 // permutation of [0, n) that visits each block contiguously.
 func TestListOrderPermutationProperty(t *testing.T) {
 	f := func(nRaw, bsRaw uint8, modeRaw uint8, seed uint64) bool {
 		n := int(nRaw % 200)
 		bs := int(bsRaw%32) + 1
 		mode := ShuffleModes[int(modeRaw)%len(ShuffleModes)]
-		order := ListOrder(n, bs, mode, NewRNG(seed))
+		order := visitOrder(n, bs, mode, NewRNG(seed))
 		if len(order) != n {
 			return false
 		}
@@ -199,6 +231,35 @@ func TestListOrderPermutationProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestVisitListMatchesListOrder holds the streaming walk to the reference
+// element by element: every n up to 300, block sizes 1, 2, 3, 7, n-1, n,
+// n+1 and well past n (so short final blocks and single-block lists), all
+// four modes, and seeds including 0.
+func TestVisitListMatchesListOrder(t *testing.T) {
+	for n := 0; n <= 300; n++ {
+		for _, bs := range []int{1, 2, 3, 7, n - 1, n, n + 1, 2*n + 5} {
+			if bs <= 0 {
+				continue
+			}
+			for _, mode := range ShuffleModes {
+				for _, seed := range []uint64{0, 1, uint64(n)*7919 + uint64(bs)} {
+					checkAgainstReference(t, n, bs, mode, seed)
+				}
+			}
+		}
+	}
+}
+
+// FuzzVisitList explores lengths up to 511, block sizes 1..1024 (past n as
+// often as not) and arbitrary modes and seeds against the reference.
+// Tier 1 replays the corpus in testdata/fuzz/FuzzVisitList.
+func FuzzVisitList(f *testing.F) {
+	f.Fuzz(func(t *testing.T, n uint16, blockSize uint16, mode uint8, seed uint64) {
+		checkAgainstReference(t, int(n%512), int(blockSize%1024)+1,
+			ShuffleModes[int(mode)%len(ShuffleModes)], seed)
+	})
 }
 
 func TestGUPSStream(t *testing.T) {
