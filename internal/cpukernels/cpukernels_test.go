@@ -70,6 +70,36 @@ func TestCPUChaseVerifiesAllModes(t *testing.T) {
 	}
 }
 
+// TestCPUChaseConservation derives the chase's DRAM traffic from its
+// length alone. Every list here fits the 20 MiB L3, so each of the n
+// elements' 16 bytes is fetched from DRAM exactly once, in 64-byte lines;
+// the prefetcher may run at most PrefetchDegree lines past the list's end,
+// and a walk that only reads never writes a line back.
+func TestCPUChaseConservation(t *testing.T) {
+	ccfg := xeon.SandyBridgeXeon()
+	for _, n := range []int{4096, 65536} {
+		if n*16 > ccfg.L3Bytes {
+			t.Fatalf("n=%d does not fit the L3", n)
+		}
+		for _, mode := range workload.ShuffleModes {
+			for _, block := range []int{1, 4, 64, 4096} {
+				cfg := ChaseConfig{Elements: n, BlockSize: block, Mode: mode, Seed: 11, Threads: 8}
+				_, st, err := PointerChaseWithStats(ccfg, cfg)
+				if err != nil {
+					t.Fatalf("%+v: %v", cfg, err)
+				}
+				lo, hi := int64(n)*16, int64(n)*16+int64(ccfg.LineBytes*ccfg.PrefetchDegree)
+				if st.DRAMLineBytes < lo || st.DRAMLineBytes > hi {
+					t.Errorf("%+v: %d DRAM bytes, want %d..%d", cfg, st.DRAMLineBytes, lo, hi)
+				}
+				if st.WritebackBytes != 0 {
+					t.Errorf("%+v: %d writeback bytes from a read-only walk", cfg, st.WritebackBytes)
+				}
+			}
+		}
+	}
+}
+
 func TestCPUChasePageSweetSpot(t *testing.T) {
 	// Fig. 7: best performance between 256 and 4096 elements per block
 	// (~one 8 KiB DRAM page); both small and much larger blocks are

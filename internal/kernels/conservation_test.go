@@ -7,14 +7,16 @@ import (
 	"emuchick/internal/machine"
 	"emuchick/internal/sparse"
 	"emuchick/internal/trace"
+	"emuchick/internal/workload"
 )
 
-// End-of-run conservation checks for the SpMV, SpMV-CSX and GUPS kernels.
-// Unlike the golden digests, these do not compare against a recording: each
-// derives what the run must have done from the matrix or the update stream
-// alone — every timed load, every y write, every atomic, every spawn of the
-// ParallelFor tree — and fails on its own when the model or a kernel body
-// drops or duplicates an operation.
+// End-of-run conservation checks for the SpMV, SpMV-CSX, GUPS and
+// pointer-chase kernels. Unlike the golden digests, these do not compare
+// against a recording: each derives what the run must have done from the
+// matrix, the update stream or the list order alone — every timed load,
+// every y write, every atomic, every spawn of the ParallelFor tree, every
+// migration between blocks — and fails on its own when the model or a
+// kernel body drops or duplicates an operation.
 
 // opCounter tallies the event stream by kind.
 type opCounter struct {
@@ -199,6 +201,63 @@ func TestGUPSConservation(t *testing.T) {
 		}
 		if out, _ := c.migrations(); out != 0 {
 			t.Errorf("%s: migrated %d times", label, out)
+		}
+	}
+}
+
+// chaseMigrations derives a chase's migration count from its list order:
+// thread k walks visits share(n, k, Threads) and starts on its first
+// element's nodelet, so it migrates once per consecutive pair of its
+// elements whose blocks live on different nodelets (block b on b mod
+// Nodelets).
+func chaseMigrations(cfg ChaseConfig) int {
+	var order []int
+	workload.VisitList(cfg.Elements, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed),
+		func(p int) { order = append(order, p) })
+	nodelet := func(p int) int { return p / cfg.BlockSize % cfg.Nodelets }
+	migrations := 0
+	for k := 0; k < cfg.Threads; k++ {
+		lo, hi := share(cfg.Elements, k, cfg.Threads)
+		for j := lo + 1; j < hi; j++ {
+			if nodelet(order[j]) != nodelet(order[j-1]) {
+				migrations++
+			}
+		}
+	}
+	return migrations
+}
+
+func TestPointerChaseConservation(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  ChaseConfig
+		want int // migrations, as derived when the case was written
+	}{
+		{ChaseConfig{Elements: 1000, BlockSize: 7, Mode: workload.IntraBlockShuffle, Seed: 3, Threads: 33, Nodelets: 5}, 138},
+		{ChaseConfig{Elements: 50, BlockSize: 64, Mode: workload.FullBlockShuffle, Seed: 1, Threads: 100, Nodelets: 8}, 0},
+		{ChaseConfig{Elements: 4096, BlockSize: 1, Mode: workload.FullBlockShuffle, Seed: 7, Threads: 64, Nodelets: 8}, 3492},
+		{ChaseConfig{Elements: 777, BlockSize: 16, Mode: workload.BlockShuffle, Seed: 9, Threads: 12, Nodelets: 3}, 30},
+		{ChaseConfig{Elements: 2048, BlockSize: 5, Mode: workload.NoShuffle, Seed: 2, Threads: 256, Nodelets: 8}, 358},
+	} {
+		cfg := tc.cfg
+		label := fmt.Sprintf("%+v", cfg)
+		c := newOpCounter()
+		if _, err := PointerChase(machine.HardwareChick(), cfg, WithObserver(c)); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		c.check(t, label)
+		if want := 2 * cfg.Elements; c.loads != want {
+			t.Errorf("%s: %d timed loads, want payload + next per element = %d", label, c.loads, want)
+		}
+		if c.stores+c.remoteStores+c.atomics != 0 {
+			t.Errorf("%s: %d stores, %d remote stores, %d atomics; the walk only loads",
+				label, c.stores, c.remoteStores, c.atomics)
+		}
+		want := chaseMigrations(cfg)
+		if want != tc.want {
+			t.Errorf("%s: derived %d migrations, want %d", label, want, tc.want)
+		}
+		if out, _ := c.migrations(); out != want {
+			t.Errorf("%s: %d migrations, want %d block changes within the threads' shares", label, out, want)
 		}
 	}
 }
