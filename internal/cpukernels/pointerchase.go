@@ -46,32 +46,36 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, C
 	n := cfg.Elements
 	base := sys.Alloc(int64(n) * 16)
 
-	order := workload.ListOrder(n, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed))
-	next := make([]int32, n) // -1 terminates
+	// Link the shuffled traversal order into one chain per thread as the
+	// walk yields it: visits share(n, k, Threads) are thread k's chain.
+	// Visiting an element sets its predecessor's link, which is the
+	// element within a chain and -1 (the terminator) across a chain
+	// boundary.
+	next := make([]int32, n)
 	starts := make([]int, cfg.Threads)
 	expect := make([]uint64, cfg.Threads)
-	counts := make([]int, cfg.Threads)
-	for k := 0; k < cfg.Threads; k++ {
-		lo, hi := share(n, k, cfg.Threads)
-		counts[k] = hi - lo
-		if lo == hi {
-			continue
+	k, end, prev := -1, 0, 0 // the current chain's thread, the visit that ends it, the last element
+	workload.VisitList(n, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed), func(i, p int) {
+		link := int32(p)
+		if i == end { // p opens thread k+1's chain
+			k++
+			_, end = share(n, k, cfg.Threads)
+			starts[k] = p
+			link = -1
 		}
-		starts[k] = order[lo]
-		for j := lo; j < hi; j++ {
-			p := order[j]
-			expect[k] += uint64(p) + 1
-			if j+1 < hi {
-				next[p] = int32(order[j+1])
-			} else {
-				next[p] = -1
-			}
+		if i > 0 {
+			next[prev] = link
 		}
-	}
+		expect[k] += uint64(p) + 1
+		prev = p
+	})
+	next[prev] = -1
 
 	sums := make([]uint64, cfg.Threads)
 	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(k int) xeon.CBody {
-		return &chaseWorker{base: base, next: next, sum: &sums[k], p: starts[k], empty: counts[k] == 0}
+		// Threads from n on have no chain: share gives each of the first
+		// min(Threads, n) threads at least one element.
+		return &chaseWorker{base: base, next: next, sum: &sums[k], p: starts[k], empty: k >= n}
 	}}})
 	if err != nil {
 		return metrics.Result{}, ChaseStats{}, err

@@ -211,9 +211,9 @@ func TestGUPSConservation(t *testing.T) {
 // elements whose blocks live on different nodelets (block b on b mod
 // Nodelets).
 func chaseMigrations(cfg ChaseConfig) int {
-	var order []int
+	order := make([]int, cfg.Elements)
 	workload.VisitList(cfg.Elements, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed),
-		func(p int) { order = append(order, p) })
+		func(i, p int) { order[i] = p })
 	nodelet := func(p int) int { return p / cfg.BlockSize % cfg.Nodelets }
 	migrations := 0
 	for k := 0; k < cfg.Threads; k++ {

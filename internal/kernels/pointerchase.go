@@ -61,20 +61,13 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 	}
 
 	// Block b (elements [b*bs, min((b+1)*bs, n))) lives contiguously on
-	// nodelet b mod N. blockBase[b] is its word offset in that nodelet's
-	// chunk.
-	n, bs := cfg.Elements, cfg.BlockSize
-	numBlocks := (n + bs - 1) / bs
-	blockBase := make([]int, numBlocks)
+	// nodelet b mod N, after the b/N blocks before it there. Only the last
+	// block can be short, so block b starts 2*bs*(b/N) words into its
+	// nodelet's chunk.
+	n, bs, nls := cfg.Elements, cfg.BlockSize, cfg.Nodelets
 	perNodelet := make([]int, sys.Nodelets())
-	for b := 0; b < numBlocks; b++ {
-		nl := b % cfg.Nodelets
-		blockBase[b] = perNodelet[nl]
-		lo, hi := b*bs, (b+1)*bs
-		if hi > n {
-			hi = n
-		}
-		perNodelet[nl] += 2 * (hi - lo)
+	for b := 0; b < (n+bs-1)/bs; b++ {
+		perNodelet[b%nls] += 2 * (min((b+1)*bs, n) - b*bs)
 	}
 	list := sys.Mem.AllocBlocked(perNodelet)
 
@@ -82,43 +75,42 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 	// pointer is the following word.
 	addrOf := func(p int) memsys.Addr {
 		b := p / bs
-		w := p % bs
-		return list.At(b%cfg.Nodelets, blockBase[b]+2*w)
+		return list.At(b%nls, 2*(bs*(b/nls)+p%bs))
 	}
 
-	// Link the shuffled traversal order into one chain per thread and
-	// record each thread's expected payload sum.
-	order := workload.ListOrder(n, bs, cfg.Mode, workload.NewRNG(cfg.Seed))
+	// Link the shuffled traversal order into one chain per thread as the
+	// walk yields it: visits share(n, k, Threads) are thread k's chain.
+	// Visiting an element writes its payload and its predecessor's next
+	// pointer, which is the element's address within a chain and the
+	// end-of-list sentinel across a chain boundary.
 	starts := make([]memsys.Addr, cfg.Threads)
 	expect := make([]uint64, cfg.Threads)
-	counts := make([]int, cfg.Threads)
-	for k := 0; k < cfg.Threads; k++ {
-		lo, hi := share(n, k, cfg.Threads)
-		counts[k] = hi - lo
-		if lo == hi {
-			continue
+	k, end := -1, 0 // the current chain's thread, and the visit that ends it
+	var prev memsys.Addr
+	workload.VisitList(n, bs, cfg.Mode, workload.NewRNG(cfg.Seed), func(i, p int) {
+		a := addrOf(p)
+		next := uint64(a)
+		if i == end { // p opens thread k+1's chain
+			k++
+			_, end = share(n, k, cfg.Threads)
+			starts[k] = a
+			next = endOfList
 		}
-		starts[k] = addrOf(order[lo])
-		for j := lo; j < hi; j++ {
-			p := order[j]
-			sys.Mem.Write(addrOf(p), uint64(p)+1)
-			expect[k] += uint64(p) + 1
-			next := endOfList
-			if j+1 < hi {
-				next = uint64(addrOf(order[j+1]))
-			}
-			sys.Mem.Write(addrOf(p).Plus(1), next)
+		if i > 0 {
+			sys.Mem.Write(prev.Plus(1), next)
 		}
-	}
+		sys.Mem.Write(a, uint64(p)+1)
+		expect[k] += uint64(p) + 1
+		prev = a
+	})
+	sys.Mem.Write(prev.Plus(1), endOfList)
 
 	// Workers spawn at their chain's first block via a recursive
 	// remote-spawn tree — the "smart" placement and spawning of
-	// section V-A.
+	// section V-A. Threads from n on have no chain (share gives each of
+	// the first min(Threads, n) threads at least one element).
 	groups := make([][]int, sys.Nodelets())
-	for k := 0; k < cfg.Threads; k++ {
-		if counts[k] == 0 {
-			continue
-		}
+	for k := range min(cfg.Threads, n) {
 		nl := starts[k].Nodelet()
 		groups[nl] = append(groups[nl], k)
 	}

@@ -52,62 +52,9 @@ func ParseShuffleMode(name string) (ShuffleMode, error) {
 	return 0, fmt.Errorf("workload: unknown shuffle mode %q", name)
 }
 
-// ListOrder computes the traversal order of a block-shuffled linked list:
-// the returned slice holds element memory positions in visit order, so
-// order[k] is the position of the k-th visited element. Elements are
-// grouped into blocks of blockSize consecutive memory positions (the final
-// block may be short when blockSize does not divide n). The rules match
-// Fig. 2: all elements of a block are visited before jumping to the next
-// block; IntraBlockShuffle permutes positions within each block,
-// BlockShuffle permutes the block visit order, and FullBlockShuffle does
-// both.
-func ListOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
-	if n < 0 {
-		panic("workload: negative list length")
-	}
-	if blockSize <= 0 {
-		panic("workload: block size must be positive")
-	}
-	if n == 0 {
-		return nil
-	}
-	numBlocks := (n + blockSize - 1) / blockSize
-
-	blockOrder := make([]int, numBlocks)
-	for i := range blockOrder {
-		blockOrder[i] = i
-	}
-	if mode == BlockShuffle || mode == FullBlockShuffle {
-		rng.Shuffle(numBlocks, func(i, j int) {
-			blockOrder[i], blockOrder[j] = blockOrder[j], blockOrder[i]
-		})
-	}
-
-	order := make([]int, 0, n)
-	scratch := make([]int, 0, blockSize)
-	for _, b := range blockOrder {
-		lo := b * blockSize
-		hi := lo + blockSize
-		if hi > n {
-			hi = n
-		}
-		scratch = scratch[:0]
-		for p := lo; p < hi; p++ {
-			scratch = append(scratch, p)
-		}
-		if mode == IntraBlockShuffle || mode == FullBlockShuffle {
-			rng.Shuffle(len(scratch), func(i, j int) {
-				scratch[i], scratch[j] = scratch[j], scratch[i]
-			})
-		}
-		order = append(order, scratch...)
-	}
-	return order
-}
-
-// VisitList calls visit with every element position of a block-shuffled
-// linked list in traversal order: the k-th call receives the memory
-// position of the k-th visited element. Elements are grouped into blocks of
+// VisitList calls visit(i, p) for every element of a block-shuffled linked
+// list in traversal order: p is the memory position of the i-th visited
+// element. Elements are grouped into blocks of
 // blockSize consecutive memory positions (the final block may be short when
 // blockSize does not divide n). The rules match Fig. 2: all elements of a
 // block are visited before jumping to the next block; IntraBlockShuffle
@@ -117,7 +64,7 @@ func ListOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
 // a seed names one order however the caller consumes it. The walk holds one
 // int32 per block and one per element of a block, never the whole order,
 // so callers can build a list of n elements in one pass.
-func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(p int)) {
+func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(i, p int)) {
 	if n < 0 {
 		panic("workload: negative list length")
 	}
@@ -147,16 +94,18 @@ func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(p int)) 
 		scratch = make([]int32, min(blockSize, n))
 	}
 
-	for i := 0; i < numBlocks; i++ {
-		b := i
+	i := 0
+	for k := 0; k < numBlocks; k++ {
+		b := k
 		if blockOrder != nil {
-			b = int(blockOrder[i])
+			b = int(blockOrder[k])
 		}
 		lo := b * blockSize
 		hi := min(lo+blockSize, n)
 		if scratch == nil {
 			for p := lo; p < hi; p++ {
-				visit(p)
+				visit(i, p)
+				i++
 			}
 			continue
 		}
@@ -164,34 +113,14 @@ func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(p int)) 
 		for j := range block {
 			block[j] = int32(lo + j)
 		}
-		rng.Shuffle(len(block), func(i, j int) {
-			block[i], block[j] = block[j], block[i]
+		rng.Shuffle(len(block), func(x, y int) {
+			block[x], block[y] = block[y], block[x]
 		})
 		for _, p := range block {
-			visit(int(p))
+			visit(i, int(p))
+			i++
 		}
 	}
-}
-
-// ListSpec bundles the parameters of one pointer-chasing list.
-type ListSpec struct {
-	Elements  int // total list elements (each 16 bytes: payload + next)
-	BlockSize int // elements per locality block
-	Mode      ShuffleMode
-	Seed      uint64
-}
-
-// Order materializes the traversal order for the spec.
-func (ls ListSpec) Order() []int {
-	return ListOrder(ls.Elements, ls.BlockSize, ls.Mode, NewRNG(ls.Seed))
-}
-
-// Blocks reports how many locality blocks the list has.
-func (ls ListSpec) Blocks() int {
-	if ls.Elements == 0 {
-		return 0
-	}
-	return (ls.Elements + ls.BlockSize - 1) / ls.BlockSize
 }
 
 // GUPSStream returns n pseudo-random table indices in [0, tableSize) — the

@@ -6,10 +6,65 @@ import (
 	"testing/quick"
 )
 
-// visitOrder collects the positions VisitList yields.
-func visitOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
+// ListOrder is the reference VisitList is held to: the materializing
+// builder the kernels used before the walk streamed. It returns element
+// memory positions in visit order, drawing the block order from rng first
+// and then each block's permutation in visit order.
+func ListOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
+	if n < 0 {
+		panic("workload: negative list length")
+	}
+	if blockSize <= 0 {
+		panic("workload: block size must be positive")
+	}
+	if n == 0 {
+		return nil
+	}
+	numBlocks := (n + blockSize - 1) / blockSize
+
+	blockOrder := make([]int, numBlocks)
+	for i := range blockOrder {
+		blockOrder[i] = i
+	}
+	if mode == BlockShuffle || mode == FullBlockShuffle {
+		rng.Shuffle(numBlocks, func(i, j int) {
+			blockOrder[i], blockOrder[j] = blockOrder[j], blockOrder[i]
+		})
+	}
+
+	order := make([]int, 0, n)
+	scratch := make([]int, 0, blockSize)
+	for _, b := range blockOrder {
+		lo := b * blockSize
+		hi := lo + blockSize
+		if hi > n {
+			hi = n
+		}
+		scratch = scratch[:0]
+		for p := lo; p < hi; p++ {
+			scratch = append(scratch, p)
+		}
+		if mode == IntraBlockShuffle || mode == FullBlockShuffle {
+			rng.Shuffle(len(scratch), func(i, j int) {
+				scratch[i], scratch[j] = scratch[j], scratch[i]
+			})
+		}
+		order = append(order, scratch...)
+	}
+	return order
+}
+
+// visitOrder collects the positions VisitList yields, failing the test
+// unless it numbers its visits 0, 1, 2, ...
+func visitOrder(t *testing.T, n, blockSize int, mode ShuffleMode, rng *RNG) []int {
+	t.Helper()
 	var order []int
-	VisitList(n, blockSize, mode, rng, func(p int) { order = append(order, p) })
+	VisitList(n, blockSize, mode, rng, func(i, p int) {
+		if i != len(order) {
+			t.Fatalf("visit %d numbered %d", len(order), i)
+		}
+		order = append(order, p)
+	})
 	return order
 }
 
@@ -20,10 +75,10 @@ func checkAgainstReference(t *testing.T, n, blockSize int, mode ShuffleMode, see
 	ref, got := NewRNG(seed), NewRNG(seed)
 	want := ListOrder(n, blockSize, mode, ref)
 	k := 0
-	VisitList(n, blockSize, mode, got, func(p int) {
-		if k < len(want) && p != want[k] {
-			t.Fatalf("n=%d block=%d %v seed=%d: visit %d is position %d, want %d",
-				n, blockSize, mode, seed, k, p, want[k])
+	VisitList(n, blockSize, mode, got, func(i, p int) {
+		if i != k || k >= len(want) || p != want[k] {
+			t.Fatalf("n=%d block=%d %v seed=%d: visit %d (numbered %d) is position %d, want %v",
+				n, blockSize, mode, seed, k, i, p, want[k:min(k+1, len(want))])
 		}
 		k++
 	})
@@ -61,7 +116,7 @@ func TestShuffleModeNames(t *testing.T) {
 }
 
 func TestNoShuffleIsIdentity(t *testing.T) {
-	order := visitOrder(10, 4, NoShuffle, NewRNG(1))
+	order := visitOrder(t, 10, 4, NoShuffle, NewRNG(1))
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("order[%d] = %d", i, v)
@@ -71,7 +126,7 @@ func TestNoShuffleIsIdentity(t *testing.T) {
 
 func TestIntraBlockKeepsBlockSequence(t *testing.T) {
 	const n, bs = 64, 8
-	order := visitOrder(n, bs, IntraBlockShuffle, NewRNG(3))
+	order := visitOrder(t, n, bs, IntraBlockShuffle, NewRNG(3))
 	// The k-th group of bs visits must cover exactly block k.
 	for b := 0; b < n/bs; b++ {
 		for k := b * bs; k < (b+1)*bs; k++ {
@@ -84,7 +139,7 @@ func TestIntraBlockKeepsBlockSequence(t *testing.T) {
 
 func TestBlockShuffleKeepsWithinBlockSequence(t *testing.T) {
 	const n, bs = 64, 8
-	order := visitOrder(n, bs, BlockShuffle, NewRNG(3))
+	order := visitOrder(t, n, bs, BlockShuffle, NewRNG(3))
 	for k := 0; k < n; k += bs {
 		base := order[k]
 		if base%bs != 0 {
@@ -100,7 +155,7 @@ func TestBlockShuffleKeepsWithinBlockSequence(t *testing.T) {
 
 func TestFullShuffleStillVisitsBlocksAtomically(t *testing.T) {
 	const n, bs = 96, 8
-	order := visitOrder(n, bs, FullBlockShuffle, NewRNG(5))
+	order := visitOrder(t, n, bs, FullBlockShuffle, NewRNG(5))
 	// Consecutive runs of bs visits must stay within one block ("all
 	// elements within a block are accessed before jumping to the next").
 	for k := 0; k < n; k += bs {
@@ -116,7 +171,7 @@ func TestFullShuffleStillVisitsBlocksAtomically(t *testing.T) {
 func TestShufflesActuallyShuffle(t *testing.T) {
 	const n, bs = 1024, 16
 	for _, mode := range []ShuffleMode{IntraBlockShuffle, BlockShuffle, FullBlockShuffle} {
-		order := visitOrder(n, bs, mode, NewRNG(7))
+		order := visitOrder(t, n, bs, mode, NewRNG(7))
 		fixed := 0
 		for i, v := range order {
 			if i == v {
@@ -132,7 +187,7 @@ func TestShufflesActuallyShuffle(t *testing.T) {
 func TestListOrderShortFinalBlock(t *testing.T) {
 	// 10 elements in blocks of 4: final block has 2.
 	for _, mode := range ShuffleModes {
-		order := visitOrder(10, 4, mode, NewRNG(2))
+		order := visitOrder(t, 10, 4, mode, NewRNG(2))
 		if len(order) != 10 {
 			t.Fatalf("%v: len = %d", mode, len(order))
 		}
@@ -147,23 +202,23 @@ func TestListOrderShortFinalBlock(t *testing.T) {
 }
 
 func TestListOrderDegenerateCases(t *testing.T) {
-	if got := visitOrder(0, 4, FullBlockShuffle, NewRNG(1)); len(got) != 0 {
+	if got := visitOrder(t, 0, 4, FullBlockShuffle, NewRNG(1)); len(got) != 0 {
 		t.Fatal("n=0 not empty")
 	}
 	// blockSize 1 with full shuffle is a global permutation.
-	order := visitOrder(32, 1, FullBlockShuffle, NewRNG(1))
+	order := visitOrder(t, 32, 1, FullBlockShuffle, NewRNG(1))
 	if len(order) != 32 {
 		t.Fatal("blockSize 1 wrong length")
 	}
 	// blockSize >= n with intra shuffle is also a global permutation.
-	order = visitOrder(32, 64, IntraBlockShuffle, NewRNG(1))
+	order = visitOrder(t, 32, 64, IntraBlockShuffle, NewRNG(1))
 	if len(order) != 32 {
 		t.Fatal("oversized block wrong length")
 	}
 	for _, f := range []func(){
-		func() { VisitList(-1, 4, NoShuffle, NewRNG(1), func(int) {}) },
-		func() { VisitList(4, 0, NoShuffle, NewRNG(1), func(int) {}) },
-		func() { VisitList(math.MaxInt32+1, 4, NoShuffle, NewRNG(1), func(int) {}) },
+		func() { VisitList(-1, 4, NoShuffle, NewRNG(1), func(int, int) {}) },
+		func() { VisitList(4, 0, NoShuffle, NewRNG(1), func(int, int) {}) },
+		func() { VisitList(math.MaxInt32+1, 4, NoShuffle, NewRNG(1), func(int, int) {}) },
 	} {
 		func() {
 			defer func() {
@@ -176,25 +231,6 @@ func TestListOrderDegenerateCases(t *testing.T) {
 	}
 }
 
-func TestListSpec(t *testing.T) {
-	ls := ListSpec{Elements: 100, BlockSize: 8, Mode: FullBlockShuffle, Seed: 9}
-	if ls.Blocks() != 13 {
-		t.Fatalf("Blocks = %d", ls.Blocks())
-	}
-	if len(ls.Order()) != 100 {
-		t.Fatal("Order wrong length")
-	}
-	a, b := ls.Order(), ls.Order()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("ListSpec.Order not deterministic")
-		}
-	}
-	if (ListSpec{Elements: 0, BlockSize: 4}).Blocks() != 0 {
-		t.Fatal("empty spec Blocks != 0")
-	}
-}
-
 // Property: for every mode, n, blockSize, and seed, VisitList yields a
 // permutation of [0, n) that visits each block contiguously.
 func TestListOrderPermutationProperty(t *testing.T) {
@@ -202,7 +238,7 @@ func TestListOrderPermutationProperty(t *testing.T) {
 		n := int(nRaw % 200)
 		bs := int(bsRaw%32) + 1
 		mode := ShuffleModes[int(modeRaw)%len(ShuffleModes)]
-		order := visitOrder(n, bs, mode, NewRNG(seed))
+		order := visitOrder(t, n, bs, mode, NewRNG(seed))
 		if len(order) != n {
 			return false
 		}
