@@ -1,9 +1,12 @@
 package cpukernels
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"testing/quick"
 
+	"emuchick/internal/sim"
 	"emuchick/internal/workload"
 	"emuchick/internal/xeon"
 )
@@ -67,6 +70,44 @@ func TestCPUChaseVerifiesAllModes(t *testing.T) {
 		}); err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
+	}
+}
+
+// TestCPUKernelsHonourRunOptions: each kernel arms its engine with the
+// run's context and event budget, and with neither arms nothing.
+func TestCPUKernelsHonourRunOptions(t *testing.T) {
+	sandy, haswell := xeon.SandyBridgeXeon(), xeon.HaswellXeon()
+	run := map[string]func(...RunOption) error{
+		"stream": func(opts ...RunOption) error {
+			_, err := StreamAdd(sandy, StreamConfig{Elements: 4096, Threads: 8}, opts...)
+			return err
+		},
+		"chase": func(opts ...RunOption) error {
+			_, err := PointerChase(sandy, ChaseConfig{Elements: 4096, BlockSize: 4, Mode: workload.FullBlockShuffle, Seed: 1, Threads: 8}, opts...)
+			return err
+		},
+		"spmv": func(opts ...RunOption) error {
+			_, err := SpMV(haswell, SpMVConfig{GridN: 16, Variant: SpMVCilkSpawn, Threads: 8, GrainNNZ: 64}, opts...)
+			return err
+		},
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, f := range run {
+		var re *sim.RunError
+		if err := f(WithMaxEvents(100)); !errors.As(err, &re) || re.Kind != sim.FailMaxEvents || re.Fired != 100 {
+			t.Errorf("%s under a 100-event budget: %v", name, err)
+		}
+		if err := f(WithContext(cancelled)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s under a cancelled context: %v", name, err)
+		}
+		if err := f(WithContext(context.Background()), WithMaxEvents(1<<40), nil); err != nil {
+			t.Errorf("%s under a live context and an ample budget: %v", name, err)
+		}
+	}
+	sys := newRun(sandy, nil)
+	if sys.Eng.Interrupt != nil || sys.Eng.MaxEvents != 0 {
+		t.Error("a run without options armed its engine")
 	}
 }
 

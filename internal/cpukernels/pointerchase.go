@@ -32,17 +32,17 @@ type ChaseStats struct {
 // full 64-byte line on a miss — the inefficiency the paper highlights —
 // while the traversal order determines line reuse, DRAM row locality, and
 // whether the prefetcher can engage.
-func PointerChase(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, error) {
-	res, _, err := PointerChaseWithStats(ccfg, cfg)
+func PointerChase(ccfg xeon.Config, cfg ChaseConfig, opts ...RunOption) (metrics.Result, error) {
+	res, _, err := PointerChaseWithStats(ccfg, cfg, opts...)
 	return res, err
 }
 
 // PointerChaseWithStats is PointerChase plus the run's DRAM traffic.
-func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig) (metrics.Result, ChaseStats, error) {
+func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig, opts ...RunOption) (metrics.Result, ChaseStats, error) {
 	if cfg.Elements <= 0 || cfg.BlockSize <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, ChaseStats{}, fmt.Errorf("cpukernels: invalid chase config %+v", cfg)
 	}
-	sys := newSystem(ccfg)
+	sys := newRun(ccfg, opts)
 	n := cfg.Elements
 	base := sys.Alloc(int64(n) * 16)
 

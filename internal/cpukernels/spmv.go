@@ -59,7 +59,7 @@ type SpMVConfig struct {
 // SpMV multiplies the synthetic Laplacian by a dyadic vector on the CPU
 // model, verifies the result, and reports effective bandwidth over the
 // paper's useful-byte count.
-func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
+func SpMV(ccfg xeon.Config, cfg SpMVConfig, opts ...RunOption) (metrics.Result, error) {
 	if cfg.GridN <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, fmt.Errorf("cpukernels: invalid spmv config %+v", cfg)
 	}
@@ -73,7 +73,7 @@ func SpMV(ccfg xeon.Config, cfg SpMVConfig) (metrics.Result, error) {
 	}
 	want := m.MulVec(xv)
 
-	sys := newSystem(ccfg)
+	sys := newRun(ccfg, opts)
 	// Model addresses. MKL uses 4-byte column indices; the Cilk kernels
 	// compile with 8-byte ones.
 	idxBytes := int64(8)

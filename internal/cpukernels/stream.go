@@ -6,6 +6,7 @@
 package cpukernels
 
 import (
+	"context"
 	"fmt"
 
 	"emuchick/internal/metrics"
@@ -16,6 +17,48 @@ import (
 // the platform's end state after a run.
 var newSystem = xeon.NewSystem
 
+// RunOption arms the engine of the platform a kernel builds for one run.
+// Every kernel entry point accepts trailing RunOptions; passing none arms
+// nothing and costs nothing.
+type RunOption func(*runConfig)
+
+type runConfig struct {
+	ctx       context.Context
+	maxEvents uint64
+}
+
+// WithContext makes the run cancellable: once ctx is done the simulation
+// aborts within 1024 engine events and the kernel returns a sim.RunError
+// wrapping ctx's error.
+func WithContext(ctx context.Context) RunOption {
+	return func(c *runConfig) { c.ctx = ctx }
+}
+
+// WithMaxEvents caps the run at n dispatched engine events: past the budget
+// the simulation aborts with a sim.RunError. 0 keeps the engine unlimited.
+func WithMaxEvents(n uint64) RunOption {
+	return func(c *runConfig) { c.maxEvents = n }
+}
+
+// newRun builds a run's platform with the per-run options applied, the
+// way kernels.WithContext and kernels.WithMaxEvents arm an Emu engine.
+func newRun(ccfg xeon.Config, opts []RunOption) *xeon.System {
+	var c runConfig
+	for _, opt := range opts {
+		if opt != nil {
+			opt(&c)
+		}
+	}
+	sys := newSystem(ccfg)
+	if c.ctx != nil {
+		sys.Eng.Interrupt = c.ctx.Err
+	}
+	if c.maxEvents > 0 {
+		sys.Eng.MaxEvents = c.maxEvents
+	}
+	return sys
+}
+
 // StreamConfig parameterizes the CPU STREAM ADD run.
 type StreamConfig struct {
 	Elements int // array length
@@ -25,11 +68,11 @@ type StreamConfig struct {
 // StreamAdd runs c[i] = a[i] + b[i] over 8-byte elements with contiguous
 // per-thread partitions — the standard OpenMP/Cilk STREAM decomposition —
 // and reports bandwidth at 24 bytes per element.
-func StreamAdd(ccfg xeon.Config, cfg StreamConfig) (metrics.Result, error) {
+func StreamAdd(ccfg xeon.Config, cfg StreamConfig, opts ...RunOption) (metrics.Result, error) {
 	if cfg.Elements <= 0 || cfg.Threads <= 0 {
 		return metrics.Result{}, fmt.Errorf("cpukernels: invalid stream config %+v", cfg)
 	}
-	sys := newSystem(ccfg)
+	sys := newRun(ccfg, opts)
 	n := int64(cfg.Elements)
 	a := sys.Alloc(n * 8)
 	b := sys.Alloc(n * 8)

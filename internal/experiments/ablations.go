@@ -151,7 +151,7 @@ func runAblationGrain(o Options) ([]*metrics.Figure, error) {
 			}
 			res, err := cpukernels.SpMV(xeon.HaswellXeon(), cpukernels.SpMVConfig{
 				GridN: cpuN, Variant: cpukernels.SpMVCilkSpawn, Threads: 56, GrainNNZ: grains[pi],
-			})
+			}, o.xeonOptions()...)
 			if err != nil {
 				return 0, err
 			}

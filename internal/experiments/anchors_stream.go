@@ -39,10 +39,10 @@ func runStreamAnchors(o Options) ([]*metrics.Figure, error) {
 	}
 	// The three anchors are the points of a one-series sweep.
 	anchors := []func(Options) (float64, error){
-		func(Options) (float64, error) {
+		func(o Options) (float64, error) {
 			r, err := cpukernels.StreamAdd(xeon.SandyBridgeXeon(), cpukernels.StreamConfig{
 				Elements: xeonElems, Threads: 32,
-			})
+			}, o.xeonOptions()...)
 			return r.GBps(), err
 		},
 		func(o Options) (float64, error) {

@@ -485,10 +485,82 @@ func TestWatchdogThreadsBudgetIntoKernelOptions(t *testing.T) {
 	if ks := ao.KernelOptions(); len(ks) != 2 {
 		t.Fatalf("KernelOptions forwarded %d options, want 2 (context + budget)", len(ks))
 	}
+	if xs := ao.xeonOptions(); len(xs) != 2 {
+		t.Fatalf("xeonOptions forwarded %d options, want 2 (context + budget)", len(xs))
+	}
+	if xs := o.xeonOptions(); xs != nil {
+		t.Fatalf("an unwatched cell forwards %d Xeon options, want none", len(xs))
+	}
 	o.Quick = true
 	aq, cancel2 := o.withWatchdog()
 	defer cancel2()
 	if aq.maxEvents != EventBudget(true) {
 		t.Fatalf("quick maxEvents = %d, want %d", aq.maxEvents, EventBudget(true))
+	}
+}
+
+// tinyBudget is an event budget no simulated cell can meet: every cell that
+// honours it dies deterministically at its first event.
+var tinyBudget = optionFunc(func(o *Options) { o.maxEvents = 1 })
+
+// TestXeonCellsHonourTheEventBudget: every figure with a Xeon cell runs it
+// under the cell's event budget, so a budget no cell can meet leaves every
+// measured point a hole. Before the Xeon kernels took run options, the
+// Sandy Bridge and Haswell cells ran to completion whatever the budget.
+func TestXeonCellsHonourTheEventBudget(t *testing.T) {
+	for _, id := range []string{"stream-anchors", "fig7", "fig8", "fig9b", "ablation-grain",
+		"supplement-shuffle-modes", "supplement-vb-metric"} {
+		e, err := ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		figs, err := e.Run(WithScale(QuickScale), WithTrials(1), tinyBudget)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		for _, f := range figs {
+			for _, s := range f.Series {
+				if s.Name == "paper" {
+					continue // the paper's published values, not a simulation
+				}
+				for _, p := range s.Points {
+					if p.Stats.N != 0 {
+						t.Errorf("%s/%s at x=%v: %d cells ran past a 1-event budget", f.ID, s.Name, p.X, p.Stats.N)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFig8SkipsChaseCellsOverAFailedPeak: a chase cell whose STREAM peak is
+// a hole is a hole too, and is never simulated. With both peaks dead, the
+// log holds their two fail records and nothing else; before this, every
+// Emu chase cell was simulated (and failed on the budget) and every Sandy
+// Bridge cell ran to completion.
+func TestFig8SkipsChaseCellsOverAFailedPeak(t *testing.T) {
+	e, err := ByID("fig8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "fig8.ckpt")
+	figs, err := e.Run(WithScale(QuickScale), WithTrials(1), WithCheckpoint(path), tinyBudget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range figs[0].Series {
+		for _, p := range s.Points {
+			if p.Stats.N != 0 || p.Stats.Failed != 1 {
+				t.Errorf("%s at x=%v: %+v, want a hole", s.Name, p.X, p.Stats)
+			}
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails, cells := bytes.Count(data, []byte(`"type":"fail"`)), bytes.Count(data, []byte(`"type":"cell"`))
+	if fails != 2 || cells != 0 {
+		t.Fatalf("log holds %d fail and %d cell records, want the two peaks' fail records only:\n%s", fails, cells, data)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"emuchick/internal/cpukernels"
 	"emuchick/internal/fault"
 	"emuchick/internal/kernels"
 	"emuchick/internal/metrics"
@@ -235,6 +236,20 @@ func (o Options) KernelOptions() []kernels.RunOption {
 		ks = append(ks, kernels.WithMaxEvents(o.maxEvents))
 	}
 	return ks
+}
+
+// xeonOptions is KernelOptions for a Xeon cell: the run's context and the
+// watchdog's event budget, the only options a Xeon platform takes (it has
+// no observer and no fault model). It returns nil when neither is set.
+func (o Options) xeonOptions() []cpukernels.RunOption {
+	var xs []cpukernels.RunOption
+	if o.ctx != nil {
+		xs = append(xs, cpukernels.WithContext(o.ctx))
+	}
+	if o.maxEvents > 0 {
+		xs = append(xs, cpukernels.WithMaxEvents(o.maxEvents))
+	}
+	return xs
 }
 
 // faultPlan is the run's fault plan with any FaultSeed override applied.

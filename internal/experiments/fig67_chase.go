@@ -98,7 +98,7 @@ func runFig7(o Options) ([]*metrics.Figure, error) {
 			res, err := cpukernels.PointerChase(xeon.SandyBridgeXeon(), cpukernels.ChaseConfig{
 				Elements: elements, BlockSize: blocks[pi], Mode: workload.FullBlockShuffle,
 				Seed: uint64(trial)*2027 + 1, Threads: threadSets[si],
-			})
+			}, o.xeonOptions()...)
 			if err != nil {
 				return 0, err
 			}

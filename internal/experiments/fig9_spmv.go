@@ -92,7 +92,7 @@ func runFig9b(o Options) ([]*metrics.Figure, error) {
 		func(o Options, si, pi, _ int) (float64, error) {
 			res, err := cpukernels.SpMV(xeon.HaswellXeon(), cpukernels.SpMVConfig{
 				GridN: sizes[pi], Variant: variants[si].variant, Threads: 56, GrainNNZ: variants[si].grain,
-			})
+			}, o.xeonOptions()...)
 			if err != nil {
 				return 0, err
 			}

@@ -78,7 +78,7 @@ func runSupplementShuffleModes(o Options) ([]*metrics.Figure, error) {
 			res, err := cpukernels.PointerChase(xeon.SandyBridgeXeon(), cpukernels.ChaseConfig{
 				Elements: xeonElems, BlockSize: blocks[pi], Mode: modes[si],
 				Seed: uint64(trial)*103 + 7, Threads: 32,
-			})
+			}, o.xeonOptions()...)
 			if err != nil {
 				return 0, err
 			}
@@ -128,7 +128,7 @@ func runSupplementVBMetric(o Options) ([]*metrics.Figure, error) {
 			cres, cst, err := cpukernels.PointerChaseWithStats(xeon.SandyBridgeXeon(), cpukernels.ChaseConfig{
 				Elements: xeonElems, BlockSize: blocks[pi], Mode: workload.FullBlockShuffle,
 				Seed: 19, Threads: 32,
-			})
+			}, o.xeonOptions()...)
 			if err != nil {
 				return 0, err
 			}
