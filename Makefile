@@ -36,10 +36,10 @@ test:
 # regular suite (kept separate in case slow tests are ever gated).
 test-quick: test
 
-# The per-figure suite plus the per-layer sim, Xeon and cilk benchmarks, in
-# one run.
+# The per-figure suite plus the per-layer sim, Xeon, cilk and Xeon-kernel
+# benchmarks, in one run.
 bench:
-	$(GO) test -bench . -benchmem . ./internal/sim ./internal/xeon ./internal/cilk
+	$(GO) test -bench . -benchmem . ./internal/sim ./internal/xeon ./internal/cilk ./internal/cpukernels
 
 # Benchmark iterations for archives and the gate; the archived baselines in
 # the repo were recorded with 5 (see DESIGN.md §13).
