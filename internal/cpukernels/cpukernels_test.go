@@ -115,10 +115,11 @@ func TestCPUKernelsHonourRunOptions(t *testing.T) {
 // length alone. Every list here fits the 20 MiB L3, so each of the n
 // elements' 16 bytes is fetched from DRAM exactly once, in 64-byte lines;
 // the prefetcher may run at most PrefetchDegree lines past the list's end,
-// and a walk that only reads never writes a line back.
+// and a walk that only reads never writes a line back. n = 5000 gives
+// blocks 64 and 4096 a short final block.
 func TestCPUChaseConservation(t *testing.T) {
 	ccfg := xeon.SandyBridgeXeon()
-	for _, n := range []int{4096, 65536} {
+	for _, n := range []int{4096, 5000, 65536} {
 		if n*16 > ccfg.L3Bytes {
 			t.Fatalf("n=%d does not fit the L3", n)
 		}
