@@ -101,7 +101,7 @@ func TestCPUKernelsHonourRunOptions(t *testing.T) {
 		if err := f(WithContext(cancelled)); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s under a cancelled context: %v", name, err)
 		}
-		if err := f(WithContext(context.Background()), WithMaxEvents(1<<40), nil); err != nil {
+		if err := f(WithContext(context.Background()), WithMaxEvents(1<<40)); err != nil {
 			t.Errorf("%s under a live context and an ample budget: %v", name, err)
 		}
 	}

@@ -48,28 +48,24 @@ func PointerChaseWithStats(ccfg xeon.Config, cfg ChaseConfig, opts ...RunOption)
 
 	// Link the shuffled traversal order into one chain per thread as the
 	// walk yields it: visits share(n, k, Threads) are thread k's chain.
-	// Visiting an element sets its predecessor's link, which is the
-	// element within a chain and -1 (the terminator) across a chain
-	// boundary.
+	// Each visited element ends its chain (-1) until the next visit of
+	// the same chain links it on.
 	next := make([]int32, n)
 	starts := make([]int, cfg.Threads)
 	expect := make([]uint64, cfg.Threads)
 	k, end, prev := -1, 0, 0 // the current chain's thread, the visit that ends it, the last element
 	workload.VisitList(n, cfg.BlockSize, cfg.Mode, workload.NewRNG(cfg.Seed), func(i, p int) {
-		link := int32(p)
 		if i == end { // p opens thread k+1's chain
 			k++
 			_, end = share(n, k, cfg.Threads)
 			starts[k] = p
-			link = -1
+		} else {
+			next[prev] = int32(p)
 		}
-		if i > 0 {
-			next[prev] = link
-		}
+		next[p] = -1
 		expect[k] += uint64(p) + 1
 		prev = p
 	})
-	next[prev] = -1
 
 	sums := make([]uint64, cfg.Threads)
 	elapsed, err := sys.Run(&task{d: &spawnTree{hi: cfg.Threads, worker: func(k int) xeon.CBody {

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"emuchick/internal/metrics"
+	"emuchick/internal/sim"
 	"emuchick/internal/xeon"
 )
 
@@ -17,44 +18,28 @@ import (
 // the platform's end state after a run.
 var newSystem = xeon.NewSystem
 
-// RunOption arms the engine of the platform a kernel builds for one run.
-// Every kernel entry point accepts trailing RunOptions; passing none arms
-// nothing and costs nothing.
-type RunOption func(*runConfig)
+// RunOption arms the engine of the platform a kernel builds for one run,
+// as kernels.WithContext and kernels.WithMaxEvents arm an Emu engine.
+// Passing none arms nothing.
+type RunOption func(*sim.Engine)
 
-type runConfig struct {
-	ctx       context.Context
-	maxEvents uint64
-}
-
-// WithContext makes the run cancellable: once ctx is done the simulation
-// aborts within 1024 engine events and the kernel returns a sim.RunError
-// wrapping ctx's error.
+// WithContext aborts the run with a sim.RunError wrapping ctx's error
+// within 1024 engine events of ctx ending.
 func WithContext(ctx context.Context) RunOption {
-	return func(c *runConfig) { c.ctx = ctx }
+	return func(e *sim.Engine) { e.Interrupt = ctx.Err }
 }
 
-// WithMaxEvents caps the run at n dispatched engine events: past the budget
-// the simulation aborts with a sim.RunError. 0 keeps the engine unlimited.
+// WithMaxEvents aborts the run with a sim.RunError once it has dispatched
+// n engine events; 0 keeps the engine unlimited.
 func WithMaxEvents(n uint64) RunOption {
-	return func(c *runConfig) { c.maxEvents = n }
+	return func(e *sim.Engine) { e.MaxEvents = n }
 }
 
-// newRun builds a run's platform with the per-run options applied, the
-// way kernels.WithContext and kernels.WithMaxEvents arm an Emu engine.
+// newRun builds a run's platform and applies the run's options.
 func newRun(ccfg xeon.Config, opts []RunOption) *xeon.System {
-	var c runConfig
-	for _, opt := range opts {
-		if opt != nil {
-			opt(&c)
-		}
-	}
 	sys := newSystem(ccfg)
-	if c.ctx != nil {
-		sys.Eng.Interrupt = c.ctx.Err
-	}
-	if c.maxEvents > 0 {
-		sys.Eng.MaxEvents = c.maxEvents
+	for _, opt := range opts {
+		opt(sys.Eng)
 	}
 	return sys
 }

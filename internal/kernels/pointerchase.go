@@ -80,30 +80,26 @@ func PointerChaseWithStats(mcfg machine.Config, cfg ChaseConfig, opts ...RunOpti
 
 	// Link the shuffled traversal order into one chain per thread as the
 	// walk yields it: visits share(n, k, Threads) are thread k's chain.
-	// Visiting an element writes its payload and its predecessor's next
-	// pointer, which is the element's address within a chain and the
-	// end-of-list sentinel across a chain boundary.
+	// Visiting an element writes its payload and an end-of-list next
+	// pointer, and points its predecessor in the chain at it.
 	starts := make([]memsys.Addr, cfg.Threads)
 	expect := make([]uint64, cfg.Threads)
 	k, end := -1, 0 // the current chain's thread, and the visit that ends it
 	var prev memsys.Addr
 	workload.VisitList(n, bs, cfg.Mode, workload.NewRNG(cfg.Seed), func(i, p int) {
 		a := addrOf(p)
-		next := uint64(a)
 		if i == end { // p opens thread k+1's chain
 			k++
 			_, end = share(n, k, cfg.Threads)
 			starts[k] = a
-			next = endOfList
-		}
-		if i > 0 {
-			sys.Mem.Write(prev.Plus(1), next)
+		} else {
+			sys.Mem.Write(prev.Plus(1), uint64(a))
 		}
 		sys.Mem.Write(a, uint64(p)+1)
+		sys.Mem.Write(a.Plus(1), endOfList)
 		expect[k] += uint64(p) + 1
 		prev = a
 	})
-	sys.Mem.Write(prev.Plus(1), endOfList)
 
 	// Workers spawn at their chain's first block via a recursive
 	// remote-spawn tree — the "smart" placement and spawning of

@@ -54,16 +54,14 @@ func ParseShuffleMode(name string) (ShuffleMode, error) {
 
 // VisitList calls visit(i, p) for every element of a block-shuffled linked
 // list in traversal order: p is the memory position of the i-th visited
-// element. Elements are grouped into blocks of
-// blockSize consecutive memory positions (the final block may be short when
-// blockSize does not divide n). The rules match Fig. 2: all elements of a
-// block are visited before jumping to the next block; IntraBlockShuffle
-// permutes positions within each block, BlockShuffle permutes the block
-// visit order, and FullBlockShuffle does both. The block order is drawn
-// from rng first, then each block's permutation as the walk enters it, so
-// a seed names one order however the caller consumes it. The walk holds one
-// int32 per block and one per element of a block, never the whole order,
-// so callers can build a list of n elements in one pass.
+// element. Elements are grouped into blocks of blockSize consecutive memory
+// positions (the final block may be short when blockSize does not divide
+// n). The rules match Fig. 2: all elements of a block are visited before
+// jumping to the next block; IntraBlockShuffle permutes positions within
+// each block, BlockShuffle permutes the block visit order, and
+// FullBlockShuffle does both. The block order is drawn from rng first,
+// then each block's permutation as the walk enters it. The walk holds an
+// int32 per block and per element of one block, never the whole order.
 func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(i, p int)) {
 	if n < 0 {
 		panic("workload: negative list length")
@@ -77,45 +75,28 @@ func VisitList(n, blockSize int, mode ShuffleMode, rng *RNG, visit func(i, p int
 	if n == 0 {
 		return
 	}
-	numBlocks := (n-1)/blockSize + 1
-
-	var blockOrder []int32 // nil: blocks in memory order
+	blockOrder := make([]int32, (n-1)/blockSize+1)
+	for b := range blockOrder {
+		blockOrder[b] = int32(b)
+	}
 	if mode == BlockShuffle || mode == FullBlockShuffle {
-		blockOrder = make([]int32, numBlocks)
-		for i := range blockOrder {
-			blockOrder[i] = int32(i)
-		}
-		rng.Shuffle(numBlocks, func(i, j int) {
-			blockOrder[i], blockOrder[j] = blockOrder[j], blockOrder[i]
+		rng.Shuffle(len(blockOrder), func(x, y int) {
+			blockOrder[x], blockOrder[y] = blockOrder[y], blockOrder[x]
 		})
 	}
-	var scratch []int32 // nil: positions within a block in memory order
-	if mode == IntraBlockShuffle || mode == FullBlockShuffle {
-		scratch = make([]int32, min(blockSize, n))
-	}
-
+	scratch := make([]int32, min(blockSize, n))
 	i := 0
-	for k := 0; k < numBlocks; k++ {
-		b := k
-		if blockOrder != nil {
-			b = int(blockOrder[k])
-		}
-		lo := b * blockSize
-		hi := min(lo+blockSize, n)
-		if scratch == nil {
-			for p := lo; p < hi; p++ {
-				visit(i, p)
-				i++
-			}
-			continue
-		}
-		block := scratch[:hi-lo]
+	for _, b := range blockOrder {
+		lo := int(b) * blockSize
+		block := scratch[:min(lo+blockSize, n)-lo]
 		for j := range block {
 			block[j] = int32(lo + j)
 		}
-		rng.Shuffle(len(block), func(x, y int) {
-			block[x], block[y] = block[y], block[x]
-		})
+		if mode == IntraBlockShuffle || mode == FullBlockShuffle {
+			rng.Shuffle(len(block), func(x, y int) {
+				block[x], block[y] = block[y], block[x]
+			})
+		}
 		for _, p := range block {
 			visit(i, int(p))
 			i++
