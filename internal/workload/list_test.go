@@ -6,10 +6,10 @@ import (
 	"testing/quick"
 )
 
-// ListOrder is the reference VisitList is held to: the materializing
-// builder the kernels used before the walk streamed. It returns element
-// memory positions in visit order, drawing the block order from rng first
-// and then each block's permutation in visit order.
+// ListOrder is the reference VisitList is held to: it materializes the
+// whole visit order the obvious way, as element memory positions, drawing
+// the block order from rng first and then each block's permutation in
+// visit order.
 func ListOrder(n, blockSize int, mode ShuffleMode, rng *RNG) []int {
 	if n < 0 {
 		panic("workload: negative list length")
