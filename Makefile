@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick trace-smoke fault-smoke serve-smoke chaos-smoke soak examples clean
+.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke serve-smoke chaos-smoke soak examples clean
 
 all: build vet lint test race
 
@@ -104,6 +104,19 @@ scorecard:
 
 scorecard-quick:
 	$(GO) run ./cmd/emuvalidate -quick
+
+# Regenerate results_full.txt and results_scorecard.txt from one simulation
+# pass: emubench checkpoints every experiment into a fresh temporary
+# directory, then emuvalidate replays the experiments its claims read from
+# those logs. Each file ends with its command's exit status. The directory
+# is removed afterwards, so no later run can replay a stale log.
+results:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) build -o "$$d/bin/" ./cmd/emubench ./cmd/emuvalidate && \
+	{ "$$d/bin/emubench" -fig all -format table -checkpoint "$$d/" > results_full.txt; \
+	  s=$$?; echo "EXIT=$$s" >> results_full.txt; test $$s -eq 0; } && \
+	{ "$$d/bin/emuvalidate" -checkpoint "$$d/" -resume > results_scorecard.txt; \
+	  s=$$?; echo "EXIT=$$s" >> results_scorecard.txt; test $$s -eq 0; }
 
 # Trace one fig6 point at CI scale, then structurally validate the JSONL
 # (emutrace also re-validates the file itself before reporting success).

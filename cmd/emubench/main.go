@@ -133,10 +133,8 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		if shared.Checkpoint != "" {
-			if !shared.Resume {
-				if err := refuseStaleCheckpoint(experiments.CheckpointPath(shared.Checkpoint, id)); err != nil {
-					return err
-				}
+			if err := shared.RefuseStaleCheckpoint(experiments.CheckpointPath(shared.Checkpoint, id)); err != nil {
+				return err
 			}
 			opts = append(opts, experiments.WithCheckpoint(shared.Checkpoint))
 		}
@@ -171,16 +169,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// refuseStaleCheckpoint guards against silently reusing an old log: a
-// non-empty checkpoint file is only consumed under an explicit -resume.
-func refuseStaleCheckpoint(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() == 0 {
-		return nil
-	}
-	return fmt.Errorf("checkpoint %s already holds records; pass -resume to continue that run or delete the file", path)
 }
 
 // writeFigureJSON archives one figure under dir as <id>.json.

@@ -115,10 +115,8 @@ func run(args []string, out io.Writer) error {
 	// taken with different workload-shaping parameters.
 	var ck *experiments.Checkpoint
 	if shared.Checkpoint != "" {
-		if !shared.Resume {
-			if fi, err := os.Stat(shared.Checkpoint); err == nil && fi.Size() > 0 {
-				return fmt.Errorf("checkpoint %s already holds records; pass -resume to replay it or delete the file", shared.Checkpoint)
-			}
+		if err := shared.RefuseStaleCheckpoint(shared.Checkpoint); err != nil {
+			return err
 		}
 		ck, err = experiments.OpenCheckpoint(shared.Checkpoint, jobspec.CheckpointID(spec.Kernel), spec.Fingerprint())
 		if err != nil {

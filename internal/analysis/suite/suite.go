@@ -1,6 +1,6 @@
 // Package suite assembles the repo's five contract analyzers into the
-// multichecker that cmd/emulint, the Makefile lint target, and the
-// emuvalidate -lint claim all share. The funcfacts analyzer rides along
+// multichecker that cmd/emulint and the Makefile lint target share. The
+// funcfacts analyzer rides along
 // implicitly: the driver expands each analyzer's Requires closure, so
 // every run computes the per-function effect facts the transitive checks
 // consume.

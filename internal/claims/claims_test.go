@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"emuchick/internal/experiments"
+	"emuchick/internal/metrics"
 )
 
 func TestRegistryShape(t *testing.T) {
@@ -13,13 +14,18 @@ func TestRegistryShape(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, c := range all {
-		if c.ID == "" || c.Section == "" || c.Statement == "" || c.Check == nil {
+		if c.ID == "" || c.Section == "" || c.Statement == "" || len(c.Reads) == 0 || c.Check == nil {
 			t.Fatalf("claim %q incomplete", c.ID)
 		}
 		if seen[c.ID] {
 			t.Fatalf("duplicate claim id %q", c.ID)
 		}
 		seen[c.ID] = true
+		for _, id := range c.Reads {
+			if _, err := experiments.ByID(id); err != nil {
+				t.Fatalf("claim %q reads %v", c.ID, err)
+			}
+		}
 	}
 	if _, err := ByID("stream-plateau"); err != nil {
 		t.Fatal(err)
@@ -30,14 +36,30 @@ func TestRegistryShape(t *testing.T) {
 }
 
 // TestAllClaimsPassQuick is the quick-scale scorecard: every paper claim
-// must hold in the reproduction. The xeon-utilization claim needs several
-// seconds (out-of-cache list); everything else is fast.
+// must hold in the reproduction. Each experiment runs once, and each check
+// sees only the figures of the experiments its Reads names, so a check that
+// reads a figure it does not declare fails here.
 func TestAllClaimsPassQuick(t *testing.T) {
-	opts := experiments.Options{Quick: true, Trials: 2}
+	ran := map[string][]*metrics.Figure{}
 	for _, c := range All() {
 		c := c
 		t.Run(c.ID, func(t *testing.T) {
-			v, err := c.Check(opts)
+			figs := map[string]*metrics.Figure{}
+			for _, id := range c.Reads {
+				if ran[id] == nil {
+					e, err := experiments.ByID(id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ran[id], err = e.Run(experiments.WithScale(experiments.QuickScale), experiments.WithTrials(2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, f := range ran[id] {
+					figs[f.ID] = f
+				}
+			}
+			v, err := c.Check(figs, true)
 			if err != nil {
 				t.Fatal(err)
 			}

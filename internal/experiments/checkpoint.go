@@ -148,8 +148,10 @@ func CheckpointPath(path, expID string) string {
 // given experiment and options fingerprint. An existing log is replayed:
 // completed cells become Lookup hits, failure records are skipped (their
 // cells re-run), and a torn final line — the expected signature of a kill
-// mid-append — is dropped. A log written by a different experiment or under
-// different workload-shaping options is refused.
+// mid-append, which leaves a line unterminated or unparseable — is dropped.
+// A log whose first record is not a header, or whose header names a
+// different experiment or different workload-shaping options, is refused
+// and left as it was.
 func OpenCheckpoint(path, exp, fingerprint string) (*Checkpoint, error) {
 	return OpenCheckpointIn(storefs.Default, path, exp, fingerprint)
 }
@@ -168,17 +170,15 @@ func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoi
 	}
 	hasHeader := false
 	valid := 0 // byte offset past the last fully parsed line
-	off := 0
-	line := 0
-	for off < len(data) {
-		line++
-		end := len(data)
-		if nl := bytes.IndexByte(data[off:], '\n'); nl >= 0 {
-			end = off + nl + 1
+	for line := 1; valid < len(data); line++ {
+		nl := bytes.IndexByte(data[valid:], '\n')
+		if nl < 0 {
+			break // every record ends in a newline: the rest was torn mid-append
 		}
-		raw := bytes.TrimSpace(data[off:end])
+		end := valid + nl + 1
+		raw := bytes.TrimSpace(data[valid:end])
 		if len(raw) == 0 {
-			valid, off = end, end
+			valid = end
 			continue
 		}
 		var rec ckptRecord
@@ -187,6 +187,11 @@ func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoi
 				break // torn tail from a kill mid-write: discard and resume
 			}
 			return nil, fmt.Errorf("checkpoint %s: corrupt record at line %d: %w", path, line, err)
+		}
+		if !hasHeader && rec.Type != "header" {
+			return nil, fmt.Errorf(
+				"checkpoint %s does not begin with a header (line %d is a %q record), so it cannot be matched to this run — delete the file or pass a fresh -checkpoint path",
+				path, line, rec.Type)
 		}
 		switch rec.Type {
 		case "header":
@@ -201,7 +206,7 @@ func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoi
 				c.done[ckptKey{rec.Sweep, rec.Cell}] = *rec.V
 			}
 		}
-		valid, off = end, end
+		valid = end
 	}
 	f, err := fsys.OpenFile(path)
 	if err != nil {

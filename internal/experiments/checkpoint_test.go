@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
@@ -563,4 +564,98 @@ func TestFig8SkipsChaseCellsOverAFailedPeak(t *testing.T) {
 	if fails != 2 || cells != 0 {
 		t.Fatalf("log holds %d fail and %d cell records, want the two peaks' fail records only:\n%s", fails, cells, data)
 	}
+}
+
+// checkpointOracle spells out, record by record, what OpenCheckpoint must
+// make of data for experiment exp and fingerprint fp: the Lookup hits, or
+// false for a log it must refuse. Records end in a newline, so an
+// unterminated remainder is a torn tail; so is an unparseable line with
+// nothing but whitespace after it. Any other unparseable line, a first
+// record that is not a header, or a header for another run is a refusal.
+func checkpointOracle(data []byte, exp, fp string) (map[ckptKey]float64, bool) {
+	hits := map[ckptKey]float64{}
+	headed := false
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	for i, l := range lines {
+		if !bytes.HasSuffix(l, []byte("\n")) {
+			break
+		}
+		raw := bytes.TrimSpace(l)
+		if len(raw) == 0 {
+			continue
+		}
+		var rec ckptRecord
+		if json.Unmarshal(raw, &rec) != nil {
+			if len(bytes.TrimSpace(bytes.Join(lines[i+1:], nil))) == 0 {
+				break
+			}
+			return nil, false
+		}
+		switch {
+		case rec.Type == "header" && (rec.Exp != exp || rec.FP != fp), !headed && rec.Type != "header":
+			return nil, false
+		case rec.Type == "header":
+			headed = true
+		case rec.Type == "cell" && rec.V != nil:
+			hits[ckptKey{rec.Sweep, rec.Cell}] = *rec.V
+		}
+	}
+	return hits, true
+}
+
+// checkHits requires ck's Lookup hits to be exactly want.
+func checkHits(t *testing.T, ck *Checkpoint, want map[ckptKey]float64) {
+	t.Helper()
+	if got := ck.Completed(); got != len(want) {
+		t.Fatalf("log replays %d cells, want %d", got, len(want))
+	}
+	for k, v := range want {
+		if got, ok := ck.Lookup(k.sweep, k.cell); !ok || math.Float64bits(got) != math.Float64bits(v) {
+			t.Fatalf("Lookup(%d, %d) = %v, %v; want %v", k.sweep, k.cell, got, ok, v)
+		}
+	}
+}
+
+// FuzzOpenCheckpoint opens arbitrary bytes as fig4's log. Opening never
+// panics; a refused log is left byte-unchanged; an opened log replays
+// exactly the valued cell records that follow a matching header, minus a
+// torn tail (checkpointOracle); and a cell recorded after the replay is
+// replayed by the next open, so the repaired log stays well formed.
+func FuzzOpenCheckpoint(f *testing.F) {
+	const exp, fp = "fig4", "0123456789abcdef"
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fig4.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := checkpointOracle(data, exp, fp)
+		ck, err := OpenCheckpoint(path, exp, fp)
+		if err != nil {
+			if ok {
+				t.Fatalf("refused a log it should replay: %v", err)
+			}
+			if got, rerr := os.ReadFile(path); rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refusal changed the log: %q -> %q (%v)", data, got, rerr)
+			}
+			return
+		}
+		if !ok {
+			ck.Close()
+			t.Fatalf("opened a log it should refuse: %q", data)
+		}
+		checkHits(t, ck, want)
+		if err := ck.Record(7, 7, 0.5); err != nil {
+			t.Fatal(err)
+		}
+		if err := ck.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[ckptKey{7, 7}] = 0.5
+		ck, err = OpenCheckpoint(path, exp, fp)
+		if err != nil {
+			t.Fatalf("reopening after an append: %v", err)
+		}
+		defer ck.Close()
+		checkHits(t, ck, want)
+	})
 }

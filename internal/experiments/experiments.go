@@ -22,10 +22,8 @@ import (
 
 // Options is the resolved option set of one experiment run — the value the
 // functional options (WithTrials, WithScale, WithParallel, WithObserver,
-// WithContext, ...) fold into, and the form Runner functions and
-// claims.Claim checks receive. Construct it with ApplyOptions; the struct
-// no longer implements Option itself (the legacy `e.Run(Options{...})`
-// adapter was removed once every caller had migrated).
+// WithContext, ...) fold into, and the form Runner functions receive.
+// Construct it with ApplyOptions.
 type Options struct {
 	// Trials is the number of trials per data point for seeded
 	// workloads; the paper uses ten. Deterministic kernels (STREAM,
@@ -278,13 +276,7 @@ type Experiment struct {
 // compatible records already in it) before the runner starts and closed
 // when it returns — interrupting the run at any point leaves a valid log.
 func (e *Experiment) Run(opts ...Option) ([]*metrics.Figure, error) {
-	return e.RunResolved(ApplyOptions(opts...))
-}
-
-// RunResolved executes the experiment from an already-resolved option set —
-// the entry point for code that is handed an Options value (claims checks
-// receive one) rather than composing options itself.
-func (e *Experiment) RunResolved(o Options) ([]*metrics.Figure, error) {
+	o := ApplyOptions(opts...)
 	if o.Checkpoint == "" {
 		return e.runner(o)
 	}

@@ -6,8 +6,6 @@ import (
 	"emuchick/internal/metrics"
 )
 
-var quick = Options{Quick: true, Trials: 2}
-
 // runOne runs an experiment by id and returns its figures keyed by figure id.
 func runOne(t *testing.T, id string) map[string]*metrics.Figure {
 	t.Helper()
@@ -15,7 +13,7 @@ func runOne(t *testing.T, id string) map[string]*metrics.Figure {
 	if err != nil {
 		t.Fatal(err)
 	}
-	figs, err := e.RunResolved(quick)
+	figs, err := e.Run(WithScale(QuickScale), WithTrials(2))
 	if err != nil {
 		t.Fatal(err)
 	}

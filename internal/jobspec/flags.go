@@ -2,6 +2,8 @@ package jobspec
 
 import (
 	"flag"
+	"fmt"
+	"os"
 	"runtime"
 	"time"
 )
@@ -86,4 +88,17 @@ func (f *Flags) Spec() Spec {
 		s.QoS.Retries = f.Retries
 	}
 	return s
+}
+
+// RefuseStaleCheckpoint guards against silently consuming an earlier run's
+// write-ahead log: a non-empty log at path is only resumed under -resume.
+// Call it for each log about to be opened.
+func (f *Flags) RefuseStaleCheckpoint(path string) error {
+	if f.Resume {
+		return nil
+	}
+	if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+		return fmt.Errorf("checkpoint %s already holds records; pass -resume to continue that run or delete the file", path)
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package jobspec
 import (
 	"encoding/json"
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -270,5 +271,36 @@ func TestRecordReplayMeasurement(t *testing.T) {
 	other := Spec{Kernel: "gups", Params: kernels.Params{Elems: 128, Updates: 256, Threads: 8}}
 	if _, err := experiments.OpenCheckpoint(path, CheckpointID("gups"), other.Fingerprint()); err == nil {
 		t.Fatal("log accepted under a different workload fingerprint")
+	}
+}
+
+// TestRefuseStaleCheckpoint: a non-empty log is only consumed under
+// -resume; a missing or empty one is always fresh.
+func TestRefuseStaleCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	empty, held := filepath.Join(dir, "empty.ckpt"), filepath.Join(dir, "held.ckpt")
+	if err := os.WriteFile(empty, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(held, []byte(`{"type":"header"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		path    string
+		resume  bool
+		refused bool
+	}{
+		{filepath.Join(dir, "missing.ckpt"), false, false},
+		{empty, false, false},
+		{held, false, true},
+		{held, true, false},
+	} {
+		err := (&Flags{Checkpoint: tc.path, Resume: tc.resume}).RefuseStaleCheckpoint(tc.path)
+		if (err != nil) != tc.refused {
+			t.Errorf("%s resume=%v: err = %v, want refused=%v", filepath.Base(tc.path), tc.resume, err, tc.refused)
+		}
+		if err != nil && !strings.Contains(err.Error(), "-resume") {
+			t.Errorf("refusal does not mention -resume: %v", err)
+		}
 	}
 }
