@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke serve-smoke chaos-smoke soak examples clean
+.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke fuzz-smoke serve-smoke chaos-smoke soak examples clean
 
 all: build vet lint test race
 
-# The pre-commit gate: compile, vet, lint, test, the perf gate, the job
-# server smoke, and the chaos smoke.
-check: build vet lint test bench-gate serve-smoke chaos-smoke
+# The pre-commit gate: compile, vet, lint, test, the perf gate, the fuzz
+# smoke, the job server smoke, and the chaos smoke.
+check: build vet lint test bench-gate fuzz-smoke serve-smoke chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -135,6 +135,17 @@ fault-smoke:
 		-faults 'migstall=10us/100us' -out /tmp/emufault-smoke.jsonl
 	$(GO) run ./cmd/emutrace -validate /tmp/emufault-smoke.jsonl
 	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 10s
+
+# Ten seconds of native fuzzing for each fuzz target no other target runs
+# (tier 1 only replays their seed corpora): the Xeon cache against its
+# stamp-based reference, the streamed list order against ListOrder, the
+# event queue's dispatch order, and experiment-log replay on arbitrary
+# bytes. Wired into `make check`.
+fuzz-smoke:
+	$(GO) test ./internal/xeon -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzVisitList -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s
 
 # Chaos smoke at -short scale: the seeded fault-injection unit suite plus
 # the crash-restart fuzz (kill the store at a seeded op, restart, demand

@@ -112,6 +112,9 @@ func run(args []string, out io.Writer) error {
 			ids = append(ids, strings.TrimSpace(id))
 		}
 	}
+	if err := shared.RefuseSharedCheckpoint(ids); err != nil {
+		return err
+	}
 	// Ctrl-C cancels cleanly: in-flight simulations notice the context and
 	// the profile/outdir deferrals above still run.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

@@ -92,3 +92,21 @@ func TestRunErrors(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+// TestCheckpointFileRefusedForManyExperiments: a -checkpoint file path is
+// one log, so a run of two experiments is refused before either runs, and
+// the error names the directory form to pass instead.
+func TestCheckpointFileRefusedForManyExperiments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	var b strings.Builder
+	err := run([]string{"-quick", "-fig", "fig4,fig5", "-checkpoint", path}, &b)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint "+path+"/") {
+		t.Fatalf("two experiments on one log file: err %v, want one naming %s/", err, path)
+	}
+	if b.Len() != 0 {
+		t.Errorf("an experiment ran before the refusal:\n%s", b.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the refused run touched its log: %v", err)
+	}
+}

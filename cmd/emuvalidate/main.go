@@ -68,6 +68,13 @@ func run(args []string, out io.Writer) (bool, error) {
 		}
 		list = []claims.Claim{c}
 	}
+	var reads []string
+	for _, c := range list {
+		reads = append(reads, c.Reads...)
+	}
+	if err := shared.RefuseSharedCheckpoint(reads); err != nil {
+		return false, err
+	}
 	// Ctrl-C aborts in-flight simulations; with -checkpoint the logs stay
 	// valid and a -resume run replays every finished cell.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)

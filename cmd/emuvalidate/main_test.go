@@ -81,6 +81,32 @@ func TestStaleCheckpointRefusedWithoutResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointFileRefusedForManyExperiments: the scorecard opens a log
+// per experiment it reads, so a -checkpoint file path is refused before
+// any experiment runs, and the error names the directory form to pass
+// instead. A claim that reads one experiment may still use the file.
+func TestCheckpointFileRefusedForManyExperiments(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.ckpt")
+	var b strings.Builder
+	_, err := run([]string{"-quick", "-checkpoint", path}, &b)
+	if err == nil || !strings.Contains(err.Error(), "-checkpoint "+path+"/") {
+		t.Fatalf("eleven experiments on one log file: err %v, want one naming %s/", err, path)
+	}
+	if b.Len() != 0 {
+		t.Errorf("the scorecard started before the refusal:\n%s", b.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("the refused run touched its log: %v", err)
+	}
+	b.Reset()
+	if ok, err := run([]string{"-quick", "-trials", "1", "-claim", "migration-rates", "-checkpoint", path}, &b); err != nil || !ok {
+		t.Fatalf("one experiment on one log file: ok=%v err=%v\n%s", ok, err, b.String())
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+		t.Fatalf("the one experiment left no log: %v", err)
+	}
+}
+
 // TestScorecardRunsEachExperimentOnce: the fifteen claims read eleven
 // experiments, and a fresh quick scorecard runs each of them exactly once.
 func TestScorecardRunsEachExperimentOnce(t *testing.T) {

@@ -11,6 +11,20 @@ import (
 	"emuchick/internal/xeon"
 )
 
+// recordSystems makes newSystem note each platform it builds until tb
+// ends, and returns a func reporting the latest, so a test can read a
+// run's end state.
+func recordSystems(tb testing.TB) (last func() *xeon.System) {
+	var sys *xeon.System
+	orig := newSystem
+	newSystem = func(c xeon.Config) *xeon.System {
+		sys = orig(c)
+		return sys
+	}
+	tb.Cleanup(func() { newSystem = orig })
+	return func() *xeon.System { return sys }
+}
+
 func TestShareTilesProperty(t *testing.T) {
 	f := func(nRaw, pRaw uint8) bool {
 		n := int(nRaw)
@@ -111,13 +125,16 @@ func TestCPUKernelsHonourRunOptions(t *testing.T) {
 	}
 }
 
-// TestCPUChaseConservation derives the chase's DRAM traffic from its
-// length alone. Every list here fits the 20 MiB L3, so each of the n
-// elements' 16 bytes is fetched from DRAM exactly once, in 64-byte lines;
+// TestCPUChaseConservation derives the chase's memory traffic from its
+// length alone. Each 16-byte element sits in one 64-byte line, so the walk
+// makes exactly n demand line reads, one per element; prefetches probe the
+// L2 without counting. Every list here fits the 20 MiB L3, so each
+// element's 16 bytes are fetched from DRAM exactly once, in 64-byte lines;
 // the prefetcher may run at most PrefetchDegree lines past the list's end,
 // and a walk that only reads never writes a line back. n = 5000 gives
 // blocks 64 and 4096 a short final block.
 func TestCPUChaseConservation(t *testing.T) {
+	last := recordSystems(t)
 	ccfg := xeon.SandyBridgeXeon()
 	for _, n := range []int{4096, 5000, 65536} {
 		if n*16 > ccfg.L3Bytes {
@@ -129,6 +146,9 @@ func TestCPUChaseConservation(t *testing.T) {
 				_, st, err := PointerChaseWithStats(ccfg, cfg)
 				if err != nil {
 					t.Fatalf("%+v: %v", cfg, err)
+				}
+				if got := last().L2Accesses(); got != uint64(n) {
+					t.Errorf("%+v: %d demand line reads, want one per element", cfg, got)
 				}
 				lo, hi := int64(n)*16, int64(n)*16+int64(ccfg.LineBytes*ccfg.PrefetchDegree)
 				if st.DRAMLineBytes < lo || st.DRAMLineBytes > hi {

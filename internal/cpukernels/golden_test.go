@@ -118,21 +118,14 @@ var cpuKernelGolden = map[string]string{
 }
 
 func TestCPUKernelGoldenDigests(t *testing.T) {
-	var sys *xeon.System
-	orig := newSystem
-	newSystem = func(c xeon.Config) *xeon.System {
-		sys = orig(c)
-		return sys
-	}
-	defer func() { newSystem = orig }()
-
+	last := recordSystems(t)
 	for _, c := range cpuGoldenCases() {
-		sys = nil
 		res, stats, err := c.run()
 		if err != nil {
 			t.Errorf("%s: %v", c.name, err)
 			continue
 		}
+		sys := last()
 		h := sha256.New()
 		put := func(vs ...int64) {
 			var buf []byte

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"time"
+
+	"emuchick/internal/experiments"
 )
 
 // FromFlags is the one place the shared CLI flag block is defined, so the
@@ -101,4 +104,15 @@ func (f *Flags) RefuseStaleCheckpoint(path string) error {
 		return fmt.Errorf("checkpoint %s already holds records; pass -resume to continue that run or delete the file", path)
 	}
 	return nil
+}
+
+// RefuseSharedCheckpoint refuses, before anything runs, a -checkpoint
+// that is one log file for a run of more than one experiment (ids may
+// repeat): the second would find the first one's log.
+func (f *Flags) RefuseSharedCheckpoint(ids []string) error {
+	if f.Checkpoint == "" || !slices.ContainsFunc(ids, func(id string) bool { return id != ids[0] }) ||
+		experiments.CheckpointPath(f.Checkpoint, ids[0]) != f.Checkpoint {
+		return nil
+	}
+	return fmt.Errorf("checkpoint %s is one log, but this run opens one per experiment; pass -checkpoint %s/ to keep them in that directory", f.Checkpoint, f.Checkpoint)
 }

@@ -8,18 +8,28 @@ package xeon
 // (find) both probes for a line and picks the way a fill takes: the first
 // empty way, else the last, least recently used, way. That is exact LRU
 // because no way is ever invalidated: the empty ways are always a suffix of
-// the set. Line -1 marks an empty way and is never a valid line.
+// the set.
+//
+// A way is one word: 0 is an empty way, and a resident line is stored as
+// (line+1)<<1 | dirty. So a 16-way set fills one 64-byte host cache line,
+// and a line must lie in [0, maxLine].
 type cache struct {
 	sets    int
 	setMask int64 // sets-1 when sets is a power of two, else -1
 	assoc   int
-	tags    []int64 // sets*assoc entries, each set most recent first; -1 = empty
-	dirty   []bool  // parallel to tags
-	tick    uint64  // recency updates (hits, refreshes and fills)
+	ways    []uint32 // sets*assoc words, each set most recent first
+	tick    uint64   // recency updates (hits, refreshes and fills)
 	hits    uint64
 	misses  uint64
 	inserts uint64
 }
+
+// maxLine is the largest line a way can hold, since (maxLine+1)<<1 | 1 is
+// the largest uint32: 128 GiB of model address space at 64-byte lines.
+const (
+	maxLine  = 1<<31 - 2
+	dirtyBit = 1 // the way bit that marks a modified line
+)
 
 // newCache builds a cache of the given total size in lines.
 func newCache(totalBytes, lineBytes, assoc int) *cache {
@@ -32,33 +42,24 @@ func newCache(totalBytes, lineBytes, assoc int) *cache {
 		sets:    sets,
 		setMask: -1,
 		assoc:   assoc,
-		tags:    make([]int64, sets*assoc),
-		dirty:   make([]bool, sets*assoc),
+		ways:    make([]uint32, sets*assoc),
 	}
 	if sets&(sets-1) == 0 {
 		c.setMask = int64(sets - 1)
-	}
-	for i := range c.tags {
-		c.tags[i] = -1
 	}
 	return c
 }
 
 // setOf maps a line to its set index. A power-of-two set count reduces the
-// Euclidean modulus to a mask (valid for negative lines too:
-// two's-complement AND is the positive residue); other set counts, which
-// include both L3 geometries, take the division form.
+// modulus to a mask; other set counts, which include both L3 geometries,
+// take the division form.
 //
 //emu:hotpath probed once per tag lookup/insert
 func (c *cache) setOf(line int64) int {
 	if c.setMask >= 0 {
 		return int(line & c.setMask)
 	}
-	s := int(line % int64(c.sets))
-	if s < 0 {
-		s += c.sets
-	}
-	return s
+	return int(uint32(line) % uint32(c.sets))
 }
 
 // find scans line's set once. It returns the set's first index and either
@@ -67,11 +68,12 @@ func (c *cache) setOf(line int64) int {
 //emu:hotpath the one scan of a set per probe
 func (c *cache) find(line int64) (base, w int, hit bool) {
 	base = c.setOf(line) * c.assoc
-	for w, tag := range c.tags[base : base+c.assoc] {
-		if tag == line {
+	key := uint32(line+1) << 1
+	for w, way := range c.ways[base : base+c.assoc] {
+		if way&^dirtyBit == key {
 			return base, w, true
 		}
-		if tag == -1 {
+		if way == 0 {
 			return base, w, false
 		}
 	}
@@ -80,29 +82,27 @@ func (c *cache) find(line int64) (base, w int, hit bool) {
 
 // rotate moves ways [0, w) of the set at base one way back, freeing way 0,
 // and returns what way w held.
-func (c *cache) rotate(base, w int) (tag int64, dirty bool) {
-	tags, dirt := c.tags[base:base+w+1], c.dirty[base:base+w+1]
-	tag, dirty = tags[w], dirt[w]
-	for i := w; i > 0; i-- {
-		tags[i], dirt[i] = tags[i-1], dirt[i-1]
-	}
+func (c *cache) rotate(base, w int) uint32 {
+	ways := c.ways[base : base+w+1]
+	way := ways[w]
+	copy(ways[1:], ways[:w])
 	c.tick++
-	return tag, dirty
+	return way
 }
 
 // promote makes the line at way w of the set at base its most recent.
 func (c *cache) promote(base, w int) {
-	c.tags[base], c.dirty[base] = c.rotate(base, w)
+	c.ways[base] = c.rotate(base, w)
 }
 
 // fill puts line, clean, in the set at base as its most recent, evicting
 // way w (as chosen by find), and reports the evicted line and whether it
 // was dirty (needing writeback); an empty way evicts line -1, clean.
 func (c *cache) fill(base, w int, line int64) (evicted int64, wasDirty bool) {
-	evicted, wasDirty = c.rotate(base, w)
-	c.tags[base], c.dirty[base] = line, false
+	way := c.rotate(base, w)
+	c.ways[base] = uint32(line+1) << 1
 	c.inserts++
-	return evicted, wasDirty
+	return int64(way>>1) - 1, way&dirtyBit != 0
 }
 
 // lookup probes for line, counting a hit or a miss. A hit makes the line
@@ -124,7 +124,7 @@ func (c *cache) lookup(line int64) (base, w int, hit bool) {
 func (c *cache) markDirty(line int64) bool {
 	base, w, hit := c.find(line)
 	if hit {
-		c.dirty[base+w] = true
+		c.ways[base+w] |= dirtyBit
 	}
 	return hit
 }

@@ -1,7 +1,6 @@
 package xeon
 
 import (
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -30,8 +29,8 @@ func (c *cache) lines() int { return c.sets * c.assoc }
 // resident counts valid lines.
 func (c *cache) resident() int {
 	n := 0
-	for _, t := range c.tags {
-		if t != -1 {
+	for _, way := range c.ways {
+		if way != 0 {
 			n++
 		}
 	}
@@ -104,18 +103,10 @@ func TestCacheSetIsolation(t *testing.T) {
 	}
 }
 
-func TestCacheNegativeLineSafety(t *testing.T) {
-	c := newCache(1024, 64, 4)
-	c.insert(-7) // must not panic; -7 mod sets handled
-	if !c.contains(-7) {
-		t.Fatal("negative line lost")
-	}
-}
-
 // Property: the cache never holds more distinct lines than its capacity,
 // and a just-inserted line is always resident.
 func TestCacheCapacityProperty(t *testing.T) {
-	f := func(lines []int16) bool {
+	f := func(lines []uint16) bool {
 		c := newCache(8*64, 64, 2) // 8 lines
 		for _, l := range lines {
 			c.insert(int64(l))
@@ -268,12 +259,9 @@ func FuzzCacheLRU(f *testing.F) {
 		ref := newRefCache(g.sets, g.assoc)
 		for i := 0; i+1 < len(ops); i += 2 {
 			kind, b := ops[i], ops[i+1]
-			line := int64(int8(b)) // -128..127
+			line := int64(b) // 0..255
 			if kind&0x80 == 0 {
-				line >>= 3 // -16..15: a working set near capacity
-			}
-			if line == -1 {
-				line = math.MinInt64 // -1 marks an empty way
+				line >>= 3 // 0..31: a working set near capacity
 			}
 			var got, want struct {
 				hit     bool
@@ -311,7 +299,8 @@ func FuzzCacheLRU(f *testing.F) {
 			for s := 0; s < g.sets; s++ {
 				tags, dirty := ref.recency(s)
 				for w := 0; w < g.assoc; w++ {
-					gotTag, gotDirty, wantTag, wantDirty := c.tags[s*g.assoc+w], c.dirty[s*g.assoc+w], int64(-1), false
+					way := c.ways[s*g.assoc+w]
+					gotTag, gotDirty, wantTag, wantDirty := int64(way>>1)-1, way&dirtyBit != 0, int64(-1), false
 					if w < len(tags) {
 						wantTag, wantDirty = tags[w], dirty[w]
 					}

@@ -2,6 +2,7 @@ package xeon
 
 import (
 	"fmt"
+	"math/bits"
 
 	"emuchick/internal/sim"
 )
@@ -57,23 +58,14 @@ func newDRAM(cfg *Config) *dram {
 	if isPow2(int64(cfg.Channels)) && isPow2(d.linesPerRow) && isPow2(int64(cfg.BanksPerChannel)) {
 		d.pow2 = true
 		d.chMask = int64(cfg.Channels - 1)
-		d.chShift = log2(int64(cfg.Channels))
-		d.rowShift = log2(d.linesPerRow)
+		d.chShift = uint(bits.TrailingZeros64(uint64(cfg.Channels)))
+		d.rowShift = uint(bits.TrailingZeros64(uint64(d.linesPerRow)))
 		d.bankMask = int64(cfg.BanksPerChannel - 1)
 	}
 	return d
 }
 
 func isPow2(v int64) bool { return v > 0 && v&(v-1) == 0 }
-
-func log2(v int64) uint {
-	var s uint
-	for v > 1 {
-		v >>= 1
-		s++
-	}
-	return s
-}
 
 // locate maps a line to its channel, bank, and row: consecutive lines
 // interleave across channels (fine-grained interleave, as memory
@@ -82,20 +74,16 @@ func log2(v int64) uint {
 //
 //emu:hotpath consulted by every fetch and writeback
 func (d *dram) locate(line int64) (ch, bank int, row int64) {
-	// Lines come from the bump allocator and are non-negative, so on
-	// power-of-two geometries the Euclidean mod/div pairs are mask/shift
-	// pairs; the division form stays for odd geometries (and would be the
-	// fallback for negative lines, where >> floors but / truncates).
-	if d.pow2 && line >= 0 {
+	// Lines are non-negative (System.lines panics outside 0..maxLine), so
+	// on power-of-two geometries the mod/div pairs are mask/shift pairs;
+	// the division form stays for odd geometries.
+	if d.pow2 {
 		ch = int(line & d.chMask)
 		row = line >> d.chShift >> d.rowShift
 		bank = int(row & d.bankMask)
 		return ch, bank, row
 	}
 	ch = int(line % int64(d.cfg.Channels))
-	if ch < 0 {
-		ch += d.cfg.Channels
-	}
 	perChannel := line / int64(d.cfg.Channels)
 	row = perChannel / d.linesPerRow
 	bank = int(row % int64(d.cfg.BanksPerChannel))

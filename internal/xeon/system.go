@@ -76,6 +76,16 @@ func (s *System) RowHitRatio() float64 {
 	return float64(s.mem.rowHits) / float64(total)
 }
 
+// L2Accesses reports the demand line reads and writes the cores' L2s have
+// looked up, hits and misses together. Prefetches probe without counting.
+func (s *System) L2Accesses() uint64 {
+	var n uint64
+	for _, c := range s.l2 {
+		n += c.hits + c.misses
+	}
+	return n
+}
+
 // PeakChannelUtilization reports the busiest DRAM channel's utilization.
 func (s *System) PeakChannelUtilization(elapsed sim.Time) float64 {
 	return s.mem.busiestUtilization(elapsed)
@@ -208,9 +218,7 @@ func (t *CThread) WriteNT(addr, bytes int64) {
 		return
 	}
 	s := t.sys
-	lb := int64(s.Cfg.LineBytes)
-	first := addr / lb
-	last := (addr + bytes - 1) / lb
+	first, last := s.lines(addr, bytes)
 	if first == t.wcLine {
 		first++ // combines into the open write-combining buffer
 	}
@@ -222,14 +230,23 @@ func (t *CThread) WriteNT(addr, bytes int64) {
 	s.NTWriteLines += uint64(last - first + 1)
 }
 
+// lines returns the first and last line of [addr, addr+bytes), bytes > 0.
+// The model's lines run 0 through maxLine, the most a cache way can hold,
+// so a span outside them panics, naming its address.
+func (s *System) lines(addr, bytes int64) (first, last int64) {
+	lb := int64(s.Cfg.LineBytes)
+	first, last = addr/lb, (addr+bytes-1)/lb
+	if addr < 0 || last > maxLine {
+		panic(fmt.Sprintf("xeon: %d-byte access at address %#x lies outside the model's lines 0..%d", bytes, addr, maxLine))
+	}
+	return first, last
+}
+
 func (t *CThread) access(addr, bytes int64, write bool) (parked bool) {
 	if bytes <= 0 {
 		return false
 	}
-	s := t.sys
-	lb := int64(s.Cfg.LineBytes)
-	first := addr / lb
-	last := (addr + bytes - 1) / lb
+	first, last := t.sys.lines(addr, bytes)
 	finish := t.p.Now()
 	for line := first; line <= last; line++ {
 		if done := t.lineAccess(line, write); done > finish {
@@ -268,10 +285,9 @@ func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 
 	// Stream detection: two sequential line advances on any tracked
 	// stream arm the prefetcher, which then runs PrefetchDegree lines
-	// ahead into L3.
+	// ahead into L3, stopping at the end of the line range.
 	if s.Cfg.PrefetchDegree > 0 && t.prefetchArm(line) {
-		for ahead := int64(1); ahead <= int64(s.Cfg.PrefetchDegree); ahead++ {
-			pl := line + ahead
+		for pl := line + 1; pl <= line+int64(s.Cfg.PrefetchDegree) && pl <= maxLine; pl++ {
 			if base, w, hit := s.l3.find(pl); !hit {
 				ready := s.mem.fetch(now, pl)
 				s.fillL3(now, base, w, pl)
@@ -308,22 +324,21 @@ func (t *CThread) lineAccess(line int64, write bool) sim.Time {
 
 	// A hit leaves the line at way 0 of its set, as does a fill.
 	base, w, hit := l2.lookup(line)
-	if hit {
-		if write {
-			l2.dirty[base] = true
-		}
-		return waitReady(now + s.Cfg.L2Latency)
-	}
 	var done sim.Time
-	if base3, w3, hit3 := s.l3.lookup(line); hit3 {
+	if hit {
+		done = waitReady(now + s.Cfg.L2Latency)
+	} else if base3, w3, hit3 := s.l3.lookup(line); hit3 {
 		done = waitReady(now + s.Cfg.L3Latency)
+		s.fillL2(now, l2, base, w, line)
 	} else {
 		done = s.mem.fetch(now, line)
 		s.fillL3(now, base3, w3, line)
 		s.DRAMLines++
+		s.fillL2(now, l2, base, w, line)
 	}
-	s.fillL2(now, l2, base, w, line)
-	l2.dirty[base] = write
+	if write {
+		l2.ways[base] |= dirtyBit
+	}
 	return done
 }
 

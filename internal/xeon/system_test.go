@@ -1,6 +1,7 @@
 package xeon
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -191,6 +192,32 @@ func TestAccessSpanningTwoLines(t *testing.T) {
 	runProg(t, s, s.Alloc(128), []gop{{kind: 'r', a: 60, n: 8}}) // crosses the line boundary
 	if s.DRAMLines != 2 {
 		t.Fatalf("DRAMLines = %d, want 2", s.DRAMLines)
+	}
+}
+
+// TestAccessOutsideLineRange: a cache way holds lines 0 through maxLine
+// only, so a read, write or streaming store that reaches outside them
+// panics and names its address. The range's last lines read normally, and
+// a stream that runs into its end prefetches nothing past it.
+func TestAccessOutsideLineRange(t *testing.T) {
+	lb := int64(SandyBridgeXeon().LineBytes)
+	end := (maxLine + 1) * lb // the first address past the range
+	for _, addr := range []int64{-16, -1 << 40, end, end - 8, 1 << 62} {
+		for _, kind := range []byte{'r', 'w', 'n'} {
+			msg := func() (msg string) {
+				defer func() { msg = fmt.Sprint(recover()) }()
+				runScenario(NewSystem(SandyBridgeXeon()), 0, []gop{{kind: kind, a: addr, n: 16}}, nil)
+				return ""
+			}()
+			if want := fmt.Sprintf("address %#x", addr); !strings.Contains(msg, want) {
+				t.Errorf("%c of 16 bytes at %#x: panic %q, want one naming %q", kind, addr, msg, want)
+			}
+		}
+	}
+	s := NewSystem(SandyBridgeXeon())
+	runProg(t, s, 0, readLines(4, func(i int64) int64 { return maxLine - 3 + i }))
+	if s.DRAMLines != 4 {
+		t.Fatalf("reading the last 4 lines fetched %d lines, want 4", s.DRAMLines)
 	}
 }
 
