@@ -111,6 +111,29 @@ func TestCanonicalDefaults(t *testing.T) {
 // TestFingerprintWorkloadSensitivity pins the content-address contract:
 // workload-shaping fields move the fingerprint, drive-side fields do not,
 // and defaultable forms collide with their canonical spelling.
+// TestFingerprintPinned pins absolute content addresses. emuserved keys
+// every stored result by Fingerprint, so any change to these values
+// re-keys the whole cache; a change must be deliberate, never a side
+// effect of refactoring how the hash is fed.
+func TestFingerprintPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		spec Spec
+		want string
+	}{
+		{"fig4 quick trials 1", Spec{Experiment: "fig4", Scale: ScaleQuick, Trials: 1}, "71ef0207df96ae42"},
+		{"fig6 defaults", Spec{Experiment: "fig6"}, "ea6b010fe5cdb8ad"},
+		{"kernel gups", Spec{Kernel: "gups"}, "0ce1bebb0e8d1c6b"},
+		{"degradation-chase faulted", Spec{Experiment: "degradation-chase", Scale: ScaleQuick,
+			Faults: "migstall=10us/100us", FaultSeed: 7}, "c49bde0a656ff0dc"},
+	}
+	for _, c := range cases {
+		if got := c.spec.Fingerprint(); got != c.want {
+			t.Errorf("%s: Fingerprint() = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
 func TestFingerprintWorkloadSensitivity(t *testing.T) {
 	base := Spec{Experiment: "fig4"}
 	fp := base.Fingerprint()
