@@ -115,12 +115,13 @@ func run(args []string, out io.Writer) error {
 	if err := shared.RefuseSharedCheckpoint(ids); err != nil {
 		return err
 	}
-	// Ctrl-C cancels cleanly: in-flight simulations notice the context and
-	// the profile/outdir deferrals above still run.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	var incomplete []string
+	// Resolve and validate every id before running any, so a typo late in
+	// a long list costs nothing.
+	type job struct {
+		e    *experiments.Experiment
+		opts []experiments.Option
+	}
+	jobs := make([]job, 0, len(ids))
 	for _, id := range ids {
 		e, err := experiments.ByID(id)
 		if err != nil {
@@ -141,11 +142,20 @@ func run(args []string, out io.Writer) error {
 			}
 			opts = append(opts, experiments.WithCheckpoint(shared.Checkpoint))
 		}
-		opts = append(opts, experiments.WithContext(ctx))
+		jobs = append(jobs, job{e, opts})
+	}
+	// Ctrl-C cancels cleanly: in-flight simulations notice the context and
+	// the profile/outdir deferrals above still run.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+
+	var incomplete []string
+	for _, j := range jobs {
+		e := j.e
 		start := time.Now()
-		figs, err := e.Run(opts...)
+		figs, err := e.Run(append(j.opts, experiments.WithContext(ctx))...)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		fmt.Fprintf(out, "== %s — %s (%.1fs)\n", e.ID, e.Title, time.Since(start).Seconds())
 		fmt.Fprintf(out, "   paper: %s\n\n", e.Paper)

@@ -93,6 +93,19 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownIDRefusedBeforeAnyRun: every id is resolved before the first
+// experiment runs, so a typo at the end of the list prints nothing.
+func TestUnknownIDRefusedBeforeAnyRun(t *testing.T) {
+	var b strings.Builder
+	err := run([]string{"-fig", "fig4,nope", "-quick"}, &b)
+	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
+		t.Fatalf("err = %v, want the unknown-id error", err)
+	}
+	if b.Len() != 0 {
+		t.Errorf("an experiment ran before the refusal:\n%s", b.String())
+	}
+}
+
 // TestCheckpointFileRefusedForManyExperiments: a -checkpoint file path is
 // one log, so a run of two experiments is refused before either runs, and
 // the error names the directory form to pass instead.

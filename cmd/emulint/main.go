@@ -1,24 +1,19 @@
-// Command emulint is the repo's contract multichecker: five analyzers
-// (plus the funcfacts dependency they share) that turn the reproduction's
-// determinism, hot-path, seed-flow, fingerprint, and observer-guard
-// promises into compile-time checks (see DESIGN.md sections 12 and 17).
+// Command emulint is the repo's contract multichecker: two analyzers (plus
+// the funcfacts dependency they share) that check what a passing test run
+// does not prove — that result-producing packages reach no wall clock,
+// ambient rand or map order, and that //emu:hotpath functions never
+// allocate (see DESIGN.md sections 12 and 17).
 //
 // Usage:
 //
-//	emulint [-list] [-json] [-v] [packages]
+//	emulint [-list] [-v] [packages]
 //
 // Packages default to ./... and accept the go tool's pattern syntax; their
 // module dependencies are analyzed too, for the facts the transitive checks
 // need, but only the named packages' findings are reported. Test files are
 // not analyzed. The exit status is 0 when every package is clean, 1 when
-// there are findings, and 2 on an operational error. A finding is
-// suppressed, one line and one analyzer at a time, with
-// //lint:allow <analyzer> <reason>.
-//
-// -json emits every diagnostic — suppressed ones included, marked — as a
-// JSON array on stdout, for CI annotation and tooling; the record schema
-// is locked by TestJSONSchema. -v prints per-analyzer wall-clock cost to
-// stderr after the run.
+// there are findings, and 2 on an operational error. -v prints
+// per-analyzer wall-clock cost to stderr after the run.
 //
 // emulint runs standalone: it type-checks every package from source, once,
 // and runs the analyzers over them in dependency order within one process,
@@ -28,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -41,38 +35,10 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonDiagnostic is the machine-readable form of one diagnostic. The field
-// set and JSON names are a stable contract (TestJSONSchema locks them);
-// add fields, never rename or remove.
-type jsonDiagnostic struct {
-	File       string `json:"file"`
-	Line       int    `json:"line"`
-	Col        int    `json:"col"`
-	Analyzer   string `json:"analyzer"`
-	Message    string `json:"message"`
-	Suppressed bool   `json:"suppressed"`
-}
-
-func toJSON(diags []analysis.Diagnostic) []jsonDiagnostic {
-	out := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		out = append(out, jsonDiagnostic{
-			File:       d.Pos.Filename,
-			Line:       d.Pos.Line,
-			Col:        d.Pos.Column,
-			Analyzer:   d.Analyzer,
-			Message:    d.Message,
-			Suppressed: d.Suppressed,
-		})
-	}
-	return out
-}
-
 func run(args []string, out, errOut *os.File) int {
 	fs := flag.NewFlagSet("emulint", flag.ContinueOnError)
 	fs.SetOutput(errOut)
 	list := fs.Bool("list", false, "list the suite's analyzers and exit")
-	asJSON := fs.Bool("json", false, "emit all diagnostics (suppressed included) as a JSON array on stdout")
 	verbose := fs.Bool("v", false, "report per-analyzer timing on stderr")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -88,18 +54,8 @@ func run(args []string, out, errOut *os.File) int {
 		fmt.Fprintln(errOut, "emulint:", err)
 		return 2
 	}
-	findings := res.Findings()
-	if *asJSON {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(toJSON(res.Diagnostics)); err != nil {
-			fmt.Fprintln(errOut, "emulint:", err)
-			return 2
-		}
-	} else {
-		for _, d := range findings {
-			fmt.Fprintln(out, d)
-		}
+	for _, d := range res.Diagnostics {
+		fmt.Fprintln(out, d)
 	}
 	if *verbose {
 		fmt.Fprintln(errOut, "emulint: analyzer timing:")
@@ -107,8 +63,8 @@ func run(args []string, out, errOut *os.File) int {
 			fmt.Fprintf(errOut, "  %-15s %10v  %3d pkg(s)\n", t.Name, t.Duration.Round(1000), t.Packages)
 		}
 	}
-	if len(findings) > 0 {
-		fmt.Fprintf(errOut, "emulint: %d finding(s)\n", len(findings))
+	if n := len(res.Diagnostics); n > 0 {
+		fmt.Fprintf(errOut, "emulint: %d finding(s)\n", n)
 		return 1
 	}
 	return 0

@@ -13,8 +13,7 @@
 // (Analyzer.Requires) and exchange results through Pass.ResultOf.
 //
 // The suite built on top of it (see the subpackages and cmd/emulint)
-// converts the repo's central determinism promises from test-time checks
-// into compile-time guarantees:
+// checks two promises that a passing test run does not prove:
 //
 //   - funcfacts: computes the per-function effect facts (allocates, reads
 //     the wall clock, seeds rand ambiently) every transitive check
@@ -25,16 +24,6 @@
 //   - hotpathalloc: functions annotated //emu:hotpath neither contain
 //     allocating constructs nor call anything that transitively
 //     allocates (cold paths opt out with //emu:cold).
-//   - seedflow: every RNG constructed in a result-producing package is
-//     seeded from configuration (a parameter, an options/spec field, a
-//     constant), never from ambient state.
-//   - fingerprint: every experiments.Options field is explicitly
-//     classified into or out of the checkpoint fingerprint.
-//   - observerguard: machine-layer trace emits sit behind the
-//     nil-observer guard.
-//
-// Findings are suppressed, one site at a time, with a reasoned marker
-// comment: //lint:allow <analyzer> <reason>.
 package analysis
 
 import (
@@ -49,8 +38,8 @@ import (
 // Analyzer describes one static check. The zero scope (nil Packages) means
 // the analyzer applies to every package the driver loads.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and //lint:allow
-	// comments. It must be a single lowercase word.
+	// Name identifies the analyzer in diagnostics. It must be a single
+	// lowercase word.
 	Name string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
@@ -105,10 +94,6 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
-	// Suppressed marks a finding neutralized by a //lint:allow marker.
-	// RunAnalyzers drops suppressed findings; Run keeps them (flagged) so
-	// machine consumers see the full picture.
-	Suppressed bool
 }
 
 func (d Diagnostic) String() string {
@@ -125,43 +110,18 @@ type AnalyzerTime struct {
 
 // Results is the full outcome of a driver run.
 type Results struct {
-	// Diagnostics come back sorted by position, suppressed ones included
-	// (marked). Malformed allow comments are reported under the
-	// pseudo-analyzer "lintcomment".
+	// Diagnostics come back sorted by position.
 	Diagnostics []Diagnostic
 	// Timing reports per-analyzer cost, in suite order.
 	Timing []AnalyzerTime
 }
 
-// Findings returns the unsuppressed diagnostics.
-func (r *Results) Findings() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diagnostics {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-// RunAnalyzers applies every in-scope analyzer (plus the transitive
-// closure of their Requires) to every package, bottom-up over the import
-// DAG, and returns the surviving findings: diagnostics on a line carrying
-// (or immediately following) a matching //lint:allow comment are dropped.
-// Diagnostics come back sorted by position.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := Run(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return res.Findings(), nil
-}
-
-// Run is RunAnalyzers with the full Results: suppressed diagnostics stay
-// (marked), and per-analyzer timing is reported. Packages are analyzed one
-// at a time, each after every given package it imports, whatever order
-// pkgs arrive in; they must share one type-checked universe (as Load's
-// and analysistest's packages do) for facts to cross between them.
+// Run applies every in-scope analyzer (plus the transitive closure of
+// their Requires) to every package and reports the diagnostics and
+// per-analyzer timing. Packages are analyzed one at a time, each after
+// every given package it imports, whatever order pkgs arrive in; they must
+// share one type-checked universe (as Load's and analysistest's packages
+// do) for facts to cross between them.
 func Run(pkgs []*Package, analyzers []*Analyzer) (*Results, error) {
 	closure := postorder(analyzers, func(a *Analyzer) []*Analyzer { return a.Requires })
 	byTypes := map[*types.Package]*Package{}
@@ -227,13 +187,9 @@ func postorder[T comparable](roots []T, deps func(T) []T) []T {
 
 // analyzePackage runs the in-scope analyzers of closure (dependencies
 // first) over one package, accumulating their cost into timing, and
-// returns its diagnostics with //lint:allow markers applied.
+// returns its diagnostics.
 func analyzePackage(pkg *Package, closure []*Analyzer, facts map[factKey]Fact, timing []AnalyzerTime) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	allows := allowIndex{}
-	for _, f := range pkg.Files {
-		allows.collect(pkg.Fset, f, &diags)
-	}
 	results := map[*Analyzer]any{}
 	for i, a := range closure {
 		if a.Packages != nil && !a.Packages(pkg.Path) {
@@ -257,11 +213,6 @@ func analyzePackage(pkg *Package, closure []*Analyzer, facts map[factKey]Fact, t
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 		}
 		results[a] = res
-	}
-	for i := range diags {
-		if allows.allowed(diags[i]) {
-			diags[i].Suppressed = true
-		}
 	}
 	return diags, nil
 }

@@ -43,47 +43,6 @@ var dummy = &Analyzer{
 	},
 }
 
-func TestSuppression(t *testing.T) {
-	const src = `package p
-
-func target() {}
-
-func use() {
-	target() //lint:allow dummy same-line marker tolerates this call
-	//lint:allow dummy line-above marker tolerates the next line
-	target()
-	target()
-	//lint:allow dummy
-	target()
-}
-`
-	pkg := loadSrc(t, src)
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{dummy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lines 6 and 8 are suppressed. Line 9 is two lines below its nearest
-	// marker, so it survives; line 10's marker has no reason and is itself a
-	// finding that suppresses nothing, so line 11 survives too.
-	want := []struct {
-		analyzer string
-		line     int
-	}{
-		{"dummy", 9},
-		{"lintcomment", 10},
-		{"dummy", 11},
-	}
-	if len(diags) != len(want) {
-		t.Fatalf("got %d diagnostics %v, want %d", len(diags), diags, len(want))
-	}
-	for i, w := range want {
-		if diags[i].Analyzer != w.analyzer || diags[i].Pos.Line != w.line {
-			t.Errorf("diag %d = %s at line %d, want %s at line %d",
-				i, diags[i].Analyzer, diags[i].Pos.Line, w.analyzer, w.line)
-		}
-	}
-}
-
 func TestPackageScope(t *testing.T) {
 	const src = `package p
 
@@ -92,13 +51,20 @@ func target() {}
 func use() { target() }
 `
 	pkg := loadSrc(t, src)
-	scoped := *dummy
-	scoped.Packages = func(path string) bool { return path == "somewhere/else" }
-	diags, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{&scoped})
+	res, err := Run([]*Package{pkg}, []*Analyzer{dummy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("out-of-scope analyzer still reported: %v", diags)
+	if len(res.Diagnostics) != 1 || res.Diagnostics[0].Pos.Line != 5 {
+		t.Fatalf("unscoped analyzer reported %v, want one finding at line 5", res.Diagnostics)
+	}
+	scoped := *dummy
+	scoped.Packages = func(path string) bool { return path == "somewhere/else" }
+	res, err = Run([]*Package{pkg}, []*Analyzer{&scoped})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Diagnostics) != 0 {
+		t.Fatalf("out-of-scope analyzer still reported: %v", res.Diagnostics)
 	}
 }

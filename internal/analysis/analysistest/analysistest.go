@@ -10,9 +10,8 @@
 // (double-quoted Go strings also work) attaches one expectation per pattern
 // to the comment's line. The harness fails the test when a diagnostic has no
 // matching expectation on its line, and when an expectation matches no
-// diagnostic. Suppression comments (//lint:allow) are honored exactly as in
-// the real driver, so testdata can exercise them; the analyzer's package
-// scope is ignored so testdata packages are always in scope.
+// diagnostic. The analyzer's package scope is ignored so testdata packages
+// are always in scope.
 package analysistest
 
 import (
@@ -86,7 +85,7 @@ func RunDirs(t *testing.T, base string, a *analysis.Analyzer, dirs ...string) {
 // // want expectations.
 func check(t *testing.T, pkgs []*analysis.Package, a *analysis.Analyzer) {
 	t.Helper()
-	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
+	res, err := analysis.Run(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +93,7 @@ func check(t *testing.T, pkgs []*analysis.Package, a *analysis.Analyzer) {
 	for _, pkg := range pkgs {
 		wants = append(wants, collectWants(t, pkg)...)
 	}
-	for _, d := range diags {
+	for _, d := range res.Diagnostics {
 		if !claim(wants, d) {
 			t.Errorf("unexpected diagnostic: %s", d)
 		}

@@ -88,12 +88,12 @@ func Use() { dep.Marked() }
 			return nil, nil
 		},
 	}
-	diags, err := RunAnalyzers([]*Package{top, dep}, []*Analyzer{consumer})
+	res, err := Run([]*Package{top, dep}, []*Analyzer{consumer})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("unexpected diagnostics: %v", diags)
+	if len(res.Diagnostics) != 0 {
+		t.Fatalf("unexpected diagnostics: %v", res.Diagnostics)
 	}
 	if sawNote != "exported in dep" {
 		t.Fatalf("consumer read %q, want %q", sawNote, "exported in dep")
@@ -123,7 +123,7 @@ func F() {}
 			return nil, nil
 		},
 	}
-	if _, err := RunAnalyzers([]*Package{pkg}, []*Analyzer{top}); err != nil {
+	if _, err := Run([]*Package{pkg}, []*Analyzer{top}); err != nil {
 		t.Fatal(err)
 	}
 	if got != 42 {

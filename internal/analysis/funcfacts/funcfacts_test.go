@@ -47,12 +47,12 @@ func analyze(t *testing.T, pkgs ...*analysis.Package) map[string]*funcfacts.Resu
 			return nil, nil
 		},
 	}
-	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{capture})
+	res, err := analysis.Run(pkgs, []*analysis.Analyzer{capture})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(diags) != 0 {
-		t.Fatalf("unexpected diagnostics: %v", diags)
+	if len(res.Diagnostics) != 0 {
+		t.Fatalf("unexpected diagnostics: %v", res.Diagnostics)
 	}
 	return results
 }

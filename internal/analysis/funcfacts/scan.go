@@ -213,18 +213,18 @@ func isUntypedNil(info *types.Info, e ast.Expr) bool {
 
 // --- ambient nondeterminism ---
 
-// WallClockFuncs are the time package functions that read or depend on the
+// wallClockFuncs are the time package functions that read or depend on the
 // wall clock. Duration arithmetic and the time.Duration type stay legal.
-var WallClockFuncs = map[string]bool{
+var wallClockFuncs = map[string]bool{
 	"Now": true, "Since": true, "Until": true, "Sleep": true,
 	"After": true, "Tick": true, "NewTimer": true, "NewTicker": true,
 	"AfterFunc": true,
 }
 
-// SeededConstructors are the math/rand package-level names that build an
+// seededConstructors are the math/rand package-level names that build an
 // explicitly seeded generator; every other package-level call uses the
 // ambient global source.
-var SeededConstructors = map[string]bool{
+var seededConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 }
 
@@ -240,13 +240,13 @@ func ScanAmbient(info *types.Info, body ast.Node, report AmbientReport) {
 		if !ok {
 			return true
 		}
-		switch pkgOf(info, sel.X) {
+		switch PkgOf(info, sel.X) {
 		case "time":
-			if WallClockFuncs[sel.Sel.Name] {
+			if wallClockFuncs[sel.Sel.Name] {
 				report(sel.Pos(), ReadsWallClock, "time.%s reads the wall clock", sel.Sel.Name)
 			}
 		case "math/rand", "math/rand/v2":
-			if !SeededConstructors[sel.Sel.Name] && isFuncOrVar(info, sel) {
+			if !seededConstructors[sel.Sel.Name] && isFuncOrVar(info, sel) {
 				report(sel.Pos(), SeedsRandAmbiently, "rand.%s uses the ambient global source", sel.Sel.Name)
 			}
 		}
@@ -254,9 +254,9 @@ func ScanAmbient(info *types.Info, body ast.Node, report AmbientReport) {
 	})
 }
 
-// pkgOf resolves the package an identifier names, or "" if it is not a
+// PkgOf resolves the package an identifier names, or "" if it is not a
 // package qualifier.
-func pkgOf(info *types.Info, x ast.Expr) string {
+func PkgOf(info *types.Info, x ast.Expr) string {
 	id, ok := x.(*ast.Ident)
 	if !ok {
 		return ""

@@ -7,8 +7,6 @@
 // The one tolerated map-iteration shape is the standard collect-then-sort
 // idiom: a range body consisting solely of appending the key to a slice
 // that is later passed to a sort function in the same enclosing function.
-// Any other iteration needs an explicit
-// //lint:allow nodeterminism <reason>.
 //
 // The wall-clock and ambient-rand rules are transitive: a function in a
 // deterministic package must not call out-of-scope code that reads the
@@ -63,14 +61,20 @@ var Analyzer = &analysis.Analyzer{
 // reachable from a deterministic package.
 var ambientEffects = []funcfacts.Effect{funcfacts.ReadsWallClock, funcfacts.SeedsRandAmbiently}
 
+// advice completes a direct ambient site's report with its fix.
+var advice = map[funcfacts.Effect]string{
+	funcfacts.ReadsWallClock:     "; deterministic packages must derive every value from simulated time or seeded inputs",
+	funcfacts.SeedsRandAmbiently: "; construct an explicitly seeded *rand.Rand instead",
+}
+
 func run(pass *analysis.Pass) (any, error) {
 	for _, f := range pass.Files {
+		funcfacts.ScanAmbient(pass.TypesInfo, f, func(pos token.Pos, e funcfacts.Effect, format string, args ...any) {
+			pass.Reportf(pos, format+advice[e], args...)
+		})
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				checkSelector(pass, n)
-			case *ast.RangeStmt:
-				checkRange(pass, enclosingFunc(f, n.Pos()), n)
+			if rng, ok := n.(*ast.RangeStmt); ok {
+				checkRange(pass, enclosingFunc(f, rng.Pos()), rng)
 			}
 			return true
 		})
@@ -123,43 +127,6 @@ func enclosingFunc(f *ast.File, pos token.Pos) ast.Node {
 	return fn
 }
 
-// pkgOf resolves the package an identifier names, or "" if it is not a
-// package qualifier.
-func pkgOf(pass *analysis.Pass, x ast.Expr) string {
-	id, ok := x.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := pass.TypesInfo.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Path()
-	}
-	return ""
-}
-
-func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
-	switch pkgOf(pass, sel.X) {
-	case "time":
-		if funcfacts.WallClockFuncs[sel.Sel.Name] {
-			pass.Reportf(sel.Pos(), "time.%s reads the wall clock; deterministic packages must derive every value from simulated time or seeded inputs", sel.Sel.Name)
-		}
-	case "math/rand", "math/rand/v2":
-		if !funcfacts.SeededConstructors[sel.Sel.Name] && isFunc(pass, sel) {
-			pass.Reportf(sel.Pos(), "rand.%s uses the ambient global source; construct an explicitly seeded *rand.Rand instead", sel.Sel.Name)
-		}
-	}
-}
-
-// isFunc reports whether the selector names a function or variable (as
-// opposed to a type such as rand.Rand, which is fine to mention).
-func isFunc(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	switch obj.(type) {
-	case *types.Func, *types.Var:
-		return true
-	}
-	return false
-}
-
 func checkRange(pass *analysis.Pass, fn ast.Node, rng *ast.RangeStmt) {
 	t := pass.TypeOf(rng.X)
 	if t == nil {
@@ -171,7 +138,7 @@ func checkRange(pass *analysis.Pass, fn ast.Node, rng *ast.RangeStmt) {
 	if isCollectThenSort(pass, fn, rng) {
 		return
 	}
-	pass.Reportf(rng.Pos(), "map iteration order is randomized; collect and sort the keys first (the collect-then-sort idiom is recognized), or //lint:allow nodeterminism <reason>")
+	pass.Reportf(rng.Pos(), "map iteration order is randomized; collect and sort the keys first (the collect-then-sort idiom is recognized)")
 }
 
 // isCollectThenSort recognizes
@@ -223,7 +190,7 @@ func isCollectThenSort(pass *analysis.Pass, fn ast.Node, rng *ast.RangeStmt) boo
 		if !ok {
 			return true
 		}
-		pkg := pkgOf(pass, sel.X)
+		pkg := funcfacts.PkgOf(pass.TypesInfo, sel.X)
 		if (pkg == "sort" || pkg == "slices") && sortFuncs[sel.Sel.Name] &&
 			types.ExprString(call.Args[0]) == slice {
 			sorted = true

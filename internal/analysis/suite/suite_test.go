@@ -59,10 +59,11 @@ func Step(n int) int { return len(dep.Grow(n)) }
 		t.Fatalf("top imports %v, want exactly the *types.Package Load returned for dep (%p)", imports, dep.Types)
 	}
 
-	diags, err := analysis.RunAnalyzers(pkgs, suite.Analyzers())
+	res, err := analysis.Run(pkgs, suite.Analyzers())
 	if err != nil {
 		t.Fatal(err)
 	}
+	diags := res.Diagnostics
 	if len(diags) != 1 || diags[0].Analyzer != "hotpathalloc" ||
 		!strings.Contains(diags[0].Message, "dep.Grow") || filepath.Base(diags[0].Pos.Filename) != "top.go" {
 		t.Fatalf("got diagnostics %v, want one transitive hotpathalloc finding at top.go naming dep.Grow", diags)

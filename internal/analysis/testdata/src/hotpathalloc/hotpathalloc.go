@@ -96,9 +96,3 @@ func guard(v int) {
 func unannotated() []int {
 	return []int{1}
 }
-
-//emu:hotpath the closure below is one-time setup, tolerated on purpose
-func tolerated() func() {
-	//lint:allow hotpathalloc one-time setup, not steady state
-	return func() {}
-}

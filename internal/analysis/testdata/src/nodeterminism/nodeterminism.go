@@ -62,15 +62,6 @@ func collectWithoutSort(m map[string]int) []string {
 	return keys
 }
 
-func tolerated(m map[string]bool) int {
-	n := 0
-	//lint:allow nodeterminism commutative count, order-free by construction
-	for range m {
-		n++
-	}
-	return n
-}
-
 func sliceRangeIsFine(s []int) int {
 	total := 0
 	for _, v := range s {

@@ -18,8 +18,3 @@ func Mixed() int {
 func Deep() int64 {
 	return depclock.DeepStamp() // want `call to depclock\.DeepStamp reaches ambient nondeterminism \(reads-wall-clock\): calls Stamp .* time\.Now reads the wall clock`
 }
-
-func Allowed() int64 {
-	//lint:allow nodeterminism testdata: wall-clock use is confined to log metadata
-	return depclock.Stamp()
-}

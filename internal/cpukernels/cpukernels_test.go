@@ -77,16 +77,6 @@ func TestCPUStreamRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestCPUChaseVerifiesAllModes(t *testing.T) {
-	for _, mode := range workload.ShuffleModes {
-		if _, err := PointerChase(xeon.SandyBridgeXeon(), ChaseConfig{
-			Elements: 2048, BlockSize: 16, Mode: mode, Seed: 5, Threads: 8,
-		}); err != nil {
-			t.Fatalf("%v: %v", mode, err)
-		}
-	}
-}
-
 // TestCPUKernelsHonourRunOptions: each kernel arms its engine with the
 // run's context and event budget, and with neither arms nothing.
 func TestCPUKernelsHonourRunOptions(t *testing.T) {

@@ -315,6 +315,50 @@ func (c *Checkpoint) nextSweep() int {
 // layout field.
 const ckptLayout = 2
 
+// OptionClass says which side of the fingerprint an Options field is on.
+type OptionClass int
+
+const (
+	// OptionIn fields shape the workload: two runs differing in one must
+	// never share a checkpoint or a cached result.
+	OptionIn OptionClass = iota
+	// OptionOut fields only change how cells are driven (scheduling,
+	// tracing, watchdogs); resume must work across any change to one.
+	OptionOut
+)
+
+func (c OptionClass) String() string {
+	if c == OptionIn {
+		return "In"
+	}
+	return "Out"
+}
+
+// OptionFields classifies every Options field. optionsFingerprint reads
+// exactly the In fields; jobspec's content address folds in the same set.
+// fingerprint_class_test.go holds the table to the struct by reflection
+// and checks that each In field moves the fingerprint and each Out field
+// does not, so a new field fails the tests until it is classified here.
+var OptionFields = map[string]OptionClass{
+	// Workload-shaping: these decide which cells exist and what they compute.
+	"Trials":    OptionIn,
+	"Quick":     OptionIn,
+	"Faults":    OptionIn,
+	"FaultSeed": OptionIn,
+	// Drive-side: results are identical across any change to these.
+	"Parallel":       OptionOut,
+	"Observer":       OptionOut,
+	"SampleInterval": OptionOut,
+	"Checkpoint":     OptionOut, // the log's own path; recorded nowhere inside it
+	"CellTimeout":    OptionOut,
+	"Retries":        OptionOut,
+	"ctx":            OptionOut,
+	"ckptFS":         OptionOut, // which filesystem holds the WAL, not what it records
+	"ckpt":           OptionOut,
+	"maxEvents":      OptionOut,
+	"ckptHook":       OptionOut,
+}
+
 // optionsFingerprint hashes every option that shapes the workload — and
 // nothing that doesn't — plus ckptLayout. Trials, scale, and the fault
 // plan/seed change which cells exist or what they compute, so they are in;

@@ -140,9 +140,8 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 }
 
 // The fingerprint-mismatch refusal contract is covered field by field in
-// fingerprint_class_test.go, driven by the classification table the
-// fingerprint analyzer exports (fingerprint.Fields) rather than a
-// hand-maintained in/out list.
+// fingerprint_class_test.go, driven by the OptionFields classification
+// table rather than a hand-maintained in/out list.
 
 // TestCheckpointTornTailTolerated: a kill mid-append leaves a partial final
 // line; resume must drop it and recover every complete record.

@@ -10,22 +10,19 @@ import (
 	"testing"
 	"time"
 
-	"emuchick/internal/analysis/fingerprint"
 	"emuchick/internal/fault"
 	"emuchick/internal/sim"
 	"emuchick/internal/storefs"
 	"emuchick/internal/trace"
 )
 
-// These tests derive their field lists from fingerprint.Fields — the same
-// classification table the fingerprint analyzer enforces against Options
-// and optionsFingerprint at lint time — instead of duplicating the in/out
-// lists by hand. The analyzer pins the static half (every field classified,
-// the fingerprint function reads exactly the In fields); the tests here pin
-// the behavioral half (In fields change the fingerprint and are refused on
-// resume, Out fields do neither). Adding an Options field without extending
-// the table fails the analyzer; adding a table entry without extending the
-// mutation maps fails these tests.
+// These tests derive their field lists from OptionFields, the
+// classification table optionsFingerprint and jobspec's content address
+// share, instead of duplicating the in/out lists by hand. They pin both
+// halves of it: every Options field is classified, In fields change the
+// fingerprint and are refused on resume, and Out fields do neither. Adding
+// an Options field without extending the table, or a table entry without
+// extending the mutation maps, fails them.
 
 func mustPlan(t *testing.T) *fault.Plan {
 	t.Helper()
@@ -61,7 +58,7 @@ func fieldMutations(t *testing.T) map[string]func(*Options) {
 // sortedFieldNames returns the classification table's keys in a fixed order.
 func sortedFieldNames() []string {
 	var names []string
-	for name := range fingerprint.Fields {
+	for name := range OptionFields {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -69,9 +66,7 @@ func sortedFieldNames() []string {
 }
 
 // TestFingerprintTableMatchesOptionsStruct: the exported table, the Options
-// struct, and the test mutation map must name exactly the same fields. (The
-// analyzer enforces table <-> struct too; checking it here keeps `go test`
-// self-sufficient.)
+// struct, and the test mutation map must name exactly the same fields.
 func TestFingerprintTableMatchesOptionsStruct(t *testing.T) {
 	rt := reflect.TypeOf(Options{})
 	structFields := map[string]bool{}
@@ -89,8 +84,8 @@ func TestFingerprintTableMatchesOptionsStruct(t *testing.T) {
 	}
 	for i := 0; i < rt.NumField(); i++ {
 		name := rt.Field(i).Name
-		if _, ok := fingerprint.Fields[name]; !ok {
-			t.Errorf("Options field %q is not classified in fingerprint.Fields", name)
+		if _, ok := OptionFields[name]; !ok {
+			t.Errorf("Options field %q is not classified in OptionFields", name)
 		}
 	}
 }
@@ -109,10 +104,10 @@ func TestFingerprintSensitivityMatchesTable(t *testing.T) {
 		o := base
 		mut(&o)
 		changed := optionsFingerprint("fig4", o) != baseFP
-		wantChanged := fingerprint.Fields[name] == fingerprint.In
+		wantChanged := OptionFields[name] == OptionIn
 		if changed != wantChanged {
 			t.Errorf("field %s (classified %v): fingerprint changed = %v, want %v",
-				name, fingerprint.Fields[name], changed, wantChanged)
+				name, OptionFields[name], changed, wantChanged)
 		}
 	}
 }
@@ -148,7 +143,7 @@ func TestCheckpointResumeHonorsFingerprintTable(t *testing.T) {
 		"ckpt":       "internal handle; Run resolves it from Checkpoint itself",
 	}
 	for _, name := range sortedFieldNames() {
-		class := fingerprint.Fields[name]
+		class := OptionFields[name]
 		t.Run(name, func(t *testing.T) {
 			if reason, ok := skipped[name]; ok {
 				t.Skip(reason)
@@ -158,7 +153,7 @@ func TestCheckpointResumeHonorsFingerprintTable(t *testing.T) {
 				t.Fatalf("no resume mutation for field %q; extend the table", name)
 			}
 			figs, err := e.Run(WithScale(QuickScale), WithTrials(1), WithCheckpoint(path), opt)
-			if class == fingerprint.In {
+			if class == OptionIn {
 				if err == nil {
 					t.Fatalf("resume with a different %s was accepted; In fields must refuse", name)
 				}

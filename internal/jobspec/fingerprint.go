@@ -8,19 +8,19 @@ import (
 	"io"
 	"sort"
 
-	"emuchick/internal/analysis/fingerprint"
+	"emuchick/internal/experiments"
 )
 
 // The content address of a Spec must hash exactly the fields that shape the
 // simulated workload, and none that merely change how it is driven — the
-// same soundness argument the checkpoint fingerprint makes, guarded by the
-// emulint fingerprint analyzer. Rather than restate that classification
-// here (and let the two drift), the hash is keyed by the exported
-// fingerprint.Fields table: every In-classified experiments option folds
-// its jobspec value into the digest, every Out-classified one is skipped,
-// and an In field jobspec does not know yet folds in as a constant marker —
-// which versions the key space, so caches invalidate instead of silently
-// colliding when the option vocabulary grows.
+// same soundness argument the checkpoint fingerprint makes. Rather than
+// restate that classification here (and let the two drift), the hash is
+// keyed by the experiments.OptionFields table: every In-classified
+// experiments option folds its jobspec value into the digest, every
+// Out-classified one is skipped, and an In field jobspec does not know yet
+// folds in as a constant marker — which versions the key space, so caches
+// invalidate instead of silently colliding when the option vocabulary
+// grows.
 
 // Fingerprint returns the 16-hex-digit content address of the canonical
 // spec. Two specs share a fingerprint iff they describe the same workload:
@@ -65,8 +65,8 @@ func (s Spec) Fingerprint() string {
 // struct in deterministic order.
 func workloadFields() []string {
 	var in []string
-	for name, class := range fingerprint.Fields {
-		if class == fingerprint.In {
+	for name, class := range experiments.OptionFields {
+		if class == experiments.OptionIn {
 			in = append(in, name)
 		}
 	}

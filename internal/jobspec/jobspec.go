@@ -13,9 +13,9 @@
 //     so -faults/-checkpoint/-cell-timeout/-retries cannot drift between
 //     CLIs, and Canonical fills the same defaults the flags advertise.
 //   - Content addressing: Fingerprint hashes exactly the workload-shaping
-//     fields — keyed by the fingerprint.Fields In/Out classification — so
-//     identical requests collide (cache hits) and different workloads never
-//     do.
+//     fields — keyed by the experiments.OptionFields In/Out
+//     classification — so identical requests collide (cache hits) and
+//     different workloads never do.
 //   - Execution: Options / KernelPlan / RunKernel translate a validated
 //     Spec into the experiments and kernels APIs, including the watchdog
 //     retry policy and WAL-based measurement replay.

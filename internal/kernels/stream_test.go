@@ -119,7 +119,6 @@ func TestStreamKernelNames(t *testing.T) {
 		StreamAddKernel: "add", StreamCopyKernel: "copy",
 		StreamScaleKernel: "scale", StreamTriadKernel: "triad",
 	}
-	//lint:allow nodeterminism order-independent assertions over a literal map
 	for k, name := range want {
 		if k.String() != name {
 			t.Errorf("%d.String() = %q", int(k), k.String())

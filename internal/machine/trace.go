@@ -71,14 +71,10 @@ func (s *System) emit(kind trace.Kind, nodelet, target int, addr memsys.Addr, st
 }
 
 // emitSlow is emit's attached-observer path: deliver the event, then sample
-// gauges if an interval boundary has passed. The local re-check mirrors
-// emit's guard (it can't fail — emit already returned on nil).
+// gauges if an interval boundary has passed. Only emit calls it, after its
+// nil check.
 func (s *System) emitSlow(kind trace.Kind, nodelet, target int, addr memsys.Addr, start, end sim.Time) {
-	obs := s.obs
-	if obs == nil {
-		return
-	}
-	obs.Event(trace.Event{Time: start, End: end, Kind: kind, Nodelet: nodelet, Target: target, Addr: addr})
+	s.obs.Event(trace.Event{Time: start, End: end, Kind: kind, Nodelet: nodelet, Target: target, Addr: addr})
 	if s.sampleEvery > 0 {
 		if now := s.Eng.Now(); now >= s.nextSample {
 			s.takeSamples(now)
@@ -87,20 +83,14 @@ func (s *System) emitSlow(kind trace.Kind, nodelet, target int, addr memsys.Addr
 }
 
 // takeSamples reads every nodelet's gauges at now and advances the next
-// sampling boundary past now. Both callers (emit, and the end-of-run
-// boundary flush) already hold a non-nil observer, but the delivery loop
-// re-checks locally so the guard is visible at the call through the
-// interface itself.
+// sampling boundary past now. Both callers (emitSlow, and the end-of-run
+// boundary flush) test s.obs != nil first.
 //
 //emu:hotpath runs only while sampling, but sits on the traced-run emit path
 func (s *System) takeSamples(now sim.Time) {
-	obs := s.obs
-	if obs == nil {
-		return
-	}
 	for i := range s.nodelets {
 		nl := s.nodelets[i]
-		obs.Sample(trace.Sample{
+		s.obs.Sample(trace.Sample{
 			Time:             now,
 			Nodelet:          i,
 			ContextsUsed:     nl.slots.InUse(),
