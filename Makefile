@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke fuzz-smoke serve-smoke chaos-smoke soak examples clean
+.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke fuzz-smoke serve-smoke chaos-smoke mutants soak examples clean
 
 all: build vet lint test race
 
 # The pre-commit gate: compile, vet, lint, test, the perf gate, the fuzz
-# smoke, the job server smoke, and the chaos smoke.
-check: build vet lint test bench-gate fuzz-smoke serve-smoke chaos-smoke
+# smoke, the job server smoke, the chaos smoke, and the mutants.
+check: build vet lint test bench-gate fuzz-smoke serve-smoke chaos-smoke mutants
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,9 @@ vet:
 	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
 
-# The repo's own analyzer suite (cmd/emulint): determinism, hot-path
-# allocation, seed-flow, fingerprint, and observer-guard contracts —
-# interprocedural since the funcfacts pass, with per-analyzer timing
-# reported on stderr (-v).
+# The repo's own analyzer suite (cmd/emulint): the determinism and
+# hot-path allocation contracts, interprocedural through the funcfacts
+# pass, with per-analyzer timing reported on stderr (-v).
 lint:
 	$(GO) run ./cmd/emulint -v ./...
 
@@ -163,6 +162,12 @@ chaos-smoke:
 # check`.
 serve-smoke:
 	bash scripts/serve_smoke.sh
+
+# Every planted defect under testdata/mutants/ must still fail its named
+# check: each patch is applied to a git-archive export of HEAD and its
+# Command must fail printing its Expect regexp. Wired into `make check`.
+mutants:
+	bash scripts/mutants.sh
 
 # Kill-and-resume soak: archive an uninterrupted full-size fig6, then start
 # the same sweep checkpointed, SIGINT it mid-run (it takes ~8 s; the kill

@@ -13,9 +13,7 @@
 //   - hotpathalloc: an //emu:hotpath function must not call anything
 //     whose Allocates fact is set;
 //   - nodeterminism: a deterministic package must not call out-of-scope
-//     code whose ReadsWallClock or SeedsRandAmbiently fact is set;
-//   - seedflow: an RNG seed expression may call helpers only when their
-//     clock and rand facts are clean.
+//     code whose ReadsWallClock or SeedsRandAmbiently fact is set.
 //
 // Propagation policy, by edge kind (see internal/analysis/callgraph):
 //
