@@ -91,18 +91,15 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-definitely-not-a-flag"}, &b); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-}
-
-// TestUnknownIDRefusedBeforeAnyRun: every id is resolved before the first
-// experiment runs, so a typo at the end of the list prints nothing.
-func TestUnknownIDRefusedBeforeAnyRun(t *testing.T) {
-	var b strings.Builder
-	err := run([]string{"-fig", "fig4,nope", "-quick"}, &b)
+	// Every id is resolved before the first experiment runs, so a typo at
+	// the end of the list prints nothing.
+	var typo strings.Builder
+	err := run([]string{"-fig", "fig4,nope", "-quick"}, &typo)
 	if err == nil || !strings.Contains(err.Error(), `unknown experiment "nope"`) {
-		t.Fatalf("err = %v, want the unknown-id error", err)
+		t.Fatalf("-fig fig4,nope: err = %v, want the unknown-id error", err)
 	}
-	if b.Len() != 0 {
-		t.Errorf("an experiment ran before the refusal:\n%s", b.String())
+	if typo.Len() != 0 {
+		t.Errorf("fig4 ran before the unknown id was refused:\n%s", typo.String())
 	}
 }
 
