@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -114,5 +117,80 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		if err := run(args, &b); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+}
+
+// TestRunCheckpointRecordsAndReplays pins the kernel log's bytes: the
+// header keyed by the spec's fingerprint, the values at cells 1..n, then
+// the count at cell 0. A rerun needs -resume and replays the same numbers;
+// a rerun with another workload is refused naming both fingerprints.
+func TestRunCheckpointRecordsAndReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gups.ckpt")
+	fresh := runOK(t, "-bench", "gups", "-checkpoint", path)
+	if !strings.Contains(fresh, "bandwidth") {
+		t.Fatalf("output:\n%s", fresh)
+	}
+	want := `{"type":"header","exp":"kernel/gups","fp":"0ce1bebb0e8d1c6b"}
+{"type":"cell","cell":1,"v":131072}
+{"type":"cell","cell":2,"v":212473552}
+{"type":"cell","v":2}
+`
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("log:\n%s\nwant:\n%s", got, want)
+	}
+
+	var b strings.Builder
+	if err := run([]string{"-bench", "gups", "-checkpoint", path}, &b); err == nil || !strings.Contains(err.Error(), "-resume") {
+		t.Fatalf("rerun without -resume: err = %v, output:\n%s", err, b.String())
+	}
+	replayed := runOK(t, "-bench", "gups", "-checkpoint", path, "-resume")
+	if replayed != "(replayed from checkpoint "+path+")\n"+fresh {
+		t.Fatalf("replayed output:\n%s\nfresh output:\n%s", replayed, fresh)
+	}
+	err = run([]string{"-bench", "gups", "-elems", "8192", "-checkpoint", path, "-resume"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "0ce1bebb0e8d1c6b") || !strings.Contains(err.Error(), "1b055b8ecf9b6efd") {
+		t.Fatalf("other workload: err = %v, want a refusal naming both fingerprints", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != want {
+		t.Fatalf("a refused or replayed run changed the log:\n%s", after)
+	}
+}
+
+// TestRunWatchdogRecordsFailure: a 1 ns watchdog kills every attempt, the
+// run prints the post-mortem, and the log keeps the header and one fail
+// record counting both attempts.
+func TestRunWatchdogRecordsFailure(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "gups.ckpt")
+	var b strings.Builder
+	if err := run([]string{"-bench", "gups", "-cell-timeout", "1ns", "-retries", "1", "-checkpoint", path}, &b); err == nil {
+		t.Fatalf("a 1ns watchdog let the run finish:\n%s", b.String())
+	}
+	if !strings.Contains(b.String(), "post-mortem: interrupted") {
+		t.Fatalf("no post-mortem:\n%s", b.String())
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 2 || lines[0] != `{"type":"header","exp":"kernel/gups","fp":"0ce1bebb0e8d1c6b"}` {
+		t.Fatalf("log:\n%s", data)
+	}
+	var rec struct {
+		Type string `json:"type"`
+		Fail struct {
+			Attempts int    `json:"attempts"`
+			Kind     string `json:"kind"`
+		} `json:"fail"`
+	}
+	if err := json.Unmarshal([]byte(lines[1]), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Type != "fail" || rec.Fail.Attempts != 2 || rec.Fail.Kind != "interrupted" {
+		t.Fatalf("fail record: %s", lines[1])
 	}
 }

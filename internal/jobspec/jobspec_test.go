@@ -1,7 +1,9 @@
 package jobspec
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -325,5 +327,20 @@ func TestRefuseStaleCheckpoint(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "-resume") {
 			t.Errorf("refusal does not mention -resume: %v", err)
 		}
+	}
+}
+
+// TestRunKernelWatchdogRetries: a 1 ns cell timeout kills the first
+// attempt, the one retry dies the same way, and the error is the
+// watchdog's deadline.
+func TestRunKernelWatchdogRetries(t *testing.T) {
+	spec := Spec{
+		Kernel: "gups",
+		Params: kernels.Params{Elems: 64, Updates: 256, Threads: 8},
+		QoS:    QoS{CellTimeout: Duration(time.Nanosecond), Retries: 1},
+	}
+	_, attempts, err := RunKernel(t.Context(), spec, nil)
+	if attempts != 2 || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RunKernel = (attempts %d, %v), want 2 attempts and a deadline error", attempts, err)
 	}
 }
