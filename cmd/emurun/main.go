@@ -89,66 +89,46 @@ func run(args []string, out io.Writer) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
-	k, cfg, _, err := spec.KernelPlan()
+	cfg, err := spec.Machine.Config()
 	if err != nil {
 		return err
 	}
 
-	// -trace prints the first N machine operations of each attempt.
-	var extra []kernels.RunOption
-	traced := 0
+	// -trace prints the first N machine operations of the run; a retried
+	// attempt replays the same operations.
+	var opts []experiments.Option
 	if *traceOps > 0 {
-		extra = append(extra, kernels.WithObserver(trace.FuncObserver{OnEvent: func(e trace.Event) {
+		traced := 0
+		opts = append(opts, experiments.WithObserver(trace.FuncObserver{OnEvent: func(e trace.Event) {
 			if traced < *traceOps {
 				traced++
 				io.WriteString(out, e.String()+"\n")
 			}
 		}}))
 	}
+	// The log is keyed by the spec's fingerprint, so -resume refuses to
+	// replay a measurement taken with other workload-shaping parameters.
+	if shared.Checkpoint != "" {
+		if err := shared.RefuseStaleCheckpoint(shared.Checkpoint); err != nil {
+			return err
+		}
+		opts = append(opts, experiments.WithCheckpoint(shared.Checkpoint))
+	}
 
 	// Ctrl-C interrupts the simulation instead of killing the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The checkpoint stores the measurement vector, fingerprinted by the
-	// jobspec content address so -resume refuses to replay a measurement
-	// taken with different workload-shaping parameters.
-	var ck *experiments.Checkpoint
-	if shared.Checkpoint != "" {
-		if err := shared.RefuseStaleCheckpoint(shared.Checkpoint); err != nil {
-			return err
-		}
-		ck, err = experiments.OpenCheckpoint(shared.Checkpoint, jobspec.CheckpointID(spec.Kernel), spec.Fingerprint())
-		if err != nil {
-			return err
-		}
-		defer ck.Close()
-		if m, ok := jobspec.ReplayMeasurement(ck, k); ok {
-			fmt.Fprintf(out, "(replayed from checkpoint %s)\n", shared.Checkpoint)
-			report(out, cfg, m)
-			return nil
-		}
+	m, attempts, err := jobspec.RunKernel(ctx, spec, opts...)
+	if attempts > 1 {
+		fmt.Fprintf(out, "watchdog: %d attempts (cell timeout %v)\n", attempts, shared.CellTimeout)
 	}
-
-	m, attempts, err := jobspec.RunKernel(ctx, spec, func(attempt, attempts int) {
-		traced = 0
-		fmt.Fprintf(out, "watchdog: attempt %d/%d killed after %v; retrying\n",
-			attempt, attempts, shared.CellTimeout)
-	}, extra...)
 	if err != nil {
-		if ck != nil {
-			cf := experiments.NewCellFailure(attempts, err)
-			if rerr := ck.RecordFailure(cf); rerr != nil {
-				return rerr
-			}
-		}
 		renderPostMortem(out, err)
 		return err
 	}
-	if ck != nil {
-		if err := jobspec.RecordMeasurement(ck, m); err != nil {
-			return err
-		}
+	if attempts == 0 {
+		fmt.Fprintf(out, "(replayed from checkpoint %s)\n", shared.Checkpoint)
 	}
 	report(out, cfg, m)
 	return nil

@@ -200,9 +200,8 @@ func NewTraceAggregator(bucket Time) *TraceAggregator { return trace.NewAggregat
 func TeeObservers(obs ...Observer) Observer { return trace.Tee(obs...) }
 
 // RunOption configures a benchmark or experiment run. The same vocabulary
-// serves both: WithObserver, WithContext, WithSampleInterval, and WithTrials
-// apply to the five Run* entry points; WithScale and WithParallel
-// additionally steer Experiment.Run sweeps.
+// serves both: every option applies to Run and to Experiment.Run, except
+// WithParallel and WithCheckpoint, which steer Experiment.Run sweeps only.
 type RunOption = experiments.Option
 
 // Scale selects full (paper-sized) or quick (CI-sized) workloads.
@@ -217,10 +216,11 @@ const (
 // Run options, shared between benchmark entry points and experiments.
 var (
 	// WithTrials repeats the measurement n times (experiments: trials per
-	// data point; Run* entry points: reruns of the deterministic kernel,
+	// data point; Run: reruns of the deterministic kernel,
 	// identical results but n runs' worth of events for an observer).
 	WithTrials = experiments.WithTrials
-	// WithScale selects full or quick workloads (experiments only).
+	// WithScale selects full or quick workloads (experiments; for Run it
+	// only sizes the watchdog's event budget).
 	WithScale = experiments.WithScale
 	// WithParallel sets the sweep worker count (experiments only).
 	WithParallel = experiments.WithParallel
@@ -240,15 +240,16 @@ var (
 	// WithCheckpoint appends every completed sweep cell to a write-ahead
 	// log at the given path and resumes from compatible records already in
 	// it; figures after a kill-and-resume are byte-identical to an
-	// uninterrupted run (experiments only).
+	// uninterrupted run (experiments only: Run refuses it).
 	WithCheckpoint = experiments.WithCheckpoint
 	// WithCellTimeout arms the per-cell watchdog: a cell simulation is
 	// killed after this wall-clock time (plus a deterministic event-budget
 	// backstop), retried, and finally recorded as a failure — leaving a NaN
-	// hole in a figure marked Incomplete (experiments only).
+	// hole in a figure marked Incomplete, or failing Run with the last
+	// attempt's error.
 	WithCellTimeout = experiments.WithCellTimeout
-	// WithRetries sets how many extra attempts a watchdog-killed cell gets
-	// before it is recorded as failed (experiments only).
+	// WithRetries sets how many extra attempts a watchdog-killed cell, or
+	// Run's measurement, gets before it is recorded as failed.
 	WithRetries = experiments.WithRetries
 )
 
@@ -296,8 +297,11 @@ func DefaultKernelParams() KernelParams { return kernels.DefaultParams() }
 // Run executes a registered benchmark kernel by name on a fresh machine,
 // running it Trials times when WithTrials is given (the simulation is
 // deterministic, so trials produce identical results; the knob exists so an
-// observer can collect repeated-run traces). Zero-valued params fields are
-// passed through as-is, so set every field the kernel reads or start from
+// observer can collect repeated-run traces). WithCellTimeout and
+// WithRetries arm the same watchdog a sweep cell gets; WithCheckpoint is
+// refused, because a measurement logged under no workload key could replay
+// another workload's numbers. Zero-valued params fields are passed through
+// as-is, so set every field the kernel reads or start from
 // DefaultKernelParams. Read the result with Measurement.Result (bandwidth
 // kernels) or Measurement.PingPong.
 func Run(cfg Config, kernel string, p KernelParams, opts ...RunOption) (Measurement, error) {
@@ -305,20 +309,8 @@ func Run(cfg Config, kernel string, p KernelParams, opts ...RunOption) (Measurem
 	if err != nil {
 		return Measurement{}, err
 	}
-	o := experiments.ApplyOptions(opts...)
-	ks := o.KernelOptions()
-	trials := o.Trials
-	if trials <= 0 {
-		trials = 1
-	}
-	var m Measurement
-	for i := 0; i < trials; i++ {
-		m, err = k.Run(cfg, p, ks...)
-		if err != nil {
-			return Measurement{}, err
-		}
-	}
-	return m, nil
+	m, _, err := experiments.Measure(k, cfg, p, "", opts...)
+	return m, err
 }
 
 // Experiment regenerates one paper artifact (figure or table).

@@ -1,6 +1,12 @@
 package emuchick
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"path/filepath"
+	"testing"
+	"time"
+)
 
 // script is a test thread body: its functions run in order, each issuing
 // at most one operation and returning that operation's parked result. A
@@ -77,6 +83,14 @@ func TestFacadeBenchmarks(t *testing.T) {
 		if _, err := Run(HardwareChick(), c.kernel, c.p); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// Run takes the sweep's watchdog, and refuses a log it cannot key.
+	gups := KernelParams{Elems: 64, Updates: 128, Threads: 4, Seed: 2}
+	if _, err := Run(HardwareChick(), "gups", gups, WithCellTimeout(time.Nanosecond), WithRetries(0)); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("a 1ns watchdog: err = %v, want a deadline error", err)
+	}
+	if _, err := Run(HardwareChick(), "gups", gups, WithCheckpoint(filepath.Join(t.TempDir(), "gups.ckpt"))); err == nil {
+		t.Fatal("Run accepted a checkpoint")
 	}
 }
 

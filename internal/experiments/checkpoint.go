@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 
+	"emuchick/internal/kernels"
 	"emuchick/internal/sim"
 	"emuchick/internal/storefs"
 )
@@ -89,9 +90,9 @@ type CellFailure struct {
 // maxParkedRecorded bounds the per-failure proc dump in the checkpoint.
 const maxParkedRecorded = 32
 
-// NewCellFailure builds a failure record from a cell's final error,
+// newCellFailure builds a failure record from a cell's final error,
 // extracting the structured sim.RunError detail when present.
-func NewCellFailure(attempts int, err error) *CellFailure {
+func newCellFailure(attempts int, err error) *CellFailure {
 	cf := &CellFailure{Attempts: attempts, Kind: "error", Reason: err.Error()}
 	var re *sim.RunError
 	if errors.As(err, &re) {
@@ -116,10 +117,10 @@ func NewCellFailure(attempts int, err error) *CellFailure {
 	return cf
 }
 
-// Checkpoint is an open write-ahead log. Record/RecordFailure are safe for
+// checkpoint is an open write-ahead log. Record/RecordFailure are safe for
 // concurrent use by sweep workers; Lookup and nextSweep are called from the
 // runner's coordinating goroutine.
-type Checkpoint struct {
+type checkpoint struct {
 	mu       sync.Mutex
 	f        storefs.File
 	exp      string
@@ -144,26 +145,20 @@ func CheckpointPath(path, expID string) string {
 	return path
 }
 
-// OpenCheckpoint opens (or creates) the write-ahead log at path for the
-// given experiment and options fingerprint. An existing log is replayed:
-// completed cells become Lookup hits, failure records are skipped (their
-// cells re-run), and a torn final line — the expected signature of a kill
-// mid-append, which leaves a line unterminated or unparseable — is dropped.
-// A log whose first record is not a header, or whose header names a
-// different experiment or different workload-shaping options, is refused
-// and left as it was.
-func OpenCheckpoint(path, exp, fingerprint string) (*Checkpoint, error) {
-	return OpenCheckpointIn(storefs.Default, path, exp, fingerprint)
-}
-
-// OpenCheckpointIn is OpenCheckpoint against an explicit filesystem — the
-// seam the job server uses to route WAL appends through its (possibly
-// fault-injecting) store filesystem.
-func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoint, error) {
+// openCheckpoint opens (or creates) the write-ahead log at path on fsys
+// (nil means the real filesystem) for the given owner — an experiment id,
+// or kernel/<name> for a measurement — and workload fingerprint. An
+// existing log is replayed: completed cells become Lookup hits, failure
+// records are skipped (their cells re-run), and a torn final line — the
+// expected signature of a kill mid-append, which leaves a line
+// unterminated or unparseable — is dropped. A log whose first record is
+// not a header, or whose header names a different owner or different
+// workload-shaping options, is refused and left as it was.
+func openCheckpoint(fsys storefs.FS, path, exp, fingerprint string) (*checkpoint, error) {
 	if fsys == nil {
 		fsys = storefs.Default
 	}
-	c := &Checkpoint{exp: exp, fp: fingerprint, done: map[ckptKey]float64{}}
+	c := &checkpoint{exp: exp, fp: fingerprint, done: map[ckptKey]float64{}}
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -234,7 +229,7 @@ func OpenCheckpointIn(fsys storefs.FS, path, exp, fingerprint string) (*Checkpoi
 
 // append marshals rec and writes it as one line. Caller holds mu or is the
 // only user.
-func (c *Checkpoint) append(rec ckptRecord) error {
+func (c *checkpoint) append(rec ckptRecord) error {
 	b, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
@@ -248,7 +243,7 @@ func (c *Checkpoint) append(rec ckptRecord) error {
 
 // Lookup reports the recorded result of a completed cell, if any. Failed
 // cells are not returned — they re-run on resume.
-func (c *Checkpoint) Lookup(sweep, cell int) (float64, bool) {
+func (c *checkpoint) Lookup(sweep, cell int) (float64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	v, ok := c.done[ckptKey{sweep, cell}]
@@ -256,14 +251,14 @@ func (c *Checkpoint) Lookup(sweep, cell int) (float64, bool) {
 }
 
 // Completed reports how many cell results the log holds.
-func (c *Checkpoint) Completed() int {
+func (c *checkpoint) Completed() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.done)
 }
 
 // Record appends one completed cell to the log.
-func (c *Checkpoint) Record(sweep, cell int, v float64) error {
+func (c *checkpoint) Record(sweep, cell int, v float64) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.append(ckptRecord{Type: "cell", Sweep: sweep, Cell: cell, V: &v}); err != nil {
@@ -278,14 +273,14 @@ func (c *Checkpoint) Record(sweep, cell int, v float64) error {
 }
 
 // RecordFailure appends a cell's post-mortem to the log.
-func (c *Checkpoint) RecordFailure(cf *CellFailure) error {
+func (c *checkpoint) RecordFailure(cf *CellFailure) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.append(ckptRecord{Type: "fail", Sweep: cf.Sweep, Cell: cf.Cell, Fail: cf})
 }
 
 // Close flushes and closes the log file.
-func (c *Checkpoint) Close() error {
+func (c *checkpoint) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.f == nil {
@@ -296,10 +291,41 @@ func (c *Checkpoint) Close() error {
 	return err
 }
 
+// recordMeasurement logs a finished kernel measurement: its values at
+// cells 1..n of sweep 0, then their count at cell 0 as the completion
+// marker, written last.
+func (c *checkpoint) recordMeasurement(m kernels.Measurement) error {
+	for i, v := range m.Values {
+		if err := c.Record(0, i+1, v); err != nil {
+			return err
+		}
+	}
+	return c.Record(0, 0, float64(len(m.Values)))
+}
+
+// measurement reassembles a measurement of k logged by recordMeasurement,
+// reporting false unless the log holds the marker and every value it
+// counts.
+func (c *checkpoint) measurement(k kernels.Kernel) (kernels.Measurement, bool) {
+	n, ok := c.Lookup(0, 0)
+	if !ok {
+		return kernels.Measurement{}, false
+	}
+	var vals []float64
+	for i := 1; i <= int(n); i++ {
+		v, ok := c.Lookup(0, i)
+		if !ok {
+			return kernels.Measurement{}, false
+		}
+		vals = append(vals, v)
+	}
+	return kernels.Measurement{Kernel: k.Name, Labels: k.Labels, Values: vals}, true
+}
+
 // nextSweep hands out the index for the next sweep.run call of this run.
 // Sweeps execute sequentially inside a Runner, in source order, so the
 // sequence is identical across the original run and every resume.
-func (c *Checkpoint) nextSweep() int {
+func (c *checkpoint) nextSweep() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := c.sweeps

@@ -6,14 +6,18 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"emuchick/internal/fault"
+	"emuchick/internal/kernels"
+	"emuchick/internal/machine"
 	"emuchick/internal/metrics"
 	"emuchick/internal/report"
 	"emuchick/internal/sim"
@@ -476,8 +480,8 @@ func TestWatchdogThreadsBudgetIntoKernelOptions(t *testing.T) {
 	o.CellTimeout = time.Second
 	ao, cancel := o.withWatchdog()
 	defer cancel()
-	if ao.maxEvents != EventBudget(false) {
-		t.Fatalf("maxEvents = %d, want %d", ao.maxEvents, EventBudget(false))
+	if ao.maxEvents != eventBudget(false) {
+		t.Fatalf("maxEvents = %d, want %d", ao.maxEvents, eventBudget(false))
 	}
 	if ao.ctx == nil {
 		t.Fatal("watchdog did not install a deadline context")
@@ -494,8 +498,8 @@ func TestWatchdogThreadsBudgetIntoKernelOptions(t *testing.T) {
 	o.Quick = true
 	aq, cancel2 := o.withWatchdog()
 	defer cancel2()
-	if aq.maxEvents != EventBudget(true) {
-		t.Fatalf("quick maxEvents = %d, want %d", aq.maxEvents, EventBudget(true))
+	if aq.maxEvents != eventBudget(true) {
+		t.Fatalf("quick maxEvents = %d, want %d", aq.maxEvents, eventBudget(true))
 	}
 }
 
@@ -565,7 +569,66 @@ func TestFig8SkipsChaseCellsOverAFailedPeak(t *testing.T) {
 	}
 }
 
-// checkpointOracle spells out, record by record, what OpenCheckpoint must
+// TestRecordReplayMeasurement covers the kernel log scheme through
+// Measure: a log holding values but no count marker (the torn signature of
+// a kill mid-append) is measured afresh, a complete one replays with zero
+// attempts, and another key, or none, is refused.
+func TestRecordReplayMeasurement(t *testing.T) {
+	k, cfg, p := smallGUPS(t)
+	direct, err := k.Run(cfg, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "gups.ckpt")
+	torn := `{"type":"header","exp":"kernel/gups","fp":"key1"}` + "\n" +
+		`{"type":"cell","cell":1,"v":123}` + "\n" + `{"type":"cell","cell":2,"v":456}` + "\n"
+	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{1, 0} {
+		m, attempts, err := Measure(k, cfg, p, "key1", WithCheckpoint(path))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if attempts != want {
+			t.Fatalf("attempts = %d, want %d: a log without its count marker must not replay", attempts, want)
+		}
+		if m.Kernel != "gups" || !slices.Equal(m.Values, direct.Values) {
+			t.Fatalf("measured %+v, want the values %v", m, direct.Values)
+		}
+	}
+	for _, key := range []string{"key2", ""} {
+		if _, _, err := Measure(k, cfg, p, key, WithCheckpoint(path)); err == nil {
+			t.Errorf("key %q: the log was accepted", key)
+		}
+	}
+}
+
+// TestMeasureWatchdog: a 1 ns cell timeout kills every attempt; one retry
+// makes two attempts, and a negative retry count means none.
+func TestMeasureWatchdog(t *testing.T) {
+	k, cfg, p := smallGUPS(t)
+	for _, tc := range []struct{ retries, want int }{{1, 2}, {-1, 1}} {
+		_, attempts, err := Measure(k, cfg, p, "", WithCellTimeout(time.Nanosecond), WithRetries(tc.retries))
+		if attempts != tc.want || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("retries %d: (attempts %d, %v), want %d attempts and a deadline error", tc.retries, attempts, err, tc.want)
+		}
+	}
+}
+
+// smallGUPS is a GUPS measurement small enough to run in microseconds.
+func smallGUPS(t *testing.T) (kernels.Kernel, machine.Config, kernels.Params) {
+	t.Helper()
+	k, err := kernels.ByName("gups")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := kernels.DefaultParams()
+	p.Elems, p.Updates, p.Threads = 64, 256, 8
+	return k, machine.HardwareChick(), p
+}
+
+// checkpointOracle spells out, record by record, what openCheckpoint must
 // make of data for experiment exp and fingerprint fp: the Lookup hits, or
 // false for a log it must refuse. Records end in a newline, so an
 // unterminated remainder is a torn tail; so is an unparseable line with
@@ -603,7 +666,7 @@ func checkpointOracle(data []byte, exp, fp string) (map[ckptKey]float64, bool) {
 }
 
 // checkHits requires ck's Lookup hits to be exactly want.
-func checkHits(t *testing.T, ck *Checkpoint, want map[ckptKey]float64) {
+func checkHits(t *testing.T, ck *checkpoint, want map[ckptKey]float64) {
 	t.Helper()
 	if got := ck.Completed(); got != len(want) {
 		t.Fatalf("log replays %d cells, want %d", got, len(want))
@@ -628,7 +691,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		want, ok := checkpointOracle(data, exp, fp)
-		ck, err := OpenCheckpoint(path, exp, fp)
+		ck, err := openCheckpoint(nil, path, exp, fp)
 		if err != nil {
 			if ok {
 				t.Fatalf("refused a log it should replay: %v", err)
@@ -650,7 +713,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 			t.Fatal(err)
 		}
 		want[ckptKey{7, 7}] = 0.5
-		ck, err = OpenCheckpoint(path, exp, fp)
+		ck, err = openCheckpoint(nil, path, exp, fp)
 		if err != nil {
 			t.Fatalf("reopening after an append: %v", err)
 		}

@@ -14,6 +14,7 @@ import (
 	"emuchick/internal/cpukernels"
 	"emuchick/internal/fault"
 	"emuchick/internal/kernels"
+	"emuchick/internal/machine"
 	"emuchick/internal/metrics"
 	"emuchick/internal/sim"
 	"emuchick/internal/storefs"
@@ -77,7 +78,7 @@ type Options struct {
 	ckptFS storefs.FS
 	// ckpt is the open write-ahead log for this run, resolved from
 	// Checkpoint by Experiment.Run.
-	ckpt *Checkpoint
+	ckpt *checkpoint
 	// maxEvents caps each cell's engine at n dispatched events; set by the
 	// watchdog (withWatchdog) as the deterministic half of the deadline.
 	maxEvents uint64
@@ -282,7 +283,7 @@ func (e *Experiment) Run(opts ...Option) ([]*metrics.Figure, error) {
 	}
 	// The fingerprint covers resolved options (runners fill defaults the
 	// same way), so `-quick` and `-quick -trials 3` fingerprint alike.
-	ck, err := OpenCheckpointIn(o.ckptFS, CheckpointPath(o.Checkpoint, e.ID), e.ID, optionsFingerprint(e.ID, o.withDefaults()))
+	ck, err := openCheckpoint(o.ckptFS, CheckpointPath(o.Checkpoint, e.ID), e.ID, optionsFingerprint(e.ID, o.withDefaults()))
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +291,66 @@ func (e *Experiment) Run(opts ...Option) ([]*metrics.Figure, error) {
 	ck.onRecord = o.ckptHook
 	o.ckpt = ck
 	return e.runner(o)
+}
+
+// Measure takes one kernel measurement through runCell, the loop that runs
+// a sweep cell, so it gets the same watchdog deadline, event budget and
+// retries, and a deterministic engine death is final. Each attempt runs
+// max(Trials, 1) identical trials (an observer sees every one). It returns
+// the measurement, the attempts spent, and the last attempt's error, which
+// carries the engine's post-mortem when it died in the simulation.
+//
+// With a checkpoint path set, the log's owner is kernel/<name> and key,
+// which must name the workload, is its fingerprint. A complete logged
+// measurement is replayed with 0 attempts. A fresh one is logged as its
+// values at cells 1..n of sweep 0 and then their count at cell 0, so a log
+// killed mid-append never replays a truncated vector; a terminal failure
+// logs its post-mortem. An interrupted run logs nothing, as in a sweep.
+func Measure(k kernels.Kernel, cfg machine.Config, p kernels.Params, key string, opts ...Option) (kernels.Measurement, int, error) {
+	o := ApplyOptions(opts...)
+	if o.Checkpoint != "" {
+		if key == "" {
+			return kernels.Measurement{}, 0, fmt.Errorf("experiments: checkpoint %s needs the measurement's workload key, or it could replay another workload's numbers", o.Checkpoint)
+		}
+		ck, err := openCheckpoint(o.ckptFS, o.Checkpoint, "kernel/"+k.Name, key)
+		if err != nil {
+			return kernels.Measurement{}, 0, err
+		}
+		defer ck.Close()
+		if m, ok := ck.measurement(k); ok {
+			return m, 0, nil
+		}
+		o.ckpt = ck
+	}
+	var m kernels.Measurement
+	var last error
+	attempts := 0
+	// runCell aborts with the run's own context error; last, the attempt's
+	// error, wraps it and keeps the post-mortem, so it is what returns.
+	_, fail, _ := runCell(o, func(ao Options, _, _, _ int) (float64, error) {
+		attempts++
+		ro := ao.KernelOptions()
+		for range max(ao.Trials, 1) {
+			if m, last = k.Run(cfg, p, ro...); last != nil {
+				return 0, last
+			}
+		}
+		return 0, nil
+	}, 0, 0, 0)
+	if fail != nil && o.ckpt != nil {
+		if err := o.ckpt.RecordFailure(fail); err != nil {
+			return kernels.Measurement{}, attempts, err
+		}
+	}
+	if last != nil {
+		return kernels.Measurement{}, attempts, last
+	}
+	if o.ckpt != nil {
+		if err := o.ckpt.recordMeasurement(m); err != nil {
+			return kernels.Measurement{}, attempts, err
+		}
+	}
+	return m, attempts, nil
 }
 
 // runner wraps the raw Runner so every entry path (checkpointed or not)

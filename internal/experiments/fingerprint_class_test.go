@@ -49,7 +49,7 @@ func fieldMutations(t *testing.T) map[string]func(*Options) {
 		"Retries":        func(o *Options) { o.Retries = 3 },
 		"ctx":            func(o *Options) { o.ctx = context.Background() },
 		"ckptFS":         func(o *Options) { o.ckptFS = storefs.OS{} },
-		"ckpt":           func(o *Options) { o.ckpt = &Checkpoint{} },
+		"ckpt":           func(o *Options) { o.ckpt = &checkpoint{} },
 		"maxEvents":      func(o *Options) { o.maxEvents = 1 },
 		"ckptHook":       func(o *Options) { o.ckptHook = func(int) {} },
 	}

@@ -163,12 +163,11 @@ func xsOf(vals []int) []float64 {
 	return xs
 }
 
-// EventBudget is the watchdog's deterministic backstop: a cap on dispatched
+// eventBudget is the watchdog's deterministic backstop: a cap on dispatched
 // engine events per cell, sized an order of magnitude above what the largest
 // healthy cell of each scale fires. Wall clocks vary with machine load; the
-// event count of a runaway simulation does not. Exported so the jobspec
-// kernel runner arms the same budget as the sweep watchdog.
-func EventBudget(quick bool) uint64 {
+// event count of a runaway simulation does not.
+func eventBudget(quick bool) uint64 {
 	if quick {
 		return 1 << 26
 	}
@@ -191,7 +190,7 @@ func (o Options) withWatchdog() (Options, context.CancelFunc) {
 	ctx, cancel := context.WithTimeout(parent, o.CellTimeout)
 	o.ctx = ctx
 	if o.maxEvents == 0 {
-		o.maxEvents = EventBudget(o.Quick)
+		o.maxEvents = eventBudget(o.Quick)
 	}
 	return o, cancel
 }
@@ -206,7 +205,7 @@ func (o Options) withWatchdog() (Options, context.CancelFunc) {
 //     policy does not own).
 func runCell(o Options, eval func(Options, int, int, int) (float64, error), si, pi, trial int) (float64, *CellFailure, error) {
 	attempts := 1
-	if o.CellTimeout > 0 {
+	if o.CellTimeout > 0 && o.Retries > 0 {
 		attempts += o.Retries
 	}
 	var lastErr error
@@ -229,7 +228,7 @@ func runCell(o Options, eval func(Options, int, int, int) (float64, error), si, 
 			case sim.FailDeadlock, sim.FailMaxEvents, sim.FailMaxTime:
 				// Deterministic deaths: a retry replays the same simulation
 				// to the same end, so record the post-mortem immediately.
-				return 0, NewCellFailure(a, err), nil
+				return 0, newCellFailure(a, err), nil
 			}
 		}
 		if o.CellTimeout > 0 && errors.Is(err, context.DeadlineExceeded) {
@@ -237,7 +236,7 @@ func runCell(o Options, eval func(Options, int, int, int) (float64, error), si, 
 		}
 		return 0, nil, err
 	}
-	return 0, NewCellFailure(attempts, lastErr), nil
+	return 0, newCellFailure(attempts, lastErr), nil
 }
 
 // run evaluates eval for every cell and returns per-point statistics

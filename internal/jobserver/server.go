@@ -837,61 +837,41 @@ func (s *Server) onCells(j *job, cells int) {
 // execute runs the simulation behind one job and encodes its result.
 func (s *Server) execute(ctx context.Context, j *job, rec Job) ([]byte, error) {
 	spec := rec.Spec
-	if spec.Experiment != "" {
-		e, err := experiments.ByID(spec.Experiment)
+	var opts []experiments.Option
+	if !spec.Checkpoint.Disable {
+		opts = append(opts,
+			experiments.WithCheckpoint(s.store.ckptPath(rec.ID)),
+			experiments.WithCheckpointFS(s.store.fs),
+		)
+	}
+	if spec.Kernel != "" {
+		m, _, err := jobspec.RunKernel(ctx, spec, opts...)
 		if err != nil {
 			return nil, err
 		}
-		opts, err := spec.Options()
-		if err != nil {
-			return nil, err
-		}
-		if spec.Parallel <= 0 {
-			opts = append(opts, experiments.WithParallel(s.cfg.ParallelPerJob))
-		}
-		if !spec.Checkpoint.Disable {
-			opts = append(opts,
-				experiments.WithCheckpoint(s.store.ckptPath(rec.ID)),
-				experiments.WithCheckpointFS(s.store.fs),
-				experiments.WithCheckpointHook(func(recorded int) { s.onCells(j, recorded) }),
-			)
-		}
-		opts = append(opts, experiments.WithContext(ctx))
-		figs, err := e.Run(opts...)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResult(rec.Key, rec.Target(), figs, nil)
+		s.onCells(j, len(m.Values))
+		return encodeResult(rec.Key, rec.Target(), nil, &m)
 	}
 
-	k, err := kernels.ByName(spec.Kernel)
+	e, err := experiments.ByID(spec.Experiment)
 	if err != nil {
 		return nil, err
 	}
-	var ck *experiments.Checkpoint
+	specOpts, err := spec.Options()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Parallel <= 0 {
+		opts = append(opts, experiments.WithParallel(s.cfg.ParallelPerJob))
+	}
 	if !spec.Checkpoint.Disable {
-		ck, err = experiments.OpenCheckpointIn(
-			s.store.fs, s.store.ckptPath(rec.ID), jobspec.CheckpointID(spec.Kernel), rec.Key)
-		if err != nil {
-			return nil, err
-		}
-		defer ck.Close()
-		if m, ok := jobspec.ReplayMeasurement(ck, k); ok {
-			s.onCells(j, len(m.Values))
-			return encodeResult(rec.Key, rec.Target(), nil, &m)
-		}
+		opts = append(opts, experiments.WithCheckpointHook(func(recorded int) { s.onCells(j, recorded) }))
 	}
-	m, _, err := jobspec.RunKernel(ctx, spec, nil)
+	figs, err := e.Run(append(append(specOpts, opts...), experiments.WithContext(ctx))...)
 	if err != nil {
 		return nil, err
 	}
-	if ck != nil {
-		if err := jobspec.RecordMeasurement(ck, m); err != nil {
-			return nil, err
-		}
-	}
-	s.onCells(j, len(m.Values))
-	return encodeResult(rec.Key, rec.Target(), nil, &m)
+	return encodeResult(rec.Key, rec.Target(), figs, nil)
 }
 
 // encodeResult renders the stable result payload. Figures serialize through

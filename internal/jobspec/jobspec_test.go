@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"emuchick/internal/experiments"
 	"emuchick/internal/kernels"
 )
 
@@ -241,61 +240,6 @@ func TestRunKernelMatchesDirectCall(t *testing.T) {
 		if m.Values[i] != direct.Values[i] {
 			t.Fatalf("value %d differs: %v vs %v", i, m.Values[i], direct.Values[i])
 		}
-	}
-}
-
-// TestRecordReplayMeasurement covers the kernel WAL scheme: the completion
-// marker is written last, so a log holding values but no marker (the torn
-// signature of a kill mid-append) refuses to replay.
-func TestRecordReplayMeasurement(t *testing.T) {
-	spec := Spec{Kernel: "gups", Params: kernels.Params{Elems: 64, Updates: 256, Threads: 8}}
-	k, _, _, err := spec.KernelPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := kernels.Measurement{Kernel: "gups", Labels: k.Labels, Values: []float64{123, 456}}
-	path := filepath.Join(t.TempDir(), "gups.ckpt")
-	fp := spec.Fingerprint()
-
-	ck, err := experiments.OpenCheckpoint(path, CheckpointID("gups"), fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := ReplayMeasurement(ck, k); ok {
-		t.Fatal("empty log replayed")
-	}
-	// Torn log: values recorded but the run died before the marker.
-	for i, v := range m.Values {
-		if err := ck.Record(0, i+1, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, ok := ReplayMeasurement(ck, k); ok {
-		t.Fatal("marker-less log replayed")
-	}
-	if err := ck.Record(0, 0, float64(len(m.Values))); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: the complete vector replays; a different fingerprint refuses.
-	ck2, err := experiments.OpenCheckpoint(path, CheckpointID("gups"), fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ck2.Close()
-	got, ok := ReplayMeasurement(ck2, k)
-	if !ok {
-		t.Fatal("complete log did not replay")
-	}
-	if got.Values[0] != 123 || got.Values[1] != 456 || got.Kernel != "gups" {
-		t.Fatalf("replayed %+v", got)
-	}
-	other := Spec{Kernel: "gups", Params: kernels.Params{Elems: 128, Updates: 256, Threads: 8}}
-	if _, err := experiments.OpenCheckpoint(path, CheckpointID("gups"), other.Fingerprint()); err == nil {
-		t.Fatal("log accepted under a different workload fingerprint")
 	}
 }
 
