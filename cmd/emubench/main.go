@@ -37,6 +37,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -115,8 +116,11 @@ func run(args []string, out io.Writer) error {
 	if err := shared.RefuseSharedCheckpoint(ids); err != nil {
 		return err
 	}
-	// Resolve and validate every id before running any, so a typo late in
-	// a long list costs nothing.
+	// Check the format and resolve and validate every id before running
+	// any, so a typo costs nothing.
+	if !slices.Contains(formats, *format) {
+		return fmt.Errorf("unknown format %q", *format)
+	}
 	type job struct {
 		e    *experiments.Experiment
 		opts []experiments.Option
@@ -196,6 +200,9 @@ func writeFigureJSON(dir string, fig *metrics.Figure) error {
 	}
 	return f.Close()
 }
+
+// formats lists the -format values render takes.
+var formats = []string{"table", "csv", "json", "chart", "all"}
 
 func render(out io.Writer, fig *metrics.Figure, format string) error {
 	switch format {

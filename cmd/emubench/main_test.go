@@ -101,6 +101,15 @@ func TestRunErrors(t *testing.T) {
 	if typo.Len() != 0 {
 		t.Errorf("fig4 ran before the unknown id was refused:\n%s", typo.String())
 	}
+	// So is the format.
+	var format strings.Builder
+	err = run([]string{"-fig", "fig4,fig5", "-quick", "-format", "bogus"}, &format)
+	if err == nil || !strings.Contains(err.Error(), `unknown format "bogus"`) {
+		t.Fatalf("-format bogus: err = %v, want the unknown-format error", err)
+	}
+	if format.Len() != 0 {
+		t.Errorf("fig4 ran before the unknown format was refused:\n%s", format.String())
+	}
 }
 
 // TestCheckpointFileRefusedForManyExperiments: a -checkpoint file path is
