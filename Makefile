@@ -138,13 +138,15 @@ fault-smoke:
 # Ten seconds of native fuzzing for each fuzz target no other target runs
 # (tier 1 only replays their seed corpora): the Xeon cache against its
 # stamp-based reference, the streamed list order against ListOrder, the
-# event queue's dispatch order, and experiment-log replay on arbitrary
-# bytes. Wired into `make check`.
+# event queue's dispatch order, experiment-log replay on arbitrary bytes,
+# and the jobspec JSON body's canonical form and fingerprint. Wired into
+# `make check`.
 fuzz-smoke:
 	$(GO) test ./internal/xeon -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzVisitList -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s
 	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s
+	$(GO) test ./internal/jobspec -run '^$$' -fuzz FuzzSpec -fuzztime 10s
 
 # Chaos smoke at -short scale: the seeded fault-injection unit suite plus
 # the crash-restart fuzz (kill the store at a seeded op, restart, demand

@@ -108,7 +108,7 @@ type QoS struct {
 	// (0 disables the watchdog).
 	CellTimeout Duration `json:"cell_timeout,omitempty"`
 	// Retries is how many extra attempts a watchdog-killed cell gets.
-	// 0 means the default (1); negative means none.
+	// 0 means the default (1); negative means none, canonically -1.
 	Retries int `json:"retries,omitempty"`
 }
 
@@ -176,7 +176,12 @@ func (s Spec) Canonical() Spec {
 	if c.Scale == "" {
 		c.Scale = ScaleFull
 	}
-	c.QoS.Retries = c.QoS.retries()
+	// The canonical form keeps the encoding, so it is a fixed point.
+	if c.QoS.Retries == 0 {
+		c.QoS.Retries = 1
+	} else if c.QoS.Retries < 0 {
+		c.QoS.Retries = -1
+	}
 	if c.Kernel != "" {
 		if c.Machine.Name == "" {
 			c.Machine.Name = "hw"

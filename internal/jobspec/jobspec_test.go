@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"emuchick/internal/experiments"
 	"emuchick/internal/kernels"
 )
 
@@ -209,8 +210,14 @@ func TestFromFlagsSpec(t *testing.T) {
 	if time.Duration(s.QoS.CellTimeout) != 45*time.Second || s.QoS.Retries != -1 {
 		t.Fatalf("qos flags: %+v", s.QoS)
 	}
-	if got := s.Canonical().QoS.Retries; got != 0 {
-		t.Fatalf("canonical retries = %d, want 0 (none)", got)
+	for _, form := range []Spec{s, s.Canonical()} {
+		opts, err := form.Options()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := experiments.ApplyOptions(opts...).Retries; got != 0 {
+			t.Fatalf("%+v resolves to %d retries, want none", form.QoS, got)
+		}
 	}
 }
 
@@ -287,4 +294,45 @@ func TestRunKernelWatchdogRetries(t *testing.T) {
 	if attempts != 2 || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("RunKernel = (attempts %d, %v), want 2 attempts and a deadline error", attempts, err)
 	}
+}
+
+// FuzzSpec decodes arbitrary JSON bodies as specs. Canonical is a fixed
+// point, a spec that validates has a canonical form that validates, and
+// the fingerprint survives a JSON round trip and any change to the fields
+// that only drive a run: parallel, the checkpoint policy and QoS.
+func FuzzSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var s Spec
+		if json.Unmarshal(body, &s) != nil {
+			return
+		}
+		c := s.Canonical()
+		if cc := c.Canonical(); cc != c {
+			t.Fatalf("Canonical is not idempotent:\nonce:  %+v\ntwice: %+v", c, cc)
+		}
+		if s.Validate() == nil {
+			if err := c.Validate(); err != nil {
+				t.Fatalf("%+v validates, but its canonical form does not: %v", s, err)
+			}
+		}
+		fp := s.Fingerprint()
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Spec
+		if err := json.Unmarshal(b, &r); err != nil {
+			t.Fatalf("%s does not decode: %v", b, err)
+		}
+		if got := r.Fingerprint(); got != fp {
+			t.Fatalf("a JSON round trip moved the fingerprint %s to %s: %s", fp, got, b)
+		}
+		d := s
+		d.Parallel++
+		d.Checkpoint = CheckpointPolicy{Path: s.Checkpoint.Path + ".other", Disable: !s.Checkpoint.Disable}
+		d.QoS = QoS{CellTimeout: s.QoS.CellTimeout + Duration(time.Second), Retries: s.QoS.Retries - 1}
+		if got := d.Fingerprint(); got != fp {
+			t.Fatalf("changing only parallel, checkpoint and qos moved the fingerprint %s to %s", fp, got)
+		}
+	})
 }
