@@ -80,9 +80,8 @@ func TestParallelForReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
-// Worker goroutines must convert panicked errors (the style the kernel
-// closures use under metrics.Trials) into returned CellPanicErrors rather
-// than crashing the process; the original error stays reachable via
+// Worker goroutines must convert panicked errors into returned
+// CellPanicErrors rather than crashing the process; the original error stays reachable via
 // errors.Is through the wrapper.
 func TestParallelForRecoversErrorPanics(t *testing.T) {
 	boom := errors.New("boom")

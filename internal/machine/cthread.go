@@ -535,26 +535,6 @@ func (t *CThread) CSync() (parked bool) {
 	return true
 }
 
-// CPeek functionally reads a word the threadlet's resident nodelet owns
-// without consuming simulated time. It is for setup and verification code;
-// timed kernel code must use CLoad. Peeking remote memory panics — that
-// would be a modelling bug (a free remote read).
-func (t *CThread) CPeek(a memsys.Addr) uint64 {
-	if a.Nodelet() != t.nodelet {
-		panic(fmt.Sprintf("machine: Peek of remote address %v from nodelet %d", a, t.nodelet))
-	}
-	return t.sys.Mem.Read(a)
-}
-
-// CPoke functionally writes a local word without consuming simulated time.
-// Like CPeek, it is restricted to the resident nodelet.
-func (t *CThread) CPoke(a memsys.Addr, v uint64) {
-	if a.Nodelet() != t.nodelet {
-		panic(fmt.Sprintf("machine: Poke of remote address %v from nodelet %d", a, t.nodelet))
-	}
-	t.sys.Mem.Write(a, v)
-}
-
 // remoteQueueEntries bounds the per-nodelet queue of posted remote
 // operations. A sender whose packet would land more than this many
 // word-service times deep in the destination's backlog stalls until the

@@ -230,7 +230,7 @@ func TestSpawnSyncSemantics(t *testing.T) {
 			})
 		}
 		sc = append(sc, (*CThread).CSync, func(th *CThread) bool {
-			if got := th.CPeek(sum.At(0)); got != 8 {
+			if got := s.Mem.Read(sum.At(0)); got != 8 {
 				t.Errorf("after Sync sum = %d, want 8", got)
 			}
 			return false
@@ -326,31 +326,6 @@ func TestMigrationReleasesSlot(t *testing.T) {
 			func(th *CThread) bool { return th.CSpawn(&script{compute(10)}) },
 			(*CThread).CSync,
 		}
-	})
-}
-
-func TestPeekPokeLocalityEnforced(t *testing.T) {
-	run(t, HardwareChick(), func(s *System) CBody {
-		remote := s.Mem.AllocLocal(3, 1)
-		return &script{func(th *CThread) bool {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("remote Peek did not panic")
-					}
-				}()
-				th.CPeek(remote.At(0))
-			}()
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Error("remote Poke did not panic")
-					}
-				}()
-				th.CPoke(remote.At(0), 1)
-			}()
-			return false
-		}}
 	})
 }
 

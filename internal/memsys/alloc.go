@@ -126,60 +126,6 @@ func (r Replicated) Broadcast(s *Space, i int, v uint64) {
 	}
 }
 
-// Matrix2D is the analogue of the Emu intrinsic mw_malloc2d, which
-// "stripes entire data structures across nodelets": row r of the matrix is
-// a contiguous cols-word block on nodelet r mod N. (The paper's SpMV "2D"
-// layout does NOT use this intrinsic — it builds a two-stage Blocked
-// allocation because its rows have unequal lengths — but the intrinsic
-// itself is part of the allocation API the paper describes.)
-type Matrix2D struct {
-	rows, cols int
-	perNodelet []Local // nodelet nl holds rows nl, nl+N, ... back to back
-}
-
-// Alloc2D reserves a rows-by-cols word matrix with row-granularity
-// round-robin placement.
-func (s *Space) Alloc2D(rows, cols int) Matrix2D {
-	if rows < 0 || cols <= 0 {
-		panic(fmt.Sprintf("memsys: Alloc2D(%d, %d)", rows, cols))
-	}
-	n := s.Nodelets()
-	per := make([]Local, n)
-	for nl := 0; nl < n; nl++ {
-		count := (rows - nl + n - 1) / n
-		if count < 0 {
-			count = 0
-		}
-		per[nl] = s.AllocLocal(nl, count*cols)
-	}
-	return Matrix2D{rows: rows, cols: cols, perNodelet: per}
-}
-
-// Rows reports the row count.
-func (m Matrix2D) Rows() int { return m.rows }
-
-// Cols reports the row length in words.
-func (m Matrix2D) Cols() int { return m.cols }
-
-// RowNodelet reports the home nodelet of row r.
-func (m Matrix2D) RowNodelet(r int) int { return r % len(m.perNodelet) }
-
-// At returns the address of word (r, c).
-func (m Matrix2D) At(r, c int) Addr {
-	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
-		panic(fmt.Sprintf("memsys: Matrix2D index (%d,%d) of (%d,%d)", r, c, m.rows, m.cols))
-	}
-	n := len(m.perNodelet)
-	return m.perNodelet[r%n].At((r/n)*m.cols + c)
-}
-
-// Row returns the contiguous Local window of row r... rows of one nodelet
-// share a Local, so the window is expressed as (block, first index).
-func (m Matrix2D) Row(r int) (Local, int) {
-	n := len(m.perNodelet)
-	return m.perNodelet[r%n], (r / n) * m.cols
-}
-
 // Blocked is the paper's custom two-stage "2D" allocation: an explicit,
 // possibly unequal number of contiguous words on each nodelet. The SpMV 2D
 // layout computes per-nodelet row extents first and then allocates each

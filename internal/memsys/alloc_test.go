@@ -127,68 +127,6 @@ func TestBlockedSizeMismatchPanics(t *testing.T) {
 	s.AllocBlocked([]int{1, 2})
 }
 
-func TestMatrix2DPlacement(t *testing.T) {
-	s := NewSpace(4)
-	m := s.Alloc2D(10, 3)
-	if m.Rows() != 10 || m.Cols() != 3 {
-		t.Fatalf("dims %dx%d", m.Rows(), m.Cols())
-	}
-	for r := 0; r < 10; r++ {
-		if m.RowNodelet(r) != r%4 {
-			t.Fatalf("row %d on nodelet %d", r, m.RowNodelet(r))
-		}
-		// Rows are contiguous.
-		if m.At(r, 2).Offset()-m.At(r, 0).Offset() != 2 {
-			t.Fatalf("row %d not contiguous", r)
-		}
-		for c := 0; c < 3; c++ {
-			if m.At(r, c).Nodelet() != r%4 {
-				t.Fatalf("(%d,%d) on nodelet %d", r, c, m.At(r, c).Nodelet())
-			}
-		}
-	}
-	// Row windows agree with At.
-	blk, first := m.Row(9)
-	if blk.At(first) != m.At(9, 0) {
-		t.Fatal("Row window disagrees with At")
-	}
-}
-
-func TestMatrix2DNoAliasing(t *testing.T) {
-	s := NewSpace(3)
-	m := s.Alloc2D(7, 5)
-	seen := map[Addr]bool{}
-	for r := 0; r < 7; r++ {
-		for c := 0; c < 5; c++ {
-			a := m.At(r, c)
-			if seen[a] {
-				t.Fatalf("(%d,%d) aliases", r, c)
-			}
-			seen[a] = true
-		}
-	}
-}
-
-func TestMatrix2DBounds(t *testing.T) {
-	s := NewSpace(2)
-	m := s.Alloc2D(2, 2)
-	for _, f := range []func(){
-		func() { m.At(-1, 0) },
-		func() { m.At(2, 0) },
-		func() { m.At(0, 2) },
-		func() { s.Alloc2D(1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("out-of-range 2D access did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // Property: a striped allocation is a bijection onto per-nodelet dense
 // slabs — no two elements share an address and every element is on
 // nodelet i mod N, for arbitrary sizes and nodelet counts.

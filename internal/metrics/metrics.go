@@ -88,20 +88,6 @@ func Aggregate(values []float64) Stats {
 	return s
 }
 
-// Trials runs f once per trial index and aggregates the returned values.
-// The paper uses ten trials per data point; callers pass the trial index
-// through to their workload seeds so trials differ deterministically.
-func Trials(n int, f func(trial int) float64) Stats {
-	if n <= 0 {
-		panic("metrics: trial count must be positive")
-	}
-	values := make([]float64, n)
-	for i := range values {
-		values[i] = f(i)
-	}
-	return Aggregate(values)
-}
-
 // Point is one x position of a figure curve.
 type Point struct {
 	X     float64 // the swept parameter (threads, block size, matrix size)

@@ -41,26 +41,6 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-func TestTrials(t *testing.T) {
-	var seen []int
-	s := Trials(4, func(i int) float64 {
-		seen = append(seen, i)
-		return float64(i)
-	})
-	if len(seen) != 4 || seen[0] != 0 || seen[3] != 3 {
-		t.Fatalf("trial indices = %v", seen)
-	}
-	if s.Mean != 1.5 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Trials(0) did not panic")
-		}
-	}()
-	Trials(0, func(int) float64 { return 0 })
-}
-
 func TestSeries(t *testing.T) {
 	s := &Series{Name: "emu"}
 	s.Add(1, Aggregate([]float64{10}))

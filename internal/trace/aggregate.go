@@ -1,15 +1,10 @@
 package trace
 
-import (
-	"fmt"
-
-	"emuchick/internal/metrics"
-	"emuchick/internal/sim"
-)
+import "emuchick/internal/sim"
 
 // Aggregator is the in-memory sink: it reduces the event stream to
-// per-nodelet time series — migrations/s and GB/s per time bucket — plus
-// gauge high-water marks, without retaining individual events. Experiments
+// per-nodelet time series — migrations, spawns and channel words per time
+// bucket — plus gauge high-water marks, without retaining individual events. Experiments
 // use it to ask questions like "which nodelet's migration rate spiked while
 // bandwidth collapsed" that end-of-run counters cannot answer.
 //
@@ -181,55 +176,4 @@ func (a *Aggregator) PeakMigrationsPerSec() float64 {
 		}
 	}
 	return float64(best) / a.bucket.Seconds()
-}
-
-// series builds one labelled curve per nodelet with value(cell) at each
-// bucket, x = bucket start time in microseconds.
-func (a *Aggregator) series(value func(BucketCounts) float64) []*metrics.Series {
-	out := make([]*metrics.Series, len(a.cells))
-	for nl, row := range a.cells {
-		s := &metrics.Series{Name: fmt.Sprintf("nl%d", nl)}
-		for b := 0; b < a.nbuckets; b++ {
-			var c BucketCounts
-			if b < len(row) {
-				c = row[b]
-			}
-			x := float64(sim.Time(b)*a.bucket) / float64(sim.Microsecond)
-			s.Add(x, metrics.Aggregate([]float64{value(c)}))
-		}
-		out[nl] = s
-	}
-	return out
-}
-
-// MigrationFigure renders the per-nodelet migration rate (departures/s)
-// over time as a figure, directly comparable to the paper's migration
-// discussions.
-func (a *Aggregator) MigrationFigure() *metrics.Figure {
-	sec := a.bucket.Seconds()
-	return &metrics.Figure{
-		ID:     "trace-migrations",
-		Title:  "Per-nodelet migration rate over simulated time",
-		XLabel: "time (us)",
-		YLabel: "migrations/s",
-		Series: a.series(func(c BucketCounts) float64 { return float64(c.MigrationsOut) / sec }),
-	}
-}
-
-// BandwidthFigure renders per-nodelet channel bandwidth (GB/s of 8-byte
-// word traffic) over time.
-func (a *Aggregator) BandwidthFigure() *metrics.Figure {
-	sec := a.bucket.Seconds()
-	return &metrics.Figure{
-		ID:     "trace-bandwidth",
-		Title:  "Per-nodelet channel bandwidth over simulated time",
-		XLabel: "time (us)",
-		YLabel: "GB/s",
-		Series: a.series(func(c BucketCounts) float64 { return float64(c.Words) * 8 / sec / 1e9 }),
-	}
-}
-
-// Figures returns both derived figures.
-func (a *Aggregator) Figures() []*metrics.Figure {
-	return []*metrics.Figure{a.MigrationFigure(), a.BandwidthFigure()}
 }

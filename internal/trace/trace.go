@@ -24,8 +24,8 @@
 //
 // Two sinks ship with the package: ChromeWriter, a ring-buffered writer
 // whose output loads in Perfetto (chrome://tracing JSON) or streams as
-// JSONL, and Aggregator, an in-memory reducer that derives per-nodelet
-// time series (migrations/s, GB/s) usable by experiments.
+// JSONL, and Aggregator, an in-memory reducer that keeps per-nodelet
+// counts per time bucket and gauge peaks.
 package trace
 
 import (
