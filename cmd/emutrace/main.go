@@ -10,6 +10,10 @@
 //	emutrace -validate file
 //	emutrace -list
 //
+// Like the other CLIs it is a parser over the jobspec schema: -fig,
+// -quick, -trials, -faults and -fault-seed assemble a jobspec.Spec, whose
+// Validate and Options give the run its options.
+//
 // Tracing never perturbs the simulation: figures and counters are
 // bit-identical with and without the observer, so a trace is a faithful
 // view of the very run the experiment reports. After writing the file
@@ -28,7 +32,7 @@ import (
 	"time"
 
 	"emuchick/internal/experiments"
-	"emuchick/internal/fault"
+	"emuchick/internal/jobspec"
 	"emuchick/internal/report"
 	"emuchick/internal/sim"
 	"emuchick/internal/trace"
@@ -73,7 +77,20 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unknown format %q (chrome, jsonl)", *format)
 	}
 
-	e, err := experiments.ByID(*figArg)
+	// The workload flags go through the jobspec schema, as on the other
+	// CLIs, so their validation and defaults cannot drift.
+	spec := jobspec.Spec{Experiment: *figArg, Trials: *trials, Faults: *faults, FaultSeed: *faultSeed}
+	if *quick {
+		spec.Scale = jobspec.ScaleQuick
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		return err
+	}
+	e, err := experiments.ByID(spec.Experiment)
 	if err != nil {
 		return err
 	}
@@ -83,27 +100,10 @@ func run(args []string, out io.Writer) error {
 
 	writer := trace.NewChromeWriter(*buf)
 	agg := trace.NewAggregator(0)
-	opts := []experiments.Option{
-		experiments.WithTrials(*trials),
-		experiments.WithObserver(trace.Tee(writer, agg)),
-		experiments.WithContext(ctx),
-	}
-	if *quick {
-		opts = append(opts, experiments.WithScale(experiments.QuickScale))
-	}
+	opts = append(opts, experiments.WithObserver(trace.Tee(writer, agg)), experiments.WithContext(ctx))
 	if *sample != 0 {
 		// time.Duration is nanoseconds, sim.Time is picoseconds.
 		opts = append(opts, experiments.WithSampleInterval(sim.Time(sample.Nanoseconds())*sim.Nanosecond))
-	}
-	if *faults != "" {
-		plan, err := fault.Parse(*faults, *faultSeed)
-		if err != nil {
-			return err
-		}
-		opts = append(opts, experiments.WithFaultPlan(plan))
-	}
-	if *faultSeed != 0 {
-		opts = append(opts, experiments.WithFaultSeed(*faultSeed))
 	}
 
 	start := time.Now()
