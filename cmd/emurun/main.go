@@ -2,8 +2,9 @@
 // prints its measurement plus the machine counters — the workhorse for
 // exploring the model outside the fixed paper sweeps. It is a thin parser
 // over the jobspec schema: the flags assemble a jobspec.Spec, the kernel
-// registry resolves -bench by name, and jobspec.RunKernel executes it under
-// the shared watchdog/retry policy.
+// registry resolves -bench by name, and jobspec.RunKernel takes the
+// measurement through experiments.Measure, the runner a sweep cell goes
+// through.
 //
 // Usage:
 //
@@ -22,11 +23,14 @@
 //	emurun -bench stream -faults 'chan=4@2' -fault-seed 7
 //
 // -cell-timeout arms a watchdog that kills a stuck simulation after the
-// given wall-clock time and retries it -retries times; a run that dies in
+// given wall-clock time and retries it -retries times, as for a sweep cell;
+// a run that took more than one attempt says how many. A run that dies in
 // the engine (deadlock, event budget, watchdog) prints the structured
 // post-mortem — engine time, fired events, every parked process with its
-// park site. -checkpoint records the finished measurement in a write-ahead
-// log; rerunning with -resume replays it without re-simulating.
+// park site. -checkpoint records the finished measurement, or the
+// post-mortem of a failed one, in a write-ahead log; rerunning with
+// -resume replays a finished measurement without re-simulating. Ctrl-C
+// records nothing.
 package main
 
 import (

@@ -1,11 +1,11 @@
 // Package jobspec defines the canonical declarative request schema shared
 // by every way of asking this repo to simulate something: the emubench /
-// emurun / emuvalidate command lines and the cmd/emuserved HTTP API are all
-// thin parsers over one Spec. A Spec names either a registered experiment
-// (a whole paper artifact sweep) or a registered kernel (one measurement),
-// plus the workload-shaping knobs (scale, trials, fault plan) and the
-// drive-side knobs (parallelism, checkpoint policy, watchdog QoS) that
-// PRs 1-6 grew as loose flags.
+// emurun / emuvalidate / emutrace command lines and the cmd/emuserved HTTP
+// API are all thin parsers over one Spec. A Spec names either a registered
+// experiment (a whole paper artifact sweep) or a registered kernel (one
+// measurement), plus the workload-shaping knobs (scale, trials, fault
+// plan) and the drive-side knobs (parallelism, checkpoint policy, watchdog
+// QoS).
 //
 // The package is the single source of truth for three contracts:
 //
@@ -16,9 +16,10 @@
 //     fields — keyed by the experiments.OptionFields In/Out
 //     classification — so identical requests collide (cache hits) and
 //     different workloads never do.
-//   - Execution: Options / KernelPlan / RunKernel translate a validated
-//     Spec into the experiments and kernels APIs, including the watchdog
-//     retry policy and WAL-based measurement replay.
+//   - Execution: Options and KernelPlan translate a validated Spec into
+//     the experiments and kernels APIs, and RunKernel hands a kernel spec
+//     to experiments.Measure, which runs it under the sweep's watchdog
+//     and retry policy and keeps its write-ahead log.
 package jobspec
 
 import (
