@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +197,20 @@ func TestServeKernelJobAndDiscovery(t *testing.T) {
 	}
 	if res.Target != "kernel:gups" || res.Measurement == nil || len(res.Measurement.Values) == 0 {
 		t.Fatalf("kernel result: %+v", res)
+	}
+
+	// A kernel job the watchdog kills fails and leaves its post-mortem in
+	// its WAL.
+	dead := quickKernel()
+	dead.Params.Updates++
+	dead.QoS = jobspec.QoS{CellTimeout: jobspec.Duration(time.Nanosecond), Retries: -1}
+	rec = postJob(t, ts.URL, dead)
+	if done := waitDone(t, ts.URL, rec.ID); done.State != StateFailed {
+		t.Fatalf("watchdog-killed kernel job: %s", done.State)
+	}
+	wal, err := os.ReadFile(srv.store.ckptPath(rec.ID))
+	if err != nil || !strings.Contains(string(wal), `"type":"fail"`) || !strings.Contains(string(wal), `"kind":"interrupted"`) {
+		t.Fatalf("WAL of the failed kernel job (%v):\n%s", err, wal)
 	}
 
 	// Invalid specs are rejected with 400 before touching the queue.
