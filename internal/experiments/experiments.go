@@ -57,6 +57,7 @@ type Options struct {
 	// completed sweep cell is appended as it finishes, and a log left by an
 	// interrupted run is resumed — completed cells are replayed instead of
 	// re-simulated, with figures byte-identical to an uninterrupted run.
+	// Measure keeps one kernel measurement there.
 	Checkpoint string
 	// CellTimeout arms the per-cell watchdog: a cell's simulation is killed
 	// after this much wall-clock time (and, as a deterministic backstop, a
@@ -165,9 +166,9 @@ func WithFaultSeed(seed uint64) Option {
 	return optionFunc(func(o *Options) { o.FaultSeed = seed })
 }
 
-// WithCheckpoint writes a write-ahead log of completed sweep cells to path
-// and resumes from it if the file already holds compatible records; see
-// Options.Checkpoint.
+// WithCheckpoint writes a write-ahead log of completed sweep cells (or of
+// Measure's measurement) to path and resumes from it if the file already
+// holds compatible records; see Options.Checkpoint.
 func WithCheckpoint(path string) Option {
 	return optionFunc(func(o *Options) { o.Checkpoint = path })
 }

@@ -21,12 +21,10 @@ func RunKernel(ctx context.Context, s Spec, opts ...experiments.Option) (kernels
 	if err != nil {
 		return kernels.Measurement{}, 0, err
 	}
-	// The options come from s, not its canonical form: they read unset
-	// fields as "the default", as the flags that filled them do.
 	specOpts, err := s.Options()
 	if err != nil {
 		return kernels.Measurement{}, 0, err
 	}
 	specOpts = append(append(specOpts, experiments.WithContext(ctx)), opts...)
-	return experiments.Measure(k, cfg, params, s.Canonical().Fingerprint(), specOpts...)
+	return experiments.Measure(k, cfg, params, s.Fingerprint(), specOpts...)
 }
