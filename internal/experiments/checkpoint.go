@@ -154,11 +154,11 @@ func CheckpointPath(path, expID string) string {
 // unterminated or unparseable — is dropped. A log whose first record is
 // not a header, or whose header names a different owner or different
 // workload-shaping options, is refused and left as it was.
-func openCheckpoint(fsys storefs.FS, path, exp, fingerprint string) (*checkpoint, error) {
+func openCheckpoint(fsys storefs.FS, path, owner, fingerprint string) (*checkpoint, error) {
 	if fsys == nil {
 		fsys = storefs.Default
 	}
-	c := &checkpoint{exp: exp, fp: fingerprint, done: map[ckptKey]float64{}}
+	c := &checkpoint{exp: owner, fp: fingerprint, done: map[ckptKey]float64{}}
 	data, err := fsys.ReadFile(path)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -190,10 +190,10 @@ func openCheckpoint(fsys storefs.FS, path, exp, fingerprint string) (*checkpoint
 		}
 		switch rec.Type {
 		case "header":
-			if rec.Exp != exp || rec.FP != fingerprint {
+			if rec.Exp != owner || rec.FP != fingerprint {
 				return nil, fmt.Errorf(
 					"checkpoint %s was written for experiment %q (fingerprint %s); this run is %q (fingerprint %s) — delete the file or pass a fresh -checkpoint path",
-					path, rec.Exp, rec.FP, exp, fingerprint)
+					path, rec.Exp, rec.FP, owner, fingerprint)
 			}
 			hasHeader = true
 		case "cell":
@@ -219,7 +219,7 @@ func openCheckpoint(fsys storefs.FS, path, exp, fingerprint string) (*checkpoint
 	}
 	c.f = f
 	if !hasHeader {
-		if err := c.append(ckptRecord{Type: "header", Exp: exp, FP: fingerprint}); err != nil {
+		if err := c.append(ckptRecord{Type: "header", Exp: owner, FP: fingerprint}); err != nil {
 			f.Close()
 			return nil, err
 		}
