@@ -194,7 +194,8 @@ func WithRetries(n int) Option {
 // WithCheckpointHook installs a callback observing every checkpoint Record
 // call with the running count of freshly recorded cells. The job server uses
 // it as its per-job progress signal (and tests as a deterministic mid-sweep
-// trigger); it has no effect on results and only fires on checkpointed runs.
+// trigger); it has no effect on results and only fires on checkpointed
+// Experiment.Run sweeps, never for Measure.
 func WithCheckpointHook(fn func(recorded int)) Option {
 	return optionFunc(func(o *Options) { o.ckptHook = fn })
 }
