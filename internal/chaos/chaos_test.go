@@ -52,9 +52,26 @@ func TestEmptyPlanIsTransparent(t *testing.T) {
 	}
 }
 
-// TestPlanDeterminism: the same (plan, op sequence) injects the same faults
-// at the same ops with the same torn prefixes, run after run.
+// TestPlanDeterminism: a seeded plan is a pure function of its seed. The
+// plan constructors give the same plan 64 times over in one process, and
+// the same (plan, op sequence) injects the same faults at the same ops with
+// the same torn prefixes, run after run. Repeating the construction in one
+// process is what catches an ordering drawn from map iteration, which can
+// agree with itself by chance a few times in a row.
 func TestPlanDeterminism(t *testing.T) {
+	noisy, kill, op := NoisyPlan(42, 3), KillPlan(42, 100), KillOp(42, 100)
+	for i := 1; i < 64; i++ {
+		if p := NoisyPlan(42, 3); !reflect.DeepEqual(p, noisy) {
+			t.Fatalf("construction %d: NoisyPlan(42, 3) = %+v, the first gave %+v", i, p, noisy)
+		}
+		if p := KillPlan(42, 100); !reflect.DeepEqual(p, kill) {
+			t.Fatalf("construction %d: KillPlan(42, 100) = %+v, the first gave %+v", i, p, kill)
+		}
+		if got := KillOp(42, 100); got != op {
+			t.Fatalf("construction %d: KillOp(42, 100) = %d, the first gave %d", i, got, op)
+		}
+	}
+
 	run := func() ([]Record, []byte) {
 		dir := t.TempDir()
 		fsys := New(NoisyPlan(42, 3), nil)
@@ -65,15 +82,17 @@ func TestPlanDeterminism(t *testing.T) {
 		return fsys.Injected(), data
 	}
 	inj1, tmp1 := run()
-	inj2, tmp2 := run()
 	if len(inj1) == 0 {
 		t.Fatal("noisy plan injected nothing over 32 ops")
 	}
-	if !reflect.DeepEqual(stripPaths(inj1), stripPaths(inj2)) {
-		t.Fatalf("fault schedule not deterministic:\n%v\n%v", inj1, inj2)
-	}
-	if !bytes.Equal(tmp1, tmp2) {
-		t.Fatalf("torn prefixes differ: %d vs %d bytes", len(tmp1), len(tmp2))
+	for i := 1; i < 32; i++ {
+		inj, tmp := run()
+		if !reflect.DeepEqual(stripPaths(inj1), stripPaths(inj)) {
+			t.Fatalf("run %d: fault schedule not deterministic:\n%v\n%v", i, inj1, inj)
+		}
+		if !bytes.Equal(tmp1, tmp) {
+			t.Fatalf("run %d: torn prefixes differ: %d vs %d bytes", i, len(tmp1), len(tmp))
+		}
 	}
 }
 

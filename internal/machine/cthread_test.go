@@ -334,6 +334,50 @@ func TestContThreadPoolRecycles(t *testing.T) {
 	}
 }
 
+// TestHotPathAllocsFlat holds the machine layer to the hot-path allocation
+// contract: a thread whose every iteration migrates to load a word, stores
+// to a Local word, and spawns and joins a child on the next nodelet
+// allocates nothing per iteration, both detached and with an observer
+// sampling gauges every nanosecond. 640 iterations may cost no more
+// allocations than 64. The systems are built before counting: NewSystem
+// names its resources through fmt, whose pooled buffers the race detector
+// drops at random. Not parallel: testing.AllocsPerRun counts every
+// goroutine's mallocs.
+func TestHotPathAllocsFlat(t *testing.T) {
+	for _, traced := range []bool{false, true} {
+		allocs := func(iters int) float64 {
+			const runs = 3
+			systems := make([]*System, runs+1) // AllocsPerRun adds one warm-up call
+			for i := range systems {
+				s := NewSystem(HardwareChick())
+				if traced {
+					var events, samples int
+					s.Attach(trace.FuncObserver{
+						OnEvent:  func(trace.Event) { events++ },
+						OnSample: func(trace.Sample) { samples++ },
+					})
+					s.SampleEvery(1000)
+				}
+				systems[i] = s
+			}
+			return testing.AllocsPerRun(runs, func() {
+				s := systems[0]
+				systems = systems[1:]
+				if _, err := s.Run(newHotLoop(s, hotRemoteLoad|hotStore|hotSpawnSync, iters)); err != nil {
+					t.Fatal(err)
+				}
+				if got := s.Counters.TotalMigrations(); got < uint64(iters) {
+					t.Fatalf("%d iterations migrated %d times", iters, got)
+				}
+			})
+		}
+		if short, long := allocs(64), allocs(640); long > short {
+			t.Errorf("traced=%v: the machine hot path allocates per iteration: %v allocations at 64 iterations, %v at 640",
+				traced, short, long)
+		}
+	}
+}
+
 // TestRunContFunctionalResults: values stored by threadlets, locally and
 // posted to a remote nodelet, land in memory.
 func TestRunContFunctionalResults(t *testing.T) {

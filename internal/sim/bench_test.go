@@ -5,7 +5,24 @@ import "testing"
 // Per-layer benchmarks of the event loop: schedule plus dispatch under a
 // steady pending population, a same-time burst, the SleepUntil fast-forward
 // hop, semaphore wakes and pooled spawns. Each reports events/op from
-// Fired(), so ns/op divided by events/op is the cost of one event.
+// Fired(), so ns/op divided by events/op is the cost of one event. The
+// allocation tests drive the same models through allocsFlat.
+
+// allocsFlat holds the path run drives to the hot-path allocation
+// contract: run(n) performs n operations on it, and run(10*k) may allocate
+// no more than run(k), each counted by testing.AllocsPerRun. Setup
+// allocations appear in both counts, so no number is pinned; an allocation
+// per operation, however it arises (a make, a growing append, a heap
+// escape), shows as growth. Its callers must not run in parallel, because
+// AllocsPerRun counts every goroutine's mallocs.
+func allocsFlat(t *testing.T, what string, k int, run func(n int)) {
+	t.Helper()
+	short := testing.AllocsPerRun(3, func() { run(k) })
+	long := testing.AllocsPerRun(3, func() { run(10 * k) })
+	if long > short {
+		t.Errorf("%s allocates per operation: %v allocations at %d operations, %v at %d", what, short, k, long, 10*k)
+	}
+}
 
 // holdFirings is how many events one hold-model op fires.
 const holdFirings = 1 << 16
@@ -34,18 +51,25 @@ func (h *holdModel) step() {
 	}
 }
 
+// runHold runs a fresh hold model that keeps pending events in flight
+// until firings events have fired, and returns its engine.
+func runHold(pending, firings int) (*Engine, error) {
+	h := &holdModel{e: NewEngineSized(pending), x: 88172645463325252, left: firings - pending}
+	h.fire = h.step
+	for k := 0; k < pending; k++ {
+		h.e.Schedule(h.delay(), h.fire)
+	}
+	return h.e, h.e.Run()
+}
+
 func benchHold(b *testing.B, pending int) {
 	var fired uint64
 	for i := 0; i < b.N; i++ {
-		h := &holdModel{e: NewEngineSized(pending), x: 88172645463325252, left: holdFirings - pending}
-		h.fire = h.step
-		for k := 0; k < pending; k++ {
-			h.e.Schedule(h.delay(), h.fire)
-		}
-		if err := h.e.Run(); err != nil {
+		e, err := runHold(pending, holdFirings)
+		if err != nil {
 			b.Fatal(err)
 		}
-		fired += h.e.Fired()
+		fired += e.Fired()
 	}
 	b.ReportMetric(float64(fired)/float64(b.N), "events/op")
 }
@@ -92,13 +116,18 @@ func BenchmarkFastForward4096(b *testing.B) {
 	e := NewEngine()
 	h := &hopper{}
 	for i := 0; i < b.N; i++ {
-		h.hops = 4096
-		e.SpawnContAt(e.Now(), "hopper", h)
-		if err := e.Run(); err != nil {
+		if err := h.run(e, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(e.Fired())/float64(b.N), "events/op")
+}
+
+// run spawns h on e for hops hops and runs e.
+func (h *hopper) run(e *Engine, hops int) error {
+	h.hops = hops
+	e.SpawnContAt(e.Now(), "hopper", h)
+	return e.Run()
 }
 
 // contender is a continuation proc that takes a one-slot semaphore rounds
@@ -143,16 +172,22 @@ func BenchmarkAcquireContWake(b *testing.B) {
 	e := NewEngineSized(procs)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sem := NewSemaphore(e, "slot", 1)
-		for k := range cs {
-			cs[k] = contender{sem: sem, rounds: rounds}
-			e.SpawnContAt(e.Now(), "contender", &cs[k])
-		}
-		if err := e.Run(); err != nil {
+		if err := runContenders(e, cs, rounds); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(e.Fired())/float64(b.N), "events/op")
+}
+
+// runContenders runs one contender per element of cs through rounds rounds
+// on a fresh one-slot semaphore on e.
+func runContenders(e *Engine, cs []contender, rounds int) error {
+	sem := NewSemaphore(e, "slot", 1)
+	for k := range cs {
+		cs[k] = contender{sem: sem, rounds: rounds}
+		e.SpawnContAt(e.Now(), "contender", &cs[k])
+	}
+	return e.Run()
 }
 
 // exiter is a continuation proc whose body is empty.
@@ -181,11 +216,16 @@ func BenchmarkSpawnPooled4096(b *testing.B) {
 	e := NewEngine()
 	s := &spawner{}
 	for i := 0; i < b.N; i++ {
-		s.left = 4096
-		e.SpawnContAt(e.Now(), "spawner", s)
-		if err := e.Run(); err != nil {
+		if err := s.run(e, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(e.Fired())/float64(b.N), "events/op")
+}
+
+// run spawns s on e to spawn children children in sequence, and runs e.
+func (s *spawner) run(e *Engine, children int) error {
+	s.left = children
+	e.SpawnContAt(e.Now(), "spawner", s)
+	return e.Run()
 }

@@ -217,3 +217,14 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// TestEventLoopAllocsFlat: the hold model's event loop allocates nothing
+// per event. It drives schedule, the radix queue's push, pop and split,
+// and advance.
+func TestEventLoopAllocsFlat(t *testing.T) {
+	allocsFlat(t, "the hold model's event loop", 1024, func(firings int) {
+		if _, err := runHold(64, firings); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

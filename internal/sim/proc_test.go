@@ -148,3 +148,26 @@ func TestManyProcs(t *testing.T) {
 		t.Fatalf("finished = %d, want %d", finished, n)
 	}
 }
+
+// TestFastForwardAllocsFlat: a lone proc's SleepUntil hops, each a
+// fastForward over the queue's peek, allocate nothing per hop.
+func TestFastForwardAllocsFlat(t *testing.T) {
+	e, h := NewEngine(), &hopper{}
+	allocsFlat(t, "SleepUntil's fast-forward", 64, func(hops int) {
+		if err := h.run(e, hops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSpawnAllocsFlat: spawning short-lived procs one after another
+// recycles each through the proc pool (SpawnContAt, acquireProc, register,
+// Exit), so the spawns allocate nothing per proc.
+func TestSpawnAllocsFlat(t *testing.T) {
+	e, s := NewEngine(), &spawner{}
+	allocsFlat(t, "a pooled spawn", 64, func(children int) {
+		if err := s.run(e, children); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

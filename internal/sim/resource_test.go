@@ -193,3 +193,16 @@ func TestResourceInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestResourceAllocsFlat: booking single and bulk operations allocates
+// nothing per booking.
+func TestResourceAllocsFlat(t *testing.T) {
+	allocsFlat(t, "Resource.Acquire and AcquireRun", 64, func(ops int) {
+		r := NewResource("chan")
+		r.SetServiceScale(1.5)
+		for i := range ops {
+			r.Acquire(Time(i), 10)
+			r.AcquireRun(Time(i), 10, 4)
+		}
+	})
+}

@@ -205,3 +205,15 @@ func TestJoinPanics(t *testing.T) {
 		NewJoin(0).Done()
 	}()
 }
+
+// TestSemaphoreAllocsFlat: 64 contenders on one slot park and wake through
+// AcquireCont, Release, Suspend and Unpark without allocating per round,
+// Release's waiter compaction included.
+func TestSemaphoreAllocsFlat(t *testing.T) {
+	cs, e := make([]contender, 64), NewEngineSized(64)
+	allocsFlat(t, "Semaphore contention", 64, func(rounds int) {
+		if err := runContenders(e, cs, rounds); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,17 @@ func TestRandomMatrixValid(t *testing.T) {
 			if m.ColIdx[k] <= m.ColIdx[k-1] {
 				t.Fatalf("row %d columns not strictly ascending", r)
 			}
+		}
+	}
+}
+
+// TestRandomMatrixDeterministic: Random is a pure function of its seed;
+// 32 constructions in one process each match the first.
+func TestRandomMatrixDeterministic(t *testing.T) {
+	first := Random(50, 40, 7, workload.NewRNG(3))
+	for i := 1; i < 32; i++ {
+		if m := Random(50, 40, 7, workload.NewRNG(3)); !reflect.DeepEqual(m, first) {
+			t.Fatalf("construction %d of seed 3 differs from the first", i)
 		}
 	}
 }

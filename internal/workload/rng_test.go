@@ -1,20 +1,33 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// TestRNGDeterminism: a seed fixes the stream and everything drawn from
+// it. Seed 42 is constructed 32 times in one process, and each time its
+// first 100 values, a full-shuffle list order and a GUPS stream drawn from
+// it must match the first construction's.
 func TestRNGDeterminism(t *testing.T) {
-	a, b := NewRNG(42), NewRNG(42)
-	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
-			t.Fatal("equal seeds diverged")
+	draw := func() (vals []uint64, order, gups []int) {
+		r := NewRNG(42)
+		for range 100 {
+			vals = append(vals, r.Uint64())
+		}
+		VisitList(1000, 8, FullBlockShuffle, r, func(_, p int) { order = append(order, p) })
+		return vals, order, GUPSStream(500, 1<<10, r)
+	}
+	vals, order, gups := draw()
+	for i := 1; i < 32; i++ {
+		v, o, g := draw()
+		if !slices.Equal(v, vals) || !slices.Equal(o, order) || !slices.Equal(g, gups) {
+			t.Fatalf("construction %d of seed 42 diverged from the first", i)
 		}
 	}
-	c := NewRNG(43)
+	a, c := NewRNG(42), NewRNG(43)
 	same := true
-	a = NewRNG(42)
 	for i := 0; i < 10; i++ {
 		if a.Uint64() != c.Uint64() {
 			same = false

@@ -347,3 +347,78 @@ func TestRowHitRatioTracksLocality(t *testing.T) {
 		t.Fatalf("sequential row-hit ratio = %v", r)
 	}
 }
+
+// linePasses is a thread body making passes over an array a line at a
+// time: it reads and then writes each line of src, and streams the same
+// line of dst with a non-temporal store.
+type linePasses struct {
+	src, dst, bytes int64
+	passes          int
+	off             int64
+	pc              int
+}
+
+func (b *linePasses) Step(t *CThread) bool {
+	for b.passes > 0 {
+		switch b.pc {
+		case 0:
+			b.pc = 1
+			if t.Read(b.src+b.off, 64) {
+				return false
+			}
+		case 1:
+			b.pc = 2
+			if t.Write(b.src+b.off, 64) {
+				return false
+			}
+		case 2:
+			t.WriteNT(b.dst+b.off, 64)
+			b.pc = 0
+			if b.off += 64; b.off == b.bytes {
+				b.off = 0
+				b.passes--
+			}
+		}
+	}
+	return true
+}
+
+// TestHotPathAllocsFlat holds the Xeon memory path to the hot-path
+// allocation contract: a thread reading, writing and streaming an array
+// that overflows the L3 (tag probes, DRAM fetches and dirty writebacks,
+// write-combined line runs) allocates nothing per pass once warm, so 20
+// passes cost no more allocations than 2. The short run makes two because
+// the prefetcher's map of in-flight lines reaches its size in the second.
+// The Sandy Bridge caches are scaled down to keep the run short; the
+// 80 KiB L3 keeps a set count that is not a power of two, like the
+// full-size one. The systems are built before counting: NewSystem names
+// its resources through fmt, whose pooled buffers the race detector drops
+// at random. Not parallel: testing.AllocsPerRun counts every goroutine's
+// mallocs.
+func TestHotPathAllocsFlat(t *testing.T) {
+	cfg := SandyBridgeXeon()
+	cfg.L2Bytes = 16 << 10
+	cfg.L3Bytes = 80 << 10
+	const bytes = 256 << 10
+	allocs := func(passes int) float64 {
+		const runs = 3
+		systems := make([]*System, runs+1) // AllocsPerRun adds one warm-up call
+		for i := range systems {
+			systems[i] = NewSystem(cfg)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			s := systems[0]
+			systems = systems[1:]
+			body := &linePasses{src: s.Alloc(bytes), dst: s.Alloc(bytes), bytes: bytes, passes: passes}
+			if _, err := s.Run(body); err != nil {
+				t.Fatal(err)
+			}
+			if want := uint64(passes * bytes / 64); s.NTWriteLines != want || s.WritebackLines == 0 {
+				t.Fatalf("%d passes: %d streamed lines (want %d), %d writebacks", passes, s.NTWriteLines, want, s.WritebackLines)
+			}
+		})
+	}
+	if short, long := allocs(2), allocs(20); long > short {
+		t.Errorf("the Xeon memory path allocates per pass: %v allocations at 2 passes, %v at 20", short, long)
+	}
+}
