@@ -2,13 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke fuzz-smoke serve-smoke chaos-smoke mutants soak examples clean
+.PHONY: all check build vet test test-quick bench bench-quick bench-archive bench-gate race figures figures-quick scorecard scorecard-quick results trace-smoke fault-smoke fuzz-smoke serve-smoke chaos-smoke mutants soak examples clean
 
-all: build vet lint test race
+all: build vet test race
 
-# The pre-commit gate: compile, vet, lint, test, the perf gate, the fuzz
-# smoke, the job server smoke, the chaos smoke, and the mutants.
-check: build vet lint test bench-gate fuzz-smoke serve-smoke chaos-smoke mutants
+# The pre-commit gate: compile, vet, test, the perf gate, the fuzz smoke,
+# the job server smoke, the chaos smoke, and the mutants.
+check: build vet test bench-gate fuzz-smoke serve-smoke chaos-smoke mutants
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,6 @@ vet:
 	cd bench && $(GO) vet ./...
 	@unformatted=$$(git ls-files -z '*.go' | xargs -0 -r gofmt -l); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l reports unformatted files:"; echo "$$unformatted"; exit 1; fi
-
-# The repo's own analyzer suite (cmd/emulint): the determinism and
-# hot-path allocation contracts, interprocedural through the funcfacts
-# pass, with per-analyzer timing reported on stderr (-v).
-lint:
-	$(GO) run ./cmd/emulint -v ./...
 
 test:
 	$(GO) test ./...

@@ -9,8 +9,8 @@
 // The same contract internal/fault established applies here: every choice a
 // plan makes derives from its seed and the operation counter, never from the
 // wall clock or ambient randomness, so a given (plan, seed) replays the same
-// fault sequence on every run (the package is in the nodeterminism
-// analyzer's audited set). An empty plan is transparent: the FS behaves
+// fault sequence on every run (TestPlanDeterminism builds each plan 64
+// times in one process). An empty plan is transparent: the FS behaves
 // exactly like the real one.
 //
 // The server-side contract the fuzz harness proves against this package:

@@ -498,8 +498,6 @@ func (t *CThread) CSpawnAt(nl int, body CBody) (parked bool) {
 
 // spawnOnCont accounts and launches a child: the child's first dispatch is
 // queued when the launch event fires at its arrival time.
-//
-//emu:hotpath the continuation spawn path: pooled child, launch event, no closure
 func (t *CThread) spawnOnCont(nl int, at sim.Time, body CBody) {
 	s := t.sys
 	if t.children == nil {

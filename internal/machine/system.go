@@ -168,8 +168,7 @@ func (s *System) finishRun(start sim.Time) (sim.Time, error) {
 }
 
 // acquireCThread pops a pooled continuation threadlet or allocates one.
-//
-//emu:hotpath pool hit is the steady state; the miss path is factored into newCThread
+// A pool hit is the steady state.
 func (s *System) acquireCThread() *CThread {
 	if n := len(s.freeCThreads); n > 0 {
 		t := s.freeCThreads[n-1]
@@ -186,8 +185,6 @@ func (s *System) newCThread() *CThread {
 }
 
 // releaseCThread returns a finished continuation threadlet to the pool.
-//
-//emu:hotpath the tail of every continuation threadlet
 func (s *System) releaseCThread(t *CThread) {
 	t.body = nil
 	t.spawnBody = nil

@@ -61,8 +61,6 @@ func (s *System) WatchContext(ctx context.Context) {
 // interval boundary has passed. The nil check is the entire cost of the
 // detached fast path; keeping only that check in emit lets it inline into
 // every machine operation, so a detached run never pays a call here at all.
-//
-//emu:hotpath nil-observer emit path: one inlined comparison when detached
 func (s *System) emit(kind trace.Kind, nodelet, target int, addr memsys.Addr, start, end sim.Time) {
 	if s.obs == nil {
 		return
@@ -85,8 +83,6 @@ func (s *System) emitSlow(kind trace.Kind, nodelet, target int, addr memsys.Addr
 // takeSamples reads every nodelet's gauges at now and advances the next
 // sampling boundary past now. Both callers (emitSlow, and the end-of-run
 // boundary flush) test s.obs != nil first.
-//
-//emu:hotpath runs only while sampling, but sits on the traced-run emit path
 func (s *System) takeSamples(now sim.Time) {
 	for i := range s.nodelets {
 		nl := s.nodelets[i]

@@ -43,8 +43,6 @@ const (
 )
 
 // NewAddr builds the address of word number offset on the given nodelet.
-//
-//emu:hotpath every address computation (At, Plus) funnels through here
 func NewAddr(nodelet int, offset uint64) Addr {
 	if uint(nodelet) >= MaxNodelets || offset > offsetMask {
 		badAddr(nodelet, offset)

@@ -24,8 +24,6 @@ func (l Local) Len() int { return l.words }
 func (l Local) Nodelet() int { return l.base.Nodelet() }
 
 // At returns the address of element i.
-//
-//emu:hotpath per-element address math of every Local traversal
 func (l Local) At(i int) Addr {
 	if uint(i) >= uint(l.words) {
 		badIndex("Local", i, l.words)
@@ -76,8 +74,6 @@ func (st Striped) Len() int { return st.words }
 func (st Striped) Nodelets() int { return len(st.bases) }
 
 // At returns the address of element i: nodelet i mod N, slot i div N.
-//
-//emu:hotpath per-element address math of every Striped traversal
 func (st Striped) At(i int) Addr {
 	if uint(i) >= uint(st.words) {
 		badIndex("Striped", i, st.words)

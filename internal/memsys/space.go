@@ -49,8 +49,6 @@ func (s *Space) allocWords(nodelet, words int) uint64 {
 
 // Read returns the word at a. Reading unallocated memory is a bug in the
 // simulated program and panics.
-//
-//emu:hotpath the functional load under every simulated memory read
 func (s *Space) Read(a Addr) uint64 {
 	nl, off := a.Nodelet(), a.Offset()
 	if nl >= len(s.heaps) || off >= uint64(len(s.heaps[nl])) {
@@ -60,8 +58,6 @@ func (s *Space) Read(a Addr) uint64 {
 }
 
 // Write stores v at a. Writing unallocated memory panics.
-//
-//emu:hotpath the functional store under every simulated memory write
 func (s *Space) Write(a Addr, v uint64) {
 	nl, off := a.Nodelet(), a.Offset()
 	if nl >= len(s.heaps) || off >= uint64(len(s.heaps[nl])) {

@@ -85,15 +85,12 @@ func (e *Engine) Schedule(t Time, fn func()) {
 // allocating a closure. The wake-up time is mirrored onto the Proc so a
 // failure dump can distinguish "parked with a pending wake" from "parked
 // forever".
-//
-//emu:hotpath every park/wake schedules through here
 func (e *Engine) scheduleProc(t Time, p *Proc) {
 	p.wakeAt = t
 	p.hasWake = true
 	e.schedule(t, event{proc: p})
 }
 
-//emu:hotpath queue insert, allocation-free in steady state
 func (e *Engine) schedule(t Time, ev event) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
@@ -121,8 +118,6 @@ func (e *Engine) After(d Time, fn func()) {
 // bit-identical to the slow path. Runs with a safety valve or interrupt hook
 // in a state the event loop would act on decline the fast path so failure
 // behaviour is byte-for-byte unchanged.
-//
-//emu:hotpath the no-contention wait: a clock hop instead of a queue round trip
 func (e *Engine) fastForward(t Time) bool {
 	if e.MaxEvents > 0 && e.fired >= e.MaxEvents {
 		return false
@@ -177,8 +172,7 @@ func (e *Engine) teardown(failed bool) {
 // advance runs the event loop until the queue drains or a valve trips, and
 // returns the run's outcome. A proc dispatch resumes the proc's Stepper in
 // place — a method call, not a goroutine handoff.
-//
-//emu:hotpath the event loop itself; failure exits allocate via e.failure, which is fine — they end the run
+// Only its failure exits allocate, through e.failure, and they end the run.
 func (e *Engine) advance() error {
 	for {
 		if e.q.empty() {

@@ -52,8 +52,6 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // SpawnContAt creates (or recycles) a process driven by s and schedules its
 // first dispatch at absolute time t: one dispatch event, queued now.
-//
-//emu:hotpath the spawn path, allocation-free on a pool hit
 func (e *Engine) SpawnContAt(t Time, name string, s Stepper) *Proc {
 	p := e.acquireProc(name)
 	p.stepper = s
@@ -72,8 +70,6 @@ func (e *Engine) SpawnContAt(t Time, name string, s Stepper) *Proc {
 // fire time, behind events already scheduled for t. This is the event
 // pattern of a deferred spawn, Schedule(t, func(){ SpawnContAt(now, ...) }),
 // without the per-spawn closure.
-//
-//emu:hotpath the deferred spawn path (machine spawnOnCont), allocation-free on a pool hit
 func (e *Engine) LaunchContAt(t Time, name string, s Stepper) *Proc {
 	p := e.acquireProc(name)
 	p.stepper = s
@@ -94,8 +90,7 @@ var launchMark = func() {}
 
 // acquireProc pops a finished Proc from the freelist or allocates a fresh
 // one.
-//
-//emu:hotpath pool hit is the steady state; the miss path is factored into newProc
+// A pool hit is the steady state.
 func (e *Engine) acquireProc(name string) *Proc {
 	if n := len(e.free); n > 0 {
 		p := e.free[n-1]
@@ -119,8 +114,6 @@ func (e *Engine) newProc(name string) *Proc {
 // Exit finishes a process. The Stepper must call it exactly once, when its
 // body has run to completion, and must not touch p afterwards: the Proc
 // returns to the freelist and may be recycled by the very next spawn.
-//
-//emu:hotpath the thread-exit path
 func (p *Proc) Exit() {
 	p.done = true
 	p.eng.procs--
@@ -132,8 +125,6 @@ func (p *Proc) Exit() {
 // clock fast-forwarded; see Engine.fastForward) and the body continues;
 // parked=true means a dispatch was scheduled and StepProc must return, to be
 // called again at t.
-//
-//emu:hotpath
 func (p *Proc) SleepUntil(t Time) (parked bool) {
 	e := p.eng
 	if t <= e.now {
@@ -152,8 +143,6 @@ func (p *Proc) SleepUntil(t Time) (parked bool) {
 // from StepProc awaiting an Unpark (from a semaphore grant, a join
 // completion, ...), so a deadlock report can say what each proc was blocked
 // on. Giving up control is simply returning from StepProc.
-//
-//emu:hotpath the park half of a context switch
 func (p *Proc) Suspend(site string) {
 	p.site = site
 	p.parkedAt = p.eng.now
@@ -161,8 +150,6 @@ func (p *Proc) Suspend(site string) {
 
 // Unpark schedules p to resume at the current time (after already-queued
 // same-time events). It must be called exactly once per Suspend.
-//
-//emu:hotpath the wake half of every context switch
 func (p *Proc) Unpark() {
 	e := p.eng
 	e.scheduleProc(e.now, p)

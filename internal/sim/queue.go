@@ -54,8 +54,6 @@ func (q *queue) bucketOf(t Time) int { return bits.Len64(uint64(t ^ q.last)) }
 
 // push inserts ev behind every pending event of equal or earlier time. The
 // caller guarantees ev.at >= last.
-//
-//emu:hotpath reuses a free node; the slab grows only with the pending high-water mark
 func (q *queue) push(ev event) {
 	var i int32
 	if q.nfree > 0 {
@@ -85,8 +83,6 @@ func (q *queue) link(k int, i int32, t Time) {
 
 // pop removes and returns the earliest pending event, ties in scheduling
 // order. The queue must not be empty.
-//
-//emu:hotpath
 func (q *queue) pop() event {
 	if q.mask&1 == 0 {
 		q.split()
@@ -111,8 +107,6 @@ func (q *queue) pop() event {
 // lowest non-empty bucket, which holds it, into the buckets below: they are
 // all empty, every moved event now differs from last below the bucket's bit,
 // and walking head to tail keeps each target in scheduling order.
-//
-//emu:hotpath
 func (q *queue) split() {
 	k := bits.TrailingZeros64(q.mask)
 	b := q.buckets[k]
@@ -131,8 +125,6 @@ func (q *queue) split() {
 
 // peek reports the earliest pending time; ok is false when the queue is
 // empty.
-//
-//emu:hotpath
 func (q *queue) peek() (t Time, ok bool) {
 	if q.mask == 0 {
 		return 0, false

@@ -56,8 +56,6 @@ func (r *Resource) ServiceScale() float64 {
 // Acquire books one operation of the given service time arriving now.
 // It returns the operation's start and completion times and advances the
 // server's free time. svc must be non-negative.
-//
-//emu:hotpath every modelled memory/core/fabric operation books through here
 func (r *Resource) Acquire(now Time, svc Time) (start, done Time) {
 	if svc < 0 {
 		r.negativeService()
@@ -89,8 +87,6 @@ func (r *Resource) Acquire(now Time, svc Time) (start, done Time) {
 // to the sequential loop's, which TestAcquireRunMatchesSequential verifies
 // over randomized schedules. It returns the first operation's start time and
 // the last operation's completion time.
-//
-//emu:hotpath the bulk-transfer path (streaming writebacks) books whole runs at once
 func (r *Resource) AcquireRun(now Time, svc Time, count int) (start, done Time) {
 	if svc < 0 {
 		r.negativeService()

@@ -116,8 +116,6 @@ func (e *RunError) parkedSummary() string {
 // registered from its previous lifetime keeps its entry (the registered flag
 // on the Proc prevents a duplicate); compaction clears the flag on the procs
 // it drops so they re-register on their next spawn.
-//
-//emu:hotpath on the spawn path; the compaction sweep reuses the slice
 func (e *Engine) register(p *Proc) {
 	if len(e.all) > 64 && len(e.all) > 4*e.procs {
 		live := e.all[:0]

@@ -36,8 +36,6 @@ func NewSemaphore(eng *Engine, name string, capacity int) *Semaphore {
 // waiter queue (recorded as its park site) and StepProc must return — the
 // releaser transfers its slot and schedules p's next dispatch, with the
 // count already adjusted.
-//
-//emu:hotpath every spawn and inbound migration acquires a context slot
 func (s *Semaphore) AcquireCont(p *Proc) (parked bool) {
 	if s.inUse < s.capacity {
 		s.take()
@@ -67,8 +65,6 @@ func (s *Semaphore) take() {
 
 // Release returns one slot. If a Proc is waiting, the slot transfers
 // directly to the head of the queue.
-//
-//emu:hotpath O(1) dequeue via the head cursor; amortized compaction
 func (s *Semaphore) Release() {
 	if s.inUse <= 0 {
 		panic(fmt.Sprintf("sim: semaphore %q released below zero", s.name))
@@ -132,8 +128,6 @@ func (j *Join) Add(n int) {
 }
 
 // Done records one completion, waking the waiter if the count reaches zero.
-//
-//emu:hotpath the join side of every thread exit
 func (j *Join) Done() {
 	if j.remaining <= 0 {
 		panic("sim: join Done below zero")
@@ -153,8 +147,6 @@ func (j *Join) Pending() int { return j.remaining }
 // was already zero and the body continues; parked=true means p is
 // registered as the waiter and StepProc must return — the final Done
 // schedules its next dispatch. At most one Proc may wait.
-//
-//emu:hotpath
 func (j *Join) WaitCont(p *Proc) (parked bool) {
 	if j.remaining == 0 {
 		return false

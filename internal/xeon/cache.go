@@ -53,8 +53,6 @@ func newCache(totalBytes, lineBytes, assoc int) *cache {
 // setOf maps a line to its set index. A power-of-two set count reduces the
 // modulus to a mask; other set counts, which include both L3 geometries,
 // take the division form.
-//
-//emu:hotpath probed once per tag lookup/insert
 func (c *cache) setOf(line int64) int {
 	if c.setMask >= 0 {
 		return int(line & c.setMask)
@@ -64,8 +62,6 @@ func (c *cache) setOf(line int64) int {
 
 // find scans line's set once. It returns the set's first index and either
 // the way holding line (hit) or the way a fill of line takes.
-//
-//emu:hotpath the one scan of a set per probe
 func (c *cache) find(line int64) (base, w int, hit bool) {
 	base = c.setOf(line) * c.assoc
 	key := uint32(line+1) << 1

@@ -71,8 +71,6 @@ func isPow2(v int64) bool { return v > 0 && v&(v-1) == 0 }
 // interleave across channels (fine-grained interleave, as memory
 // controllers do to balance streams), and each channel's consecutive
 // lines share a row until the page boundary.
-//
-//emu:hotpath consulted by every fetch and writeback
 func (d *dram) locate(line int64) (ch, bank int, row int64) {
 	// Lines are non-negative (System.lines panics outside 0..maxLine), so
 	// on power-of-two geometries the mod/div pairs are mask/shift pairs;
@@ -130,8 +128,6 @@ func (d *dram) writeback(now sim.Time, line int64) {
 // calls because every transfer in the run arrives at the same instant with
 // the same service time (the channels are independent single-server queues,
 // so cross-channel ordering is immaterial).
-//
-//emu:hotpath the streaming-store fast path; one resource grant per channel per run
 func (d *dram) writebackRun(now sim.Time, first, last int64) {
 	for ch := range d.wbCount {
 		d.wbCount[ch] = 0

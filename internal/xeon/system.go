@@ -211,8 +211,6 @@ func (t *CThread) Write(addr, bytes int64) (parked bool) { return t.access(addr,
 // (each later line differs from its predecessor by construction), so the
 // per-line buffer check of the old loop reduces to one comparison and the
 // rest of the span books as a single bulk run per DRAM channel.
-//
-//emu:hotpath streaming stores book whole line runs in one call
 func (t *CThread) WriteNT(addr, bytes int64) {
 	if bytes <= 0 {
 		return
