@@ -111,12 +111,15 @@ func run(args []string, out io.Writer) error {
 		}}))
 	}
 	// The log is keyed by the spec's fingerprint, so -resume refuses to
-	// replay a measurement taken with other workload-shaping parameters.
+	// replay a measurement taken with other workload-shaping parameters. A
+	// directory keeps the log as <kernel>.ckpt inside it.
+	ckpt := ""
 	if shared.Checkpoint != "" {
-		if err := shared.RefuseStaleCheckpoint(shared.Checkpoint); err != nil {
+		ckpt = experiments.CheckpointPath(shared.Checkpoint, spec.Kernel)
+		if err := shared.RefuseStaleCheckpoint(ckpt); err != nil {
 			return err
 		}
-		opts = append(opts, experiments.WithCheckpoint(shared.Checkpoint))
+		opts = append(opts, experiments.WithCheckpoint(ckpt))
 	}
 
 	// Ctrl-C interrupts the simulation instead of killing the process.
@@ -132,7 +135,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if attempts == 0 {
-		fmt.Fprintf(out, "(replayed from checkpoint %s)\n", shared.Checkpoint)
+		fmt.Fprintf(out, "(replayed from checkpoint %s)\n", ckpt)
 	}
 	report(out, cfg, m)
 	return nil

@@ -123,40 +123,47 @@ func TestRunRejectsBadArgs(t *testing.T) {
 // TestRunCheckpointRecordsAndReplays pins the kernel log's bytes: the
 // header keyed by the spec's fingerprint, the values at cells 1..n, then
 // the count at cell 0. A rerun needs -resume and replays the same numbers;
-// a rerun with another workload is refused naming both fingerprints.
+// a rerun with another workload is refused naming both fingerprints. A
+// -checkpoint directory keeps the same log as gups.ckpt inside it.
 func TestRunCheckpointRecordsAndReplays(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "gups.ckpt")
-	fresh := runOK(t, "-bench", "gups", "-checkpoint", path)
-	if !strings.Contains(fresh, "bandwidth") {
-		t.Fatalf("output:\n%s", fresh)
-	}
 	want := `{"type":"header","exp":"kernel/gups","fp":"0ce1bebb0e8d1c6b"}
 {"type":"cell","cell":1,"v":131072}
 {"type":"cell","cell":2,"v":212473552}
 {"type":"cell","v":2}
 `
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != want {
-		t.Fatalf("log:\n%s\nwant:\n%s", got, want)
-	}
+	file := filepath.Join(t.TempDir(), "gups.ckpt")
+	dir := t.TempDir() + string(filepath.Separator)
+	for _, tc := range []struct{ arg, path string }{
+		{file, file},
+		{dir, filepath.Join(dir, "gups.ckpt")},
+	} {
+		fresh := runOK(t, "-bench", "gups", "-checkpoint", tc.arg)
+		if !strings.Contains(fresh, "bandwidth") {
+			t.Fatalf("-checkpoint %s: output:\n%s", tc.arg, fresh)
+		}
+		got, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Fatalf("-checkpoint %s: log:\n%s\nwant:\n%s", tc.arg, got, want)
+		}
 
-	var b strings.Builder
-	if err := run([]string{"-bench", "gups", "-checkpoint", path}, &b); err == nil || !strings.Contains(err.Error(), "-resume") {
-		t.Fatalf("rerun without -resume: err = %v, output:\n%s", err, b.String())
-	}
-	replayed := runOK(t, "-bench", "gups", "-checkpoint", path, "-resume")
-	if replayed != "(replayed from checkpoint "+path+")\n"+fresh {
-		t.Fatalf("replayed output:\n%s\nfresh output:\n%s", replayed, fresh)
-	}
-	err = run([]string{"-bench", "gups", "-elems", "8192", "-checkpoint", path, "-resume"}, &b)
-	if err == nil || !strings.Contains(err.Error(), "0ce1bebb0e8d1c6b") || !strings.Contains(err.Error(), "1b055b8ecf9b6efd") {
-		t.Fatalf("other workload: err = %v, want a refusal naming both fingerprints", err)
-	}
-	if after, _ := os.ReadFile(path); string(after) != want {
-		t.Fatalf("a refused or replayed run changed the log:\n%s", after)
+		var b strings.Builder
+		if err := run([]string{"-bench", "gups", "-checkpoint", tc.arg}, &b); err == nil || !strings.Contains(err.Error(), "-resume") {
+			t.Fatalf("-checkpoint %s: rerun without -resume: err = %v, output:\n%s", tc.arg, err, b.String())
+		}
+		replayed := runOK(t, "-bench", "gups", "-checkpoint", tc.arg, "-resume")
+		if replayed != "(replayed from checkpoint "+tc.path+")\n"+fresh {
+			t.Fatalf("-checkpoint %s: replayed output:\n%s\nfresh output:\n%s", tc.arg, replayed, fresh)
+		}
+		err = run([]string{"-bench", "gups", "-elems", "8192", "-checkpoint", tc.arg, "-resume"}, &b)
+		if err == nil || !strings.Contains(err.Error(), "0ce1bebb0e8d1c6b") || !strings.Contains(err.Error(), "1b055b8ecf9b6efd") {
+			t.Fatalf("-checkpoint %s: other workload: err = %v, want a refusal naming both fingerprints", tc.arg, err)
+		}
+		if after, _ := os.ReadFile(tc.path); string(after) != want {
+			t.Fatalf("-checkpoint %s: a refused or replayed run changed the log:\n%s", tc.arg, after)
+		}
 	}
 }
 
