@@ -4,19 +4,20 @@ import (
 	"fmt"
 	"testing"
 
+	"emuchick/internal/cilk"
 	"emuchick/internal/machine"
 	"emuchick/internal/sparse"
 	"emuchick/internal/trace"
 	"emuchick/internal/workload"
 )
 
-// End-of-run conservation checks for the SpMV, SpMV-CSX, GUPS and
+// End-of-run conservation checks for the STREAM, SpMV, SpMV-CSX, GUPS and
 // pointer-chase kernels. Unlike the golden digests, these do not compare
 // against a recording: each derives what the run must have done from the
-// matrix, the update stream or the list order alone — every timed load,
-// every y write, every atomic, every spawn of the ParallelFor tree, every
-// migration between blocks — and fails on its own when the model or a
-// kernel body drops or duplicates an operation.
+// array sizes, the matrix, the update stream or the list order alone —
+// every timed load, every y write, every atomic, every spawn of the
+// ParallelFor tree, every migration between blocks — and fails on its own
+// when the model or a kernel body drops or duplicates an operation.
 
 // opCounter tallies the event stream by kind.
 type opCounter struct {
@@ -88,6 +89,47 @@ func parForLeaves(n, grain int) int {
 		return 1
 	}
 	return parForLeaves(n/2, grain) + parForLeaves(n-n/2, grain)
+}
+
+// TestStreamConservation derives a STREAM run from its config: every one
+// of the n elements is loaded once per input array and stored once, by a
+// worker on the element's own nodelet, so nothing is posted and nothing is
+// atomic. A local-spawn strategy starts every worker on nodelet 0, and a
+// worker serving another nodelet migrates there once, at its first load;
+// a remote-spawn strategy starts each worker on its nodelet, so nothing
+// migrates. 40 elements per nodelet give every one of the 37 workers a
+// share.
+func TestStreamConservation(t *testing.T) {
+	inputs := map[StreamKernel]int{StreamCopyKernel: 1, StreamScaleKernel: 1, StreamAddKernel: 2, StreamTriadKernel: 2}
+	for _, k := range StreamKernels {
+		for _, strat := range cilk.Strategies {
+			for _, nodelets := range []int{1, 8} {
+				cfg := StreamConfig{Kernel: k, ElemsPerNodelet: 40, Nodelets: nodelets, Threads: 37, Strategy: strat}
+				label := fmt.Sprintf("%v/%v/%d-nodelet", k, strat, nodelets)
+				c := newOpCounter()
+				if _, err := Stream(machine.HardwareChick(), cfg, WithObserver(c)); err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				c.check(t, label)
+				n := cfg.ElemsPerNodelet * nodelets
+				if want := n * inputs[k]; c.loads != want {
+					t.Errorf("%s: %d timed loads, want %d elements × %d input arrays = %d", label, c.loads, n, inputs[k], want)
+				}
+				if c.stores != n || c.remoteStores+c.atomics != 0 {
+					t.Errorf("%s: %d local stores (want %d), %d remote stores, %d atomics", label, c.stores, n, c.remoteStores, c.atomics)
+				}
+				// Worker id serves nodelet id mod nodelets, so
+				// ceil(Threads/nodelets) of them serve nodelet 0.
+				want := 0
+				if !strat.Remote() {
+					want = cfg.Threads - (cfg.Threads+nodelets-1)/nodelets
+				}
+				if out, _ := c.migrations(); out != want {
+					t.Errorf("%s: %d migrations, want %d", label, out, want)
+				}
+			}
+		}
+	}
 }
 
 func TestSpMVConservation(t *testing.T) {
