@@ -29,10 +29,10 @@ test:
 # regular suite (kept separate in case slow tests are ever gated).
 test-quick: test
 
-# The per-figure suite plus the per-layer sim, Xeon, cilk and Xeon-kernel
-# benchmarks, in one run.
+# The per-figure suite plus the per-layer sim, machine, Xeon, cilk and
+# Xeon-kernel benchmarks, in one run.
 bench:
-	$(GO) test -bench . -benchmem . ./internal/sim ./internal/xeon ./internal/cilk ./internal/cpukernels
+	$(GO) test -bench . -benchmem . ./internal/sim ./internal/machine ./internal/xeon ./internal/cilk ./internal/cpukernels
 
 # Benchmark iterations for archives and the gate; the archived baselines in
 # the repo were recorded with 5 (see DESIGN.md §13).
@@ -127,20 +127,23 @@ fault-smoke:
 	$(GO) run ./cmd/emutrace -fig fig6 -quick -trials 1 -format jsonl \
 		-faults 'migstall=10us/100us' -out /tmp/emufault-smoke.jsonl
 	$(GO) run ./cmd/emutrace -validate /tmp/emufault-smoke.jsonl
-	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/fault -run '^$$' -fuzz FuzzParse -fuzztime 10s -fuzzminimizetime 1s
 
 # Ten seconds of native fuzzing for each fuzz target no other target runs
 # (tier 1 only replays their seed corpora): the Xeon cache against its
 # stamp-based reference, the streamed list order against ListOrder, the
 # event queue's dispatch order, experiment-log replay on arbitrary bytes,
 # and the jobspec JSON body's canonical form and fingerprint. Wired into
-# `make check`.
+# `make check`. Every smoke fuzz run (here, in fault-smoke and in
+# chaos-smoke) gives each new input at most 1 s of minimization: Go's
+# default of 60 s let the first inputs take a 10 s run's time after about
+# 3 s of fuzzing.
 fuzz-smoke:
-	$(GO) test ./internal/xeon -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s
-	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzVisitList -fuzztime 10s
-	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s
-	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s
-	$(GO) test ./internal/jobspec -run '^$$' -fuzz FuzzSpec -fuzztime 10s
+	$(GO) test ./internal/xeon -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzVisitList -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzEngineOrder -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/experiments -run '^$$' -fuzz FuzzOpenCheckpoint -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/jobspec -run '^$$' -fuzz FuzzSpec -fuzztime 10s -fuzzminimizetime 1s
 
 # Chaos smoke at -short scale: the seeded fault-injection unit suite plus
 # the crash-restart fuzz (kill the store at a seeded op, restart, demand
@@ -150,7 +153,7 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test ./internal/chaos -count=1
 	$(GO) test ./internal/jobserver -run 'TestChaos' -short -count=1
-	$(GO) test ./internal/jobserver -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s
+	$(GO) test ./internal/jobserver -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s -fuzzminimizetime 1s
 
 # Boot cmd/emuserved, submit a quick job over real HTTP, poll it done, fetch
 # the result, and require an identical resubmit to be a byte-identical cache
