@@ -41,7 +41,7 @@ func TestResolveDeterministicPerSeed(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("resolution %d of seed 42 differs from the first: %+v vs %+v", i, b, a)
+			t.Fatalf("same seed resolved differently: resolution %d gave %+v, the first %+v", i, b, a)
 		}
 	}
 	degraded := 0
