@@ -135,9 +135,9 @@ fault-smoke:
 # event queue's dispatch order, experiment-log replay on arbitrary bytes,
 # and the jobspec JSON body's canonical form and fingerprint. Wired into
 # `make check`. Every smoke fuzz run (here, in fault-smoke and in
-# chaos-smoke) gives each new input at most 1 s of minimization: Go's
-# default of 60 s let the first inputs take a 10 s run's time after about
-# 3 s of fuzzing.
+# chaos-smoke) minimizes each new input for at most 1 s: under Go's
+# default of 60 s, minimizing the first new inputs took the rest of a
+# 10 s run after about 3 s of fuzzing.
 fuzz-smoke:
 	$(GO) test ./internal/xeon -run '^$$' -fuzz FuzzCacheLRU -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/workload -run '^$$' -fuzz FuzzVisitList -fuzztime 10s -fuzzminimizetime 1s
